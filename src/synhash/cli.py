@@ -89,6 +89,112 @@ def parse_source(text: str, field: FieldSpec, n: int, seed: int,
     raise ValueError(f"unknown source {text!r}")
 
 
+def _nonneg_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad integer {text!r}") from exc
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
+def _dense_source(a, caps: Caps) -> DensePmf:
+    return parse_source(a.source, FieldSpec(a.q), a.n, a.seed, caps).to_dense(caps)
+
+
+def _projection_identity(a, caps: Caps) -> verify.CheckResult:
+    code = sample_uniform_code(CodeEnsembleSpec(FieldSpec(a.q), a.n, a.k, a.seed), 0)
+    return verify.check_projection_identity(code, _dense_source(a, caps), a.orders,
+                                            caps=caps)
+
+
+# flag -> add_argument keywords, shared by the command tables below
+_INT = {"type": int, "required": True}
+_FLOAT = {"type": float, "required": True}
+_ORDER = {"type": _order, "required": True}
+_Q = {"type": int, "default": 2}
+_SOURCE = {"default": "random"}
+_NKQP = {"--n": _INT, "--k": _INT, "--q": _Q, "--p": _INT}
+_NQPD = {"--n": _INT, "--q": _Q, "--p": _INT, "--d": _INT}
+_NQ_COUNT = {"--n": _INT, "--q": _Q, "--count": {"type": int, "default": 100},
+             "--orders": {"type": _order_list, "default": [1.5, 2.0, 3.0]}}
+
+# verify check -> (its flags, run(args, caps) -> CheckResult)
+VERIFY_CHECKS = {
+    "p-balanced": (_NKQP, lambda a, caps: verify.check_p_balanced(
+        a.n, a.k, a.q, a.p, caps=caps)),
+    "balanced-identity": (_NKQP, lambda a, caps: verify.check_balanced_identity(
+        a.n, a.k, a.q, a.p, f_seed=a.seed, caps=caps)),
+    "balanced-inequality": (_NKQP, lambda a, caps: verify.check_balanced_inequality(
+        a.n, a.k, a.q, a.p, f_seed=a.seed, caps=caps)),
+    "tuple-probability": (
+        {"--n": _INT, "--k": _INT, "--q": _Q,
+         "--tuple": {"type": _index_list, "required": True,
+                     "help": "comma-separated vector indices, e.g. 3,7"}},
+        lambda a, caps: verify.check_tuple_probability(a.n, a.k, a.q, a.tuple, caps=caps)),
+    "norm-bound": (_NQPD, lambda a, caps: verify.check_norm_bound_lemma(
+        a.n, a.q, a.p, a.d, f_seed=a.seed, caps=caps)),
+    "rearrangement": (_NQPD, lambda a, caps: verify.check_rearrangement_lemma(
+        a.n, a.q, a.p, a.d, seed=a.seed, caps=caps)),
+    "projection-identity": (
+        {"--n": _INT, "--k": _INT, "--q": _Q,
+         "--orders": {"type": _order_list, "default": [2.0, 3.0, math.inf]},
+         "--source": _SOURCE},
+        _projection_identity),
+    "rank-stratified": ({**_NQPD, "--source": _SOURCE}, lambda a, caps: (
+        verify.check_rank_stratified(_dense_source(a, caps), a.p, a.d, caps=caps))),
+    "exact-smoothing": ({**_NKQP, "--source": _SOURCE}, lambda a, caps: (
+        verify.exact_expected_smoothness(a.n, a.k, a.q, a.p, _dense_source(a, caps),
+                                         caps=caps))),
+    "proximity": (_NQ_COUNT, lambda a, caps: verify.check_proximity_conversions(
+        a.q, a.n, a.count, a.orders, seed=a.seed, caps=caps)),
+    "clarkson": (_NQ_COUNT, lambda a, caps: verify.check_clarkson(
+        a.q, a.n, a.count, a.orders, seed=a.seed)),
+    "negative-control-unbalanced": (
+        {}, lambda a, caps: verify.negative_control_unbalanced(caps=caps)),
+    "negative-control-overdraw": (
+        {"--trials": {"type": int, "default": 300}},
+        lambda a, caps: verify.negative_control_overdraw(a.trials, seed=a.seed,
+                                                         caps=caps)),
+}
+
+# bound -> (flags, function); the function takes the flag values in flag order,
+# and the same values are echoed as the row's inputs
+BOUNDS = {
+    "phi": ({"--p": _FLOAT, "--eps": _FLOAT}, bounds.phi),
+    "smoothing-rhs": ({"--n": _INT, "--k": _INT, "--q": _INT, "--p": _INT, "--Hp": _FLOAT},
+                      bounds.smoothing_bound_rhs),
+    "nonlinear-rhs": ({"--n": _INT, "--k": _INT, "--q": _INT, "--p": _INT, "--Hp": _FLOAT},
+                      bounds.nonlinear_bound_rhs),
+    "main-guarantee": ({"--m": _INT, "--Hp": _FLOAT, "--p": _INT, "--q": _INT,
+                        "--eps": {"type": float, "default": None}},
+                       bounds.main_guarantee),
+    "max-output": ({"--Hp": _FLOAT, "--p": _INT, "--q": _INT, "--eps": _FLOAT},
+                   bounds.max_output_length),
+    "generic-loss": ({"--eps": _FLOAT, "--p": _INT, "--q": _INT}, bounds.generic_loss),
+    "corollary": ({"--eps": _FLOAT, "--p": _INT, "--q": _INT}, bounds.corollary_bounds),
+    "collision": ({"--m": _INT, "--H2": _FLOAT, "--q": _INT}, bounds.collision_bound),
+    "collision-loss": ({"--eps": _FLOAT, "--q": _INT}, bounds.collision_loss),
+    "collision-max-output": ({"--H2": _FLOAT, "--eps": _FLOAT, "--q": _INT},
+                             bounds.collision_max_output),
+    "linf-bucket": ({"--n": _INT, "--eps": _FLOAT, "--q": _INT}, bounds.linf_bucket_bound),
+    "two-point-renyi": ({"--delta": _FLOAT, "--p": _ORDER}, bounds.two_point_renyi),
+    "rm-threshold": ({"--delta": _FLOAT, "--p": _ORDER,
+                      "--target": {"choices": ("smoothing-rate", "extraction-rate"),
+                                   "default": "smoothing-rate"}},
+                     bounds.rm_threshold),
+}
+
+
+def _add_table(sub, table: dict) -> None:
+    """One subparser per table entry, taking the entry's flags."""
+    for name, (flags, _) in table.items():
+        parser = sub.add_parser(name)
+        for flag, keywords in flags.items():
+            parser.add_argument(flag, **keywords)
+
+
 def build_parser() -> _Parser:
     main = _Parser(prog="synhash",
                    description="Syndrome hashing as a randomness extractor: "
@@ -97,85 +203,20 @@ def build_parser() -> _Parser:
                       help="master seed for all sampling (default 0x%X)" % DEFAULT_SEED)
     main.add_argument("--format", choices=("json", "csv"), default="json")
     main.add_argument("--output", default=None, help="write here instead of stdout")
-    main.add_argument("--threads", type=int, default=1)
     main.add_argument("--stable-output", action="store_true",
                       help="zero timing fields so reruns are byte-identical")
-    main.add_argument("--dense-cap", type=int, default=None,
+    main.add_argument("--dense-cap", type=_nonneg_int, default=None,
                       help="max dense pmf entries (default %d)" % DEFAULT_CAPS.dense_pmf_entries)
-    main.add_argument("--tuple-cap", type=int, default=None)
-    main.add_argument("--code-cap", type=int, default=None)
+    main.add_argument("--tuple-cap", type=_nonneg_int, default=None)
+    main.add_argument("--code-cap", type=_nonneg_int, default=None)
     sub = main.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     ver = sub.add_parser("verify", help="run one verification check")
-    vsub = ver.add_subparsers(dest="check", required=True, parser_class=_Parser)
-
-    def nkqp(parser, k=True, p=True, d=False):
-        parser.add_argument("--n", type=int, required=True)
-        if k:
-            parser.add_argument("--k", type=int, required=True)
-        parser.add_argument("--q", type=int, default=2)
-        if p:
-            parser.add_argument("--p", type=int, required=True)
-        if d:
-            parser.add_argument("--d", type=int, required=True)
-
-    nkqp(vsub.add_parser("p-balanced"))
-    nkqp(vsub.add_parser("balanced-identity"))
-    nkqp(vsub.add_parser("balanced-inequality"))
-    tp = vsub.add_parser("tuple-probability")
-    nkqp(tp, p=False)
-    tp.add_argument("--tuple", type=_index_list, required=True,
-                    help="comma-separated vector indices, e.g. 3,7")
-    nkqp(vsub.add_parser("norm-bound"), k=False, d=True)
-    nkqp(vsub.add_parser("rearrangement"), k=False, d=True)
-    pi = vsub.add_parser("projection-identity")
-    nkqp(pi, p=False)
-    pi.add_argument("--orders", type=_order_list, default=[2.0, 3.0, math.inf])
-    pi.add_argument("--source", default="random")
-    rs = vsub.add_parser("rank-stratified")
-    nkqp(rs, k=False, d=True)
-    rs.add_argument("--source", default="random")
-    es = vsub.add_parser("exact-smoothing")
-    nkqp(es)
-    es.add_argument("--source", default="random")
-    for name in ("proximity", "clarkson"):
-        c = vsub.add_parser(name)
-        c.add_argument("--n", type=int, required=True)
-        c.add_argument("--q", type=int, default=2)
-        c.add_argument("--count", type=int, default=100)
-        c.add_argument("--orders", type=_order_list, default=[1.5, 2.0, 3.0])
-    vsub.add_parser("negative-control-unbalanced")
-    nco = vsub.add_parser("negative-control-overdraw")
-    nco.add_argument("--trials", type=int, default=300)
-
+    _add_table(ver.add_subparsers(dest="check", required=True, parser_class=_Parser),
+               VERIFY_CHECKS)
     bnd = sub.add_parser("bound", help="evaluate a closed-form bound")
-    bsub = bnd.add_subparsers(dest="name", required=True, parser_class=_Parser)
-
-    def addargs(parser, *specs):
-        for flag, typ in specs:
-            parser.add_argument(flag, type=typ, required=True)
-        return parser
-
-    addargs(bsub.add_parser("phi"), ("--p", float), ("--eps", float))
-    for name in ("smoothing-rhs", "nonlinear-rhs"):
-        addargs(bsub.add_parser(name), ("--n", int), ("--k", int), ("--q", int),
-                ("--p", int), ("--Hp", float))
-    mg = addargs(bsub.add_parser("main-guarantee"), ("--m", int), ("--Hp", float),
-                 ("--p", int), ("--q", int))
-    mg.add_argument("--eps", type=float, default=None)
-    addargs(bsub.add_parser("max-output"), ("--Hp", float), ("--p", int),
-            ("--q", int), ("--eps", float))
-    addargs(bsub.add_parser("generic-loss"), ("--eps", float), ("--p", int), ("--q", int))
-    addargs(bsub.add_parser("corollary"), ("--eps", float), ("--p", int), ("--q", int))
-    addargs(bsub.add_parser("collision"), ("--m", int), ("--H2", float), ("--q", int))
-    addargs(bsub.add_parser("collision-loss"), ("--eps", float), ("--q", int))
-    addargs(bsub.add_parser("collision-max-output"), ("--H2", float),
-            ("--eps", float), ("--q", int))
-    addargs(bsub.add_parser("linf-bucket"), ("--n", int), ("--eps", float), ("--q", int))
-    addargs(bsub.add_parser("two-point-renyi"), ("--delta", float), ("--p", _order))
-    rt = addargs(bsub.add_parser("rm-threshold"), ("--delta", float), ("--p", _order))
-    rt.add_argument("--target", choices=("smoothing-rate", "extraction-rate"),
-                    default="smoothing-rate")
+    _add_table(bnd.add_subparsers(dest="name", required=True, parser_class=_Parser),
+               BOUNDS)
 
     sm = sub.add_parser("smooth", help="Monte Carlo syndrome smoothness")
     sm.add_argument("--n", type=int, required=True)
@@ -209,11 +250,9 @@ def build_parser() -> _Parser:
 
 
 def _caps_from(args) -> Caps:
-    return Caps(
-        dense_pmf_entries=args.dense_cap or DEFAULT_CAPS.dense_pmf_entries,
-        tuple_products=args.tuple_cap or DEFAULT_CAPS.tuple_products,
-        code_enumeration=args.code_cap or DEFAULT_CAPS.code_enumeration,
-    )
+    given = {"dense_pmf_entries": args.dense_cap, "tuple_products": args.tuple_cap,
+             "code_enumeration": args.code_cap}
+    return replace(DEFAULT_CAPS, **{k: v for k, v in given.items() if v is not None})
 
 
 def _sanitize(obj):
@@ -232,109 +271,28 @@ def _sanitize(obj):
     return obj
 
 
-def _value_result(name: str, value, **inputs) -> dict:
+def _value_result(name: str, value, inputs: dict) -> dict:
     return {"name": name, "inputs": inputs, "value": value}
 
 
-def _run_verify(args, caps: Caps) -> tuple[list[dict], bool]:
-    seed = args.seed
-    c = args.check
-    if c == "p-balanced":
-        res = verify.check_p_balanced(args.n, args.k, args.q, args.p, caps=caps)
-    elif c == "balanced-identity":
-        res = verify.check_balanced_identity(args.n, args.k, args.q, args.p,
-                                             f_seed=seed, caps=caps)
-    elif c == "balanced-inequality":
-        res = verify.check_balanced_inequality(args.n, args.k, args.q, args.p,
-                                               f_seed=seed, caps=caps)
-    elif c == "tuple-probability":
-        res = verify.check_tuple_probability(args.n, args.k, args.q, args.tuple,
-                                             caps=caps)
-    elif c == "norm-bound":
-        res = verify.check_norm_bound_lemma(args.n, args.q, args.p, args.d,
-                                            f_seed=seed, caps=caps)
-    elif c == "rearrangement":
-        res = verify.check_rearrangement_lemma(args.n, args.q, args.p, args.d,
-                                               seed=seed, caps=caps)
-    elif c == "projection-identity":
-        field = FieldSpec(args.q)
-        code = sample_uniform_code(CodeEnsembleSpec(field, args.n, args.k, seed), 0)
-        P = parse_source(args.source, field, args.n, seed, caps)
-        dense = P if isinstance(P, DensePmf) else P.to_dense(caps)
-        res = verify.check_projection_identity(code, dense, args.orders, caps=caps)
-    elif c == "rank-stratified":
-        field = FieldSpec(args.q)
-        P = parse_source(args.source, field, args.n, seed, caps)
-        dense = P if isinstance(P, DensePmf) else P.to_dense(caps)
-        res = verify.check_rank_stratified(dense, args.p, args.d, caps=caps)
-    elif c == "exact-smoothing":
-        field = FieldSpec(args.q)
-        P = parse_source(args.source, field, args.n, seed, caps)
-        dense = P if isinstance(P, DensePmf) else P.to_dense(caps)
-        res = verify.exact_expected_smoothness(args.n, args.k, args.q, args.p,
-                                               dense, caps=caps)
-    elif c == "proximity":
-        res = verify.check_proximity_conversions(args.q, args.n, args.count,
-                                                 args.orders, seed=seed, caps=caps)
-    elif c == "clarkson":
-        res = verify.check_clarkson(args.q, args.n, args.count, args.orders,
-                                    seed=seed)
-    elif c == "negative-control-unbalanced":
-        res = verify.negative_control_unbalanced(caps=caps)
-    elif c == "negative-control-overdraw":
-        res = verify.negative_control_overdraw(trials=args.trials, seed=seed,
-                                               caps=caps)
-    else:  # pragma: no cover - argparse rejects unknown checks
-        raise ValueError(f"unknown check {c!r}")
+def _check_row(res: verify.CheckResult) -> tuple[dict, bool]:
+    """The output row of a check, and whether it counts as ok: negative
+    controls are ok when they fail."""
     row = res.to_json_dict()
     row["expected_failure"] = expected_failure(res.name)
-    ok = res.passed == (not row["expected_failure"])
-    return [row], ok
+    return row, res.passed == (not row["expected_failure"])
 
 
 def _run_bound(args) -> list[dict]:
-    b = args.name
-    if b == "phi":
-        return [_value_result(b, bounds.phi(args.p, args.eps), p=args.p, eps=args.eps)]
-    if b == "smoothing-rhs":
-        v = bounds.smoothing_bound_rhs(args.n, args.k, args.q, args.p, args.Hp)
-        return [_value_result(b, v, n=args.n, k=args.k, q=args.q, p=args.p, Hp=args.Hp)]
-    if b == "nonlinear-rhs":
-        v = bounds.nonlinear_bound_rhs(args.n, args.k, args.q, args.p, args.Hp)
-        return [_value_result(b, v, n=args.n, k=args.k, q=args.q, p=args.p, Hp=args.Hp)]
-    if b == "main-guarantee":
-        rep = bounds.main_guarantee(args.m, args.Hp, args.p, args.q, args.eps)
-        return [rep.to_json_dict()]
-    if b == "max-output":
-        v = bounds.max_output_length(args.Hp, args.p, args.q, args.eps)
-        return [_value_result(b, v, Hp=args.Hp, p=args.p, q=args.q, eps=args.eps)]
-    if b == "generic-loss":
-        v = bounds.generic_loss(args.eps, args.p, args.q)
-        return [_value_result(b, v, eps=args.eps, p=args.p, q=args.q)]
-    if b == "corollary":
-        dv, dist = bounds.corollary_bounds(args.eps, args.p, args.q)
-        common = {"eps": args.eps, "p": args.p, "q": args.q}
-        return [_value_result("corollary-divergence", dv, **common),
-                _value_result("corollary-distance", dist, **common)]
-    if b == "collision":
-        v = bounds.collision_bound(args.m, args.H2, args.q)
-        return [_value_result(b, v, m=args.m, H2=args.H2, q=args.q)]
-    if b == "collision-loss":
-        return [_value_result(b, bounds.collision_loss(args.eps, args.q),
-                              eps=args.eps, q=args.q)]
-    if b == "collision-max-output":
-        v = bounds.collision_max_output(args.H2, args.eps, args.q)
-        return [_value_result(b, v, H2=args.H2, eps=args.eps, q=args.q)]
-    if b == "linf-bucket":
-        return [_value_result(b, bounds.linf_bucket_bound(args.n, args.eps, args.q),
-                              n=args.n, eps=args.eps, q=args.q)]
-    if b == "two-point-renyi":
-        return [_value_result(b, bounds.two_point_renyi(args.delta, args.p),
-                              delta=args.delta, p=args.p)]
-    if b == "rm-threshold":
-        return [_value_result(b, bounds.rm_threshold(args.delta, args.p, args.target),
-                              delta=args.delta, p=args.p, target=args.target)]
-    raise ValueError(f"unknown bound {b!r}")  # pragma: no cover
+    flags, fn = BOUNDS[args.name]
+    inputs = {flag[2:]: getattr(args, flag[2:]) for flag in flags}
+    value = fn(*inputs.values())
+    if args.name == "main-guarantee":
+        return [value.to_json_dict()]
+    if args.name == "corollary":
+        return [_value_result("corollary-divergence", value[0], inputs),
+                _value_result("corollary-distance", value[1], inputs)]
+    return [_value_result(args.name, value, inputs)]
 
 
 def _format_checks(rows: list[dict], config: dict, fmt: str) -> str:
@@ -370,8 +328,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         ok = True
         if args.command == "verify":
-            rows, ok = _run_verify(args, caps)
-            text = _format_checks(rows, config, args.format)
+            row, ok = _check_row(VERIFY_CHECKS[args.check][1](args, caps))
+            text = _format_checks([row], config, args.format)
         elif args.command == "bound":
             rows = _run_bound(args)
             text = _format_checks(rows, config, args.format)
@@ -393,7 +351,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "rm":
             spec = RmExperimentSpec(m_values=args.m_range, r_rule=args.r_rule,
                                     delta=args.delta, p=args.p, method=args.method)
-            rows = rm_convergence_run(spec, caps, threads=args.threads)
+            rows = rm_convergence_run(spec, caps)
             if args.stable_output:
                 rows = [replace(r, seconds=0.0) for r in rows]
             if args.format == "csv":
@@ -407,10 +365,9 @@ def main(argv: list[str] | None = None) -> int:
             results = run_acceptance(seed=args.seed, caps=caps, quick=args.quick)
             rows = []
             for res in results:
-                row = res.to_json_dict()
-                row["expected_failure"] = expected_failure(res.name)
-                row["ok"] = res.passed == (not row["expected_failure"])
-                ok = ok and row["ok"]
+                row, row_ok = _check_row(res)
+                row["ok"] = row_ok
+                ok = ok and row_ok
                 rows.append(row)
             text = _format_checks(rows, config, args.format)
         else:  # pragma: no cover

@@ -110,6 +110,10 @@ class DensePmf:
     def size(self) -> int:
         return self.field.q ** self.n
 
+    def to_dense(self, caps: Caps = DEFAULT_CAPS) -> "DensePmf":
+        """Already dense: returns self, so every Source densifies the same way."""
+        return self
+
     @classmethod
     def _check_size(cls, field: FieldSpec, n: int, caps: Caps) -> int:
         size = field.q ** n

@@ -118,8 +118,8 @@ def rm_divergence(m: int, r: int, delta: float, p: float, method: str,
     raise ValueError(f"unknown method {method!r}")
 
 
-def _timed_divergence(args) -> tuple[float, float]:
-    m, r, delta, p, method, caps = args
+def _timed_divergence(m: int, r: int, delta: float, p: float, method: str,
+                      caps: Caps) -> tuple[float, float]:
     started = time.perf_counter()
     try:
         divergence = rm_divergence(m, r, delta, p, method, caps)
@@ -128,13 +128,9 @@ def _timed_divergence(args) -> tuple[float, float]:
     return divergence, time.perf_counter() - started
 
 
-def rm_convergence_run(spec: RmExperimentSpec, caps: Caps = DEFAULT_CAPS,
-                       threads: int = 1) -> list[RmResultRow]:
-    """One row per m, sorted; a row whose cost exceeds the caps reports NaN.
-
-    threads > 1 computes the per-m divergences in a thread pool; values are
-    identical either way, only the timing column differs.
-    """
+def rm_convergence_run(spec: RmExperimentSpec,
+                       caps: Caps = DEFAULT_CAPS) -> list[RmResultRow]:
+    """One row per m, sorted; a row whose cost exceeds the caps reports NaN."""
     rule = parse_r_rule(spec.r_rule)
     threshold = rm_threshold(spec.delta, spec.p, "smoothing-rate")
     ms = sorted(spec.m_values)
@@ -144,14 +140,8 @@ def rm_convergence_run(spec: RmExperimentSpec, caps: Caps = DEFAULT_CAPS,
         if not 0 <= r <= m:
             raise ValueError(f"rule {spec.r_rule!r} gives r={r} outside [0, {m}]")
         orders.append(r)
-    jobs = [(m, r, spec.delta, spec.p, spec.method, caps)
-            for m, r in zip(ms, orders)]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(_timed_divergence, jobs))
-    else:
-        outcomes = [_timed_divergence(job) for job in jobs]
+    outcomes = [_timed_divergence(m, r, spec.delta, spec.p, spec.method, caps)
+                for m, r in zip(ms, orders)]
     rows = []
     for m, r, (divergence, seconds) in zip(ms, orders, outcomes):
         code = reed_muller_code(r, m)

@@ -241,6 +241,22 @@ def check_p_balanced(n: int, k: int, q: int, p: int,
     return _identity_result("p-balanced", params, float(spread), 0.0, rel_tol=0.0)
 
 
+def _tuple_average(n: int, k: int, q: int, p: int, f_key, f_values, caps: Caps):
+    """Every [n, k]_q code, the tuple ranks, the flattened test function f on
+    p-tuples (drawn from f_key unless given) and the average over codes of the
+    sum of f over codeword p-tuples."""
+    size = q ** n
+    codes = _codes_list(q, n, k)
+    ranks = _tuple_ranks(q, n, p, caps)
+    f = f_values if f_values is not None else _random_nonneg(size ** p, f_key)
+    f = np.asarray(f, dtype=np.float64).reshape([size] * p)
+    lhs = 0.0
+    for code in codes:
+        cw = codeword_indices(code)
+        lhs += float(f[np.ix_(*([cw] * p))].sum())
+    return codes, ranks, f.reshape(-1), lhs / len(codes)
+
+
 def check_balanced_identity(n: int, k: int, q: int, p: int, f_seed: int = DEFAULT_SEED,
                             caps: Caps = DEFAULT_CAPS,
                             f_values: np.ndarray | None = None,
@@ -250,17 +266,8 @@ def check_balanced_identity(n: int, k: int, q: int, p: int, f_seed: int = DEFAUL
     Both sides are computed over all [n, k]_q codes and a random nonnegative
     test function on p-tuples.
     """
-    size = q ** n
-    codes = _codes_list(q, n, k)
-    ranks = _tuple_ranks(q, n, p, caps)
-    f = f_values if f_values is not None else _random_nonneg(size ** p, (f_seed, 11, n, k, q, p))
-    f = np.asarray(f, dtype=np.float64).reshape([size] * p)
-    lhs = 0.0
-    for code in codes:
-        cw = codeword_indices(code)
-        lhs += float(f[np.ix_(*([cw] * p))].sum())
-    lhs /= len(codes)
-    flat = f.reshape(-1)
+    codes, ranks, flat, lhs = _tuple_average(n, k, q, p, (f_seed, 11, n, k, q, p),
+                                             f_values, caps)
     rhs = 0.0
     for d in range(min(n, p) + 1):
         t_n = rank_tuple_count(n, p, d, q)
@@ -282,17 +289,8 @@ def check_balanced_inequality(n: int, k: int, q: int, p: int,
 
     Equality holds when k = n.
     """
-    size = q ** n
-    codes = _codes_list(q, n, k)
-    ranks = _tuple_ranks(q, n, p, caps)
-    f = f_values if f_values is not None else _random_nonneg(size ** p, (f_seed, 13, n, k, q, p))
-    f = np.asarray(f, dtype=np.float64).reshape([size] * p)
-    lhs = 0.0
-    for code in codes:
-        cw = codeword_indices(code)
-        lhs += float(f[np.ix_(*([cw] * p))].sum())
-    lhs /= len(codes)
-    flat = f.reshape(-1)
+    codes, ranks, flat, lhs = _tuple_average(n, k, q, p, (f_seed, 13, n, k, q, p),
+                                             f_values, caps)
     rhs = 0.0
     for d in range(min(k, p) + 1):
         rhs += float(q ** (d * (k - n))) * float(flat[ranks == d].sum())
@@ -505,6 +503,25 @@ def exact_expected_smoothness(n: int, k: int, q: int, p: int, P: DensePmf,
     return _inequality_result("exact-smoothing", params, lhs, rhs)
 
 
+def _mc_trials(P: DensePmf, spec: CodeEnsembleSpec, trials: int, statistic,
+               caps: Caps) -> np.ndarray:
+    """statistic(syndrome pmf values) for the codes 0 .. trials-1 of spec."""
+    if trials < 1:
+        raise ValueError(f"need at least one Monte Carlo trial, got {trials}")
+    vals = np.empty(trials)
+    for t in range(trials):
+        code = sample_uniform_code(spec, t)
+        vals[t] = statistic(pushforward(P, code.H, caps).probs)
+    return vals
+
+
+def _mean_stderr(vals: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error (0 for a single sample)."""
+    mean = float(vals.mean())
+    stderr = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
+    return mean, stderr
+
+
 def mc_expected_smoothness(spec: CodeEnsembleSpec, source: Source, p: int,
                            trials: int, collision: bool = False,
                            caps: Caps = DEFAULT_CAPS) -> CheckResult:
@@ -515,20 +532,15 @@ def mc_expected_smoothness(spec: CodeEnsembleSpec, source: Source, p: int,
     """
     if collision and p != 2:
         raise ValueError("the collision refinement is a p = 2 statement")
-    P = source if isinstance(source, DensePmf) else source.to_dense(caps)
+    P = source.to_dense(caps)
     if P.n != spec.n or P.field != spec.field:
         raise ValueError("source and ensemble live on different spaces")
     q, m = spec.field.q, spec.n - spec.k
     entropy = renyi_entropy(source, p)
     scale = float(q) ** m
-    vals = np.empty(trials)
-    for t in range(trials):
-        code = sample_uniform_code(spec, t)
-        syn = pushforward(P, code.H, caps)
-        norm = lp_norm(scale * syn.probs, p)
-        vals[t] = norm ** 2 - 1.0 if collision else norm - 1.0
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    power = 2 if collision else 1
+    mean, stderr = _mean_stderr(_mc_trials(
+        P, spec, trials, lambda probs: lp_norm(scale * probs, p) ** power - 1.0, caps))
     rhs = float(q) ** (m - entropy) if collision else float(q) ** (m - entropy + p)
     lhs = mean - 3.0 * stderr
     name = "mc-collision-smoothness" if collision else "mc-smoothness"
@@ -547,7 +559,7 @@ def mc_bucket_linf(source: Source, eps: float, trials: int,
     The output length is m = floor(H_inf - n eps), the regime where every
     bucket stays near its fair share.
     """
-    P = source if isinstance(source, DensePmf) else source.to_dense(caps)
+    P = source.to_dense(caps)
     q, n = P.field.q, P.n
     h_inf = renyi_entropy(P, math.inf)
     m = math.floor(h_inf - n * eps)
@@ -555,13 +567,8 @@ def mc_bucket_linf(source: Source, eps: float, trials: int,
         raise ValueError(f"derived output length m={m} out of range [1, {n}]")
     spec = CodeEnsembleSpec(P.field, n, n - m, seed)
     scale = float(q) ** m
-    vals = np.empty(trials)
-    for t in range(trials):
-        code = sample_uniform_code(spec, t)
-        syn = pushforward(P, code.H, caps)
-        vals[t] = scale * float(syn.probs.max())
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    mean, stderr = _mean_stderr(_mc_trials(
+        P, spec, trials, lambda probs: scale * float(probs.max()), caps))
     rhs = linf_bucket_bound(n, eps, q)
     params = {"n": n, "q": q, "eps": eps, "m": m, "min_entropy": h_inf,
               "mean": mean, "stderr": stderr}
@@ -679,12 +686,8 @@ def negative_control_overdraw(trials: int = 300, seed: int = DEFAULT_SEED,
     spec = CodeEnsembleSpec(FieldSpec(2), n, n - m, seed)
     P = source.to_dense(caps)
     scale = float(2) ** m
-    vals = np.empty(trials)
-    for t in range(trials):
-        code = sample_uniform_code(spec, t)
-        syn = pushforward(P, code.H, caps)
-        vals[t] = lp_norm(scale * syn.probs, p) - 1.0
-    mean = float(vals.mean())
+    mean, _ = _mean_stderr(_mc_trials(
+        P, spec, trials, lambda probs: lp_norm(scale * probs, p) - 1.0, caps))
     params = {"n": n, "delta": delta, "p": p, "m": m,
               "entropy_p": renyi_entropy(source, p),
               "claimed_bound": 0.5, "expected_failure": True}

@@ -1,12 +1,17 @@
+import argparse
 import json
+import math
 
 import numpy as np
 import pytest
 
-from synhash.cli import build_parser, main, parse_source
+from synhash import bounds, verify
+from synhash.cli import _sanitize, build_parser, main, parse_source
 from synhash.caps import DEFAULT_CAPS
+from synhash.codes import CodeEnsembleSpec, sample_uniform_code
 from synhash.distributions import DensePmf, ProductBernoulli
 from synhash.field import FieldSpec
+from synhash.suite import expected_failure
 
 F2 = FieldSpec(2)
 
@@ -173,3 +178,130 @@ def test_parser_rejects_flags_after_subcommand_values():
     parser = build_parser()
     args = parser.parse_args(["--seed", "5", "--format", "csv", "suite", "--quick"])
     assert args.seed == 5 and args.command == "suite" and args.quick
+
+
+def test_empty_monte_carlo_run_is_an_error(capsys):
+    rc, _, err = run(["verify", "negative-control-overdraw", "--trials", "0"], capsys)
+    assert rc == 1
+    assert "trial" in err
+    rc, out, err = run(["smooth", "--n", "6", "--k", "4", "--source",
+                        "bernoulli:0.2", "--trials", "-3"], capsys)
+    assert rc == 1
+    assert "trial" in err and out == ""
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--dense-cap", ["smooth", "--n", "6", "--k", "4", "--source", "bernoulli:0.2",
+                     "--trials", "5"]),
+    ("--tuple-cap", ["verify", "balanced-identity", "--n", "3", "--k", "1", "--p", "2"]),
+    ("--code-cap", ["verify", "tuple-probability", "--n", "3", "--k", "1",
+                    "--tuple", "3,5"]),
+])
+def test_zero_cap_refuses_and_negative_cap_is_a_usage_error(flag, argv, capsys):
+    rc, _, err = run([flag, "0", *argv], capsys)
+    assert rc == 2
+    assert "refused" in err
+    with pytest.raises(SystemExit) as exc:
+        main([flag, "-5", *argv])
+    assert exc.value.code == 1
+    assert "nonnegative" in capsys.readouterr().err
+
+
+SEED = 5
+
+# (group, subcommand) -> (its flags at a small size, the direct library call)
+CLI_CASES = {
+    ("verify", "p-balanced"): (
+        "--n 3 --k 1 --p 2", lambda: verify.check_p_balanced(3, 1, 2, 2)),
+    ("verify", "balanced-identity"): (
+        "--n 3 --k 1 --p 2", lambda: verify.check_balanced_identity(3, 1, 2, 2, f_seed=SEED)),
+    ("verify", "balanced-inequality"): (
+        "--n 3 --k 1 --q 3 --p 2",
+        lambda: verify.check_balanced_inequality(3, 1, 3, 2, f_seed=SEED)),
+    ("verify", "tuple-probability"): (
+        "--n 3 --k 1 --tuple 3,5", lambda: verify.check_tuple_probability(3, 1, 2, [3, 5])),
+    ("verify", "norm-bound"): (
+        "--n 3 --p 2 --d 1", lambda: verify.check_norm_bound_lemma(3, 2, 2, 1, f_seed=SEED)),
+    ("verify", "rearrangement"): (
+        "--n 3 --p 3 --d 2", lambda: verify.check_rearrangement_lemma(3, 2, 3, 2, seed=SEED)),
+    ("verify", "projection-identity"): (
+        "--n 4 --k 2 --orders 1.5,inf",
+        lambda: verify.check_projection_identity(
+            sample_uniform_code(CodeEnsembleSpec(F2, 4, 2, SEED), 0),
+            parse_source("random", F2, 4, SEED, DEFAULT_CAPS), [1.5, math.inf])),
+    ("verify", "rank-stratified"): (
+        "--n 3 --p 2 --d 2 --source bernoulli:0.2",
+        lambda: verify.check_rank_stratified(ProductBernoulli(0.2, 3).to_dense(), 2, 2)),
+    ("verify", "exact-smoothing"): (
+        "--n 4 --k 2 --p 3 --source flat:2",
+        lambda: verify.exact_expected_smoothness(4, 2, 2, 3, DensePmf.flat(F2, 4, 4))),
+    ("verify", "proximity"): (
+        "--n 3 --q 3 --count 5",
+        lambda: verify.check_proximity_conversions(3, 3, 5, [1.5, 2.0, 3.0], seed=SEED)),
+    ("verify", "clarkson"): (
+        "--n 3 --count 5 --orders 1.5,4",
+        lambda: verify.check_clarkson(2, 3, 5, [1.5, 4.0], seed=SEED)),
+    ("verify", "negative-control-unbalanced"): (
+        "", verify.negative_control_unbalanced),
+    ("verify", "negative-control-overdraw"): (
+        "--trials 30", lambda: verify.negative_control_overdraw(30, seed=SEED)),
+    ("bound", "phi"): ("--p 1.5 --eps 0.5", lambda: bounds.phi(1.5, 0.5)),
+    ("bound", "smoothing-rhs"): (
+        "--n 8 --k 4 --q 2 --p 2 --Hp 6.5", lambda: bounds.smoothing_bound_rhs(8, 4, 2, 2, 6.5)),
+    ("bound", "nonlinear-rhs"): (
+        "--n 8 --k 4 --q 2 --p 3 --Hp 6.5", lambda: bounds.nonlinear_bound_rhs(8, 4, 2, 3, 6.5)),
+    ("bound", "main-guarantee"): (
+        "--m 2 --Hp 9 --p 2 --q 3 --eps 0.1", lambda: bounds.main_guarantee(2, 9.0, 2, 3, 0.1)),
+    ("bound", "max-output"): (
+        "--Hp 20 --p 2 --q 2 --eps 0.01", lambda: bounds.max_output_length(20.0, 2, 2, 0.01)),
+    ("bound", "generic-loss"): (
+        "--eps 0.01 --p 2 --q 3", lambda: bounds.generic_loss(0.01, 2, 3)),
+    ("bound", "corollary"): (
+        "--eps 0.5 --p 3 --q 2", lambda: bounds.corollary_bounds(0.5, 3, 2)),
+    ("bound", "collision"): (
+        "--m 4 --H2 9.5 --q 2", lambda: bounds.collision_bound(4, 9.5, 2)),
+    ("bound", "collision-loss"): (
+        "--eps 0.1 --q 3", lambda: bounds.collision_loss(0.1, 3)),
+    ("bound", "collision-max-output"): (
+        "--H2 12 --eps 0.1 --q 2", lambda: bounds.collision_max_output(12.0, 0.1, 2)),
+    ("bound", "linf-bucket"): (
+        "--n 14 --eps 0.25 --q 2", lambda: bounds.linf_bucket_bound(14, 0.25, 2)),
+    ("bound", "two-point-renyi"): (
+        "--delta 0.25 --p 3", lambda: bounds.two_point_renyi(0.25, 3.0)),
+    ("bound", "rm-threshold"): (
+        "--delta 0.25 --p inf --target extraction-rate",
+        lambda: bounds.rm_threshold(0.25, math.inf, "extraction-rate")),
+}
+
+
+def _subcommands():
+    def choices(parser):
+        return next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    top = choices(build_parser())
+    return [(group, name) for group in ("verify", "bound") for name in choices(top[group])]
+
+
+def _as_json(obj):
+    return json.loads(json.dumps(_sanitize(obj)))
+
+
+def test_cli_cases_cover_every_table_entry():
+    assert set(CLI_CASES) == set(_subcommands())
+
+
+@pytest.mark.parametrize("group, name", _subcommands())
+def test_every_table_subcommand_runs(group, name, capsys):
+    flags, direct = CLI_CASES[(group, name)]
+    rc, out, _ = run(["--seed", str(SEED), group, name, *flags.split()], capsys)
+    assert rc == 0
+    rows = json.loads(out)["results"]
+    expected = direct()
+    if group == "verify":
+        assert rows == _as_json([{**expected.to_json_dict(),
+                                  "expected_failure": expected_failure(expected.name)}])
+    elif name == "main-guarantee":
+        assert rows == _as_json([expected.to_json_dict()])
+    else:
+        values = expected if name == "corollary" else (expected,)
+        assert [row["value"] for row in rows] == _as_json(list(values))

@@ -253,6 +253,17 @@ def test_mc_bucket_linf_rejects_empty_output():
         mc_bucket_linf(flat, 0.5, 10)
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_monte_carlo_runs_need_a_trial(trials):
+    spec = CodeEnsembleSpec(F2, 6, 4, 5)
+    with pytest.raises(ValueError, match="trial"):
+        mc_expected_smoothness(spec, ProductBernoulli(0.2, 6), 2, trials)
+    with pytest.raises(ValueError, match="trial"):
+        mc_bucket_linf(DensePmf.flat(F2, 8, 1 << 6), 0.25, trials)
+    with pytest.raises(ValueError, match="trial"):
+        negative_control_overdraw(trials=trials)
+
+
 def test_proximity_conversions_pass():
     res = check_proximity_conversions(2, 4, 60, (1.5, 2, 3), seed=1)
     assert res.passed
