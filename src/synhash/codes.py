@@ -38,6 +38,7 @@ __all__ = [
     "enumerate_all_codes",
     "reed_muller_generator",
     "rm_parity_check",
+    "reed_muller_dimensions",
     "reed_muller_code",
     "codewords",
     "codeword_matrix",
@@ -212,14 +213,13 @@ def reed_muller_generator(r: int, m: int) -> FqMatrix:
         raise ValueError(f"need 0 <= r <= m, got r={r}, m={m}")
     field = FieldSpec(2)
     points = digit_table(2, m)
-    rows = []
-    for deg in range(r + 1):
-        for support in itertools.combinations(range(m), deg):
-            if deg == 0:
-                rows.append(np.ones(1 << m, dtype=np.int64))
-            else:
-                rows.append(np.prod(points[:, list(support)], axis=1).astype(np.int64))
-    return FqMatrix(field, np.array(rows, dtype=np.int64))
+    supports = [support for deg in range(r + 1)
+                for support in itertools.combinations(range(m), deg)]
+    # one preallocated matrix: thousands of row arrays would fragment the heap
+    G = np.empty((len(supports), 1 << m), dtype=np.int64)
+    for i, support in enumerate(supports):
+        G[i] = np.prod(points[:, list(support)], axis=1)
+    return FqMatrix(field, G)
 
 
 def rm_parity_check(r: int, m: int) -> FqMatrix:
@@ -231,12 +231,17 @@ def rm_parity_check(r: int, m: int) -> FqMatrix:
     return reed_muller_generator(m - r - 1, m)
 
 
+def reed_muller_dimensions(r: int, m: int) -> tuple[int, int]:
+    """Length n = 2**m and dimension k = sum_{i <= r} C(m, i) of RM(r, m)."""
+    return 1 << m, sum(math.comb(m, i) for i in range(r + 1))
+
+
 def reed_muller_code(r: int, m: int) -> LinearCode:
     """Reed-Muller code of order r on 2**m points, with its dual parity check."""
     G = reed_muller_generator(r, m)
     H = rm_parity_check(r, m)
-    k = sum(math.comb(m, i) for i in range(r + 1))
-    return LinearCode(FieldSpec(2), 1 << m, k, G, H)
+    n, k = reed_muller_dimensions(r, m)
+    return LinearCode(FieldSpec(2), n, k, G, H)
 
 
 def codeword_matrix(code: LinearCode, caps: Caps = DEFAULT_CAPS) -> np.ndarray:

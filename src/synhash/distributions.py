@@ -39,7 +39,6 @@ __all__ = [
 ]
 
 _PMF_SUM_TOL = 1e-12
-_NAIVE_CONV_MAX = 4096
 _QPMF_MAGIC = b"QPMF"
 
 
@@ -302,45 +301,22 @@ def tv_distance(P: DensePmf, Q: DensePmf) -> float:
     return float(0.5 * np.abs(P.probs - Q.probs).sum())
 
 
-def _naive_convolve(P: np.ndarray, Q: np.ndarray, q: int, n: int) -> np.ndarray:
-    out = np.zeros_like(P)
-    base, other = (P, Q) if np.count_nonzero(P) <= np.count_nonzero(Q) else (Q, P)
-    size = q ** n
-    if q == 2:
-        idx = np.arange(size, dtype=np.int64)
-        for y in np.nonzero(base)[0]:
-            out[idx ^ y] += base[y] * other
-        return out
-    digits = digit_table(q, n)
-    powers = q_powers(q, n)
-    for y in np.nonzero(base)[0]:
-        sub = ((digits - digits[y]) % q) @ powers
-        out[sub] += base[y] * other
-    return out
-
-
-def _transform_convolve(P: np.ndarray, Q: np.ndarray, q: int, n: int) -> np.ndarray:
-    shape = (q,) * n
-    fa = np.fft.fftn(P.reshape(shape))
-    fb = np.fft.fftn(Q.reshape(shape))
-    out = np.fft.ifftn(fa * fb).real.reshape(-1)
-    return np.maximum(out, 0.0)
+def _character_transform(values: np.ndarray, q: int, n: int) -> np.ndarray:
+    """Character transform sum_x f(x) w^{-<a, x>}, w = e^{2 pi i / q}, of a value
+    table on F_q^n, as a (q,)*n array; for q = 2 it is the Walsh-Hadamard
+    transform."""
+    return np.fft.fftn(values.reshape((q,) * n))
 
 
 def convolve(P: DensePmf, Q: DensePmf) -> DensePmf:
-    """Distribution of X + Y for independent X ~ P, Y ~ Q on F_q^n.
-
-    Uses direct summation on small spaces and coordinate-wise character
-    transforms above q**n = 4096.
-    """
+    """Distribution of X + Y for independent X ~ P, Y ~ Q on F_q^n, as the
+    inverse character transform of the product of the two transforms."""
     if P.field != Q.field or P.n != Q.n:
         raise ValueError("convolution needs two pmfs on the same space")
     q, n = P.field.q, P.n
-    if P.size <= _NAIVE_CONV_MAX:
-        probs = _naive_convolve(P.probs, Q.probs, q, n)
-    else:
-        probs = _transform_convolve(P.probs, Q.probs, q, n)
-    return DensePmf(P.field, n, probs)
+    product = _character_transform(P.probs, q, n) * _character_transform(Q.probs, q, n)
+    probs = np.fft.ifftn(product).real.reshape(-1)
+    return DensePmf(P.field, n, np.maximum(probs, 0.0))
 
 
 def code_pmf(code: LinearCode, caps: Caps = DEFAULT_CAPS) -> DensePmf:
@@ -381,25 +357,13 @@ def pushforward(P: DensePmf, H: FqMatrix, caps: Caps = DEFAULT_CAPS) -> DensePmf
     return DensePmf(P.field, m, out)
 
 
-def _dual_weights(code: LinearCode, caps: Caps) -> np.ndarray:
+def _dual_weights(code: LinearCode) -> np.ndarray:
     """Hamming weights of a H for every message a, in message-index order."""
     nk = code.n - code.k
-    size = 1 << nk
-    cost = size * max(code.n, 1)
-    if cost > caps.tuple_products:
-        raise CapExceeded("dual weight table", cost, caps.tuple_products)
     if nk == 0:
         return np.zeros(1, dtype=np.int64)
     msgs = digit_table(2, nk)
     return ((msgs @ code.H.array) % 2).sum(axis=1)
-
-
-def _xor_convolve(u: np.ndarray, h: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(u)
-    idx = np.arange(u.size, dtype=np.int64)
-    for a in np.nonzero(h)[0]:
-        out[idx ^ a] += h[a] * u
-    return out
 
 
 def bernoulli_syndrome_excess(code: LinearCode, delta: float, p: int,
@@ -407,9 +371,11 @@ def bernoulli_syndrome_excess(code: LinearCode, delta: float, p: int,
     """||q^{n-k} P_{HZ}||_p^p - 1 for Z ~ Bernoulli(delta)^n, without forming
     the source densely.
 
-    Evaluates the dual-space tuple sum with the all-zero tuple split off, so
-    the result stays accurate down to subnormal magnitudes.  Binary field,
-    integer p >= 2.
+    The syndrome has character values g(a) = (1 - 2 delta)^{wt(a H)}, so
+    q^{n-k} P_{HZ} = 1 + e with e the transform of g off a = 0, and the excess
+    is sum_{j >= 2} C(p, j) mean(e^j).  The j = 2 term is sum_{a != 0} g(a)^2
+    (Parseval).  No term is cancelled against 1, so the result stays accurate
+    down to subnormal magnitudes.  Binary field, integer p >= 2.
     """
     if code.field.q != 2:
         raise ValueError("dual-character route requires the binary field")
@@ -417,26 +383,25 @@ def bernoulli_syndrome_excess(code: LinearCode, delta: float, p: int,
         raise ValueError(f"integer order p >= 2 required, got {p}")
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta must lie in [0, 1], got {delta}")
-    size = 1 << (code.n - code.k)
-    if p > 2 and (p - 2) * size * size > caps.tuple_products:
-        raise CapExceeded("dual tuple sum", (p - 2) * size * size, caps.tuple_products)
-    w = _dual_weights(code, caps)
-    lam = 1.0 - 2.0 * delta
-    g = _signed_power(lam, w)
-    if p == 2:
-        return float(np.sum(g[1:] ** 2))
-    h = g.copy()
-    h[0] = 0.0
-    total = 0.0
-    u = h
-    for j in range(1, p):
-        if j > 1:
-            u = _xor_convolve(u, h)
-        total += math.comb(p - 1, j) * (float(u[0]) + float(np.dot(u, h)))
+    nk = code.n - code.k
+    size = 1 << nk
+    cost = size * max(code.n, 1) + (p - 2) * size
+    if cost > caps.tuple_products:
+        raise CapExceeded("dual character sum", cost, caps.tuple_products)
+    g = _signed_power(1.0 - 2.0 * delta, _dual_weights(code))
+    total = math.comb(p, 2) * float(np.sum(g[1:] ** 2))
+    if p > 2:
+        h = g.copy()
+        h[0] = 0.0
+        e = _character_transform(h, 2, nk).real
+        power = e * e
+        for j in range(3, p + 1):
+            power *= e
+            total += math.comb(p, j) * float(power.mean())
     return total
 
 
 def bernoulli_syndrome_norm(code: LinearCode, delta: float, p: int,
                             caps: Caps = DEFAULT_CAPS) -> float:
-    """||q^{n-k} P_{HZ}||_p^p for Z ~ Bernoulli(delta)^n, via the dual tuple sum."""
+    """||q^{n-k} P_{HZ}||_p^p for Z ~ Bernoulli(delta)^n, via the dual character sum."""
     return 1.0 + bernoulli_syndrome_excess(code, delta, p, caps)

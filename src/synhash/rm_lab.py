@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 from .bounds import rm_threshold, two_point_renyi
 from .caps import DEFAULT_CAPS, Caps, CapExceeded
-from .codes import reed_muller_code
+from .codes import reed_muller_code, reed_muller_dimensions
 from .distributions import (
     ProductBernoulli,
     bernoulli_syndrome_excess,
@@ -140,15 +140,13 @@ def rm_convergence_run(spec: RmExperimentSpec,
         if not 0 <= r <= m:
             raise ValueError(f"rule {spec.r_rule!r} gives r={r} outside [0, {m}]")
         orders.append(r)
-    outcomes = [_timed_divergence(m, r, spec.delta, spec.p, spec.method, caps)
-                for m, r in zip(ms, orders)]
     rows = []
-    for m, r, (divergence, seconds) in zip(ms, orders, outcomes):
-        code = reed_muller_code(r, m)
-        rate = code.k / code.n
+    for m, r in zip(ms, orders):
+        divergence, seconds = _timed_divergence(m, r, spec.delta, spec.p, spec.method, caps)
+        n, k = reed_muller_dimensions(r, m)
+        rate = k / n
         rows.append(RmResultRow(
-            m=m, n=code.n, k=code.k, rate=rate,
-            syndrome_bits=code.n - code.k,
+            m=m, n=n, k=k, rate=rate, syndrome_bits=n - k,
             extraction_rate=1.0 - rate,
             delta=spec.delta, p=float(spec.p), divergence=divergence,
             threshold=threshold, above_threshold=rate > threshold,

@@ -516,10 +516,10 @@ def _mc_trials(P: DensePmf, spec: CodeEnsembleSpec, trials: int, statistic,
 
 
 def _mean_stderr(vals: np.ndarray) -> tuple[float, float]:
-    """Sample mean and its standard error (0 for a single sample)."""
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
-    return mean, stderr
+    """Sample mean and its standard error; one sample has no error bar."""
+    if vals.size < 2:
+        raise ValueError(f"an error bar needs at least two Monte Carlo trials, got {vals.size}")
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(vals.size))
 
 
 def mc_expected_smoothness(spec: CodeEnsembleSpec, source: Source, p: int,
@@ -592,6 +592,8 @@ def check_proximity_conversions(q: int, n: int, count: int,
     For integer orders the divergence and distance conversions of the
     extraction corollary are included.
     """
+    if count < 1:
+        raise ValueError(f"need at least one random sample, got count={count}")
     field = FieldSpec(q)
     uniform = DensePmf.uniform(field, n, caps)
     lnq = math.log(q)
@@ -631,6 +633,8 @@ def check_clarkson(q: int, n: int, count: int,
                    seed: int = DEFAULT_SEED,
                    rel_tol: float = 1e-9) -> CheckResult:
     """Two-branch uniform convexity inequalities on random function pairs."""
+    if count < 1:
+        raise ValueError(f"need at least one random sample, got count={count}")
     size = q ** n
     rng = np.random.default_rng((seed, 29, q, n))
     worst = (math.inf, math.nan, math.nan, "")
@@ -686,8 +690,8 @@ def negative_control_overdraw(trials: int = 300, seed: int = DEFAULT_SEED,
     spec = CodeEnsembleSpec(FieldSpec(2), n, n - m, seed)
     P = source.to_dense(caps)
     scale = float(2) ** m
-    mean, _ = _mean_stderr(_mc_trials(
-        P, spec, trials, lambda probs: lp_norm(scale * probs, p) - 1.0, caps))
+    mean = float(_mc_trials(
+        P, spec, trials, lambda probs: lp_norm(scale * probs, p) - 1.0, caps).mean())
     params = {"n": n, "delta": delta, "p": p, "m": m,
               "entropy_p": renyi_entropy(source, p),
               "claimed_bound": 0.5, "expected_failure": True}

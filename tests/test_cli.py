@@ -190,6 +190,18 @@ def test_empty_monte_carlo_run_is_an_error(capsys):
     assert "trial" in err and out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["smooth", "--n", "8", "--k", "6", "--source", "bernoulli:0.2", "--trials", "1"],
+    ["bucket", "--n", "10", "--eps", "0.25", "--source", "flat:8", "--trials", "1"],
+    ["verify", "proximity", "--n", "3", "--count", "0"],
+    ["verify", "clarkson", "--n", "3", "--count", "0"],
+])
+def test_runs_without_an_error_bar_are_usage_errors(argv, capsys):
+    rc, out, err = run(argv, capsys)
+    assert rc == 1
+    assert out == "" and ("trials" in err or "count" in err)
+
+
 @pytest.mark.parametrize("flag, argv", [
     ("--dense-cap", ["smooth", "--n", "6", "--k", "4", "--source", "bernoulli:0.2",
                      "--trials", "5"]),

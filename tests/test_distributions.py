@@ -22,8 +22,7 @@ from synhash.distributions import (
     renyi_entropy,
     tv_distance,
 )
-from synhash.distributions import _naive_convolve
-from synhash.field import FieldSpec, FqMatrix
+from synhash.field import FieldSpec, FqMatrix, digit_table, q_powers
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -140,15 +139,24 @@ def test_convolve_shift_by_point_mass():
     assert out.probs[1] == pytest.approx(P.probs[2])
 
 
+def _direct_convolution(a, b, q, n):
+    """Distribution of X + Y by summing over every pair (x, y)."""
+    digits, powers = digit_table(q, n), q_powers(q, n)
+    out = np.zeros(q ** n)
+    for x in range(q ** n):
+        for y in range(q ** n):
+            out[((digits[x] + digits[y]) % q) @ powers] += a[x] * b[y]
+    return out
+
+
 def test_convolve_transform_path_matches_naive():
     rng = np.random.default_rng(5)
-    # 3^3 = 27 entries, forced through both paths
-    a = rng.random(27); a /= a.sum()
-    b = rng.random(27); b /= b.sum()
-    naive = _naive_convolve(a, b, 3, 3)
-    P, Q = pmf(F3, 3, a), pmf(F3, 3, b)
-    full = convolve(P, Q)
-    assert np.allclose(full.probs, naive, atol=1e-12)
+    for field, n in ((F2, 4), (F3, 3)):
+        size = field.q ** n
+        a = rng.random(size); a /= a.sum()
+        b = rng.random(size); b /= b.sum()
+        full = convolve(pmf(field, n, a), pmf(field, n, b))
+        assert np.allclose(full.probs, _direct_convolution(a, b, field.q, n), atol=1e-12)
 
 
 def test_convolve_commutes():
@@ -239,6 +247,34 @@ def test_syndrome_norm_matches_dense_paths():
         direct = lp_norm(2.0 ** m * syn.probs, p) ** p
         character = bernoulli_syndrome_norm(code, delta, p)
         assert character == pytest.approx(direct, rel=1e-12)
+
+
+def _column_recursion_norm(code, delta, p):
+    """||2^{n-k} P_{HZ}||_p^p with the syndrome pmf built one noise bit at a
+    time: P <- (1 - delta) P + delta P[s ^ col_j]."""
+    nk = code.n - code.k
+    idx = np.arange(1 << nk)
+    P = np.zeros(1 << nk)
+    P[0] = 1.0
+    for col in q_powers(2, nk) @ code.H.array:
+        P = (1.0 - delta) * P + delta * P[idx ^ col]
+    return float(np.mean((float(1 << nk) * P) ** p))
+
+
+def test_syndrome_norm_matches_column_recursion_beyond_dense():
+    rm25 = reed_muller_code(2, 5)  # 2^16 syndromes of 2^32 noise patterns
+    random_code = sample_uniform_code(CodeEnsembleSpec(F2, 12, 6, 13), 0)
+    for code, delta, p in [(rm25, 0.25, 3), (rm25, 0.25, 4), (random_code, 0.2, 5)]:
+        assert bernoulli_syndrome_norm(code, delta, p) == pytest.approx(
+            _column_recursion_norm(code, delta, p), rel=1e-12)
+
+
+def test_dual_sum_cap_counts_the_work_that_runs():
+    code = reed_muller_code(1, 3)  # n = 8, 2^4 dual messages
+    for p, cost in [(2, 16 * 8), (3, 16 * 8 + 16), (5, 16 * 8 + 3 * 16)]:
+        bernoulli_syndrome_excess(code, 0.25, p, Caps(tuple_products=cost))
+        with pytest.raises(CapExceeded):
+            bernoulli_syndrome_excess(code, 0.25, p, Caps(tuple_products=cost - 1))
 
 
 def test_syndrome_excess_rejects_bad_order():

@@ -38,9 +38,9 @@ def test_divergence_zero_for_full_code():
     assert rm_divergence(2, 2, 0.1, 3, "dense") == 0.0
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
 @pytest.mark.parametrize("delta", [0.1, 0.4])
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 4])
 def test_dense_and_dual_agree(m, delta, p):
     for r in range(m + 1):
         dense = rm_divergence(m, r, delta, p, "dense")

@@ -264,6 +264,23 @@ def test_monte_carlo_runs_need_a_trial(trials):
         negative_control_overdraw(trials=trials)
 
 
+def test_one_trial_has_no_error_bar():
+    spec = CodeEnsembleSpec(F2, 6, 4, 5)
+    with pytest.raises(ValueError, match="two Monte Carlo trials"):
+        mc_expected_smoothness(spec, ProductBernoulli(0.2, 6), 2, 1)
+    with pytest.raises(ValueError, match="two Monte Carlo trials"):
+        mc_bucket_linf(DensePmf.flat(F2, 8, 1 << 6), 0.25, 1)
+    assert negative_control_overdraw(trials=1).trials == 1  # reads only the mean
+
+
+@pytest.mark.parametrize("count", [0, -2])
+def test_random_sample_checks_need_a_sample(count):
+    with pytest.raises(ValueError, match="count"):
+        check_proximity_conversions(2, 3, count)
+    with pytest.raises(ValueError, match="count"):
+        check_clarkson(2, 3, count)
+
+
 def test_proximity_conversions_pass():
     res = check_proximity_conversions(2, 4, 60, (1.5, 2, 3), seed=1)
     assert res.passed
