@@ -29,7 +29,6 @@ from .codes import (
     CodeEnsembleSpec,
     LinearCode,
     codeword_indices,
-    codeword_matrix,
     codewords,
     enumerate_all_codes,
     gaussian_binomial,
@@ -59,7 +58,7 @@ from .field import (
     FieldSpec,
     FqMatrix,
     FqVector,
-    digit_table,
+    image_indices,
     index_to_vec,
     kernel_basis,
     mat_vec,

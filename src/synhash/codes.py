@@ -20,9 +20,10 @@ from .field import (
     FieldSpec,
     FqMatrix,
     FqVector,
-    digit_table,
+    digit_table,  # traced site, see field.digit_table
+    image_indices,
+    index_to_vec,
     kernel_basis,
-    q_powers,
     rank,
     rref,
     _rank_array,
@@ -41,7 +42,6 @@ __all__ = [
     "reed_muller_dimensions",
     "reed_muller_code",
     "codewords",
-    "codeword_matrix",
     "codeword_indices",
 ]
 
@@ -211,15 +211,15 @@ def reed_muller_generator(r: int, m: int) -> FqMatrix:
     """
     if not 0 <= r <= m:
         raise ValueError(f"need 0 <= r <= m, got r={r}, m={m}")
-    field = FieldSpec(2)
-    points = digit_table(2, m)
+    points = np.arange(1 << m, dtype=np.int64)
     supports = [support for deg in range(r + 1)
                 for support in itertools.combinations(range(m), deg)]
     # one preallocated matrix: thousands of row arrays would fragment the heap
     G = np.empty((len(supports), 1 << m), dtype=np.int64)
     for i, support in enumerate(supports):
-        G[i] = np.prod(points[:, list(support)], axis=1)
-    return FqMatrix(field, G)
+        mask = sum(1 << j for j in support)
+        G[i] = (points & mask) == mask
+    return FqMatrix(FieldSpec(2), G)
 
 
 def rm_parity_check(r: int, m: int) -> FqMatrix:
@@ -244,23 +244,15 @@ def reed_muller_code(r: int, m: int) -> LinearCode:
     return LinearCode(FieldSpec(2), n, k, G, H)
 
 
-def codeword_matrix(code: LinearCode, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
-    """All q**k codewords as rows, in message-index order."""
+def codeword_indices(code: LinearCode, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
+    """Little-endian indices of all q**k codewords G^T a, in message-index order."""
     q, k = code.field.q, code.k
     if q ** k > caps.code_enumeration:
         raise CapExceeded("codeword enumeration", q ** k, caps.code_enumeration)
-    if k == 0:
-        return np.zeros((1, code.n), dtype=np.int64)
-    msgs = digit_table(q, k)
-    return (msgs @ code.G.array) % q
-
-
-def codeword_indices(code: LinearCode, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
-    """Little-endian indices of all codewords, in message-index order."""
-    return codeword_matrix(code, caps) @ q_powers(code.field.q, code.n)
+    return image_indices(FqMatrix(code.field, code.G.array.T))
 
 
 def codewords(code: LinearCode, caps: Caps = DEFAULT_CAPS) -> Iterator[FqVector]:
     """Stream the q**k codewords in message-index order."""
-    for row in codeword_matrix(code, caps):
-        yield FqVector.from_array(code.field, row)
+    for i in codeword_indices(code, caps):
+        yield index_to_vec(int(i), code.n, code.field)

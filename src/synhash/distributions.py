@@ -18,7 +18,7 @@ import numpy as np
 from .bounds import two_point_renyi
 from .caps import DEFAULT_CAPS, Caps, CapExceeded
 from .codes import LinearCode, codeword_indices
-from .field import FieldSpec, FqMatrix, digit_table, q_powers, _rank_array
+from .field import FieldSpec, FqMatrix, digit_table, image_indices, q_powers, _rank_array
 
 __all__ = [
     "RenyiOrder",
@@ -168,10 +168,11 @@ class DensePmf:
         if len(blob) < 12 or blob[:4] != _QPMF_MAGIC:
             raise ValueError("not a QPMF blob")
         _, q, n = struct.unpack("<4sII", blob[:12])
-        size = q ** n
         payload = np.frombuffer(blob, dtype="<f8", offset=12)
-        if payload.shape != (size,):
-            raise ValueError(f"QPMF payload has {payload.shape[0]} entries, expected {size}")
+        entries = payload.shape[0]
+        # untrusted header: n > bit_length(entries) implies q**n > entries, refused unformed
+        if n > entries.bit_length() or q ** n != entries:
+            raise ValueError(f"QPMF payload has {entries} entries, expected {q}**{n}")
         return cls(FieldSpec(q), n, payload.astype(np.float64))
 
     def write_qpmf(self, path) -> None:
@@ -202,8 +203,10 @@ class ProductBernoulli:
         return FieldSpec(2)
 
     def to_dense(self, caps: Caps = DEFAULT_CAPS) -> DensePmf:
-        DensePmf._check_size(self.field, self.n, caps)
-        weights = digit_table(2, self.n).sum(axis=1) if self.n else np.zeros(1, dtype=np.int64)
+        size = DensePmf._check_size(self.field, self.n, caps)
+        weights = np.zeros(size, dtype=np.int64)  # popcount of each index, by doubling
+        for j in range(self.n):
+            weights[1 << j:2 << j] = weights[:1 << j] + 1
         probs = _signed_power(self.delta, weights) * _signed_power(1.0 - self.delta,
                                                                    self.n - weights)
         return DensePmf(self.field, self.n, probs)
@@ -328,42 +331,31 @@ def code_pmf(code: LinearCode, caps: Caps = DEFAULT_CAPS) -> DensePmf:
 
 
 def pushforward(P: DensePmf, H: FqMatrix, caps: Caps = DEFAULT_CAPS) -> DensePmf:
-    """Distribution of H z for z ~ P; H must have full row rank.
-
-    Work proceeds in index chunks so the q**n digit expansion never exceeds
-    a fixed memory footprint.
-    """
+    """Distribution of H z for z ~ P; H must have full row rank."""
     if H.field != P.field:
         raise ValueError("pmf and map live over different fields")
     if H.cols != P.n:
         raise ValueError(f"map expects length-{H.cols} inputs, pmf is on length {P.n}")
-    q, n, m = P.field.q, P.n, H.rows
+    q, m = P.field.q, H.rows
     if _rank_array(H.array, q) != m:
         raise ValueError("map is rank deficient; output space would be oversized")
     if m == 0:
         return DensePmf(P.field, 0, np.ones(1))
     out_size = DensePmf._check_size(P.field, m, caps)
-    powers = q_powers(q, m)
-    ht = H.array.T
-    out = np.zeros(out_size)
-    size = P.size
-    chunk = min(size, 1 << 18)
-    for start in range(0, size, chunk):
-        stop = min(size, start + chunk)
-        digits = digit_table(q, n, start, stop)
-        synd = (digits @ ht) % q
-        flat = synd @ powers
-        out += np.bincount(flat, weights=P.probs[start:stop], minlength=out_size)
+    out = np.bincount(image_indices(H), weights=P.probs, minlength=out_size)
     return DensePmf(P.field, m, out)
 
 
 def _dual_weights(code: LinearCode) -> np.ndarray:
-    """Hamming weights of a H for every message a, in message-index order."""
+    """Hamming weights of a H for every message a, in message-index order.
+
+    With c the histogram of H's column indices, n - 2 wt(a H) is the
+    Walsh-Hadamard transform of c at a (MacWilliams duality).
+    """
     nk = code.n - code.k
-    if nk == 0:
-        return np.zeros(1, dtype=np.int64)
-    msgs = digit_table(2, nk)
-    return ((msgs @ code.H.array) % 2).sum(axis=1)
+    counts = np.bincount(code.H.array.T @ q_powers(2, nk), minlength=1 << nk)
+    signed = _character_transform(counts, 2, nk).real.reshape(-1)
+    return np.rint((code.n - signed) / 2).astype(np.int64)
 
 
 def bernoulli_syndrome_excess(code: LinearCode, delta: float, p: int,
@@ -385,7 +377,8 @@ def bernoulli_syndrome_excess(code: LinearCode, delta: float, p: int,
         raise ValueError(f"delta must lie in [0, 1], got {delta}")
     nk = code.n - code.k
     size = 1 << nk
-    cost = size * max(code.n, 1) + (p - 2) * size
+    # column histogram, one transform (two at p > 2), p - 2 power passes
+    cost = code.n + (1 if p == 2 else 2) * size * nk + (p - 2) * size
     if cost > caps.tuple_products:
         raise CapExceeded("dual character sum", cost, caps.tuple_products)
     g = _signed_power(1.0 - 2.0 * delta, _dual_weights(code))

@@ -24,7 +24,7 @@ __all__ = [
     "vec_to_index",
     "index_to_vec",
     "q_powers",
-    "digit_table",
+    "image_indices",
 ]
 
 
@@ -268,24 +268,35 @@ def index_to_vec(i: int, n: int, field: FieldSpec) -> FqVector:
     return FqVector(field, tuple(coords))
 
 
-@functools.lru_cache(maxsize=16)
-def _cached_digit_table(q: int, n: int) -> np.ndarray:
-    idx = np.arange(q ** n, dtype=np.int64)
-    table = (idx[:, None] // q_powers(q, n)[None, :]) % q
-    table.flags.writeable = False
+def image_indices(M: FqMatrix) -> np.ndarray:
+    """t[idx(x)] = idx(M x) for every x in F_q^n (n = cols(M)), as int64.
+
+    Both indices are little-endian.  The table is built one column at a time:
+    the points whose digit j is a are the points below q**j shifted by a M e_j,
+    added digit-wise mod q, which at q = 2 is XOR.
+    """
+    q, n = M.field.q, M.cols
+    powers = q_powers(q, M.rows)
+    table = np.zeros(q ** n, dtype=np.int64)
+    for j in range(n):
+        size = q ** j
+        low = table[:size]
+        for a in range(1, q):
+            col = (a * M.array[:, j]) % q
+            block = table[a * size:(a + 1) * size]
+            if q == 2:
+                np.bitwise_xor(low, int(col @ powers), out=block)
+            else:
+                block[:] = low
+                for i in np.flatnonzero(col):
+                    carry = (low // powers[i]) % q + col[i] >= q
+                    block += (col[i] - q * carry) * powers[i]
     return table
 
 
-def digit_table(q: int, n: int, start: int = 0, stop: int | None = None) -> np.ndarray:
-    """Digits (little-endian) of indices [start, stop) as a (stop-start, n) array.
-
-    Small tables (q**n <= 2**20) are cached and shared read-only.
-    """
-    size = q ** n
-    if stop is None:
-        stop = size
-    if size <= 1 << 20:
-        table = _cached_digit_table(q, n)
-        return table if (start == 0 and stop == size) else table[start:stop]
-    idx = np.arange(start, stop, dtype=np.int64)
-    return (idx[:, None] // q_powers(q, n)[None, :]) % q
+def digit_table(q: int, n: int) -> np.ndarray:
+    """Little-endian digits of every index of F_q^n, one row each.  Nothing calls
+    it: codes, distributions and verify import it only for the sites that
+    perfbench/tracing.py wraps, and it goes with that tracer entry."""
+    rows = [image_indices(FqMatrix(FieldSpec(q), e[None])) for e in np.eye(n, dtype=np.int64)]
+    return np.array(rows, dtype=np.int64).reshape(n, q ** n).T

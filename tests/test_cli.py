@@ -174,6 +174,15 @@ def test_source_grammar(capsys):
     assert rc == 1
 
 
+def test_projection_identity_reports_the_first_order_when_every_order_passes(capsys):
+    # at equality the per-order errors are rounding noise, so they pick no order
+    rc, out, _ = run(["verify", "projection-identity", "--n", "4", "--k", "2"], capsys)
+    assert rc == 0
+    result = json.loads(out)["results"][0]
+    assert result["passed"]
+    assert result["parameters"]["worst_order"] == "2.0"
+
+
 def test_parser_rejects_flags_after_subcommand_values():
     parser = build_parser()
     args = parser.parse_args(["--seed", "5", "--format", "csv", "suite", "--quick"])

@@ -8,7 +8,6 @@ from synhash.codes import (
     CodeEnsembleSpec,
     LinearCode,
     codeword_indices,
-    codeword_matrix,
     codewords,
     enumerate_all_codes,
     gaussian_binomial,
@@ -75,9 +74,8 @@ def test_codeword_indices_example():
     G = FqMatrix.from_rows(F2, [[1, 0, 1, 0], [0, 1, 0, 1]])
     code = LinearCode.from_generator(G)
     assert codeword_indices(code).tolist() == [0, 5, 10, 15]
-    mat = codeword_matrix(code)
-    assert mat.shape == (4, 4)
-    assert [v.coords for v in codewords(code)][1] == (1, 0, 1, 0)
+    assert [v.coords for v in codewords(code)] == [(0, 0, 0, 0), (1, 0, 1, 0),
+                                                  (0, 1, 0, 1), (1, 1, 1, 1)]
 
 
 def test_from_generator_rejects_dependent_rows():

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from synhash.distributions import (
     renyi_entropy,
     tv_distance,
 )
-from synhash.field import FieldSpec, FqMatrix, digit_table, q_powers
+from synhash.field import FieldSpec, FqMatrix, index_to_vec, q_powers
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -141,7 +142,9 @@ def test_convolve_shift_by_point_mass():
 
 def _direct_convolution(a, b, q, n):
     """Distribution of X + Y by summing over every pair (x, y)."""
-    digits, powers = digit_table(q, n), q_powers(q, n)
+    field = FieldSpec(q)
+    digits = [index_to_vec(i, n, field).array for i in range(q ** n)]
+    powers = q_powers(q, n)
     out = np.zeros(q ** n)
     for x in range(q ** n):
         for y in range(q ** n):
@@ -216,6 +219,13 @@ def test_qpmf_roundtrip(tmp_path):
         DensePmf.from_qpmf_bytes(b"XXXX" + blob[4:])
 
 
+def test_qpmf_header_is_checked_against_the_payload_first():
+    # a 20-byte blob claiming n = 2**20: q**n must not be formed
+    blob = struct.pack("<4sII", b"QPMF", 2, 1 << 20) + struct.pack("<d", 1.0)
+    with pytest.raises(ValueError, match="QPMF payload has 1 entries"):
+        DensePmf.from_qpmf_bytes(blob)
+
+
 def test_json_roundtrip():
     P = pmf(F3, 1, [0.2, 0.3, 0.5])
     again = DensePmf.from_json_dict(P.to_json_dict())
@@ -271,7 +281,9 @@ def test_syndrome_norm_matches_column_recursion_beyond_dense():
 
 def test_dual_sum_cap_counts_the_work_that_runs():
     code = reed_muller_code(1, 3)  # n = 8, 2^4 dual messages
-    for p, cost in [(2, 16 * 8), (3, 16 * 8 + 16), (5, 16 * 8 + 3 * 16)]:
+    # the column histogram (n = 8), one transform of 16 * 4 at p = 2 and two
+    # at p > 2, and p - 2 power passes over the 16 entries
+    for p, cost in [(2, 8 + 64), (3, 8 + 2 * 64 + 16), (5, 8 + 2 * 64 + 3 * 16)]:
         bernoulli_syndrome_excess(code, 0.25, p, Caps(tuple_products=cost))
         with pytest.raises(CapExceeded):
             bernoulli_syndrome_excess(code, 0.25, p, Caps(tuple_products=cost - 1))

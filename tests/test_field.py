@@ -7,7 +7,7 @@ from synhash.field import (
     FieldSpec,
     FqMatrix,
     FqVector,
-    digit_table,
+    image_indices,
     index_to_vec,
     kernel_basis,
     mat_vec,
@@ -110,15 +110,6 @@ def test_index_examples():
     assert index_to_vec(5, 3, F2).coords == (1, 0, 1)
 
 
-def test_digit_table_is_little_endian():
-    table = digit_table(2, 3)
-    assert table.shape == (8, 3)
-    assert table[3].tolist() == [1, 1, 0]
-    assert table[4].tolist() == [0, 0, 1]
-    window = digit_table(3, 2, start=4, stop=6)
-    assert window.tolist() == [[1, 1], [2, 1]]
-
-
 @st.composite
 def matrices(draw):
     q = draw(st.sampled_from([2, 3, 5]))
@@ -127,6 +118,17 @@ def matrices(draw):
     data = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=cols, max_size=cols),
                          min_size=rows, max_size=rows))
     return FqMatrix.from_rows(FieldSpec(q), data)
+
+
+@given(matrices())
+def test_image_indices_match_mat_vec(M):
+    field, n = M.field, M.cols
+    table = image_indices(M)
+    assert table.dtype == np.int64
+    assert table.tolist() == [vec_to_index(mat_vec(M, index_to_vec(i, n, field)))
+                              for i in range(field.q ** n)]
+    identity = image_indices(FqMatrix.identity(field, n))
+    assert identity.tolist() == list(range(field.q ** n))
 
 
 @given(matrices())

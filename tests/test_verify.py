@@ -9,7 +9,7 @@ from synhash.codes import (CodeEnsembleSpec, enumerate_all_codes, rank_tuple_cou
                            sample_uniform_code)
 from synhash.distributions import (DensePmf, ProductBernoulli, code_pmf, convolve,
                                    lp_norm, renyi_entropy)
-from synhash.field import FieldSpec, digit_table, _rank_array
+from synhash.field import FieldSpec, index_to_vec, _rank_array
 from synhash.verify import (
     check_balanced_identity,
     check_balanced_inequality,
@@ -35,11 +35,18 @@ F2 = FieldSpec(2)
 F3 = FieldSpec(3)
 
 
+def _digits(q, n):
+    """Little-endian digits of every index of F_q^n, one row per index."""
+    field = FieldSpec(q)
+    rows = [index_to_vec(i, n, field).coords for i in range(q ** n)]
+    return np.array(rows, dtype=np.int64).reshape(q ** n, n)
+
+
 @pytest.mark.parametrize("q,n,p", [(2, 3, 2), (2, 2, 3), (3, 2, 2), (5, 1, 2)])
 def test_tuple_ranks_against_matrix_rank(q, n, p):
     ranks = _tuple_ranks_cached(q, n, p)
     size = q ** n
-    digits = digit_table(q, n)
+    digits = _digits(q, n)
     for t in range(size ** p):
         vs = [(t // size ** (p - 1 - j)) % size for j in range(p)]
         assert ranks[t] == _rank_array(digits[vs].T, q), (t, vs)
@@ -109,6 +116,18 @@ def test_tuple_probability_examples():
     res = check_tuple_probability(3, 1, 2, (0, 0))
     assert res.passed and res.lhs == 1.0 and res.rhs == 1.0
 
+    # 40 vectors: the iid count still runs over every 2 x 3 parity check
+    res = check_tuple_probability(3, 1, 2, tuple(range(8)) * 5)
+    assert res.passed and res.parameters["rank"] == 3
+    assert res.parameters["iid_probability"] == "1/64"
+
+
+def test_tuple_probability_rejects_indices_outside_the_space():
+    # -1 used to wrap round to the last vector, and 8 to raise IndexError
+    for bad in (-1, 8):
+        with pytest.raises(ValueError, match="out of range"):
+            check_tuple_probability(3, 1, 2, (bad, 3))
+
 
 def test_tuple_probability_all_pairs_small():
     for i in range(8):
@@ -124,7 +143,7 @@ def test_norm_bound_lemma_brute_force_lhs():
     res = check_norm_bound_lemma(n, q, p, d, f_values=f)
     assert res.passed
     size = q ** n
-    digits = digit_table(q, n)
+    digits = _digits(q, n)
     brute = 0.0
     for t in range(size ** p):
         vs = [(t // size ** (p - 1 - j)) % size for j in range(p)]
@@ -177,7 +196,7 @@ def test_rank_stratified_sum_triple_loop_oracle():
     q, n, p = 2, 2, 2
     P = _random_pmf(F2, n, (99,))
     size = q ** n
-    digits = digit_table(q, n)
+    digits = _digits(q, n)
     by_rank = {0: 0.0, 1: 0.0, 2: 0.0}
     for v1 in range(size):
         for v2 in range(size):
