@@ -11,14 +11,14 @@ import json
 import math
 import struct
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from .bounds import two_point_renyi
 from .caps import DEFAULT_CAPS, Caps, CapExceeded
 from .codes import LinearCode, codeword_indices
-from .field import FieldSpec, FqMatrix, digit_table, image_indices, q_powers, _rank_array
+from .field import FieldSpec, FqMatrix, digit_table, q_powers, _image_rows, _rank_array
 
 __all__ = [
     "RenyiOrder",
@@ -330,20 +330,36 @@ def code_pmf(code: LinearCode, caps: Caps = DEFAULT_CAPS) -> DensePmf:
     return DensePmf(code.field, code.n, probs)
 
 
+def _pushforward_rows(P: DensePmf, maps: Sequence[FqMatrix], caps: Caps) -> np.ndarray:
+    """Pmf of H z for z ~ P, one row per H in maps (one shape, full row rank),
+    as a (T, q^m) array from one bincount over row-offset syndrome indices."""
+    for H in maps:
+        if H.field != P.field:
+            raise ValueError("pmf and map live over different fields")
+        if H.cols != P.n:
+            raise ValueError(f"map expects length-{H.cols} inputs, pmf is on length {P.n}")
+        if _rank_array(H.array, P.field.q) != H.rows:
+            raise ValueError("map is rank deficient; output space would be oversized")
+    count, m = len(maps), maps[0].rows
+    if m == 0:
+        return np.ones((count, 1))
+    out_size = DensePmf._check_size(P.field, m, caps)
+    # points past the last one with mass add nothing to any bin, so the table
+    # covers the first q^j points only: the image of the first j columns
+    j = P.n
+    while j and not P.probs[P.field.q ** (j - 1):].any():
+        j -= 1
+    idx = _image_rows(P.field.q, np.stack([H.array[:, :j] for H in maps]))
+    idx += out_size * np.arange(count)[:, None]
+    # row t of the weights is P again; a single row is a view, not a copy
+    weights = np.broadcast_to(P.probs[:idx.shape[1]], idx.shape).reshape(-1)
+    out = np.bincount(idx.reshape(-1), weights=weights, minlength=count * out_size)
+    return out.reshape(count, out_size)
+
+
 def pushforward(P: DensePmf, H: FqMatrix, caps: Caps = DEFAULT_CAPS) -> DensePmf:
     """Distribution of H z for z ~ P; H must have full row rank."""
-    if H.field != P.field:
-        raise ValueError("pmf and map live over different fields")
-    if H.cols != P.n:
-        raise ValueError(f"map expects length-{H.cols} inputs, pmf is on length {P.n}")
-    q, m = P.field.q, H.rows
-    if _rank_array(H.array, q) != m:
-        raise ValueError("map is rank deficient; output space would be oversized")
-    if m == 0:
-        return DensePmf(P.field, 0, np.ones(1))
-    out_size = DensePmf._check_size(P.field, m, caps)
-    out = np.bincount(image_indices(H), weights=P.probs, minlength=out_size)
-    return DensePmf(P.field, m, out)
+    return DensePmf(P.field, H.rows, _pushforward_rows(P, [H], caps)[0])
 
 
 def _dual_weights(code: LinearCode) -> np.ndarray:

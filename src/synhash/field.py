@@ -145,30 +145,46 @@ class FqMatrix:
 
 # -- elimination kernels ----------------------------------------------------
 
-def _rank_bits(rows: list[int]) -> int:
-    """Rank of a GF(2) matrix given as row bitmasks (word-parallel XOR)."""
-    r = 0
-    basis: list[int] = []
+def _pack_rows(arr: np.ndarray) -> list[int]:
+    """Rows of a 0/1 matrix as exact Python-int bitmasks, bit j = column j."""
+    packed = np.packbits(arr, axis=1, bitorder="little")
+    raw, width = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(raw[i * width:(i + 1) * width], "little") for i in range(len(packed))]
+
+
+def _rref_bits(rows: list[int]) -> dict[int, int]:
+    """Reduced row echelon form of a GF(2) matrix given as row bitmasks, as
+    {pivot bit: row}; the pivot is a row's lowest set bit (leftmost column).
+
+    Each row is reduced against the basis so far, and a new pivot is cleared
+    from every basis row, so the basis stays fully reduced.
+    """
+    basis: dict[int, int] = {}
     for v in rows:
-        for b in basis:
-            m = b & -b
-            if v & m:
+        for bit, b in basis.items():
+            if v & bit:
                 v ^= b
         if v:
-            basis.append(v)
-            r += 1
-    return r
-
-
-def _pack_rows(arr: np.ndarray) -> list[int]:
-    weights = 1 << np.arange(arr.shape[1], dtype=np.int64)
-    return [int(x) for x in arr @ weights]
+            low = v & -v
+            for bit, b in basis.items():
+                if b & low:
+                    basis[bit] = b ^ v
+            basis[low] = v
+    return basis
 
 
 def _rref_array(a: np.ndarray, q: int, inv: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form mod q; returns (nonzero rows, pivot columns)."""
-    a = np.array(a, dtype=np.int64) % q
+    a = np.asarray(a, dtype=np.int64) % q
     rows, cols = a.shape
+    if q == 2:
+        basis = _rref_bits(_pack_rows(a))
+        order = sorted(basis)
+        width = (cols + 7) // 8
+        raw = b"".join(basis[bit].to_bytes(width, "little") for bit in order)
+        packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(order), width)
+        red = np.unpackbits(packed, axis=1, count=cols, bitorder="little")
+        return red.astype(np.int64), [bit.bit_length() - 1 for bit in order]
     pivots: list[int] = []
     r = 0
     for c in range(cols):
@@ -190,27 +206,27 @@ def _rref_array(a: np.ndarray, q: int, inv: np.ndarray) -> tuple[np.ndarray, lis
 
 
 def _rank_array(a: np.ndarray, q: int) -> int:
-    if a.shape[0] == 0 or a.shape[1] == 0:
-        return 0
     if q == 2:
-        return _rank_bits(_pack_rows(np.asarray(a, dtype=np.int64) % 2))
-    field = FieldSpec(q)
-    return len(_rref_array(a, q, field.inverses)[1])
+        return len(_rref_bits(_pack_rows(np.asarray(a) % 2)))
+    return len(_rref_array(a, q, FieldSpec(q).inverses)[1])
+
+
+def _kernel_from_rref(red: np.ndarray, pivots: list[int], cols: int, q: int) -> np.ndarray:
+    """Basis (rows) of {x : a @ x = 0 mod q} from the reduced form of a: one row
+    per free column f, with 1 at f and -red[:, f] at the pivot columns."""
+    free = np.ones(cols, dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
+    basis = np.zeros((free.size, cols), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = (-red[:, free].T) % q
+    return basis
 
 
 def _kernel_array(a: np.ndarray, q: int, inv: np.ndarray) -> np.ndarray:
     """Basis (rows) of the right kernel {x : a @ x = 0 mod q}."""
-    rows, cols = a.shape
-    if rows == 0:
-        return np.eye(cols, dtype=np.int64)
     red, pivots = _rref_array(a, q, inv)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for row_idx, pc in enumerate(pivots):
-            basis[i, pc] = (-int(red[row_idx, fc])) % q
-    return basis
+    return _kernel_from_rref(red, pivots, a.shape[1], q)
 
 
 # -- public operations ------------------------------------------------------
@@ -275,22 +291,32 @@ def image_indices(M: FqMatrix) -> np.ndarray:
     the points whose digit j is a are the points below q**j shifted by a M e_j,
     added digit-wise mod q, which at q = 2 is XOR.
     """
-    q, n = M.field.q, M.cols
-    powers = q_powers(q, M.rows)
-    table = np.zeros(q ** n, dtype=np.int64)
+    return _image_rows(M.field.q, M.array[None])[0]
+
+
+def _image_rows(q: int, arr: np.ndarray) -> np.ndarray:
+    """image_indices for a (T, rows, n) stack of matrices mod q: a (T, q**n)
+    table, row t that of arr[t], from one pass of the column steps."""
+    count, rows, n = arr.shape
+    powers = q_powers(q, rows)
+    # multiples[a - 1, t, :, j] = a M_t e_j and shifts[a - 1, t, j] its index
+    multiples = (np.arange(1, q)[:, None, None, None] * arr) % q
+    shifts = powers @ multiples
+    table = np.zeros((count, q ** n), dtype=np.int64)
     for j in range(n):
         size = q ** j
-        low = table[:size]
+        low = table[:, :size]
         for a in range(1, q):
-            col = (a * M.array[:, j]) % q
-            block = table[a * size:(a + 1) * size]
+            block = table[:, a * size:(a + 1) * size]
             if q == 2:
-                np.bitwise_xor(low, int(col @ powers), out=block)
+                np.bitwise_xor(low, shifts[0, :, j, None], out=block)
             else:
+                col = multiples[a - 1, :, :, j]
                 block[:] = low
-                for i in np.flatnonzero(col):
-                    carry = (low // powers[i]) % q + col[i] >= q
-                    block += (col[i] - q * carry) * powers[i]
+                for i in np.flatnonzero(col.any(axis=0)):
+                    digit = col[:, i, None]
+                    carry = (low // powers[i]) % q + digit >= q
+                    block += (digit - q * carry) * powers[i]
     return table
 
 

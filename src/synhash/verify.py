@@ -37,6 +37,7 @@ from .distributions import (
     lp_norm,
     lp_smoothness,
     pushforward,
+    _pushforward_rows,
     renyi_divergence,
     renyi_entropy,
 )
@@ -315,12 +316,8 @@ def check_tuple_probability(n: int, k: int, q: int,
     U = np.array([index_to_vec(i, n, field).coords for i in idx], dtype=np.int64).reshape(p, n).T
     d = _rank_array(U, q)
     codes = _codes_list(q, n, k)
-    contained = 0
-    for code in codes:
-        member = np.zeros(q ** n, dtype=bool)
-        member[codeword_indices(code)] = True
-        if all(member[i] for i in idx):
-            contained += 1
+    # a code holds every tuple vector iff its parity check sends U to zero
+    contained = sum(1 for code in codes if not (code.H.array @ U % q).any())
     prob = Fraction(contained, len(codes))
     bound = Fraction(1, q ** (d * (n - k)))
     m = n - k
@@ -502,15 +499,22 @@ def exact_expected_smoothness(n: int, k: int, q: int, p: int, P: DensePmf,
     return _inequality_result("exact-smoothing", params, lhs, rhs)
 
 
+# syndrome index entries per batch of sampled codes (1 MiB of int64)
+_MC_BATCH_ENTRIES = 1 << 16
+
+
 def _mc_trials(P: DensePmf, spec: CodeEnsembleSpec, trials: int, statistic,
                caps: Caps) -> np.ndarray:
-    """statistic(syndrome pmf values) for the codes 0 .. trials-1 of spec."""
+    """statistic(syndrome pmf values) for the codes 0 .. trials-1 of spec,
+    pushed forward a batch of codes at a time."""
     if trials < 1:
         raise ValueError(f"need at least one Monte Carlo trial, got {trials}")
+    batch = max(1, _MC_BATCH_ENTRIES // P.size)
     vals = np.empty(trials)
-    for t in range(trials):
-        code = sample_uniform_code(spec, t)
-        vals[t] = statistic(pushforward(P, code.H, caps).probs)
+    for start in range(0, trials, batch):
+        maps = [sample_uniform_code(spec, t).H for t in range(start, min(start + batch, trials))]
+        rows = _pushforward_rows(P, maps, caps)
+        vals[start:start + len(maps)] = [statistic(row) for row in rows]
     return vals
 
 

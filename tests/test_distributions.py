@@ -3,7 +3,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from synhash.caps import Caps, CapExceeded
@@ -23,7 +23,7 @@ from synhash.distributions import (
     renyi_entropy,
     tv_distance,
 )
-from synhash.field import FieldSpec, FqMatrix, index_to_vec, q_powers
+from synhash.field import FieldSpec, FqMatrix, index_to_vec, mat_vec, q_powers, rank, vec_to_index
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -201,6 +201,28 @@ def test_pushforward_preserves_mass_and_marginals():
     out = pushforward(P, H)
     assert out.size == 9
     assert out.probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@given(st.data())
+def test_pushforward_matches_a_point_loop_on_sparse_sources(data):
+    # zeros anywhere and a zero tail from a random point on: the syndrome table
+    # stops at the last point with mass, and no point with mass may fall past it
+    q = data.draw(st.sampled_from([2, 3, 5]))
+    n = data.draw(st.integers(1, 4 if q < 5 else 3))
+    m = data.draw(st.integers(1, n))
+    field = FieldSpec(q)
+    H = FqMatrix.from_rows(field, data.draw(st.lists(
+        st.lists(st.integers(0, q - 1), min_size=n, max_size=n), min_size=m, max_size=m)))
+    assume(rank(H) == m)
+    mass = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0, 0.375]),
+                                       min_size=q ** n, max_size=q ** n)))
+    mass[data.draw(st.integers(1, q ** n)):] = 0.0
+    assume(mass.any())
+    P = DensePmf(field, n, mass / mass.sum())
+    ref = np.zeros(q ** m)
+    for x in range(q ** n):
+        ref[vec_to_index(mat_vec(H, index_to_vec(x, n, field)))] += P.probs[x]
+    assert np.array_equal(pushforward(P, H).probs, ref)
 
 
 def test_qpmf_roundtrip(tmp_path):

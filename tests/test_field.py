@@ -15,6 +15,10 @@ from synhash.field import (
     rank,
     rref,
     vec_to_index,
+    _image_rows,
+    _kernel_array,
+    _rank_array,
+    _rref_array,
 )
 
 F2 = FieldSpec(2)
@@ -129,6 +133,11 @@ def test_image_indices_match_mat_vec(M):
                               for i in range(field.q ** n)]
     identity = image_indices(FqMatrix.identity(field, n))
     assert identity.tolist() == list(range(field.q ** n))
+    # a stack gives one row per matrix, each the table of that matrix alone
+    flipped = FqMatrix(field, M.array[::-1])
+    stacked = _image_rows(field.q, np.stack([M.array, flipped.array, M.array]))
+    assert stacked.shape == (3, field.q ** n)
+    assert np.array_equal(stacked, [table, image_indices(flipped), table])
 
 
 @given(matrices())
@@ -177,3 +186,64 @@ def test_rank_bounded(M):
     assert 0 <= r <= min(M.rows, M.cols)
     R, pivots = rref(M)
     assert r == len(pivots) == R.rows
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 128])
+def test_gf2_rank_counts_columns_past_the_machine_word(n):
+    assert rank(FqMatrix.identity(F2, n)) == n
+    # a single bit in the last column is still a nonzero row
+    last = np.zeros((1, n), dtype=np.int64)
+    last[0, -1] = 1
+    assert rank(FqMatrix(F2, last)) == 1
+
+
+def _generic_rref(a, q):
+    """Mod-q Gauss-Jordan loop, one column at a time: the reference the GF(2)
+    bitmask elimination must reproduce."""
+    inv = FieldSpec(q).inverses
+    a = np.array(a, dtype=np.int64) % q
+    rows, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        a[[r, pr]] = a[[pr, r]]
+        a[r] = (a[r] * int(inv[a[r, c]])) % q
+        col = a[:, c].copy()
+        col[r] = 0
+        a = (a - np.outer(col, a[r])) % q
+        pivots.append(c)
+        r += 1
+    return a[:r], pivots
+
+
+@st.composite
+def gf2_arrays(draw):
+    """0/1 matrices up to 130 columns; the product of a rows x r and an r x cols
+    factor has rank at most r, so r < rows gives rank-deficient ones."""
+    rows = draw(st.integers(0, 12))
+    cols = draw(st.integers(0, 130))
+    r = draw(st.integers(0, 12))
+    density = draw(st.sampled_from([0.05, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    left = rng.integers(0, 2, size=(rows, r))
+    right = (rng.random((r, cols)) < density).astype(np.int64)
+    return (left @ right) % 2
+
+
+@given(gf2_arrays())
+def test_gf2_elimination_matches_the_generic_loop(a):
+    red, pivots = _rref_array(a, 2, F2.inverses)
+    ref, ref_pivots = _generic_rref(a, 2)
+    assert pivots == ref_pivots
+    assert red.dtype == np.int64 and red.shape == ref.shape
+    assert np.array_equal(red, ref)
+    assert _rank_array(a, 2) == len(pivots)
+    kernel = _kernel_array(a, 2, F2.inverses)
+    assert kernel.shape == (a.shape[1] - len(pivots), a.shape[1])
+    assert not ((a @ kernel.T) % 2).any()

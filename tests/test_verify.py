@@ -1,14 +1,17 @@
+import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from synhash.caps import CapExceeded
+from synhash import verify
+from synhash.caps import DEFAULT_CAPS, CapExceeded
 from synhash.codes import (CodeEnsembleSpec, enumerate_all_codes, rank_tuple_count,
                            sample_uniform_code)
 from synhash.distributions import (DensePmf, ProductBernoulli, code_pmf, convolve,
-                                   lp_norm, renyi_entropy)
+                                   lp_norm, pushforward, renyi_entropy)
 from synhash.field import FieldSpec, index_to_vec, _rank_array
 from synhash.verify import (
     check_balanced_identity,
@@ -127,6 +130,21 @@ def test_tuple_probability_rejects_indices_outside_the_space():
     for bad in (-1, 8):
         with pytest.raises(ValueError, match="out of range"):
             check_tuple_probability(3, 1, 2, (bad, 3))
+
+
+def test_tuple_probability_memory_does_not_scale_with_codes_times_space():
+    # [10, 9]_2 has 1023 codes: a codes x q^n indicator would take 8 MiB, and
+    # every code's codeword indices 4 MiB; a parity-check test needs neither
+    check_tuple_probability(10, 9, 2, (1, 2))  # enumerates and caches the codes
+    tracemalloc.start()
+    try:
+        res = check_tuple_probability(10, 9, 2, (5, 6, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # rank 2: 255 of the 1023 hyperplanes hold the pair 5, 6 and so 3 = 5 + 6
+    assert res.passed and res.parameters["ensemble_probability"] == "85/341"
+    assert peak < 1 << 20
 
 
 def test_tuple_probability_all_pairs_small():
@@ -298,6 +316,56 @@ def test_random_sample_checks_need_a_sample(count):
         check_proximity_conversions(2, 3, count)
     with pytest.raises(ValueError, match="count"):
         check_clarkson(2, 3, count)
+
+
+def _per_code_stats(P, spec, trials, statistic):
+    """The Monte Carlo statistic one code at a time, through pushforward."""
+    return np.array([statistic(pushforward(P, sample_uniform_code(spec, t).H).probs)
+                     for t in range(trials)])
+
+
+def _fingerprint(probs):
+    """A float that changes with any bit of the syndrome pmf."""
+    return float(int.from_bytes(hashlib.sha1(probs.tobytes()).digest()[:6], "little"))
+
+
+def _mean_stderr(vals):
+    return vals.mean(), vals.std(ddof=1) / math.sqrt(vals.size)
+
+
+# (q, n, support digits of the flat source): q^n = 1024, 729 and 625 points give
+# batches of several codes; 2^17 points is over the batch budget, one code a batch
+@pytest.mark.parametrize("q, n, support", [(2, 10, 8), (3, 6, 4), (5, 4, 3), (2, 17, 12)])
+def test_batched_monte_carlo_matches_a_per_code_pushforward_loop(q, n, support):
+    field = FieldSpec(q)
+    batch = max(1, verify._MC_BATCH_ENTRIES // q ** n)
+    trials = batch + 5 if batch > 1 else 3  # a full batch and a short one
+    spec = CodeEnsembleSpec(field, n, n // 2, 11)
+    P = _random_pmf(field, n, (q, n))
+    vals = verify._mc_trials(P, spec, trials, _fingerprint, DEFAULT_CAPS)
+    assert np.array_equal(vals, _per_code_stats(P, spec, trials, _fingerprint))
+
+    m = n - spec.k
+    for collision, power in ((False, 1), (True, 2)):
+        res = mc_expected_smoothness(spec, P, 2, trials, collision=collision)
+        ref = _per_code_stats(P, spec, trials,
+                              lambda probs: lp_norm(q ** m * probs, 2) ** power - 1.0)
+        assert (res.parameters["mean"], res.parameters["stderr"]) == _mean_stderr(ref)
+
+    flat = DensePmf.flat(field, n, q ** support)
+    res = mc_bucket_linf(flat, 0.25, trials, seed=11)
+    m = res.parameters["m"]
+    ref = _per_code_stats(flat, CodeEnsembleSpec(field, n, n - m, 11), trials,
+                          lambda probs: q ** m * float(probs.max()))
+    assert (res.parameters["mean"], res.parameters["stderr"]) == _mean_stderr(ref)
+
+
+def test_batched_overdraw_control_matches_a_per_code_loop():
+    # q^n = 256 gives 256 codes a batch, so 300 trials end in a short batch
+    spec = CodeEnsembleSpec(F2, 8, 1, 5)
+    P = ProductBernoulli(0.2, 8).to_dense()
+    ref = _per_code_stats(P, spec, 300, lambda probs: lp_norm(2.0 ** 7 * probs, 2) - 1.0)
+    assert negative_control_overdraw(trials=300, seed=5).lhs == float(ref.mean())
 
 
 def test_proximity_conversions_pass():
