@@ -7,11 +7,12 @@ code is the reduced row echelon form of G, so enumeration never repeats a code.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -52,17 +53,21 @@ DEFAULT_SEED = 0xC0DE
 
 @dataclass(frozen=True, eq=False)
 class LinearCode:
-    """[n, k]_q code with explicit generator and parity-check matrices."""
+    """[n, k]_q code with explicit generator and parity-check matrices.
+
+    The generator may be passed as a zero-argument builder instead of a
+    matrix; it is then built, and its shape checked, the first time G is read.
+    """
 
     field: FieldSpec
     n: int
     k: int
-    G: FqMatrix
+    generator: FqMatrix | Callable[[], FqMatrix]
     H: FqMatrix
 
     def __post_init__(self) -> None:
-        if self.G.array.shape != (self.k, self.n):
-            raise ValueError(f"generator shape {self.G.array.shape} != ({self.k}, {self.n})")
+        if isinstance(self.generator, FqMatrix):
+            self._checked_generator(self.generator)
         if self.H.array.shape != (self.n - self.k, self.n):
             raise ValueError(f"parity check shape {self.H.array.shape} != ({self.n - self.k}, {self.n})")
 
@@ -72,6 +77,17 @@ class LinearCode:
         if check:
             code.verify()
         return code
+
+    def _checked_generator(self, G: FqMatrix) -> FqMatrix:
+        if G.array.shape != (self.k, self.n):
+            raise ValueError(f"generator shape {G.array.shape} != ({self.k}, {self.n})")
+        return G
+
+    @functools.cached_property
+    def G(self) -> FqMatrix:
+        if isinstance(self.generator, FqMatrix):
+            return self.generator
+        return self._checked_generator(self.generator())
 
     def verify(self) -> None:
         """Assert rank(G) = k, rank(H) = n - k and G H^T = 0."""
@@ -238,11 +254,14 @@ def reed_muller_dimensions(r: int, m: int) -> tuple[int, int]:
 
 
 def reed_muller_code(r: int, m: int) -> LinearCode:
-    """Reed-Muller code of order r on 2**m points, with its dual parity check."""
-    G = reed_muller_generator(r, m)
+    """Reed-Muller code of order r on 2**m points, with its dual parity check.
+
+    The k x 2**m generator is built only when G is read; the divergence
+    routes read H alone.
+    """
     H = rm_parity_check(r, m)
     n, k = reed_muller_dimensions(r, m)
-    return LinearCode(FieldSpec(2), n, k, G, H)
+    return LinearCode(FieldSpec(2), n, k, functools.partial(reed_muller_generator, r, m), H)
 
 
 def codeword_indices(code: LinearCode, caps: Caps = DEFAULT_CAPS) -> np.ndarray:

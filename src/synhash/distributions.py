@@ -306,9 +306,41 @@ def tv_distance(P: DensePmf, Q: DensePmf) -> float:
 
 def _character_transform(values: np.ndarray, q: int, n: int) -> np.ndarray:
     """Character transform sum_x f(x) w^{-<a, x>}, w = e^{2 pi i / q}, of a value
-    table on F_q^n, as a (q,)*n array; for q = 2 it is the Walsh-Hadamard
-    transform."""
-    return np.fft.fftn(values.reshape((q,) * n))
+    table on F_q^n, as a (q,)*n array.
+
+    For q = 2 it is the Walsh-Hadamard transform, taken in float64 by the
+    in-place butterfly (Fino & Algazi 1976) one coordinate at a time from
+    coordinate 0, the order fftn takes the axes in, so it equals
+    fftn(...).real bit for bit. The q = 2 result is a real float64 array; for
+    q > 2 it is complex.
+    """
+    if q != 2:
+        return np.fft.fftn(values.reshape((q,) * n))
+    out = np.array(values, dtype=np.float64).reshape(-1)
+    sums = np.empty(out.size // 2)
+    half = 1
+    while half < out.size:
+        pairs = out.reshape(-1, 2, half)
+        low, high = pairs[:, 0], pairs[:, 1]
+        total = np.add(low, high, out=sums.reshape(low.shape))
+        np.subtract(low, high, out=high)
+        low[...] = total
+        half *= 2
+    return out.reshape((2,) * n)
+
+
+def _convolve_transformed(P: DensePmf, transformed: np.ndarray) -> DensePmf:
+    """P convolved with the pmf whose character transform is given: the
+    inverse transform of T(P) * transformed."""
+    q, n = P.field.q, P.n
+    if transformed.shape != (q,) * n:
+        raise ValueError("convolution needs two pmfs on the same space")
+    product = _character_transform(P.probs, q, n) * transformed
+    if q == 2:
+        probs = _character_transform(product, 2, n).reshape(-1) * 2.0 ** -n
+    else:
+        probs = np.fft.ifftn(product).real.reshape(-1)
+    return DensePmf(P.field, n, np.maximum(probs, 0.0))
 
 
 def convolve(P: DensePmf, Q: DensePmf) -> DensePmf:
@@ -316,10 +348,7 @@ def convolve(P: DensePmf, Q: DensePmf) -> DensePmf:
     inverse character transform of the product of the two transforms."""
     if P.field != Q.field or P.n != Q.n:
         raise ValueError("convolution needs two pmfs on the same space")
-    q, n = P.field.q, P.n
-    product = _character_transform(P.probs, q, n) * _character_transform(Q.probs, q, n)
-    probs = np.fft.ifftn(product).real.reshape(-1)
-    return DensePmf(P.field, n, np.maximum(probs, 0.0))
+    return _convolve_transformed(P, _character_transform(Q.probs, Q.field.q, Q.n))
 
 
 def code_pmf(code: LinearCode, caps: Caps = DEFAULT_CAPS) -> DensePmf:
@@ -370,7 +399,7 @@ def _dual_weights(code: LinearCode) -> np.ndarray:
     """
     nk = code.n - code.k
     counts = np.bincount(code.H.array.T @ q_powers(2, nk), minlength=1 << nk)
-    signed = _character_transform(counts, 2, nk).real.reshape(-1)
+    signed = _character_transform(counts, 2, nk).reshape(-1)
     return np.rint((code.n - signed) / 2).astype(np.int64)
 
 
@@ -402,7 +431,7 @@ def bernoulli_syndrome_excess(code: LinearCode, delta: float, p: int,
     if p > 2:
         h = g.copy()
         h[0] = 0.0
-        e = _character_transform(h, 2, nk).real
+        e = _character_transform(h, 2, nk)
         power = e * e
         for j in range(3, p + 1):
             power *= e

@@ -35,6 +35,8 @@ from .distributions import (
     code_pmf,
     convolve,
     lp_norm,
+    _character_transform,
+    _convolve_transformed,
     lp_smoothness,
     pushforward,
     _pushforward_rows,
@@ -227,8 +229,8 @@ def check_p_balanced(n: int, k: int, q: int, p: int,
     size = q ** n
     if len(codes) * size ** p > caps.tuple_products:
         raise CapExceeded("balance census", len(codes) * size ** p, caps.tuple_products)
+    ranks = _tuple_ranks(q, n, p, caps)  # its cap refuses before the census runs
     counts = _containment_counts(codes, size, p)
-    ranks = _tuple_ranks(q, n, p, caps)
     spread = 0
     by_rank: dict[int, list[int]] = {}
     for d in range(min(n, p) + 1):
@@ -315,15 +317,15 @@ def check_tuple_probability(n: int, k: int, q: int,
     # n x p, columns are the tuple vectors
     U = np.array([index_to_vec(i, n, field).coords for i in idx], dtype=np.int64).reshape(p, n).T
     d = _rank_array(U, q)
+    m = n - k
+    matrices = q ** (m * n)
+    if matrices > caps.code_enumeration:
+        raise CapExceeded("iid parity-check enumeration", matrices, caps.code_enumeration)
     codes = _codes_list(q, n, k)
     # a code holds every tuple vector iff its parity check sends U to zero
     contained = sum(1 for code in codes if not (code.H.array @ U % q).any())
     prob = Fraction(contained, len(codes))
     bound = Fraction(1, q ** (d * (n - k)))
-    m = n - k
-    matrices = q ** (m * n)
-    if matrices > caps.code_enumeration:
-        raise CapExceeded("iid parity-check enumeration", matrices, caps.code_enumeration)
     # A U = 0 iff A B^T = 0 for B a row basis of U^T, whose index fits for any p
     basis = _rref_array(U.T, q, field.inverses)[0]
     images = image_indices(FqMatrix(field, np.kron(np.eye(m, dtype=np.int64), basis)))
@@ -489,9 +491,10 @@ def exact_expected_smoothness(n: int, k: int, q: int, p: int, P: DensePmf,
     """Average of ||q^n P_{X_C+Z}||_p^p over every [n, k]_q code stays under
     the closed-form ensemble budget."""
     codes = _codes_list(q, n, k)
+    transformed = _character_transform(P.probs, P.field.q, P.n)  # once for every code
     total = 0.0
     for code in codes:
-        mixed = convolve(code_pmf(code, caps), P)
+        mixed = _convolve_transformed(code_pmf(code, caps), transformed)
         total += lp_norm(float(q) ** n * mixed.probs, p) ** p
     lhs = total / len(codes)
     rhs = smoothing_bound_rhs(n, k, q, p, renyi_entropy(P, p))

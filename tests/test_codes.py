@@ -181,6 +181,24 @@ def test_reed_muller_nesting():
             assert not ((inner.G.array @ outer_H.array.T) % 2).any()
 
 
+def test_reed_muller_generator_is_built_when_read():
+    for m in range(8):
+        for r in range(m + 1):
+            code = reed_muller_code(r, m)
+            assert "G" not in vars(code)  # H, n and k only until G is read
+            assert code.G == reed_muller_generator(r, m)
+            code.verify()
+
+
+def test_generator_builder_shape_is_checked_when_built():
+    # RM(2, 3) has 7 rows, not k = 4
+    code = LinearCode(F2, 8, 4, lambda: reed_muller_generator(2, 3), rm_parity_check(1, 3))
+    with pytest.raises(ValueError, match="generator shape"):
+        code.G
+    with pytest.raises(ValueError, match="generator shape"):
+        LinearCode(F2, 8, 4, reed_muller_generator(2, 3), rm_parity_check(1, 3))
+
+
 @given(st.integers(0, 5), st.integers(0, 5), st.sampled_from([2, 3]))
 def test_gaussian_binomial_symmetry(n, k, q):
     assert gaussian_binomial(n, k, q) == gaussian_binomial(n, n - k, q)

@@ -22,6 +22,7 @@ from synhash.distributions import (
     renyi_divergence,
     renyi_entropy,
     tv_distance,
+    _character_transform,
 )
 from synhash.field import FieldSpec, FqMatrix, index_to_vec, mat_vec, q_powers, rank, vec_to_index
 
@@ -160,6 +161,27 @@ def test_convolve_transform_path_matches_naive():
         b = rng.random(size); b /= b.sum()
         full = convolve(pmf(field, n, a), pmf(field, n, b))
         assert np.allclose(full.probs, _direct_convolution(a, b, field.q, n), atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 14), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_walsh_hadamard_butterfly_equals_fftn(n, integer, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.integers(-1000, 1000, 1 << n) if integer else rng.standard_normal(1 << n)
+    want = np.fft.fftn(v.reshape((2,) * n)).real
+    got = _character_transform(v, 2, n)
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 14), st.integers(0, 2 ** 32 - 1))
+def test_binary_convolve_equals_the_fft_route_bit_for_bit(n, seed):
+    rng = np.random.default_rng(seed)
+    a, b = rng.random((2, 1 << n)) ** rng.integers(1, 6, 2)[:, None]
+    P, Q = pmf(F2, n, a / a.sum()), pmf(F2, n, b / b.sum())
+    shape = (2,) * n
+    want = np.fft.ifftn(np.fft.fftn(P.probs.reshape(shape)) * np.fft.fftn(Q.probs.reshape(shape)))
+    assert np.array_equal(convolve(P, Q).probs, np.maximum(want.real.reshape(-1), 0.0))
 
 
 def test_convolve_commutes():

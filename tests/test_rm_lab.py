@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import pytest
 
@@ -54,6 +56,33 @@ def test_dense_covers_orders_dual_cannot():
     for p in (math.inf, 1.0, 2.5):
         with pytest.raises(ValueError):
             rm_divergence(3, 1, 0.25, p, DUAL)
+
+
+def test_dual_divergence_never_builds_the_generator():
+    tracemalloc.start()
+    try:
+        rm_divergence(12, 10, 0.25, 2, DUAL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 4083 x 4096 int64 generator alone would take 127.6 MiB
+    assert peak < 8 << 20
+
+
+SWEEP = tuple(range(4, 13))  # the rm-sweep benchmark's grid
+
+
+@pytest.mark.parametrize("spec, digest", [
+    (RmExperimentSpec(SWEEP, "m-2", 0.1, 2.0), "fde9b599fee558dcd7f8166a48e477018cce3eeb"),
+    (RmExperimentSpec(SWEEP, "m-2", 0.25, 2.0), "6b6115a4d543f23023ec5a65f1fa870b2f089797"),
+    (RmExperimentSpec(SWEEP, "m-2", 0.4, 2.0), "02c82cb3e80daca368c1743e7946d0e40572a9c1"),
+    (RmExperimentSpec((4, 5, 6), "m-3", 0.25, 2.0), "d1061649e6ff59024cd79f6ba3767be665d1f4cc"),
+    (RmExperimentSpec((2, 3, 4, 5), "m-2", 0.25, 3.0), "165d6e773eaa54e8aaced6222b3d021228445d28"),
+])
+def test_convergence_rows_are_pinned(spec, digest):
+    # sha1 of the stable CSV of the rm-sweep grid and of the m-3 and p = 3 runs
+    csv_text = rows_to_csv(rm_convergence_run(spec), stable=True)
+    assert hashlib.sha1(csv_text.encode()).hexdigest() == digest
 
 
 def test_divergence_validates_inputs():

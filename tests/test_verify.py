@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from synhash import verify
-from synhash.caps import DEFAULT_CAPS, CapExceeded
+from synhash.caps import DEFAULT_CAPS, Caps, CapExceeded
 from synhash.codes import (CodeEnsembleSpec, enumerate_all_codes, rank_tuple_count,
                            sample_uniform_code)
 from synhash.distributions import (DensePmf, ProductBernoulli, code_pmf, convolve,
@@ -72,6 +72,29 @@ def test_single_code_is_not_balanced():
 def test_balance_census_respects_cap():
     with pytest.raises(CapExceeded):
         check_p_balanced(3, 1, 2, 9)
+
+
+class _WorkStarted(Exception):
+    pass
+
+
+def _refuse_work(*args, **kwargs):
+    raise _WorkStarted
+
+
+def test_balance_refuses_the_tuple_rank_cap_before_the_census(monkeypatch):
+    # one code: census cost 1 * 8^2 = 64 fits, tuple ranks cost 3 * 8^2 = 192 does not
+    monkeypatch.setattr(verify, "_containment_counts", _refuse_work)
+    code = next(iter(enumerate_all_codes(F2, 3, 1)))
+    with pytest.raises(CapExceeded, match="tuple rank"):
+        check_p_balanced(3, 1, 2, 2, ensemble=[code], caps=Caps(tuple_products=100))
+
+
+def test_tuple_probability_refuses_the_iid_cap_before_enumerating(monkeypatch):
+    # 35 [4, 2]_2 codes fit the cap, 2^8 iid parity checks do not
+    monkeypatch.setattr(verify, "_codes_list", _refuse_work)
+    with pytest.raises(CapExceeded, match="iid parity-check"):
+        check_tuple_probability(4, 2, 2, (1, 2), caps=Caps(code_enumeration=100))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
