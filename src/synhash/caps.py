@@ -15,6 +15,13 @@ class Caps:
     tuple_products: int = 100_000_000
     code_enumeration: int = 1_000_000
 
+    def admit(self, what: str, cost: int, field: str) -> int:
+        """cost, if it fits the cap named by field; else CapExceeded for what."""
+        cap = getattr(self, field)
+        if cost > cap:
+            raise CapExceeded(what, cost, cap)
+        return cost
+
 
 DEFAULT_CAPS = Caps()
 

@@ -16,7 +16,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .caps import DEFAULT_CAPS, Caps, CapExceeded
+from .caps import DEFAULT_CAPS, Caps
 from .field import (
     FieldSpec,
     FqMatrix,
@@ -201,11 +201,12 @@ def enumerate_all_codes(field: FieldSpec, n: int, k: int,
     Pivot-column patterns are visited in lexicographic order and the free
     entries in base-q counting order, so the stream is deterministic.
     """
-    total = gaussian_binomial(n, k, field.q)
-    if total > caps.code_enumeration:
-        raise CapExceeded("code enumeration", total, caps.code_enumeration)
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    caps.admit("code enumeration", gaussian_binomial(n, k, field.q), "code_enumeration")
     q = field.q
     for pivots in itertools.combinations(range(n), k):
+        pivots = list(pivots)
         free = [(i, j) for i in range(k) for j in range(pivots[i] + 1, n)
                 if j not in pivots]
         for t in range(q ** len(free)):
@@ -216,8 +217,9 @@ def enumerate_all_codes(field: FieldSpec, n: int, k: int,
             for (i, j) in free:
                 g[i, j] = rem % q
                 rem //= q
-            G = FqMatrix(field, g)
-            yield LinearCode(field, n, k, G, kernel_basis(G))
+            # g is already reduced, so its kernel needs no elimination
+            H = _kernel_from_rref(g, pivots, n, q)
+            yield LinearCode(field, n, k, FqMatrix(field, g), FqMatrix(field, H))
 
 
 def reed_muller_generator(r: int, m: int) -> FqMatrix:
@@ -266,9 +268,7 @@ def reed_muller_code(r: int, m: int) -> LinearCode:
 
 def codeword_indices(code: LinearCode, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
     """Little-endian indices of all q**k codewords G^T a, in message-index order."""
-    q, k = code.field.q, code.k
-    if q ** k > caps.code_enumeration:
-        raise CapExceeded("codeword enumeration", q ** k, caps.code_enumeration)
+    caps.admit("codeword enumeration", code.field.q ** code.k, "code_enumeration")
     return image_indices(FqMatrix(code.field, code.G.array.T))
 
 

@@ -16,7 +16,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .bounds import two_point_renyi
-from .caps import DEFAULT_CAPS, Caps, CapExceeded
+from .caps import DEFAULT_CAPS, Caps
 from .codes import LinearCode, codeword_indices
 from .field import FieldSpec, FqMatrix, digit_table, q_powers, _image_rows, _rank_array
 
@@ -115,10 +115,7 @@ class DensePmf:
 
     @classmethod
     def _check_size(cls, field: FieldSpec, n: int, caps: Caps) -> int:
-        size = field.q ** n
-        if size > caps.dense_pmf_entries:
-            raise CapExceeded("dense pmf", size, caps.dense_pmf_entries)
-        return size
+        return caps.admit("dense pmf", field.q ** n, "dense_pmf_entries")
 
     @classmethod
     def uniform(cls, field: FieldSpec, n: int, caps: Caps = DEFAULT_CAPS) -> "DensePmf":
@@ -424,8 +421,7 @@ def bernoulli_syndrome_excess(code: LinearCode, delta: float, p: int,
     size = 1 << nk
     # column histogram, one transform (two at p > 2), p - 2 power passes
     cost = code.n + (1 if p == 2 else 2) * size * nk + (p - 2) * size
-    if cost > caps.tuple_products:
-        raise CapExceeded("dual character sum", cost, caps.tuple_products)
+    caps.admit("dual character sum", cost, "tuple_products")
     g = _signed_power(1.0 - 2.0 * delta, _dual_weights(code))
     total = math.comb(p, 2) * float(np.sum(g[1:] ** 2))
     if p > 2:

@@ -9,6 +9,7 @@ mean minus three standard errors against the guarantee.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
@@ -17,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import corollary_bounds, linf_bucket_bound, phi, smoothing_bound_rhs
-from .caps import DEFAULT_CAPS, Caps, CapExceeded
+from .caps import DEFAULT_CAPS, Caps
 from .codes import (
     DEFAULT_SEED,
     CodeEnsembleSpec,
@@ -114,95 +115,57 @@ def _inequality_result(name: str, parameters: dict, lhs: float, rhs: float,
 # -- rank stratification of tuple space --------------------------------------
 
 
-def _gf2_reduce(basis: tuple[int, ...], v: int) -> int:
-    # basis is numerically descending, so leading bits are hit high-to-low
-    for b in basis:
-        if v >> (b.bit_length() - 1) & 1:
-            v ^= b
-    return v
-
-
-def _modq_reduce(basis, v: list[int], q: int):
-    # basis is sorted by pivot, so cleared positions stay cleared
-    for piv, row in basis:
-        c = v[piv]
-        if c:
-            for i in range(piv, len(v)):
-                v[i] = (v[i] - c * row[i]) % q
-    return v
-
-
 @functools.lru_cache(maxsize=64)
 def _tuple_ranks_cached(q: int, n: int, p: int) -> np.ndarray:
-    """Rank of every p-tuple of vectors in F_q^n, C-ordered over indices."""
-    size = q ** n
-    ranks = np.empty(size ** p, dtype=np.int8)
-    strides = [size ** (p - 1 - j) for j in range(p)]
-    if q == 2:
-        def rec(depth: int, base: int, basis: tuple[int, ...], rk: int) -> None:
-            if depth == p:
-                ranks[base] = rk
-                return
-            stride = strides[depth]
-            for v in range(size):
-                red = _gf2_reduce(basis, v)
-                if red:
-                    grown = tuple(sorted(basis + (red,), reverse=True))
-                    rec(depth + 1, base + v * stride, grown, rk + 1)
-                else:
-                    rec(depth + 1, base + v * stride, basis, rk)
-    else:
-        vecs = [index_to_vec(v, n, FieldSpec(q)).coords for v in range(size)]
-        inv = FieldSpec(q).inverses
+    """Rank of every p-tuple of vectors in F_q^n, C-ordered over indices.
 
-        def rec(depth: int, base: int, basis, rk: int) -> None:
-            if depth == p:
-                ranks[base] = rk
-                return
-            stride = strides[depth]
-            for v in range(size):
-                red = _modq_reduce(basis, list(vecs[v]), q)
-                piv = next((i for i, c in enumerate(red) if c), None)
-                if piv is None:
-                    rec(depth + 1, base + v * stride, basis, rk)
-                else:
-                    scale = int(inv[red[piv]])
-                    row = tuple((c * scale) % q for c in red)
-                    grown = tuple(sorted(basis + ((piv, row),)))
-                    rec(depth + 1, base + v * stride, grown, rk + 1)
-    rec(0, 0, (), 0)
+    With s = min(n, p) the rank is s - log_q |K|, for K the c in F_q^p with
+    sum_j c_j v_j = 0 (s = p, map kron(c, I_n)) or the c in F_q^n with
+    <c, v_j> = 0 for every j (s = n, map kron(I_p, c)).  A c and its nonzero
+    multiples vanish on the same tuples, so |K| = 1 + (q - 1) times the number
+    of c with first nonzero coordinate 1 whose index table reads 0 there.  The
+    C order puts v_1 in the top digits, so kron(c, I_n) applies c reversed,
+    which leaves |K| alone.
+    """
+    s = min(n, p)
+    field = FieldSpec(q)
+    identity = np.eye(n if s == p else p, dtype=np.int64)
+    points = [c for c in itertools.product(range(q), repeat=s)
+              if next((a for a in c if a), 0) == 1]
+    zeros = np.zeros(q ** (n * p), dtype=np.min_scalar_type(len(points)))
+    for c in points:
+        M = np.kron(c, identity) if s == p else np.kron(identity, c)
+        zeros += image_indices(FqMatrix(field, M)) == 0
+    # |K| = q^e exactly when zeros reads (q^e - 1) / (q - 1)
+    rank_of = np.zeros(len(points) + 1, dtype=np.int8)
+    for e in range(s + 1):
+        rank_of[(q ** e - 1) // (q - 1)] = s - e
+    ranks = rank_of[zeros]
     ranks.flags.writeable = False
     return ranks
 
 
 def _tuple_ranks(q: int, n: int, p: int, caps: Caps) -> np.ndarray:
-    cost = (q ** n) ** p * max(n, 1)
-    if cost > caps.tuple_products:
-        raise CapExceeded("tuple rank stratification", cost, caps.tuple_products)
+    if n < 0 or p < 1:
+        raise ValueError(f"need n >= 0 and p >= 1, got n={n}, p={p}")
+    caps.admit("tuple rank stratification", (q ** n) ** p * max(n, 1), "tuple_products")
     return _tuple_ranks_cached(q, n, p)
 
 
 @functools.lru_cache(maxsize=32)
-def _codes_list(q: int, n: int, k: int) -> tuple[LinearCode, ...]:
-    return tuple(enumerate_all_codes(FieldSpec(q), n, k))
-
-
-def _indicator_matrix(codes: Sequence[LinearCode], size: int) -> np.ndarray:
-    ind = np.zeros((len(codes), size), dtype=np.float64)
-    for i, code in enumerate(codes):
-        ind[i, codeword_indices(code)] = 1.0
-    return ind
+def _codes_list(q: int, n: int, k: int, caps: Caps) -> tuple[LinearCode, ...]:
+    """Every [n, k]_q code, admitted against caps and enumerated once per key."""
+    return tuple(enumerate_all_codes(FieldSpec(q), n, k, caps))
 
 
 def _containment_counts(codes: Sequence[LinearCode], size: int, p: int) -> np.ndarray:
-    """counts[v_1, ..., v_p] = number of codes containing every v_j, flattened."""
-    total = np.zeros(size ** p, dtype=np.float64)
-    for ind in _indicator_matrix(codes, size):
-        tensor = ind
-        for _ in range(p - 1):
-            tensor = np.multiply.outer(tensor, ind)
-        total += tensor.reshape(-1)
-    return np.rint(total).astype(np.int64)
+    """counts[v_1, ..., v_p] = number of codes containing every v_j, flattened:
+    a tuple lies in C when every v_j has zero syndrome, so kron(I_p, H) sends it to 0."""
+    counts = np.zeros(size ** p, dtype=np.int64)
+    blocks = np.eye(p, dtype=np.int64)
+    for code in codes:
+        counts += image_indices(FqMatrix(code.field, np.kron(blocks, code.H.array))) == 0
+    return counts
 
 
 def _random_nonneg(shape, seed_key) -> np.ndarray:
@@ -225,10 +188,16 @@ def check_p_balanced(n: int, k: int, q: int, p: int,
     The default ensemble is every [n, k]_q code; passing an explicit ensemble
     makes this a test of that family instead.
     """
-    codes = tuple(ensemble) if ensemble is not None else _codes_list(q, n, k)
+    if ensemble is None:
+        codes = _codes_list(q, n, k, caps)
+    else:
+        codes = tuple(ensemble)
+        if not codes:
+            raise ValueError("the ensemble holds no code")
+        if any((code.field.q, code.n, code.k) != (q, n, k) for code in codes):
+            raise ValueError(f"every code of the ensemble must be an [{n}, {k}]_{q} code")
     size = q ** n
-    if len(codes) * size ** p > caps.tuple_products:
-        raise CapExceeded("balance census", len(codes) * size ** p, caps.tuple_products)
+    caps.admit("balance census", len(codes) * size ** p, "tuple_products")
     ranks = _tuple_ranks(q, n, p, caps)  # its cap refuses before the census runs
     counts = _containment_counts(codes, size, p)
     spread = 0
@@ -250,13 +219,13 @@ def _tuple_average(n: int, k: int, q: int, p: int, f_key, f_values, caps: Caps):
     p-tuples (drawn from f_key unless given) and the average over codes of the
     sum of f over codeword p-tuples."""
     size = q ** n
-    codes = _codes_list(q, n, k)
+    codes = _codes_list(q, n, k, caps)
     ranks = _tuple_ranks(q, n, p, caps)
     f = f_values if f_values is not None else _random_nonneg(size ** p, f_key)
     f = np.asarray(f, dtype=np.float64).reshape([size] * p)
     lhs = 0.0
     for code in codes:
-        cw = codeword_indices(code)
+        cw = codeword_indices(code, caps)
         lhs += float(f[np.ix_(*([cw] * p))].sum())
     return codes, ranks, f.reshape(-1), lhs / len(codes)
 
@@ -318,10 +287,8 @@ def check_tuple_probability(n: int, k: int, q: int,
     U = np.array([index_to_vec(i, n, field).coords for i in idx], dtype=np.int64).reshape(p, n).T
     d = _rank_array(U, q)
     m = n - k
-    matrices = q ** (m * n)
-    if matrices > caps.code_enumeration:
-        raise CapExceeded("iid parity-check enumeration", matrices, caps.code_enumeration)
-    codes = _codes_list(q, n, k)
+    matrices = caps.admit("iid parity-check enumeration", q ** (m * n), "code_enumeration")
+    codes = _codes_list(q, n, k, caps)
     # a code holds every tuple vector iff its parity check sends U to zero
     contained = sum(1 for code in codes if not (code.H.array @ U % q).any())
     prob = Fraction(contained, len(codes))
@@ -386,8 +353,7 @@ def check_rearrangement_lemma(n: int, q: int, p: int, d: int,
         raise ValueError(f"need 1 <= d <= p, got d={d}, p={p}")
     size = q ** n
     grid = size ** d
-    if grid * (p + n) > caps.tuple_products:
-        raise CapExceeded("rearrangement grid", grid * (p + n), caps.tuple_products)
+    caps.admit("rearrangement grid", grid * (p + n), "tuple_products")
     rng = np.random.default_rng((seed, 19, n, q, p, d))
     if coefficients is None:
         coefficients = np.empty((p - d, d), dtype=np.int64)
@@ -457,9 +423,7 @@ def rank_stratified_sum(P: DensePmf, p: int, d: int,
     size = P.size
     ranks = _tuple_ranks(q, n, p, caps)
     tuples_d = np.nonzero(ranks == d)[0]
-    if tuples_d.size * size * p > caps.tuple_products:
-        raise CapExceeded("rank-stratified sum", int(tuples_d.size) * size * p,
-                          caps.tuple_products)
+    caps.admit("rank-stratified sum", int(tuples_d.size) * size * p, "tuple_products")
     # sub_index[x, v] = idx(x - v); v holds the low digits of x * size + v
     minus_plus = FqMatrix(P.field, np.kron([q - 1, 1], np.eye(n, dtype=np.int64)))
     sub_index = image_indices(minus_plus).reshape(size, size)
@@ -490,7 +454,7 @@ def exact_expected_smoothness(n: int, k: int, q: int, p: int, P: DensePmf,
                               caps: Caps = DEFAULT_CAPS) -> CheckResult:
     """Average of ||q^n P_{X_C+Z}||_p^p over every [n, k]_q code stays under
     the closed-form ensemble budget."""
-    codes = _codes_list(q, n, k)
+    codes = _codes_list(q, n, k, caps)
     transformed = _character_transform(P.probs, P.field.q, P.n)  # once for every code
     total = 0.0
     for code in codes:
@@ -676,7 +640,7 @@ def check_clarkson(q: int, n: int, count: int,
 
 def negative_control_unbalanced(caps: Caps = DEFAULT_CAPS) -> CheckResult:
     """A single fixed code is not a balanced family; this check must fail."""
-    code = _codes_list(2, 3, 1)[0]
+    code = _codes_list(2, 3, 1, caps)[0]
     result = check_p_balanced(3, 1, 2, 1, ensemble=[code], caps=caps)
     result.name = "negative-control-unbalanced"
     result.parameters["expected_failure"] = True

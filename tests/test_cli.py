@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 
@@ -226,6 +227,51 @@ def test_zero_cap_refuses_and_negative_cap_is_a_usage_error(flag, argv, capsys):
         main([flag, "-5", *argv])
     assert exc.value.code == 1
     assert "nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    "verify p-balanced --n 3 --k 5 --p 2",
+    "verify balanced-identity --n 3 --k 5 --p 2",
+    "verify exact-smoothing --n 3 --k 5 --p 2",
+    "verify tuple-probability --n 3 --k 5 --tuple 1,2",
+    "verify norm-bound --n -1 --p 2 --d 1",
+    "verify p-balanced --n 3 --k 1 --p 0",
+])
+def test_impossible_dimensions_are_usage_errors(argv, capsys):
+    # these used to pass over an empty ensemble, die in a traceback or print
+    # a numpy broadcast error
+    rc, out, err = run(argv.split(), capsys)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("synhash: error: need ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("check", ["balanced-identity", "p-balanced", "exact-smoothing"])
+def test_code_cap_bounds_the_enumerated_ensemble(check, capsys):
+    # [3, 1]_2 has 7 codes: a cap of 6 refuses them, a cap of 7 admits them
+    argv = ["verify", check, "--n", "3", "--k", "1", "--p", "2"]
+    rc, out, err = run(["--code-cap", "6", *argv], capsys)
+    assert rc == 2 and out == ""
+    assert err == "synhash: refused: code enumeration: estimated cost 7 exceeds cap 6\n"
+    assert run(["--code-cap", "7", *argv], capsys)[0] == 0
+
+
+# sha1 of the --format csv stdout, recorded before tuple ranks and containment
+# were read from index tables
+@pytest.mark.parametrize("argv, digest", [
+    ("verify p-balanced --n 4 --k 2 --p 3", "58dd4d871c8f6f17df9c3572fbd044f283fdd7a2"),
+    ("verify p-balanced --n 5 --k 2 --p 3", "17ef38272a16157f1d07fc63777c5de295ff371b"),
+    ("verify balanced-identity --n 3 --k 1 --q 3 --p 2",
+     "b5826a6c03464c82b2b60c7f02b04d925efeb488"),
+    ("verify balanced-inequality --n 4 --k 2 --p 3", "bcda09d7b258cad73d5a7de145809f7e883250e7"),
+    ("verify norm-bound --n 3 --p 3 --d 2", "fb3baad2983cebde66a087ec14459489ca429bc7"),
+    ("verify rank-stratified --n 2 --q 3 --p 3 --d 2",
+     "7d72062f03a47ad518e1742d8f3ea711ae567dbe"),
+])
+def test_exact_checks_are_pinned(argv, digest, capsys):
+    rc, out, _ = run(["--format", "csv", *argv.split()], capsys)
+    assert rc == 0
+    assert hashlib.sha1(out.encode()).hexdigest() == digest
 
 
 SEED = 5

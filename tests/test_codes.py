@@ -20,7 +20,7 @@ from synhash.codes import (
     rm_parity_check,
     sample_uniform_code,
 )
-from synhash.field import FieldSpec, FqMatrix, rank
+from synhash.field import FieldSpec, FqMatrix, kernel_basis, rank
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -55,6 +55,22 @@ def test_enumerate_all_codes_is_complete_and_distinct():
     codes3 = list(enumerate_all_codes(F3, 3, 2))
     assert len(codes3) == gaussian_binomial(3, 2, 3) == 13
     assert len({c.canonical_key() for c in codes3}) == 13
+    # H comes from the echelon generator itself, as kernel_basis would give it
+    for c in codes + codes3:
+        assert c.H == kernel_basis(c.G)
+
+
+@pytest.mark.parametrize("n, k", [(3, 4), (3, -1), (-1, 0)])
+def test_enumerate_refuses_dimensions_outside_the_length(n, k):
+    with pytest.raises(ValueError, match="need 0 <= k <= n"):
+        list(enumerate_all_codes(F2, n, k))
+
+
+def test_caps_admit_returns_the_cost_or_refuses():
+    caps = Caps(code_enumeration=35)
+    assert caps.admit("code enumeration", 35, "code_enumeration") == 35
+    with pytest.raises(CapExceeded, match="^code enumeration: estimated cost 36 exceeds cap 35$"):
+        caps.admit("code enumeration", 36, "code_enumeration")
 
 
 def test_enumerate_respects_cap():

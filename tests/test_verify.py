@@ -8,8 +8,8 @@ import pytest
 
 from synhash import verify
 from synhash.caps import DEFAULT_CAPS, Caps, CapExceeded
-from synhash.codes import (CodeEnsembleSpec, enumerate_all_codes, rank_tuple_count,
-                           sample_uniform_code)
+from synhash.codes import (CodeEnsembleSpec, enumerate_all_codes, gaussian_binomial,
+                           rank_tuple_count, sample_uniform_code)
 from synhash.distributions import (DensePmf, ProductBernoulli, code_pmf, convolve,
                                    lp_norm, pushforward, renyi_entropy)
 from synhash.field import FieldSpec, index_to_vec, _rank_array
@@ -45,7 +45,9 @@ def _digits(q, n):
     return np.array(rows, dtype=np.int64).reshape(q ** n, n)
 
 
-@pytest.mark.parametrize("q,n,p", [(2, 3, 2), (2, 2, 3), (3, 2, 2), (5, 1, 2)])
+# both sides of s = min(n, p), n = 0, and q > 2 at p = 3
+@pytest.mark.parametrize("q,n,p", [(2, 3, 2), (2, 2, 3), (3, 2, 2), (5, 1, 2), (2, 1, 4),
+                                   (2, 2, 5), (2, 0, 3), (3, 2, 3), (7, 1, 2)])
 def test_tuple_ranks_against_matrix_rank(q, n, p):
     ranks = _tuple_ranks_cached(q, n, p)
     size = q ** n
@@ -61,12 +63,36 @@ def test_full_ensembles_are_balanced(n, k, q, p):
     res = check_p_balanced(n, k, q, p)
     assert res.passed
     assert res.lhs == 0.0
+    # a rank-d tuple lies in every k-space through its d-dimensional span
+    assert res.parameters["counts_by_rank"] == {
+        d: [gaussian_binomial(n - d, k - d, q)] * 2 for d in range(min(n, p) + 1)}
+
+
+def test_tuple_ranks_memory_stays_near_the_rank_array():
+    verify._tuple_ranks_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        ranks = _tuple_ranks_cached(2, 6, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 2^18 tuples: the rank array takes 256 KiB and one index table 2 MiB
+    assert ranks.size == 1 << 18
+    assert peak < 6 << 20
 
 
 def test_single_code_is_not_balanced():
     code = next(iter(enumerate_all_codes(F2, 3, 1)))
     res = check_p_balanced(3, 1, 2, 1, ensemble=[code])
     assert not res.passed
+
+
+def test_balance_refuses_an_empty_or_foreign_ensemble():
+    with pytest.raises(ValueError, match="no code"):
+        check_p_balanced(3, 1, 2, 2, ensemble=[])
+    wider = next(iter(enumerate_all_codes(F2, 4, 1)))
+    with pytest.raises(ValueError, match=r"\[3, 1\]_2"):
+        check_p_balanced(3, 1, 2, 2, ensemble=[wider])
 
 
 def test_balance_census_respects_cap():
