@@ -29,7 +29,7 @@ from .field import (
     rref,
     _kernel_from_rref,
     _rank_array,  # traced site: perfbench/tracing.py wraps it here
-    _rref_array,
+    _rref_stack,
 )
 
 __all__ = [
@@ -176,22 +176,44 @@ def rank_tuple_count(n: int, p: int, d: int, q: int) -> int:
     return num // den
 
 
+def _sample_codes(spec: CodeEnsembleSpec, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Generator and parity-check stacks, (T, k, n) and (T, n - k, n), of the
+    uniform codes of trials start .. stop-1, by rejection on iid generators.
+
+    Trial t draws k x n matrices from its own default_rng((spec.seed, t))
+    until one has full rank.  All trials are drawn first and eliminated as one
+    stack; only the rank-deficient ones draw again.
+    """
+    n, k, q = spec.n, spec.k, spec.field.q
+    rngs = [np.random.default_rng((spec.seed, t)) for t in range(start, stop)]
+    G = np.array([rng.integers(0, q, size=(k, n), dtype=np.int64)
+                  for rng in rngs]).reshape(len(rngs), k, n)
+    red, pivots, ranks = _rref_stack(G, q, spec.field.inverses)
+    while (short := np.flatnonzero(ranks < k)).size:
+        G[short] = [rngs[t].integers(0, q, size=(k, n), dtype=np.int64) for t in short]
+        red[short], pivots[short], ranks[short] = _rref_stack(G[short], q, spec.field.inverses)
+    # as _kernel_from_rref: row i of H has 1 at the i-th free column f and
+    # -red[:, f] at the pivot columns
+    free = np.ones((len(rngs), n), dtype=bool)
+    np.put_along_axis(free, pivots, False, axis=1)
+    free = np.nonzero(free)[1].reshape(len(rngs), n - k)
+    H = np.zeros((len(rngs), n - k, n), dtype=np.int64)
+    np.put_along_axis(H, free[:, :, None], 1, axis=2)
+    at_free = np.take_along_axis(red.astype(np.int64), free[:, None, :], axis=2)
+    np.put_along_axis(H, np.broadcast_to(pivots[:, None, :], (len(rngs), n - k, k)),
+                      -at_free.transpose(0, 2, 1) % q, axis=2)
+    return G, H
+
+
 def sample_uniform_code(spec: CodeEnsembleSpec, trial: int) -> LinearCode:
     """Uniform [n, k]_q code via rejection on iid generator matrices.
 
     Deterministic per (spec.seed, trial); distinct trials use independent
     generator streams.
     """
-    field, n, k, q = spec.field, spec.n, spec.k, spec.field.q
-    rng = np.random.default_rng((spec.seed, int(trial)))
-    g = np.zeros((0, n), dtype=np.int64)
-    red, pivots = g, []
-    while len(pivots) < k:
-        g = rng.integers(0, q, size=(k, n), dtype=np.int64)
-        red, pivots = _rref_array(g, q, field.inverses)
-    # the draw's own reduced form gives H: one elimination per draw
-    H = _kernel_from_rref(red, pivots, n, q)
-    return LinearCode(field, n, k, FqMatrix(field, g), FqMatrix(field, H))
+    G, H = _sample_codes(spec, trial, trial + 1)
+    return LinearCode(spec.field, spec.n, spec.k, FqMatrix(spec.field, G[0]),
+                      FqMatrix(spec.field, H[0]))
 
 
 def enumerate_all_codes(field: FieldSpec, n: int, k: int,
@@ -199,11 +221,17 @@ def enumerate_all_codes(field: FieldSpec, n: int, k: int,
     """Every [n, k]_q code exactly once, via canonical echelon generators.
 
     Pivot-column patterns are visited in lexicographic order and the free
-    entries in base-q counting order, so the stream is deterministic.
+    entries in base-q counting order, so the stream is deterministic.  The
+    dimensions are checked and the count admitted when this is called, before
+    the first code is drawn.
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     caps.admit("code enumeration", gaussian_binomial(n, k, field.q), "code_enumeration")
+    return _echelon_codes(field, n, k)
+
+
+def _echelon_codes(field: FieldSpec, n: int, k: int) -> Iterator[LinearCode]:
     q = field.q
     for pivots in itertools.combinations(range(n), k):
         pivots = list(pivots)

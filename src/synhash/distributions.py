@@ -11,7 +11,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -356,17 +356,16 @@ def code_pmf(code: LinearCode, caps: Caps = DEFAULT_CAPS) -> DensePmf:
     return DensePmf(code.field, code.n, probs)
 
 
-def _pushforward_rows(P: DensePmf, maps: Sequence[FqMatrix], caps: Caps) -> np.ndarray:
-    """Pmf of H z for z ~ P, one row per H in maps (one shape, full row rank),
-    as a (T, q^m) array from one bincount over row-offset syndrome indices."""
+def _pushforward_rows(P: DensePmf, maps: np.ndarray, caps: Caps) -> np.ndarray:
+    """Pmf of H z for z ~ P, one row per H in a (T, m, n) stack of full-row-rank
+    maps over P's field, as a (T, q^m) array from one bincount over row-offset
+    syndrome indices."""
+    count, m, n = maps.shape
+    if n != P.n:
+        raise ValueError(f"map expects length-{n} inputs, pmf is on length {P.n}")
     for H in maps:
-        if H.field != P.field:
-            raise ValueError("pmf and map live over different fields")
-        if H.cols != P.n:
-            raise ValueError(f"map expects length-{H.cols} inputs, pmf is on length {P.n}")
-        if _rank_array(H.array, P.field.q) != H.rows:
+        if _rank_array(H, P.field.q) != m:
             raise ValueError("map is rank deficient; output space would be oversized")
-    count, m = len(maps), maps[0].rows
     if m == 0:
         return np.ones((count, 1))
     out_size = DensePmf._check_size(P.field, m, caps)
@@ -375,7 +374,7 @@ def _pushforward_rows(P: DensePmf, maps: Sequence[FqMatrix], caps: Caps) -> np.n
     j = P.n
     while j and not P.probs[P.field.q ** (j - 1):].any():
         j -= 1
-    idx = _image_rows(P.field.q, np.stack([H.array[:, :j] for H in maps]))
+    idx = _image_rows(P.field.q, maps[:, :, :j])
     idx += out_size * np.arange(count)[:, None]
     # row t of the weights is P again; a single row is a view, not a copy
     weights = np.broadcast_to(P.probs[:idx.shape[1]], idx.shape).reshape(-1)
@@ -385,7 +384,9 @@ def _pushforward_rows(P: DensePmf, maps: Sequence[FqMatrix], caps: Caps) -> np.n
 
 def pushforward(P: DensePmf, H: FqMatrix, caps: Caps = DEFAULT_CAPS) -> DensePmf:
     """Distribution of H z for z ~ P; H must have full row rank."""
-    return DensePmf(P.field, H.rows, _pushforward_rows(P, [H], caps)[0])
+    if H.field != P.field:
+        raise ValueError("pmf and map live over different fields")
+    return DensePmf(P.field, H.rows, _pushforward_rows(P, H.array[None], caps)[0])
 
 
 def _dual_weights(code: LinearCode) -> np.ndarray:

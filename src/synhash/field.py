@@ -176,7 +176,7 @@ def _rref_bits(rows: list[int]) -> dict[int, int]:
 def _rref_array(a: np.ndarray, q: int, inv: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form mod q; returns (nonzero rows, pivot columns)."""
     a = np.asarray(a, dtype=np.int64) % q
-    rows, cols = a.shape
+    cols = a.shape[1]
     if q == 2:
         basis = _rref_bits(_pack_rows(a))
         order = sorted(basis)
@@ -185,24 +185,47 @@ def _rref_array(a: np.ndarray, q: int, inv: np.ndarray) -> tuple[np.ndarray, lis
         packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(order), width)
         red = np.unpackbits(packed, axis=1, count=cols, bitorder="little")
         return red.astype(np.int64), [bit.bit_length() - 1 for bit in order]
-    pivots: list[int] = []
-    r = 0
+    red, pivots, ranks = _rref_stack(a[None], q, inv)
+    return red[0, :ranks[0]], pivots[0, :ranks[0]].tolist()
+
+
+def _rref_stack(a: np.ndarray, q: int, inv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reduced row echelon form mod q of every matrix in a (T, rows, cols) stack.
+
+    Returns (red, pivots, ranks): red[t] has its ranks[t] pivot rows first and
+    zero rows after them, and pivots[t, :ranks[t]] are their pivot columns
+    (the rest of the row is -1).  The Gauss-Jordan steps run one column at a
+    time for the whole stack: uint8 XOR at q = 2, int64 arithmetic mod q
+    otherwise, so red is uint8 at q = 2 and int64 above.
+    """
+    a = (np.asarray(a) % q).astype(np.uint8 if q == 2 else np.int64, copy=False)
+    count, rows, cols = a.shape
+    ranks = np.zeros(count, dtype=np.int64)
+    pivots = np.full((count, rows), -1, dtype=np.int64)
+    row_ids = np.arange(rows)
     for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+        # the first row at or below each matrix's next pivot row with a nonzero in c
+        below = (a[:, :, c] != 0) & (row_ids >= ranks[:, None])
+        t = np.flatnonzero(below.any(axis=1))
+        if t.size == 0:
+            if (ranks == rows).all():
+                break
             continue
-        pr = r + int(nz[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        a[r] = (a[r] * int(inv[a[r, c]])) % q
-        col = a[:, c].copy()
-        col[r] = 0
-        a = (a - np.outer(col, a[r])) % q
-        pivots.append(c)
-        r += 1
-    return a[: len(pivots)], pivots
+        every = slice(None) if t.size == count else t
+        top, src = ranks[t], below[t].argmax(axis=1)
+        pivot = a[t, src]
+        a[t, src] = a[t, top]
+        if q != 2:
+            pivot = pivot * inv[pivot[:, c], None] % q
+        # clearing column c from every row clears the pivot row too; it is put back
+        if q == 2:
+            a[every] ^= a[every, :, c, None] & pivot[:, None, :]
+        else:
+            a[every] = (a[every] - a[every, :, c, None] * pivot[:, None, :]) % q
+        a[t, top] = pivot
+        pivots[t, top] = c
+        ranks[t] += 1
+    return a, pivots, ranks
 
 
 def _rank_array(a: np.ndarray, q: int) -> int:
@@ -299,24 +322,26 @@ def _image_rows(q: int, arr: np.ndarray) -> np.ndarray:
     table, row t that of arr[t], from one pass of the column steps."""
     count, rows, n = arr.shape
     powers = q_powers(q, rows)
-    # multiples[a - 1, t, :, j] = a M_t e_j and shifts[a - 1, t, j] its index
-    multiples = (np.arange(1, q)[:, None, None, None] * arr) % q
-    shifts = powers @ multiples
+    # digits[t, a - 1, :, j] = a M_t e_j
+    digits = np.arange(1, q)[:, None, None] * arr[:, None] % q
     table = np.zeros((count, q ** n), dtype=np.int64)
+    if q == 2:
+        shifts = powers @ digits[:, 0]
+        for j in range(n):
+            size = 1 << j
+            np.bitwise_xor(table[:, :size], shifts[:, j, None], out=table[:, size:2 * size])
+        return table
     for j in range(n):
         size = q ** j
         low = table[:, :size]
-        for a in range(1, q):
-            block = table[:, a * size:(a + 1) * size]
-            if q == 2:
-                np.bitwise_xor(low, shifts[0, :, j, None], out=block)
-            else:
-                col = multiples[a - 1, :, :, j]
-                block[:] = low
-                for i in np.flatnonzero(col.any(axis=0)):
-                    digit = col[:, i, None]
-                    carry = (low // powers[i]) % q + digit >= q
-                    block += (digit - q * carry) * powers[i]
+        # blocks[:, a - 1] is low + a M e_j digit-wise: the points whose digit j is a
+        blocks = table[:, size:q * size].reshape(count, q - 1, size)
+        blocks[:] = low[:, None, :]
+        for i in np.flatnonzero(arr[:, :, j].any(axis=0)):
+            digit = digits[:, :, i, j, None]
+            blocks += digit * powers[i]
+            wraps = (low // powers[i] % q)[:, None, :] >= q - digit
+            np.subtract(blocks, q * powers[i], out=blocks, where=wraps)
     return table
 
 

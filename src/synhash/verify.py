@@ -26,7 +26,8 @@ from .codes import (
     codeword_indices,
     enumerate_all_codes,
     rank_tuple_count,
-    sample_uniform_code,
+    sample_uniform_code,  # traced site: perfbench/tracing.py wraps it here
+    _sample_codes,
 )
 from .distributions import (
     DensePmf,
@@ -466,22 +467,26 @@ def exact_expected_smoothness(n: int, k: int, q: int, p: int, P: DensePmf,
     return _inequality_result("exact-smoothing", params, lhs, rhs)
 
 
-# syndrome index entries per batch of sampled codes (1 MiB of int64)
+# syndrome index entries per batch of sampled codes (1 MiB of int64); codes
+# are drawn and eliminated in chunks of about a quarter as many generator entries
 _MC_BATCH_ENTRIES = 1 << 16
 
 
 def _mc_trials(P: DensePmf, spec: CodeEnsembleSpec, trials: int, statistic,
                caps: Caps) -> np.ndarray:
     """statistic(syndrome pmf values) for the codes 0 .. trials-1 of spec,
-    pushed forward a batch of codes at a time."""
+    sampled a chunk of codes at a time and pushed forward a batch at a time."""
     if trials < 1:
         raise ValueError(f"need at least one Monte Carlo trial, got {trials}")
     batch = max(1, _MC_BATCH_ENTRIES // P.size)
+    # chunks hold whole batches, so every bincount but the last covers `batch` codes
+    chunk = batch * max(1, _MC_BATCH_ENTRIES // 4 // max(1, spec.k * spec.n) // batch)
     vals = np.empty(trials)
-    for start in range(0, trials, batch):
-        maps = [sample_uniform_code(spec, t).H for t in range(start, min(start + batch, trials))]
-        rows = _pushforward_rows(P, maps, caps)
-        vals[start:start + len(maps)] = [statistic(row) for row in rows]
+    for start in range(0, trials, chunk):
+        _, maps = _sample_codes(spec, start, min(start + chunk, trials))
+        for first in range(0, len(maps), batch):
+            rows = _pushforward_rows(P, maps[first:first + batch], caps)
+            vals[start + first:start + first + len(rows)] = [statistic(row) for row in rows]
     return vals
 
 

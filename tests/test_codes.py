@@ -19,6 +19,7 @@ from synhash.codes import (
     reed_muller_generator,
     rm_parity_check,
     sample_uniform_code,
+    _sample_codes,
 )
 from synhash.field import FieldSpec, FqMatrix, kernel_basis, rank
 
@@ -60,10 +61,11 @@ def test_enumerate_all_codes_is_complete_and_distinct():
         assert c.H == kernel_basis(c.G)
 
 
-@pytest.mark.parametrize("n, k", [(3, 4), (3, -1), (-1, 0)])
+@pytest.mark.parametrize("n, k", [(3, 4), (3, 5), (3, -1), (-1, 0)])
 def test_enumerate_refuses_dimensions_outside_the_length(n, k):
+    # refused on the call itself, before any code is drawn
     with pytest.raises(ValueError, match="need 0 <= k <= n"):
-        list(enumerate_all_codes(F2, n, k))
+        enumerate_all_codes(F2, n, k)
 
 
 def test_caps_admit_returns_the_cost_or_refuses():
@@ -76,7 +78,7 @@ def test_caps_admit_returns_the_cost_or_refuses():
 def test_enumerate_respects_cap():
     tight = Caps(code_enumeration=10)
     with pytest.raises(CapExceeded) as err:
-        list(enumerate_all_codes(F2, 4, 2, tight))
+        enumerate_all_codes(F2, 4, 2, tight)
     assert err.value.cap == 10 and err.value.cost == 35
 
 
@@ -120,6 +122,10 @@ def test_reed_muller_past_64_columns_roundtrips_through_json():
 @pytest.mark.parametrize("spec, digest", [
     (CodeEnsembleSpec(F2, 12, 10, DEFAULT_SEED), "0e5a08efb6b66a83f20ffed8cc4b0a152c27d11a"),
     (CodeEnsembleSpec(F3, 6, 3, 7), "745ba2992653186c85af3dbd85f63d296c482a40"),
+    # past 64 columns; k = n, where most draws are rejected; k = 0, with no draw
+    (CodeEnsembleSpec(F2, 70, 66, DEFAULT_SEED), "210162b31c74d3a90fd5604e4f8f859a7578be82"),
+    (CodeEnsembleSpec(F2, 5, 5, DEFAULT_SEED), "80fcd40728dc94fdd207870bf68b7996ac2e0985"),
+    (CodeEnsembleSpec(F3, 5, 0, DEFAULT_SEED), "25cac3893b60b21fa560a53928141ae60ab55318"),
 ])
 def test_sample_stream_is_pinned(spec, digest):
     # sha1 of G then H for trials 0..49, little-endian int64; every Monte Carlo
@@ -130,6 +136,24 @@ def test_sample_stream_is_pinned(spec, digest):
         h.update(code.G.array.astype("<i8").tobytes())
         h.update(code.H.array.astype("<i8").tobytes())
     assert h.hexdigest() == digest
+
+
+@given(st.sampled_from([2, 3, 5]), st.integers(0, 70), st.data())
+def test_sampled_stacks_match_the_per_trial_reference(reference_code, q, n, data):
+    k = data.draw(st.integers(0, n))
+    start = data.draw(st.integers(0, 300))
+    cut = data.draw(st.integers(start, start + 12))
+    stop = data.draw(st.integers(cut, cut + 12))
+    spec = CodeEnsembleSpec(FieldSpec(q), n, k, data.draw(st.integers(0, 2 ** 32)))
+    G, H = _sample_codes(spec, start, stop)
+    assert G.shape == (stop - start, k, n) and H.shape == (stop - start, n - k, n)
+    for t in range(start, stop):
+        ref_G, ref_H = reference_code(spec, t)
+        assert np.array_equal(G[t - start], ref_G) and np.array_equal(H[t - start], ref_H)
+    # where a chunk ends does not change the codes
+    head, tail = _sample_codes(spec, start, cut), _sample_codes(spec, cut, stop)
+    assert np.array_equal(np.concatenate([head[0], tail[0]]), G)
+    assert np.array_equal(np.concatenate([head[1], tail[1]]), H)
 
 
 def test_sampling_is_deterministic_per_seed_and_trial():
@@ -151,12 +175,14 @@ def test_sampled_codes_are_valid():
 
 def test_sampling_is_uniform_over_codes():
     # 35000 draws over the 35 [4,2] binary codes; chi-square with 34 dof.
+    # a code is told by its parity check: both routes build H from the reduced
+    # generator, so equal codes have equal H
     spec = CodeEnsembleSpec(F2, 4, 2, 0xC0DE)
-    index = {c.canonical_key(): i for i, c in enumerate(enumerate_all_codes(F2, 4, 2))}
+    index = {c.H.array.tobytes(): i for i, c in enumerate(enumerate_all_codes(F2, 4, 2))}
     counts = np.zeros(35)
     draws = 35000
-    for t in range(draws):
-        counts[index[sample_uniform_code(spec, t).canonical_key()]] += 1
+    for H in _sample_codes(spec, 0, draws)[1]:
+        counts[index[H.tobytes()]] += 1
     expected = draws / 35
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     assert chi2 < 70.0  # p ~ 3e-4 at 34 dof; deterministic given the seed

@@ -19,6 +19,7 @@ from synhash.field import (
     _kernel_array,
     _rank_array,
     _rref_array,
+    _rref_stack,
 )
 
 F2 = FieldSpec(2)
@@ -223,6 +224,31 @@ def _generic_rref(a, q):
 
 
 @st.composite
+def stacks(draw):
+    """(T, rows, cols) stacks mod q, some rank deficient (see gf2_arrays)."""
+    q = draw(st.sampled_from([2, 3, 5]))
+    count, rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 8)), draw(st.integers(0, 70))
+    r = draw(st.integers(0, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    left = rng.integers(0, q, size=(count, rows, r))
+    right = rng.integers(0, q, size=(count, r, cols)) * (rng.random((count, r, cols)) < 0.5)
+    return q, (left @ right) % q
+
+
+@given(stacks())
+def test_stack_elimination_matches_the_generic_loop(case):
+    q, a = case
+    red, pivots, ranks = _rref_stack(a, q, FieldSpec(q).inverses)
+    assert red.shape == a.shape and pivots.shape == a.shape[:2] and ranks.shape == a.shape[:1]
+    for t in range(a.shape[0]):
+        ref, ref_pivots = _generic_rref(a[t], q)
+        r = len(ref_pivots)
+        assert ranks[t] == r and pivots[t, :r].tolist() == ref_pivots
+        assert (pivots[t, r:] == -1).all()
+        assert np.array_equal(red[t, :r], ref) and not red[t, r:].any()
+
+
+@st.composite
 def gf2_arrays(draw):
     """0/1 matrices up to 130 columns; the product of a rows x r and an r x cols
     factor has rank at most r, so r < rows gives rank-deficient ones."""
@@ -247,3 +273,17 @@ def test_gf2_elimination_matches_the_generic_loop(a):
     kernel = _kernel_array(a, 2, F2.inverses)
     assert kernel.shape == (a.shape[1] - len(pivots), a.shape[1])
     assert not ((a @ kernel.T) % 2).any()
+
+
+@pytest.mark.parametrize("q, cols", [(3, 5), (5, 4), (101, 2)])
+def test_image_rows_fill_every_digit_block_of_a_column_at_once(q, cols):
+    # at q > 2 the q - 1 blocks of a column are filled in one step; the
+    # reference is mat_vec, point by point
+    field = FieldSpec(q)
+    stack = np.random.default_rng((q, cols)).integers(0, q, size=(2, 3, cols))
+    stack[1, 2] = q - 1  # every step of this row wraps past q
+    stack[1, :, 0] = 0  # a zero column copies the low block into every block
+    for M, row in zip(stack, _image_rows(q, stack)):
+        M = FqMatrix(field, M)
+        assert row.tolist() == [vec_to_index(mat_vec(M, index_to_vec(i, cols, field)))
+                                for i in range(q ** cols)]

@@ -12,7 +12,7 @@ from synhash.codes import (CodeEnsembleSpec, enumerate_all_codes, gaussian_binom
                            rank_tuple_count, sample_uniform_code)
 from synhash.distributions import (DensePmf, ProductBernoulli, code_pmf, convolve,
                                    lp_norm, pushforward, renyi_entropy)
-from synhash.field import FieldSpec, index_to_vec, _rank_array
+from synhash.field import FieldSpec, FqMatrix, index_to_vec, _rank_array
 from synhash.verify import (
     check_balanced_identity,
     check_balanced_inequality,
@@ -367,10 +367,11 @@ def test_random_sample_checks_need_a_sample(count):
         check_clarkson(2, 3, count)
 
 
-def _per_code_stats(P, spec, trials, statistic):
-    """The Monte Carlo statistic one code at a time, through pushforward."""
-    return np.array([statistic(pushforward(P, sample_uniform_code(spec, t).H).probs)
-                     for t in range(trials)])
+def _per_code_stats(P, spec, trials, statistic, reference_code):
+    """The Monte Carlo statistic one code at a time, through pushforward, on
+    codes drawn one trial at a time by the reference sampler."""
+    maps = [FqMatrix(spec.field, reference_code(spec, t)[1]) for t in range(trials)]
+    return np.array([statistic(pushforward(P, H).probs) for H in maps])
 
 
 def _fingerprint(probs):
@@ -385,35 +386,59 @@ def _mean_stderr(vals):
 # (q, n, support digits of the flat source): q^n = 1024, 729 and 625 points give
 # batches of several codes; 2^17 points is over the batch budget, one code a batch
 @pytest.mark.parametrize("q, n, support", [(2, 10, 8), (3, 6, 4), (5, 4, 3), (2, 17, 12)])
-def test_batched_monte_carlo_matches_a_per_code_pushforward_loop(q, n, support):
+def test_batched_monte_carlo_matches_a_per_code_pushforward_loop(q, n, support, reference_code):
     field = FieldSpec(q)
     batch = max(1, verify._MC_BATCH_ENTRIES // q ** n)
     trials = batch + 5 if batch > 1 else 3  # a full batch and a short one
     spec = CodeEnsembleSpec(field, n, n // 2, 11)
     P = _random_pmf(field, n, (q, n))
     vals = verify._mc_trials(P, spec, trials, _fingerprint, DEFAULT_CAPS)
-    assert np.array_equal(vals, _per_code_stats(P, spec, trials, _fingerprint))
+    assert np.array_equal(vals, _per_code_stats(P, spec, trials, _fingerprint, reference_code))
 
     m = n - spec.k
     for collision, power in ((False, 1), (True, 2)):
         res = mc_expected_smoothness(spec, P, 2, trials, collision=collision)
         ref = _per_code_stats(P, spec, trials,
-                              lambda probs: lp_norm(q ** m * probs, 2) ** power - 1.0)
+                              lambda probs: lp_norm(q ** m * probs, 2) ** power - 1.0,
+                              reference_code)
         assert (res.parameters["mean"], res.parameters["stderr"]) == _mean_stderr(ref)
 
     flat = DensePmf.flat(field, n, q ** support)
     res = mc_bucket_linf(flat, 0.25, trials, seed=11)
     m = res.parameters["m"]
     ref = _per_code_stats(flat, CodeEnsembleSpec(field, n, n - m, 11), trials,
-                          lambda probs: q ** m * float(probs.max()))
+                          lambda probs: q ** m * float(probs.max()), reference_code)
     assert (res.parameters["mean"], res.parameters["stderr"]) == _mean_stderr(ref)
 
 
-def test_batched_overdraw_control_matches_a_per_code_loop():
+def test_monte_carlo_chunks_hold_whole_batches_and_keep_the_code_stream(monkeypatch,
+                                                                       reference_code):
+    # 2^10 entries: 4 codes a batch, so 21 trials take several chunks of
+    # several batches each, and end in a short chunk
+    monkeypatch.setattr(verify, "_MC_BATCH_ENTRIES", 1 << 10)
+    spans = []
+    sample = verify._sample_codes
+
+    def recorded(spec, start, stop):
+        spans.append((start, stop))
+        return sample(spec, start, stop)
+
+    monkeypatch.setattr(verify, "_sample_codes", recorded)
+    spec = CodeEnsembleSpec(F2, 8, 4, 3)
+    P = _random_pmf(F2, 8, (8,))
+    vals = verify._mc_trials(P, spec, 21, _fingerprint, DEFAULT_CAPS)
+    chunk = spans[0][1]
+    assert chunk > 4 and chunk % 4 == 0 and len(spans) >= 3
+    assert spans == [(s, min(s + chunk, 21)) for s in range(0, 21, chunk)]
+    assert np.array_equal(vals, _per_code_stats(P, spec, 21, _fingerprint, reference_code))
+
+
+def test_batched_overdraw_control_matches_a_per_code_loop(reference_code):
     # q^n = 256 gives 256 codes a batch, so 300 trials end in a short batch
     spec = CodeEnsembleSpec(F2, 8, 1, 5)
     P = ProductBernoulli(0.2, 8).to_dense()
-    ref = _per_code_stats(P, spec, 300, lambda probs: lp_norm(2.0 ** 7 * probs, 2) - 1.0)
+    ref = _per_code_stats(P, spec, 300, lambda probs: lp_norm(2.0 ** 7 * probs, 2) - 1.0,
+                          reference_code)
     assert negative_control_overdraw(trials=300, seed=5).lhs == float(ref.mean())
 
 
