@@ -18,7 +18,15 @@ import numpy as np
 from .bounds import two_point_renyi
 from .caps import DEFAULT_CAPS, Caps
 from .codes import LinearCode, codeword_indices
-from .field import FieldSpec, FqMatrix, digit_table, q_powers, _image_rows, _rank_array
+from .field import (
+    FieldSpec,
+    FqMatrix,
+    digit_table,
+    q_powers,
+    _image_rows,
+    _rank_array,  # traced site: perfbench/tracing.py wraps it here; the rank check is _rref_stack
+    _rref_stack,
+)
 
 __all__ = [
     "RenyiOrder",
@@ -27,6 +35,7 @@ __all__ = [
     "DensePmf",
     "ProductBernoulli",
     "lp_norm",
+    "lp_norms",
     "renyi_entropy",
     "renyi_divergence",
     "lp_smoothness",
@@ -40,6 +49,8 @@ __all__ = [
 
 _PMF_SUM_TOL = 1e-12
 _QPMF_MAGIC = b"QPMF"
+# table entries per batch of a stacked computation (512 KiB of int64 or float64)
+_BATCH_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -224,16 +235,30 @@ def _signed_power(base: float, exponents: np.ndarray) -> np.ndarray:
 
 def lp_norm(values: np.ndarray, order: OrderLike) -> float:
     """Averaged p-norm of a function given by its value table."""
-    order = RenyiOrder.of(order)
-    arr = np.abs(np.asarray(values, dtype=np.float64))
+    arr = np.asarray(values)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("expected a nonempty 1-dimensional value table")
+    return float(lp_norms(arr[None], order)[0])
+
+
+def lp_norms(rows: np.ndarray, order: OrderLike) -> np.ndarray:
+    """Averaged p-norm of each row of a (T, size) table of function values.
+
+    The means run along each row as they would over that row alone, and the
+    1/p-th power is taken one float64 scalar at a time, so entry t equals
+    lp_norm(rows[t], order) bit for bit.
+    """
+    order = RenyiOrder.of(order)
+    arr = np.abs(np.asarray(rows, dtype=np.float64))
+    if arr.ndim != 2 or arr.shape[1] == 0:
+        raise ValueError("expected a (T, size) table with nonempty rows")
     if order.is_inf:
-        return float(arr.max())
+        return arr.max(axis=1)
+    # a row sum over the row count is what np.mean computes, without its overhead
     if order.is_one:
-        return float(arr.mean())
+        return arr.sum(axis=1) / arr.shape[1]
     p = order.value
-    return float(np.mean(arr ** p) ** (1.0 / p))
+    return np.array([m ** (1.0 / p) for m in (arr ** p).sum(axis=1) / arr.shape[1]])
 
 
 def _entropy_power_sum(probs: np.ndarray, p: float) -> float:
@@ -303,7 +328,8 @@ def tv_distance(P: DensePmf, Q: DensePmf) -> float:
 
 def _character_transform(values: np.ndarray, q: int, n: int) -> np.ndarray:
     """Character transform sum_x f(x) w^{-<a, x>}, w = e^{2 pi i / q}, of a value
-    table on F_q^n, as a (q,)*n array.
+    table on F_q^n, as a (q,)*n array; a (..., q^n) stack of tables gives a
+    (..., q, ..., q) stack, each entry that of its own table.
 
     For q = 2 it is the Walsh-Hadamard transform, taken in float64 by the
     in-place butterfly (Fino & Algazi 1976) one coordinate at a time from
@@ -311,33 +337,35 @@ def _character_transform(values: np.ndarray, q: int, n: int) -> np.ndarray:
     fftn(...).real bit for bit. The q = 2 result is a real float64 array; for
     q > 2 it is complex.
     """
+    lead = np.shape(values)[:-1]
     if q != 2:
-        return np.fft.fftn(values.reshape((q,) * n))
+        return np.fft.fftn(np.reshape(values, lead + (q,) * n), axes=tuple(range(-n, 0)))
     out = np.array(values, dtype=np.float64).reshape(-1)
     sums = np.empty(out.size // 2)
+    # a pair block never crosses a table, so the stages run over the whole stack
     half = 1
-    while half < out.size:
+    while half < 2 ** n:
         pairs = out.reshape(-1, 2, half)
         low, high = pairs[:, 0], pairs[:, 1]
         total = np.add(low, high, out=sums.reshape(low.shape))
         np.subtract(low, high, out=high)
         low[...] = total
         half *= 2
-    return out.reshape((2,) * n)
+    return out.reshape(lead + (2,) * n)
 
 
-def _convolve_transformed(P: DensePmf, transformed: np.ndarray) -> DensePmf:
-    """P convolved with the pmf whose character transform is given: the
-    inverse transform of T(P) * transformed."""
-    q, n = P.field.q, P.n
-    if transformed.shape != (q,) * n:
-        raise ValueError("convolution needs two pmfs on the same space")
-    product = _character_transform(P.probs, q, n) * transformed
+def _convolve_transformed(probs: np.ndarray, transformed: np.ndarray, q: int,
+                          n: int) -> np.ndarray:
+    """Each pmf of a (..., q^n) stack on F_q^n convolved with the pmf whose
+    character transform is given: the inverse transform of T(P) * transformed,
+    clamped at 0, as a (..., q^n) stack."""
+    lead = np.shape(probs)[:-1]
+    product = _character_transform(probs, q, n) * transformed
     if q == 2:
-        probs = _character_transform(product, 2, n).reshape(-1) * 2.0 ** -n
+        out = _character_transform(product.reshape(lead + (-1,)), 2, n) * 2.0 ** -n
     else:
-        probs = np.fft.ifftn(product).real.reshape(-1)
-    return DensePmf(P.field, n, np.maximum(probs, 0.0))
+        out = np.fft.ifftn(product, axes=tuple(range(-n, 0))).real
+    return np.maximum(out.reshape(lead + (-1,)), 0.0)
 
 
 def convolve(P: DensePmf, Q: DensePmf) -> DensePmf:
@@ -345,7 +373,9 @@ def convolve(P: DensePmf, Q: DensePmf) -> DensePmf:
     inverse character transform of the product of the two transforms."""
     if P.field != Q.field or P.n != Q.n:
         raise ValueError("convolution needs two pmfs on the same space")
-    return _convolve_transformed(P, _character_transform(Q.probs, Q.field.q, Q.n))
+    q, n = P.field.q, P.n
+    transformed = _character_transform(Q.probs, q, n)
+    return DensePmf(P.field, n, _convolve_transformed(P.probs, transformed, q, n))
 
 
 def code_pmf(code: LinearCode, caps: Caps = DEFAULT_CAPS) -> DensePmf:
@@ -358,28 +388,37 @@ def code_pmf(code: LinearCode, caps: Caps = DEFAULT_CAPS) -> DensePmf:
 
 def _pushforward_rows(P: DensePmf, maps: np.ndarray, caps: Caps) -> np.ndarray:
     """Pmf of H z for z ~ P, one row per H in a (T, m, n) stack of full-row-rank
-    maps over P's field, as a (T, q^m) array from one bincount over row-offset
-    syndrome indices."""
+    maps over P's field, as a (T, q^m) array.
+
+    One elimination checks the rank of the whole stack; the syndromes are then
+    counted a batch of codes at a time, one bincount over row-offset syndrome
+    indices per batch of about _BATCH_ENTRIES index entries.
+    """
     count, m, n = maps.shape
+    q = P.field.q
     if n != P.n:
         raise ValueError(f"map expects length-{n} inputs, pmf is on length {P.n}")
-    for H in maps:
-        if _rank_array(H, P.field.q) != m:
-            raise ValueError("map is rank deficient; output space would be oversized")
+    if (_rref_stack(maps, q, P.field.inverses)[2] != m).any():
+        raise ValueError("map is rank deficient; output space would be oversized")
     if m == 0:
         return np.ones((count, 1))
     out_size = DensePmf._check_size(P.field, m, caps)
     # points past the last one with mass add nothing to any bin, so the table
     # covers the first q^j points only: the image of the first j columns
     j = P.n
-    while j and not P.probs[P.field.q ** (j - 1):].any():
+    while j and not P.probs[q ** (j - 1):].any():
         j -= 1
-    idx = _image_rows(P.field.q, maps[:, :, :j])
-    idx += out_size * np.arange(count)[:, None]
-    # row t of the weights is P again; a single row is a view, not a copy
-    weights = np.broadcast_to(P.probs[:idx.shape[1]], idx.shape).reshape(-1)
-    out = np.bincount(idx.reshape(-1), weights=weights, minlength=count * out_size)
-    return out.reshape(count, out_size)
+    batch = max(1, _BATCH_ENTRIES // q ** j)
+    out = np.empty((count, out_size))
+    for first in range(0, count, batch):
+        idx = _image_rows(q, maps[first:first + batch, :, :j])
+        rows = len(idx)
+        idx += out_size * np.arange(rows)[:, None]
+        # row t of the weights is P again; a single row is a view, not a copy
+        weights = np.broadcast_to(P.probs[:idx.shape[1]], idx.shape).reshape(-1)
+        out[first:first + rows] = np.bincount(idx.reshape(-1), weights=weights,
+                                              minlength=rows * out_size).reshape(rows, out_size)
+    return out
 
 
 def pushforward(P: DensePmf, H: FqMatrix, caps: Caps = DEFAULT_CAPS) -> DensePmf:

@@ -53,13 +53,18 @@ class FieldSpec:
         if not isinstance(self.q, int) or not _is_prime(self.q):
             raise ValueError(f"field modulus must be a prime integer, got {self.q!r}")
 
-    @functools.cached_property
+    @property
     def inverses(self) -> np.ndarray:
-        """inv[a] = a**-1 mod q for a in [1, q); entry 0 is unused."""
-        inv = np.array([0] + [pow(a, self.q - 2, self.q) for a in range(1, self.q)],
-                       dtype=np.int64)
-        inv.flags.writeable = False
-        return inv
+        """inv[a] = a**-1 mod q for a in [1, q); entry 0 is unused.  One table per
+        q, shared by every FieldSpec of that q."""
+        return _inverse_table(self.q)
+
+
+@functools.lru_cache(maxsize=64)
+def _inverse_table(q: int) -> np.ndarray:
+    inv = np.array([0] + [pow(a, q - 2, q) for a in range(1, q)], dtype=np.int64)
+    inv.flags.writeable = False
+    return inv
 
 
 def _as_residues(field: FieldSpec, data, ndim: int) -> np.ndarray:

@@ -37,6 +37,9 @@ from .distributions import (
     code_pmf,
     convolve,
     lp_norm,
+    lp_norms,
+    _BATCH_ENTRIES,
+    _PMF_SUM_TOL,
     _character_transform,
     _convolve_transformed,
     lp_smoothness,
@@ -46,7 +49,7 @@ from .distributions import (
     renyi_entropy,
 )
 from .field import (FieldSpec, FqMatrix, FqVector, digit_table, image_indices, index_to_vec,
-                    vec_to_index, _rank_array, _rref_array)
+                    vec_to_index, _image_rows, _rank_array, _rref_array)
 
 __all__ = [
     "CheckResult",
@@ -157,6 +160,19 @@ def _tuple_ranks(q: int, n: int, p: int, caps: Caps) -> np.ndarray:
 def _codes_list(q: int, n: int, k: int, caps: Caps) -> tuple[LinearCode, ...]:
     """Every [n, k]_q code, admitted against caps and enumerated once per key."""
     return tuple(enumerate_all_codes(FieldSpec(q), n, k, caps))
+
+
+@functools.lru_cache(maxsize=32)
+def _code_stacks(q: int, n: int, k: int, caps: Caps) -> tuple[np.ndarray, np.ndarray]:
+    """The (codes, k, n) generators and (codes, n - k, n) parity checks of
+    _codes_list(q, n, k, caps), in its order, as read-only stacks of the
+    smallest unsigned type that holds a residue (they stay cached)."""
+    codes = _codes_list(q, n, k, caps)
+    dtype = np.min_scalar_type(q - 1)
+    G = np.array([code.G.array for code in codes], dtype=dtype).reshape(len(codes), k, n)
+    H = np.array([code.H.array for code in codes], dtype=dtype).reshape(len(codes), n - k, n)
+    G.flags.writeable = H.flags.writeable = False
+    return G, H
 
 
 def _containment_counts(codes: Sequence[LinearCode], size: int, p: int) -> np.ndarray:
@@ -289,10 +305,10 @@ def check_tuple_probability(n: int, k: int, q: int,
     d = _rank_array(U, q)
     m = n - k
     matrices = caps.admit("iid parity-check enumeration", q ** (m * n), "code_enumeration")
-    codes = _codes_list(q, n, k, caps)
+    H = _code_stacks(q, n, k, caps)[1]
     # a code holds every tuple vector iff its parity check sends U to zero
-    contained = sum(1 for code in codes if not (code.H.array @ U % q).any())
-    prob = Fraction(contained, len(codes))
+    contained = len(H) - int(np.count_nonzero((H @ U % q).any(axis=(1, 2))))
+    prob = Fraction(contained, len(H))
     bound = Fraction(1, q ** (d * (n - k)))
     # A U = 0 iff A B^T = 0 for B a row basis of U^T, whose index fits for any p
     basis = _rref_array(U.T, q, field.inverses)[0]
@@ -455,38 +471,53 @@ def exact_expected_smoothness(n: int, k: int, q: int, p: int, P: DensePmf,
                               caps: Caps = DEFAULT_CAPS) -> CheckResult:
     """Average of ||q^n P_{X_C+Z}||_p^p over every [n, k]_q code stays under
     the closed-form ensemble budget."""
-    codes = _codes_list(q, n, k, caps)
+    G = _code_stacks(q, n, k, caps)[0]
     transformed = _character_transform(P.probs, P.field.q, P.n)  # once for every code
+    size = DensePmf._check_size(FieldSpec(q), n, caps)
+    caps.admit("codeword enumeration", q ** k, "code_enumeration")
+    if (P.field.q, P.n) != (q, n):
+        raise ValueError("convolution needs two pmfs on the same space")
     total = 0.0
-    for code in codes:
-        mixed = _convolve_transformed(code_pmf(code, caps), transformed)
-        total += lp_norm(float(q) ** n * mixed.probs, p) ** p
-    lhs = total / len(codes)
+    # a chunk of codes at a time: their pmfs, convolved with P, and the norms.
+    # About eight tables of a chunk's size are alive at once, on top of the
+    # enumerated ensembles, so a chunk takes a sixteenth of the batch budget
+    chunk = max(1, _BATCH_ENTRIES // 16 // size)
+    for first in range(0, len(G), chunk):
+        part = G[first:first + chunk]
+        pmfs = np.zeros((len(part), size))
+        np.put_along_axis(pmfs, _image_rows(q, part.transpose(0, 2, 1)), 1.0 / q ** k, axis=1)
+        mixed = _convolve_transformed(pmfs, transformed, q, n)
+        # the sum DensePmf checks when it holds one code's convolution
+        bad = np.abs(mixed.sum(axis=1) - 1.0) > _PMF_SUM_TOL
+        if bad.any():
+            raise ValueError(f"probabilities sum to {mixed[bad][0].sum()}, not 1")
+        # a sequential float sum, as one code at a time
+        for norm in lp_norms(float(q) ** n * mixed, p):
+            total += float(norm) ** p
+    lhs = total / len(G)
     rhs = smoothing_bound_rhs(n, k, q, p, renyi_entropy(P, p))
-    params = {"n": n, "k": k, "q": q, "p": p, "codes": len(codes)}
+    params = {"n": n, "k": k, "q": q, "p": p, "codes": len(G)}
     return _inequality_result("exact-smoothing", params, lhs, rhs)
-
-
-# syndrome index entries per batch of sampled codes (1 MiB of int64); codes
-# are drawn and eliminated in chunks of about a quarter as many generator entries
-_MC_BATCH_ENTRIES = 1 << 16
 
 
 def _mc_trials(P: DensePmf, spec: CodeEnsembleSpec, trials: int, statistic,
                caps: Caps) -> np.ndarray:
-    """statistic(syndrome pmf values) for the codes 0 .. trials-1 of spec,
-    sampled a chunk of codes at a time and pushed forward a batch at a time."""
+    """statistic(rows) for the codes 0 .. trials-1 of spec, where statistic maps
+    a (T, q^m) array of syndrome pmfs to T values.
+
+    Codes are drawn a chunk at a time, of about a quarter of _BATCH_ENTRIES
+    generator entries and at most _BATCH_ENTRIES syndrome pmf entries, and
+    each chunk is pushed forward as one stack.
+    """
     if trials < 1:
         raise ValueError(f"need at least one Monte Carlo trial, got {trials}")
-    batch = max(1, _MC_BATCH_ENTRIES // P.size)
-    # chunks hold whole batches, so every bincount but the last covers `batch` codes
-    chunk = batch * max(1, _MC_BATCH_ENTRIES // 4 // max(1, spec.k * spec.n) // batch)
+    q, m = spec.field.q, spec.n - spec.k
+    chunk = max(1, min(_BATCH_ENTRIES // 4 // max(1, spec.k * spec.n), _BATCH_ENTRIES // q ** m))
     vals = np.empty(trials)
     for start in range(0, trials, chunk):
-        _, maps = _sample_codes(spec, start, min(start + chunk, trials))
-        for first in range(0, len(maps), batch):
-            rows = _pushforward_rows(P, maps[first:first + batch], caps)
-            vals[start + first:start + first + len(rows)] = [statistic(row) for row in rows]
+        stop = min(start + chunk, trials)
+        vals[start:stop] = statistic(_pushforward_rows(P, _sample_codes(spec, start, stop)[1],
+                                                       caps))
     return vals
 
 
@@ -495,6 +526,22 @@ def _mean_stderr(vals: np.ndarray) -> tuple[float, float]:
     if vals.size < 2:
         raise ValueError(f"an error bar needs at least two Monte Carlo trials, got {vals.size}")
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(vals.size))
+
+
+@functools.lru_cache(maxsize=1)
+def _mc_norms(source: Source, spec: CodeEnsembleSpec, p: int, trials: int,
+              caps: Caps) -> np.ndarray:
+    """||q^m P_{HZ}||_p for the codes 0 .. trials-1 of spec, kept for the last
+    key: the main and collision checks of one run read the same sample.  A
+    DensePmf key is its identity, which is safe as its probs are read-only."""
+    P = source.to_dense(caps)
+    if P.n != spec.n or P.field != spec.field:
+        raise ValueError("source and ensemble live on different spaces")
+    order = RenyiOrder.of(p)
+    scale = float(spec.field.q) ** (spec.n - spec.k)
+    norms = _mc_trials(P, spec, trials, lambda rows: lp_norms(scale * rows, order), caps)
+    norms.flags.writeable = False
+    return norms
 
 
 def mc_expected_smoothness(spec: CodeEnsembleSpec, source: Source, p: int,
@@ -507,15 +554,12 @@ def mc_expected_smoothness(spec: CodeEnsembleSpec, source: Source, p: int,
     """
     if collision and p != 2:
         raise ValueError("the collision refinement is a p = 2 statement")
-    P = source.to_dense(caps)
-    if P.n != spec.n or P.field != spec.field:
-        raise ValueError("source and ensemble live on different spaces")
+    norms = _mc_norms(source, spec, p, trials, caps)
     q, m = spec.field.q, spec.n - spec.k
     entropy = renyi_entropy(source, p)
-    scale = float(q) ** m
     power = 2 if collision else 1
-    mean, stderr = _mean_stderr(_mc_trials(
-        P, spec, trials, lambda probs: lp_norm(scale * probs, p) ** power - 1.0, caps))
+    # Python float powers, as a per-code statistic takes them
+    mean, stderr = _mean_stderr(np.array([v ** power - 1.0 for v in norms.tolist()]))
     rhs = float(q) ** (m - entropy) if collision else float(q) ** (m - entropy + p)
     lhs = mean - 3.0 * stderr
     name = "mc-collision-smoothness" if collision else "mc-smoothness"
@@ -543,7 +587,7 @@ def mc_bucket_linf(source: Source, eps: float, trials: int,
     spec = CodeEnsembleSpec(P.field, n, n - m, seed)
     scale = float(q) ** m
     mean, stderr = _mean_stderr(_mc_trials(
-        P, spec, trials, lambda probs: scale * float(probs.max()), caps))
+        P, spec, trials, lambda rows: scale * rows.max(axis=1), caps))
     rhs = linf_bucket_bound(n, eps, q)
     params = {"n": n, "q": q, "eps": eps, "m": m, "min_entropy": h_inf,
               "mean": mean, "stderr": stderr}
@@ -666,7 +710,7 @@ def negative_control_overdraw(trials: int = 300, seed: int = DEFAULT_SEED,
     P = source.to_dense(caps)
     scale = float(2) ** m
     mean = float(_mc_trials(
-        P, spec, trials, lambda probs: lp_norm(scale * probs, p) - 1.0, caps).mean())
+        P, spec, trials, lambda rows: lp_norms(scale * rows, p) - 1.0, caps).mean())
     params = {"n": n, "delta": delta, "p": p, "m": m,
               "entropy_p": renyi_entropy(source, p),
               "claimed_bound": 0.5, "expected_failure": True}

@@ -257,7 +257,8 @@ def test_code_cap_bounds_the_enumerated_ensemble(check, capsys):
 
 
 # sha1 of the --format csv stdout, recorded before tuple ranks and containment
-# were read from index tables
+# were read from index tables (the exact-smoothing rows: before the codes of
+# an ensemble were convolved as one stack)
 @pytest.mark.parametrize("argv, digest", [
     ("verify p-balanced --n 4 --k 2 --p 3", "58dd4d871c8f6f17df9c3572fbd044f283fdd7a2"),
     ("verify p-balanced --n 5 --k 2 --p 3", "17ef38272a16157f1d07fc63777c5de295ff371b"),
@@ -267,6 +268,9 @@ def test_code_cap_bounds_the_enumerated_ensemble(check, capsys):
     ("verify norm-bound --n 3 --p 3 --d 2", "fb3baad2983cebde66a087ec14459489ca429bc7"),
     ("verify rank-stratified --n 2 --q 3 --p 3 --d 2",
      "7d72062f03a47ad518e1742d8f3ea711ae567dbe"),
+    ("verify exact-smoothing --n 4 --k 2 --p 3", "fa6bd95242a25c30d257e64963accbae1c8d57ba"),
+    ("verify exact-smoothing --n 3 --k 1 --q 3 --p 2",
+     "0111b631f8ad6085f1a940dcb5b17ac061b3ac72"),
 ])
 def test_exact_checks_are_pinned(argv, digest, capsys):
     rc, out, _ = run(["--format", "csv", *argv.split()], capsys)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from synhash.caps import Caps, CapExceeded
+from synhash import distributions
+from synhash.caps import DEFAULT_CAPS, Caps, CapExceeded
 from synhash.codes import CodeEnsembleSpec, reed_muller_code, sample_uniform_code
 from synhash.distributions import (
     DensePmf,
@@ -17,12 +18,15 @@ from synhash.distributions import (
     code_pmf,
     convolve,
     lp_norm,
+    lp_norms,
     lp_smoothness,
     pushforward,
     renyi_divergence,
     renyi_entropy,
     tv_distance,
     _character_transform,
+    _convolve_transformed,
+    _pushforward_rows,
 )
 from synhash.field import FieldSpec, FqMatrix, index_to_vec, mat_vec, q_powers, rank, vec_to_index
 
@@ -402,3 +406,92 @@ def test_convolution_does_not_sharpen(pair, p):
     mixed = convolve(P, Q)
     scale = float(P.field.q) ** P.n
     assert lp_norm(scale * mixed.probs, p) <= lp_norm(scale * P.probs, p) + 1e-10
+
+
+# row lengths either side of numpy's 8-wide unrolled and 128-entry pairwise sums
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([1, 1.5, 2, 3, math.inf]), st.integers(1, 40),
+       st.sampled_from([1, 7, 8, 129, 4096]), st.integers(0, 2 ** 32 - 1))
+def test_stacked_norms_equal_one_row_norms_bit_for_bit(order, count, size, seed):
+    rows = np.random.default_rng(seed).standard_normal((count, size)) * 10.0
+    got = lp_norms(rows, order)
+    assert got.shape == (count,)
+    for t in range(count):
+        assert got[t] == lp_norm(rows[t], order)
+        # the scalar formula the one-row call replaced
+        arr = np.abs(rows[t])
+        if math.isinf(order):
+            assert got[t] == float(arr.max())
+        elif order == 1:
+            assert got[t] == float(arr.mean())
+        else:
+            assert got[t] == float(np.mean(arr ** order) ** (1.0 / order))
+
+
+def test_norms_refuse_an_empty_or_flat_table():
+    for bad in (np.zeros(0), np.zeros((2, 3))):
+        with pytest.raises(ValueError, match="1-dimensional"):
+            lp_norm(bad, 2)
+    for bad in (np.zeros(4), np.zeros((3, 0))):
+        with pytest.raises(ValueError, match="nonempty rows"):
+            lp_norms(bad, 2)
+
+
+@pytest.mark.parametrize("q, n", [(2, n) for n in range(13)] + [(3, 0), (3, 1), (3, 3), (3, 4),
+                                                               (3, 6), (5, 2), (5, 3), (7, 3)])
+def test_stacked_transform_and_convolution_equal_a_per_row_loop(q, n):
+    rng = np.random.default_rng((q, n))
+    size = q ** n
+    stack = rng.random((5, size))
+    stack /= stack.sum(axis=1, keepdims=True)
+    got = _character_transform(stack, q, n)
+    assert got.shape == (5,) + (q,) * n
+    for t in range(5):
+        assert np.array_equal(got[t], _character_transform(stack[t], q, n))
+    Q = rng.random(size)
+    transformed = _character_transform(Q / Q.sum(), q, n)
+    mixed = _convolve_transformed(stack, transformed, q, n)
+    assert mixed.shape == (5, size)
+    for t in range(5):
+        assert np.array_equal(mixed[t], _convolve_transformed(stack[t], transformed, q, n))
+
+
+def _full_rank_maps(q, n, m, count, seed):
+    spec = CodeEnsembleSpec(FieldSpec(q), n, n - m, seed)
+    return np.array([sample_uniform_code(spec, t).H.array for t in range(count)])
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("where", [0, 4, 8])
+def test_stacked_rank_check_refuses_any_deficient_map(q, where):
+    maps = _full_rank_maps(q, 5, 3, 9, 2)
+    P = DensePmf.uniform(FieldSpec(q), 5)
+    _pushforward_rows(P, maps, DEFAULT_CAPS)  # every map has full rank
+    maps[where, 2] = (maps[where, 0] + 2 * maps[where, 1]) % q
+    with pytest.raises(ValueError, match="rank deficient"):
+        _pushforward_rows(P, maps, DEFAULT_CAPS)
+
+
+# (q, n, digits of support): full support, and a flat source whose syndrome
+# table covers only the first q^j points, so its batches hold more codes
+@pytest.mark.parametrize("q, n, support", [(2, 8, 8), (2, 8, 5), (3, 5, 5), (3, 5, 3)])
+def test_pushforward_batches_equal_a_per_code_loop(monkeypatch, q, n, support):
+    field = FieldSpec(q)
+    rng = np.random.default_rng((q, n, support))
+    probs = np.zeros(q ** n)
+    probs[:q ** support] = rng.random(q ** support)
+    P = DensePmf(field, n, probs / probs.sum())
+    maps = _full_rank_maps(q, n, 3, 23, 4)
+    want = np.array([pushforward(P, FqMatrix(field, H)).probs for H in maps])
+    # a budget of 5 tables of q^support entries: four batches of 5 codes, then 3
+    monkeypatch.setattr(distributions, "_BATCH_ENTRIES", 5 * q ** support + q - 1)
+    sizes = []
+    image_rows = distributions._image_rows
+
+    def recorded(q, arr):
+        sizes.append(len(arr))
+        return image_rows(q, arr)
+
+    monkeypatch.setattr(distributions, "_image_rows", recorded)
+    assert np.array_equal(_pushforward_rows(P, maps, DEFAULT_CAPS), want)
+    assert sizes == [5, 5, 5, 5, 3]

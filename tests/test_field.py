@@ -40,6 +40,12 @@ def test_inverses_table():
         assert (a * inv[a]) % 5 == 1
 
 
+def test_inverse_table_is_built_once_per_modulus():
+    # q modular powers per table: a fresh FieldSpec must not rebuild it
+    assert FieldSpec(9973).inverses is FieldSpec(9973).inverses
+    assert not FieldSpec(9973).inverses.flags.writeable
+
+
 def test_vector_normalizes_residues():
     v = FqVector(F3, (-1, 4, 3))
     assert v.coords == (2, 1, 0)

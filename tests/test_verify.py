@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from synhash import verify
+from synhash import distributions, verify
 from synhash.caps import DEFAULT_CAPS, Caps, CapExceeded
 from synhash.codes import (CodeEnsembleSpec, enumerate_all_codes, gaussian_binomial,
                            rank_tuple_count, sample_uniform_code)
@@ -379,6 +379,11 @@ def _fingerprint(probs):
     return float(int.from_bytes(hashlib.sha1(probs.tobytes()).digest()[:6], "little"))
 
 
+def _fingerprints(rows):
+    """_fingerprint of each row of a stack of syndrome pmfs."""
+    return [_fingerprint(row) for row in rows]
+
+
 def _mean_stderr(vals):
     return vals.mean(), vals.std(ddof=1) / math.sqrt(vals.size)
 
@@ -388,11 +393,11 @@ def _mean_stderr(vals):
 @pytest.mark.parametrize("q, n, support", [(2, 10, 8), (3, 6, 4), (5, 4, 3), (2, 17, 12)])
 def test_batched_monte_carlo_matches_a_per_code_pushforward_loop(q, n, support, reference_code):
     field = FieldSpec(q)
-    batch = max(1, verify._MC_BATCH_ENTRIES // q ** n)
+    batch = max(1, distributions._BATCH_ENTRIES // q ** n)
     trials = batch + 5 if batch > 1 else 3  # a full batch and a short one
     spec = CodeEnsembleSpec(field, n, n // 2, 11)
     P = _random_pmf(field, n, (q, n))
-    vals = verify._mc_trials(P, spec, trials, _fingerprint, DEFAULT_CAPS)
+    vals = verify._mc_trials(P, spec, trials, _fingerprints, DEFAULT_CAPS)
     assert np.array_equal(vals, _per_code_stats(P, spec, trials, _fingerprint, reference_code))
 
     m = n - spec.k
@@ -411,11 +416,12 @@ def test_batched_monte_carlo_matches_a_per_code_pushforward_loop(q, n, support, 
     assert (res.parameters["mean"], res.parameters["stderr"]) == _mean_stderr(ref)
 
 
-def test_monte_carlo_chunks_hold_whole_batches_and_keep_the_code_stream(monkeypatch,
-                                                                       reference_code):
-    # 2^10 entries: 4 codes a batch, so 21 trials take several chunks of
-    # several batches each, and end in a short chunk
-    monkeypatch.setattr(verify, "_MC_BATCH_ENTRIES", 1 << 10)
+def test_monte_carlo_chunks_are_contiguous_spans_of_the_code_stream(monkeypatch,
+                                                                     reference_code):
+    # 2^10 entries: chunks of 8 codes of 4 x 8 generator entries, so 21 trials
+    # take several chunks and end in a short one; _pushforward_rows batches
+    # each chunk by its own budget
+    monkeypatch.setattr(verify, "_BATCH_ENTRIES", 1 << 10)
     spans = []
     sample = verify._sample_codes
 
@@ -426,11 +432,48 @@ def test_monte_carlo_chunks_hold_whole_batches_and_keep_the_code_stream(monkeypa
     monkeypatch.setattr(verify, "_sample_codes", recorded)
     spec = CodeEnsembleSpec(F2, 8, 4, 3)
     P = _random_pmf(F2, 8, (8,))
-    vals = verify._mc_trials(P, spec, 21, _fingerprint, DEFAULT_CAPS)
+    vals = verify._mc_trials(P, spec, 21, _fingerprints, DEFAULT_CAPS)
     chunk = spans[0][1]
-    assert chunk > 4 and chunk % 4 == 0 and len(spans) >= 3
+    assert chunk > 1 and len(spans) >= 3
     assert spans == [(s, min(s + chunk, 21)) for s in range(0, 21, chunk)]
     assert np.array_equal(vals, _per_code_stats(P, spec, 21, _fingerprint, reference_code))
+
+
+def test_shared_smoothness_sample_follows_its_key(reference_code):
+    # the main and collision checks share one sample; a new seed must not
+    # read the previous one, and the old seed after it must not read the new
+    src = ProductBernoulli(0.2, 8)
+    P = src.to_dense()
+    for seed, collision in ((21, False), (22, False), (21, True)):
+        spec = CodeEnsembleSpec(F2, 8, 6, seed)
+        res = mc_expected_smoothness(spec, src, 2, 40, collision=collision)
+        power = 2 if collision else 1
+        ref = _per_code_stats(P, spec, 40, lambda probs: lp_norm(4.0 * probs, 2) ** power - 1.0,
+                              reference_code)
+        assert (res.parameters["mean"], res.parameters["stderr"]) == _mean_stderr(ref)
+
+
+@pytest.mark.parametrize("q, n, k, p", [(2, 4, 2, 3), (3, 3, 1, 2)])
+def test_exact_smoothing_chunks_equal_a_per_code_loop(monkeypatch, q, n, k, p):
+    # 3 code pmfs a chunk: 35 and 13 codes end in a short chunk
+    field = FieldSpec(q)
+    P = _random_pmf(field, n, (41, q, n))
+    total = 0.0
+    codes = list(enumerate_all_codes(field, n, k))
+    for code in codes:
+        total += lp_norm(float(q) ** n * convolve(code_pmf(code), P).probs, p) ** p
+    monkeypatch.setattr(verify, "_BATCH_ENTRIES", 16 * 3 * q ** n)
+    sizes = []
+    convolve_stack = verify._convolve_transformed
+
+    def recorded(probs, *args):
+        sizes.append(len(probs))
+        return convolve_stack(probs, *args)
+
+    monkeypatch.setattr(verify, "_convolve_transformed", recorded)
+    res = exact_expected_smoothness(n, k, q, p, P)
+    assert sizes == [3] * (len(codes) // 3) + [len(codes) % 3]
+    assert res.lhs == total / len(codes)
 
 
 def test_batched_overdraw_control_matches_a_per_code_loop(reference_code):
