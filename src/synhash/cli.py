@@ -356,7 +356,7 @@ def main(argv: list[str] | None = None) -> int:
                 rows = [replace(r, seconds=0.0) for r in rows]
             if args.format == "csv":
                 text = "# config: " + json.dumps(_sanitize(config), sort_keys=True) \
-                    + "\n" + rows_to_csv(rows, stable=args.stable_output)
+                    + "\n" + rows_to_csv(rows)
             else:
                 text = json.dumps(_sanitize({"config": config,
                                              "results": [asdict(r) for r in rows]}),

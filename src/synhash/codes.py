@@ -49,6 +49,8 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 0xC0DE
+# generator plus parity-check entries per chunk of enumerated codes
+_ENUM_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,21 +190,11 @@ def _sample_codes(spec: CodeEnsembleSpec, start: int, stop: int) -> tuple[np.nda
     rngs = [np.random.default_rng((spec.seed, t)) for t in range(start, stop)]
     G = np.array([rng.integers(0, q, size=(k, n), dtype=np.int64)
                   for rng in rngs]).reshape(len(rngs), k, n)
-    red, pivots, ranks = _rref_stack(G, q, spec.field.inverses)
+    red, pivots, ranks = _rref_stack(G, q)
     while (short := np.flatnonzero(ranks < k)).size:
         G[short] = [rngs[t].integers(0, q, size=(k, n), dtype=np.int64) for t in short]
-        red[short], pivots[short], ranks[short] = _rref_stack(G[short], q, spec.field.inverses)
-    # as _kernel_from_rref: row i of H has 1 at the i-th free column f and
-    # -red[:, f] at the pivot columns
-    free = np.ones((len(rngs), n), dtype=bool)
-    np.put_along_axis(free, pivots, False, axis=1)
-    free = np.nonzero(free)[1].reshape(len(rngs), n - k)
-    H = np.zeros((len(rngs), n - k, n), dtype=np.int64)
-    np.put_along_axis(H, free[:, :, None], 1, axis=2)
-    at_free = np.take_along_axis(red.astype(np.int64), free[:, None, :], axis=2)
-    np.put_along_axis(H, np.broadcast_to(pivots[:, None, :], (len(rngs), n - k, k)),
-                      -at_free.transpose(0, 2, 1) % q, axis=2)
-    return G, H
+        red[short], pivots[short], ranks[short] = _rref_stack(G[short], q)
+    return G, _kernel_from_rref(red, pivots, q)
 
 
 def sample_uniform_code(spec: CodeEnsembleSpec, trial: int) -> LinearCode:
@@ -233,21 +225,22 @@ def enumerate_all_codes(field: FieldSpec, n: int, k: int,
 
 def _echelon_codes(field: FieldSpec, n: int, k: int) -> Iterator[LinearCode]:
     q = field.q
-    for pivots in itertools.combinations(range(n), k):
-        pivots = list(pivots)
-        free = [(i, j) for i in range(k) for j in range(pivots[i] + 1, n)
-                if j not in pivots]
-        for t in range(q ** len(free)):
-            g = np.zeros((k, n), dtype=np.int64)
-            for i, c in enumerate(pivots):
-                g[i, c] = 1
-            rem = t
-            for (i, j) in free:
-                g[i, j] = rem % q
-                rem //= q
-            # g is already reduced, so its kernel needs no elimination
-            H = _kernel_from_rref(g, pivots, n, q)
-            yield LinearCode(field, n, k, FqMatrix(field, g), FqMatrix(field, H))
+    chunk = max(1, _ENUM_ENTRIES // max(1, n * n))
+    for pattern in itertools.combinations(range(n), k):
+        pivots = np.array(pattern, dtype=np.int64)
+        # the free entries (i, j): right of row i's pivot, off every pivot column
+        free = [(i, j) for i in range(k) for j in range(pattern[i] + 1, n) if j not in pattern]
+        rows, cols = np.array(free, dtype=np.int64).reshape(-1, 2).T
+        for first in range(0, q ** len(free), chunk):
+            t = np.arange(first, min(first + chunk, q ** len(free)), dtype=np.int64)
+            G = np.zeros((len(t), k, n), dtype=np.int64)
+            G[:, np.arange(k), pivots] = 1
+            # free entry e of code t holds digit e of t, little-endian base q
+            G[:, rows, cols] = t[:, None] // q ** np.arange(len(free), dtype=np.int64) % q
+            # G is already reduced, so its kernel needs no elimination
+            H = _kernel_from_rref(G, np.broadcast_to(pivots, (len(t), k)), q)
+            for g, h in zip(G, H):
+                yield LinearCode(field, n, k, FqMatrix(field, g), FqMatrix(field, h))
 
 
 def reed_muller_generator(r: int, m: int) -> FqMatrix:

@@ -21,7 +21,7 @@ from .codes import LinearCode, codeword_indices
 from .field import (
     FieldSpec,
     FqMatrix,
-    digit_table,
+    digit_table,  # traced site, see field.digit_table
     q_powers,
     _image_rows,
     _rank_array,  # traced site: perfbench/tracing.py wraps it here; the rank check is _rref_stack
@@ -398,7 +398,7 @@ def _pushforward_rows(P: DensePmf, maps: np.ndarray, caps: Caps) -> np.ndarray:
     q = P.field.q
     if n != P.n:
         raise ValueError(f"map expects length-{n} inputs, pmf is on length {P.n}")
-    if (_rref_stack(maps, q, P.field.inverses)[2] != m).any():
+    if (_rref_stack(maps, q)[2] != m).any():
         raise ValueError("map is rank deficient; output space would be oversized")
     if m == 0:
         return np.ones((count, 1))

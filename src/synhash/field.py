@@ -150,51 +150,7 @@ class FqMatrix:
 
 # -- elimination kernels ----------------------------------------------------
 
-def _pack_rows(arr: np.ndarray) -> list[int]:
-    """Rows of a 0/1 matrix as exact Python-int bitmasks, bit j = column j."""
-    packed = np.packbits(arr, axis=1, bitorder="little")
-    raw, width = packed.tobytes(), packed.shape[1]
-    return [int.from_bytes(raw[i * width:(i + 1) * width], "little") for i in range(len(packed))]
-
-
-def _rref_bits(rows: list[int]) -> dict[int, int]:
-    """Reduced row echelon form of a GF(2) matrix given as row bitmasks, as
-    {pivot bit: row}; the pivot is a row's lowest set bit (leftmost column).
-
-    Each row is reduced against the basis so far, and a new pivot is cleared
-    from every basis row, so the basis stays fully reduced.
-    """
-    basis: dict[int, int] = {}
-    for v in rows:
-        for bit, b in basis.items():
-            if v & bit:
-                v ^= b
-        if v:
-            low = v & -v
-            for bit, b in basis.items():
-                if b & low:
-                    basis[bit] = b ^ v
-            basis[low] = v
-    return basis
-
-
-def _rref_array(a: np.ndarray, q: int, inv: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod q; returns (nonzero rows, pivot columns)."""
-    a = np.asarray(a, dtype=np.int64) % q
-    cols = a.shape[1]
-    if q == 2:
-        basis = _rref_bits(_pack_rows(a))
-        order = sorted(basis)
-        width = (cols + 7) // 8
-        raw = b"".join(basis[bit].to_bytes(width, "little") for bit in order)
-        packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(order), width)
-        red = np.unpackbits(packed, axis=1, count=cols, bitorder="little")
-        return red.astype(np.int64), [bit.bit_length() - 1 for bit in order]
-    red, pivots, ranks = _rref_stack(a[None], q, inv)
-    return red[0, :ranks[0]], pivots[0, :ranks[0]].tolist()
-
-
-def _rref_stack(a: np.ndarray, q: int, inv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _rref_stack(a: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reduced row echelon form mod q of every matrix in a (T, rows, cols) stack.
 
     Returns (red, pivots, ranks): red[t] has its ranks[t] pivot rows first and
@@ -203,6 +159,7 @@ def _rref_stack(a: np.ndarray, q: int, inv: np.ndarray) -> tuple[np.ndarray, np.
     time for the whole stack: uint8 XOR at q = 2, int64 arithmetic mod q
     otherwise, so red is uint8 at q = 2 and int64 above.
     """
+    inv = _inverse_table(q)
     a = (np.asarray(a) % q).astype(np.uint8 if q == 2 else np.int64, copy=False)
     count, rows, cols = a.shape
     ranks = np.zeros(count, dtype=np.int64)
@@ -233,28 +190,38 @@ def _rref_stack(a: np.ndarray, q: int, inv: np.ndarray) -> tuple[np.ndarray, np.
     return a, pivots, ranks
 
 
+def _rref_array(a: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form mod q of one matrix; returns (nonzero rows as
+    int64, pivot columns)."""
+    red, pivots, ranks = _rref_stack(np.asarray(a)[None], q)
+    return red[0, :ranks[0]].astype(np.int64), pivots[0, :ranks[0]].tolist()
+
+
 def _rank_array(a: np.ndarray, q: int) -> int:
-    if q == 2:
-        return len(_rref_bits(_pack_rows(np.asarray(a) % 2)))
-    return len(_rref_array(a, q, FieldSpec(q).inverses)[1])
+    return int(_rref_stack(np.asarray(a)[None], q)[2][0])
 
 
-def _kernel_from_rref(red: np.ndarray, pivots: list[int], cols: int, q: int) -> np.ndarray:
-    """Basis (rows) of {x : a @ x = 0 mod q} from the reduced form of a: one row
-    per free column f, with 1 at f and -red[:, f] at the pivot columns."""
-    free = np.ones(cols, dtype=bool)
-    free[pivots] = False
-    free = np.flatnonzero(free)
-    basis = np.zeros((free.size, cols), dtype=np.int64)
-    basis[np.arange(free.size), free] = 1
-    basis[:, pivots] = (-red[:, free].T) % q
+def _kernel_from_rref(red: np.ndarray, pivots: np.ndarray, q: int) -> np.ndarray:
+    """Bases (rows) of {x : a_t @ x = 0 mod q} for a (T, r, n) stack of reduced
+    forms with r pivot rows each and their (T, r) pivot columns, as a
+    (T, n - r, n) stack: row i of basis t has 1 at the i-th free column f of
+    red[t] and -red[t, :, f] at its pivot columns."""
+    count, r, n = red.shape
+    free = np.ones((count, n), dtype=bool)
+    np.put_along_axis(free, pivots, False, axis=1)
+    free = np.nonzero(free)[1].reshape(count, n - r)
+    basis = np.zeros((count, n - r, n), dtype=np.int64)
+    np.put_along_axis(basis, free[:, :, None], 1, axis=2)
+    at_free = np.take_along_axis(red.astype(np.int64), free[:, None, :], axis=2)
+    np.put_along_axis(basis, np.broadcast_to(pivots[:, None, :], (count, n - r, r)),
+                      -at_free.transpose(0, 2, 1) % q, axis=2)
     return basis
 
 
-def _kernel_array(a: np.ndarray, q: int, inv: np.ndarray) -> np.ndarray:
+def _kernel_array(a: np.ndarray, q: int) -> np.ndarray:
     """Basis (rows) of the right kernel {x : a @ x = 0 mod q}."""
-    red, pivots = _rref_array(a, q, inv)
-    return _kernel_from_rref(red, pivots, a.shape[1], q)
+    red, pivots, ranks = _rref_stack(np.asarray(a)[None], q)
+    return _kernel_from_rref(red[:, :ranks[0]], pivots[:, :ranks[0]], q)[0]
 
 
 # -- public operations ------------------------------------------------------
@@ -266,13 +233,13 @@ def rank(M: FqMatrix) -> int:
 
 def rref(M: FqMatrix) -> tuple[FqMatrix, list[int]]:
     """Canonical reduced row echelon form (unit pivots, zero rows removed)."""
-    red, pivots = _rref_array(M.array, M.field.q, M.field.inverses)
+    red, pivots = _rref_array(M.array, M.field.q)
     return FqMatrix(M.field, red), pivots
 
 
 def kernel_basis(M: FqMatrix) -> FqMatrix:
     """Matrix whose rows span {x : M x = 0}; has cols(M) - rank(M) rows."""
-    return FqMatrix(M.field, _kernel_array(M.array, M.field.q, M.field.inverses))
+    return FqMatrix(M.field, _kernel_array(M.array, M.field.q))
 
 
 def mat_vec(M: FqMatrix, v: FqVector | np.ndarray | Sequence[int]) -> FqVector:

@@ -12,7 +12,7 @@ import io
 import math
 import re
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .bounds import rm_threshold, two_point_renyi
@@ -159,15 +159,12 @@ def intrinsic_gap(row: RmResultRow) -> float:
     return two_point_renyi(row.delta, row.p) - row.extraction_rate
 
 
-def rows_to_csv(rows: Sequence[RmResultRow], stable: bool = False) -> str:
-    """Render rows as CSV; stable=True zeroes the timing column so repeated
-    runs with one configuration are byte-identical."""
+def rows_to_csv(rows: Sequence[RmResultRow]) -> str:
+    """Render rows as CSV, one line per row under a CSV_COLUMNS header."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in rows:
-        if stable:
-            row = replace(row, seconds=0.0)
         writer.writerow([
             row.m, row.n, row.k, repr(row.rate), row.syndrome_bits,
             repr(row.extraction_rate), repr(row.delta), repr(row.p),

@@ -27,6 +27,7 @@ from .verify import (
     mc_expected_smoothness,
     negative_control_overdraw,
     negative_control_unbalanced,
+    _identity_result,
     _random_pmf,
 )
 from .rm_lab import rm_divergence
@@ -151,12 +152,8 @@ def run_acceptance(seed: int = DEFAULT_SEED, caps: Caps = DEFAULT_CAPS,
                 for p in (2, 3):
                     dense = rm_divergence(m, r, delta, p, "dense", caps)
                     dual = rm_divergence(m, r, delta, p, "dual-character", caps)
-                    scale = max(1.0, abs(dense), abs(dual))
-                    ok = abs(dense - dual) <= 1e-10 * scale
-                    batch.append(CheckResult(
-                        "rm-dense-dual",
-                        {"m": m, "r": r, "delta": delta, "p": p},
-                        ok, dense, dual, dual - dense, kind="identity"))
+                    params = {"m": m, "r": r, "delta": delta, "p": p}
+                    batch.append(_identity_result("rm-dense-dual", params, dense, dual, 1e-10))
     results.append(_merge("c09-rm-dense-dual", batch))
 
     # c09b: RM(m-2, m) syndrome divergence decays strictly, anchored at m=4

@@ -48,6 +48,7 @@ from .distributions import (
     renyi_divergence,
     renyi_entropy,
 )
+# digit_table and _rank_array are only traced sites: perfbench/tracing.py wraps them here
 from .field import (FieldSpec, FqMatrix, FqVector, digit_table, image_indices, index_to_vec,
                     vec_to_index, _image_rows, _rank_array, _rref_array)
 
@@ -302,7 +303,10 @@ def check_tuple_probability(n: int, k: int, q: int,
     idx = [_tuple_index(v, field, n) for v in vectors]
     # n x p, columns are the tuple vectors
     U = np.array([index_to_vec(i, n, field).coords for i in idx], dtype=np.int64).reshape(p, n).T
-    d = _rank_array(U, q)
+    # A U = 0 iff A B^T = 0 for B a row basis of U^T, whose n columns index
+    # q^n points for any p
+    basis = _rref_array(U.T, q)[0]
+    d = len(basis)
     m = n - k
     matrices = caps.admit("iid parity-check enumeration", q ** (m * n), "code_enumeration")
     H = _code_stacks(q, n, k, caps)[1]
@@ -310,10 +314,11 @@ def check_tuple_probability(n: int, k: int, q: int,
     contained = len(H) - int(np.count_nonzero((H @ U % q).any(axis=(1, 2))))
     prob = Fraction(contained, len(H))
     bound = Fraction(1, q ** (d * (n - k)))
-    # A U = 0 iff A B^T = 0 for B a row basis of U^T, whose index fits for any p
-    basis = _rref_array(U.T, q, field.inverses)[0]
-    images = image_indices(FqMatrix(field, np.kron(np.eye(m, dtype=np.int64), basis)))
-    hit = int(np.count_nonzero(images == 0))
+    # the m rows of an iid A are independent, and each must be one of the z
+    # points of F_q^n that B sends to 0; at m = 0 no q^n table is needed
+    hit = 1
+    if m:
+        hit = int(np.count_nonzero(image_indices(FqMatrix(field, basis)) == 0)) ** m
     iid_prob = Fraction(hit, matrices)
     params = {"n": n, "k": k, "q": q, "p": p, "tuple": [int(i) for i in idx],
               "rank": d, "ensemble_probability": str(prob), "bound": str(bound),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from synhash.field import _kernel_from_rref, _rref_array
+from synhash.field import _rref_array
 
 settings.register_profile(
     "suite",
@@ -10,6 +10,18 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+def _reference_kernel(red, pivots, cols, q):
+    """Kernel basis (rows) of one reduced matrix red with pivot columns pivots:
+    one row per free column f, with 1 at f and -red[:, f] at the pivot columns."""
+    free = np.ones(cols, dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
+    basis = np.zeros((free.size, cols), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = (-red[:, free].T) % q
+    return basis
 
 
 def _reference_code(spec, trial):
@@ -22,11 +34,17 @@ def _reference_code(spec, trial):
     red, pivots = g, []
     while len(pivots) < k:
         g = rng.integers(0, q, size=(k, n), dtype=np.int64)
-        red, pivots = _rref_array(g, q, spec.field.inverses)
-    return g, _kernel_from_rref(red, pivots, n, q)
+        red, pivots = _rref_array(g, q)
+    return g, _reference_kernel(red, pivots, n, q)
 
 
 @pytest.fixture(scope="session")
 def reference_code():
     """The per-trial reference the batched code sampler must reproduce."""
     return _reference_code
+
+
+@pytest.fixture(scope="session")
+def reference_kernel():
+    """The one-matrix kernel the stacked kernel builder must reproduce."""
+    return _reference_kernel

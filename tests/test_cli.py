@@ -258,7 +258,8 @@ def test_code_cap_bounds_the_enumerated_ensemble(check, capsys):
 
 # sha1 of the --format csv stdout, recorded before tuple ranks and containment
 # were read from index tables (the exact-smoothing rows: before the codes of
-# an ensemble were convolved as one stack)
+# an ensemble were convolved as one stack; the tuple-probability rows: while
+# the iid parity checks were still counted over all q^{(n-k)n} matrices)
 @pytest.mark.parametrize("argv, digest", [
     ("verify p-balanced --n 4 --k 2 --p 3", "58dd4d871c8f6f17df9c3572fbd044f283fdd7a2"),
     ("verify p-balanced --n 5 --k 2 --p 3", "17ef38272a16157f1d07fc63777c5de295ff371b"),
@@ -271,6 +272,9 @@ def test_code_cap_bounds_the_enumerated_ensemble(check, capsys):
     ("verify exact-smoothing --n 4 --k 2 --p 3", "fa6bd95242a25c30d257e64963accbae1c8d57ba"),
     ("verify exact-smoothing --n 3 --k 1 --q 3 --p 2",
      "0111b631f8ad6085f1a940dcb5b17ac061b3ac72"),
+    ("--code-cap 14348907 verify tuple-probability --n 5 --k 2 --q 3 --tuple 1,2,7",
+     "e374f5a33bb918962d06f7019216a6b0b274a7b8"),
+    ("verify tuple-probability --n 4 --k 1 --tuple 0,0", "ad5d97beb140754b233366eec0fb68520db1eb68"),
 ])
 def test_exact_checks_are_pinned(argv, digest, capsys):
     rc, out, _ = run(["--format", "csv", *argv.split()], capsys)

@@ -1,10 +1,12 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from synhash import codes as codes_module
 from synhash.caps import Caps, CapExceeded
 from synhash.codes import (
     DEFAULT_SEED,
@@ -59,6 +61,41 @@ def test_enumerate_all_codes_is_complete_and_distinct():
     # H comes from the echelon generator itself, as kernel_basis would give it
     for c in codes + codes3:
         assert c.H == kernel_basis(c.G)
+
+
+def _reference_echelon_codes(q, n, k, reference_kernel):
+    """(G, H) of every [n, k]_q code, one code at a time: pivot patterns in
+    lexicographic order, free entries set from the base-q digits of a counter."""
+    for pivots in itertools.combinations(range(n), k):
+        pivots = list(pivots)
+        free = [(i, j) for i in range(k) for j in range(pivots[i] + 1, n)
+                if j not in pivots]
+        for t in range(q ** len(free)):
+            g = np.zeros((k, n), dtype=np.int64)
+            for i, c in enumerate(pivots):
+                g[i, c] = 1
+            rem = t
+            for (i, j) in free:
+                g[i, j] = rem % q
+                rem //= q
+            yield g, reference_kernel(g, pivots, n, q)
+
+
+@pytest.mark.parametrize("n, k, q", [(4, 2, 2), (5, 2, 2), (3, 1, 3), (4, 0, 2), (4, 4, 2),
+                                     (2, 1, 5)])
+def test_enumeration_stream_matches_the_per_code_loop(reference_kernel, n, k, q):
+    codes = list(enumerate_all_codes(FieldSpec(q), n, k))
+    ref = list(_reference_echelon_codes(q, n, k, reference_kernel))
+    assert len(codes) == len(ref) == gaussian_binomial(n, k, q)
+    for code, (g, h) in zip(codes, ref):
+        assert np.array_equal(code.G.array, g) and np.array_equal(code.H.array, h)
+
+
+def test_enumeration_stream_does_not_depend_on_the_chunk(monkeypatch):
+    whole = list(enumerate_all_codes(F3, 4, 2))
+    monkeypatch.setattr(codes_module, "_ENUM_ENTRIES", 1)
+    for a, b in zip(whole, enumerate_all_codes(F3, 4, 2), strict=True):
+        assert a.G == b.G and a.H == b.H
 
 
 @pytest.mark.parametrize("n, k", [(3, 4), (3, 5), (3, -1), (-1, 0)])

@@ -17,6 +17,7 @@ from synhash.field import (
     vec_to_index,
     _image_rows,
     _kernel_array,
+    _kernel_from_rref,
     _rank_array,
     _rref_array,
     _rref_stack,
@@ -205,8 +206,8 @@ def test_gf2_rank_counts_columns_past_the_machine_word(n):
 
 
 def _generic_rref(a, q):
-    """Mod-q Gauss-Jordan loop, one column at a time: the reference the GF(2)
-    bitmask elimination must reproduce."""
+    """Mod-q Gauss-Jordan loop, one matrix and one column at a time: the
+    reference the stacked elimination must reproduce."""
     inv = FieldSpec(q).inverses
     a = np.array(a, dtype=np.int64) % q
     rows, cols = a.shape
@@ -244,7 +245,7 @@ def stacks(draw):
 @given(stacks())
 def test_stack_elimination_matches_the_generic_loop(case):
     q, a = case
-    red, pivots, ranks = _rref_stack(a, q, FieldSpec(q).inverses)
+    red, pivots, ranks = _rref_stack(a, q)
     assert red.shape == a.shape and pivots.shape == a.shape[:2] and ranks.shape == a.shape[:1]
     for t in range(a.shape[0]):
         ref, ref_pivots = _generic_rref(a[t], q)
@@ -252,6 +253,39 @@ def test_stack_elimination_matches_the_generic_loop(case):
         assert ranks[t] == r and pivots[t, :r].tolist() == ref_pivots
         assert (pivots[t, r:] == -1).all()
         assert np.array_equal(red[t, :r], ref) and not red[t, r:].any()
+
+
+@st.composite
+def full_rank_stacks(draw):
+    """(T, r, n) stacks mod q of rank r, from r = 0 to r = n: each matrix holds
+    the identity in r random columns."""
+    q = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(0, 10))
+    r, count = draw(st.integers(0, n)), draw(st.integers(0, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.integers(0, q, size=(count, r, n))
+    for t in range(count):
+        a[t][:, rng.permutation(n)[:r]] = np.eye(r, dtype=np.int64)
+    return q, a
+
+
+@given(full_rank_stacks())
+def test_stacked_kernel_matches_the_per_matrix_kernels(reference_kernel, case):
+    q, a = case
+    count, r, n = a.shape
+    refs = [_generic_rref(m, q) for m in a]
+    red = np.array([ref for ref, _ in refs], dtype=np.int64).reshape(count, r, n)
+    pivots = np.array([p for _, p in refs], dtype=np.int64).reshape(count, r)
+    basis = _kernel_from_rref(red, pivots, q)
+    assert basis.shape == (count, n - r, n) and basis.dtype == np.int64
+    assert not (a @ basis.transpose(0, 2, 1) % q).any()
+    for t in range(count):
+        assert np.array_equal(basis[t], reference_kernel(red[t], pivots[t].tolist(), n, q))
+        assert len(_generic_rref(basis[t], q)[1]) == n - r
+        assert np.array_equal(_kernel_array(a[t], q), basis[t])
+    # at q = 2 the stacked elimination hands over uint8 rows
+    if q == 2:
+        assert np.array_equal(_kernel_from_rref(red.astype(np.uint8), pivots, q), basis)
 
 
 @st.composite
@@ -270,13 +304,13 @@ def gf2_arrays(draw):
 
 @given(gf2_arrays())
 def test_gf2_elimination_matches_the_generic_loop(a):
-    red, pivots = _rref_array(a, 2, F2.inverses)
+    red, pivots = _rref_array(a, 2)
     ref, ref_pivots = _generic_rref(a, 2)
     assert pivots == ref_pivots
     assert red.dtype == np.int64 and red.shape == ref.shape
     assert np.array_equal(red, ref)
     assert _rank_array(a, 2) == len(pivots)
-    kernel = _kernel_array(a, 2, F2.inverses)
+    kernel = _kernel_array(a, 2)
     assert kernel.shape == (a.shape[1] - len(pivots), a.shape[1])
     assert not ((a @ kernel.T) % 2).any()
 

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -81,7 +82,8 @@ SWEEP = tuple(range(4, 13))  # the rm-sweep benchmark's grid
 ])
 def test_convergence_rows_are_pinned(spec, digest):
     # sha1 of the stable CSV of the rm-sweep grid and of the m-3 and p = 3 runs
-    csv_text = rows_to_csv(rm_convergence_run(spec), stable=True)
+    rows = [replace(row, seconds=0.0) for row in rm_convergence_run(spec)]
+    csv_text = rows_to_csv(rows)
     assert hashlib.sha1(csv_text.encode()).hexdigest() == digest
 
 
@@ -132,15 +134,17 @@ def test_cap_exhaustion_reports_nan_row():
 def test_csv_rendering():
     spec = RmExperimentSpec(m_values=(2, 3), r_rule="m-2")
     rows = rm_convergence_run(spec)
-    text = rows_to_csv(rows, stable=True)
+    stable = [replace(row, seconds=0.0) for row in rows]
+    text = rows_to_csv(stable)
     lines = text.strip().split("\n")
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 3
     assert all(line.endswith(",dual-character,0.0") for line in lines[1:])
-    assert rows_to_csv(rows, stable=True) == text
-    # the unstable render keeps measured timings
-    raw = rows_to_csv(rows, stable=False).strip().split("\n")
+    assert rows_to_csv(stable) == text
+    # the render keeps measured timings
+    raw = rows_to_csv(rows).strip().split("\n")
     assert raw[0] == lines[0]
+    assert [line.rsplit(",", 1)[1] for line in raw[1:]] == [repr(row.seconds) for row in rows]
 
 
 def test_intrinsic_gap():

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -12,7 +13,7 @@ from synhash.codes import (CodeEnsembleSpec, enumerate_all_codes, gaussian_binom
                            rank_tuple_count, sample_uniform_code)
 from synhash.distributions import (DensePmf, ProductBernoulli, code_pmf, convolve,
                                    lp_norm, pushforward, renyi_entropy)
-from synhash.field import FieldSpec, FqMatrix, index_to_vec, _rank_array
+from synhash.field import FieldSpec, FqMatrix, image_indices, index_to_vec, _rank_array, _rref_array
 from synhash.verify import (
     check_balanced_identity,
     check_balanced_inequality,
@@ -194,6 +195,31 @@ def test_tuple_probability_memory_does_not_scale_with_codes_times_space():
     # rank 2: 255 of the 1023 hyperplanes hold the pair 5, 6 and so 3 = 5 + 6
     assert res.passed and res.parameters["ensemble_probability"] == "85/341"
     assert peak < 1 << 20
+
+
+def _kron_iid_probability(n, k, q, tuple_):
+    """Share of the q^{mn} iid m x n parity checks A with A U = 0, counted as
+    the zeros of kron(I_m, B) over every A at once, B a row basis of U^T."""
+    field, m = FieldSpec(q), n - k
+    U = np.array([index_to_vec(i, n, field).coords for i in tuple_], dtype=np.int64)
+    basis = _rref_array(U, q)[0]
+    images = image_indices(FqMatrix(field, np.kron(np.eye(m, dtype=np.int64), basis)))
+    return Fraction(int(np.count_nonzero(images == 0)), q ** (m * n)), _rank_array(U, q)
+
+
+@pytest.mark.parametrize("n, k, q, tuples", [
+    (4, 2, 2, list(itertools.product(range(16), repeat=2))),
+    (3, 1, 3, list(itertools.product(range(27), repeat=2))),
+    # p > n, and k = 0, where A is a full n x n matrix
+    (3, 1, 2, [(1, 2, 4, 7), (3, 5, 6, 0)]),
+    (2, 0, 3, [(1, 2, 4)]),
+])
+def test_iid_count_matches_the_kron_enumeration(n, k, q, tuples):
+    for tuple_ in tuples:
+        res = check_tuple_probability(n, k, q, tuple_)
+        iid, d = _kron_iid_probability(n, k, q, tuple_)
+        assert res.parameters["iid_probability"] == str(iid)
+        assert res.parameters["rank"] == d and res.passed
 
 
 def test_tuple_probability_all_pairs_small():
