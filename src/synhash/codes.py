@@ -31,6 +31,7 @@ from .field import (
     _rank_array,  # traced site: perfbench/tracing.py wraps it here
     _rref_stack,
 )
+from .streams import TrialStreams
 
 __all__ = [
     "DEFAULT_SEED",
@@ -181,18 +182,24 @@ def rank_tuple_count(n: int, p: int, d: int, q: int) -> int:
 def _sample_codes(spec: CodeEnsembleSpec, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     """Generator and parity-check stacks, (T, k, n) and (T, n - k, n), of the
     uniform codes of trials start .. stop-1, by rejection on iid generators.
+    G holds the smallest unsigned type that holds a residue, H int64.
 
-    Trial t draws k x n matrices from its own default_rng((spec.seed, t))
-    until one has full rank.  All trials are drawn first and eliminated as one
-    stack; only the rank-deficient ones draw again.
+    Trial t draws k x n matrices from its own generator until one has full
+    rank: the draws are those of np.random.default_rng((spec.seed, t))
+    .integers(0, q, size=(k, n), dtype=np.int64), made for every trial at
+    once by streams.TrialStreams.  All trials are drawn first and eliminated
+    as one stack; only the rank-deficient ones draw again.  tests/test_codes.py
+    checks the stacks against per-trial numpy generators
+    (test_sampled_stacks_match_the_per_trial_reference, and a bounded-draw
+    rejection) and pins their digest (test_sample_stream_is_pinned).
     """
     n, k, q = spec.n, spec.k, spec.field.q
-    rngs = [np.random.default_rng((spec.seed, t)) for t in range(start, stop)]
-    G = np.array([rng.integers(0, q, size=(k, n), dtype=np.int64)
-                  for rng in rngs]).reshape(len(rngs), k, n)
+    count = max(0, stop - start)
+    streams = TrialStreams(spec.seed, start, stop)
+    G = streams.integers(np.arange(count), q, k * n).reshape(count, k, n)
     red, pivots, ranks = _rref_stack(G, q)
     while (short := np.flatnonzero(ranks < k)).size:
-        G[short] = [rngs[t].integers(0, q, size=(k, n), dtype=np.int64) for t in short]
+        G[short] = streams.integers(short, q, k * n).reshape(len(short), k, n)
         red[short], pivots[short], ranks[short] = _rref_stack(G[short], q)
     return G, _kernel_from_rref(red, pivots, q)
 

@@ -212,9 +212,10 @@ def _kernel_from_rref(red: np.ndarray, pivots: np.ndarray, q: int) -> np.ndarray
     free = np.nonzero(free)[1].reshape(count, n - r)
     basis = np.zeros((count, n - r, n), dtype=np.int64)
     np.put_along_axis(basis, free[:, :, None], 1, axis=2)
-    at_free = np.take_along_axis(red.astype(np.int64), free[:, None, :], axis=2)
+    # -red mod q in red's own type (uint8 at q = 2): no int64 copy of red is made
+    at_free = np.take_along_axis(red, free[:, None, :], axis=2)
     np.put_along_axis(basis, np.broadcast_to(pivots[:, None, :], (count, n - r, r)),
-                      -at_free.transpose(0, 2, 1) % q, axis=2)
+                      (q - at_free.transpose(0, 2, 1)) % q, axis=2)
     return basis
 
 

@@ -505,24 +505,41 @@ def exact_expected_smoothness(n: int, k: int, q: int, p: int, P: DensePmf,
     return _inequality_result("exact-smoothing", params, lhs, rhs)
 
 
+# a Monte Carlo sample span holds about this many _BATCH_ENTRIES of code entries
+_SPAN_BATCHES = 4
+
+
 def _mc_trials(P: DensePmf, spec: CodeEnsembleSpec, trials: int, statistic,
                caps: Caps) -> np.ndarray:
     """statistic(rows) for the codes 0 .. trials-1 of spec, where statistic maps
     a (T, q^m) array of syndrome pmfs to T values.
 
-    Codes are drawn a chunk at a time, of about a quarter of _BATCH_ENTRIES
-    generator entries and at most _BATCH_ENTRIES syndrome pmf entries, and
-    each chunk is pushed forward as one stack.
+    Codes are sampled a span at a time, by one codes._sample_codes call whose
+    draws equal default_rng((spec.seed, t)).integers trial by trial.  A span
+    holds whole pushforward chunks, about _SPAN_BATCHES times _BATCH_ENTRIES
+    generator or parity-check entries, whichever are more, and is pushed
+    forward a chunk at a time; a chunk holds
+    about a quarter of _BATCH_ENTRIES generator entries and at most
+    _BATCH_ENTRIES syndrome pmf entries.  tests/test_verify.py checks the
+    values against a per-code loop over per-trial generators
+    (test_monte_carlo_chunks_are_contiguous_spans_of_the_code_stream and
+    test_batched_monte_carlo_matches_a_per_code_pushforward_loop).
     """
     if trials < 1:
         raise ValueError(f"need at least one Monte Carlo trial, got {trials}")
     q, m = spec.field.q, spec.n - spec.k
     chunk = max(1, min(_BATCH_ENTRIES // 4 // max(1, spec.k * spec.n), _BATCH_ENTRIES // q ** m))
+    # the parity checks of a span stay alive while it is pushed forward
+    per_code = spec.n * max(1, spec.k, m)
+    span = chunk * max(1, _SPAN_BATCHES * _BATCH_ENTRIES // (chunk * per_code))
     vals = np.empty(trials)
-    for start in range(0, trials, chunk):
-        stop = min(start + chunk, trials)
-        vals[start:stop] = statistic(_pushforward_rows(P, _sample_codes(spec, start, stop)[1],
-                                                       caps))
+    for first in range(0, trials, span):
+        last = min(first + span, trials)
+        maps = _sample_codes(spec, first, last)[1]
+        for start in range(first, last, chunk):
+            stop = min(start + chunk, last)
+            vals[start:stop] = statistic(_pushforward_rows(P, maps[start - first:stop - first],
+                                                           caps))
     return vals
 
 

@@ -193,6 +193,22 @@ def test_sampled_stacks_match_the_per_trial_reference(reference_code, q, n, data
     assert np.array_equal(np.concatenate([head[1], tail[1]]), H)
 
 
+def test_sampled_code_matches_the_reference_across_a_rejected_word(reference_code):
+    # numpy's bounded draw rejects word 123 of this trial's first 12 x 11
+    # draw, so the trial reads 133 words for its first 132 digits
+    q, trial = 9973, 16883
+    raw = np.random.PCG64((DEFAULT_SEED, trial)).random_raw(67)
+    words = np.stack([raw & 0xFFFFFFFF, raw >> np.uint64(32)], axis=1).reshape(-1)
+    leftover = [int(w) * q & 0xFFFFFFFF for w in words[:133]]
+    threshold = (1 << 32) % q
+    assert [i for i, x in enumerate(leftover) if x < threshold] == [123]
+    spec = CodeEnsembleSpec(FieldSpec(q), 12, 11, DEFAULT_SEED)
+    G, H = _sample_codes(spec, trial - 2, trial + 2)
+    for t in range(trial - 2, trial + 2):
+        ref_G, ref_H = reference_code(spec, t)
+        assert np.array_equal(G[t - trial + 2], ref_G) and np.array_equal(H[t - trial + 2], ref_H)
+
+
 def test_sampling_is_deterministic_per_seed_and_trial():
     spec = CodeEnsembleSpec(F2, 6, 3, 42)
     a = sample_uniform_code(spec, 5)

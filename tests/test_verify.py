@@ -444,25 +444,30 @@ def test_batched_monte_carlo_matches_a_per_code_pushforward_loop(q, n, support, 
 
 def test_monte_carlo_chunks_are_contiguous_spans_of_the_code_stream(monkeypatch,
                                                                      reference_code):
-    # 2^10 entries: chunks of 8 codes of 4 x 8 generator entries, so 21 trials
-    # take several chunks and end in a short one; _pushforward_rows batches
-    # each chunk by its own budget
+    # 2^10 entries: pushforward chunks of 8 codes of 4 x 8 generator entries,
+    # sampled a span of 4 chunks (one batch of generator entries) at a time, so
+    # 70 trials take two full spans and a short one that ends in a short chunk
     monkeypatch.setattr(verify, "_BATCH_ENTRIES", 1 << 10)
-    spans = []
-    sample = verify._sample_codes
+    monkeypatch.setattr(verify, "_SPAN_BATCHES", 1)
+    spans, chunks = [], []
+    sample, push = verify._sample_codes, verify._pushforward_rows
 
-    def recorded(spec, start, stop):
+    def sampled(spec, start, stop):
         spans.append((start, stop))
         return sample(spec, start, stop)
 
-    monkeypatch.setattr(verify, "_sample_codes", recorded)
+    def pushed(P, maps, caps):
+        chunks.append(len(maps))
+        return push(P, maps, caps)
+
+    monkeypatch.setattr(verify, "_sample_codes", sampled)
+    monkeypatch.setattr(verify, "_pushforward_rows", pushed)
     spec = CodeEnsembleSpec(F2, 8, 4, 3)
     P = _random_pmf(F2, 8, (8,))
-    vals = verify._mc_trials(P, spec, 21, _fingerprints, DEFAULT_CAPS)
-    chunk = spans[0][1]
-    assert chunk > 1 and len(spans) >= 3
-    assert spans == [(s, min(s + chunk, 21)) for s in range(0, 21, chunk)]
-    assert np.array_equal(vals, _per_code_stats(P, spec, 21, _fingerprint, reference_code))
+    vals = verify._mc_trials(P, spec, 70, _fingerprints, DEFAULT_CAPS)
+    assert spans == [(0, 32), (32, 64), (64, 70)]
+    assert chunks == [8] * 8 + [6]
+    assert np.array_equal(vals, _per_code_stats(P, spec, 70, _fingerprint, reference_code))
 
 
 def test_shared_smoothness_sample_follows_its_key(reference_code):
