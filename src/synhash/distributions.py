@@ -215,9 +215,10 @@ class ProductBernoulli:
         weights = np.zeros(size, dtype=np.int64)  # popcount of each index, by doubling
         for j in range(self.n):
             weights[1 << j:2 << j] = weights[:1 << j] + 1
-        probs = _signed_power(self.delta, weights) * _signed_power(1.0 - self.delta,
-                                                                   self.n - weights)
-        return DensePmf(self.field, self.n, probs)
+        # one probability per weight, read off by each index's weight
+        e = np.arange(self.n + 1)
+        by_weight = _signed_power(self.delta, e) * _signed_power(1.0 - self.delta, self.n - e)
+        return DensePmf(self.field, self.n, by_weight[weights])
 
 
 Source = Union[DensePmf, ProductBernoulli]
@@ -387,19 +388,25 @@ def code_pmf(code: LinearCode, caps: Caps = DEFAULT_CAPS) -> DensePmf:
 
 
 def _pushforward_rows(P: DensePmf, maps: np.ndarray, caps: Caps) -> np.ndarray:
-    """Pmf of H z for z ~ P, one row per H in a (T, m, n) stack of full-row-rank
-    maps over P's field, as a (T, q^m) array.
+    """_syndrome_rows(P, maps, caps) once one elimination of the whole (T, m, n)
+    stack has checked that every map has full row rank."""
+    if (_rref_stack(maps, P.field.q)[2] != maps.shape[1]).any():
+        raise ValueError("map is rank deficient; output space would be oversized")
+    return _syndrome_rows(P, maps, caps)
 
-    One elimination checks the rank of the whole stack; the syndromes are then
-    counted a batch of codes at a time, one bincount over row-offset syndrome
-    indices per batch of about _BATCH_ENTRIES index entries.
+
+def _syndrome_rows(P: DensePmf, maps: np.ndarray, caps: Caps) -> np.ndarray:
+    """Pmf of H z for z ~ P, one row per H in a (T, m, n) stack of full-row-rank
+    maps over P's field, as a (T, q^m) array.  The rank is not checked: the
+    callers pass maps that have full rank by construction.
+
+    The syndromes are counted a batch of codes at a time, one bincount over
+    row-offset syndrome indices per batch of about _BATCH_ENTRIES index entries.
     """
     count, m, n = maps.shape
     q = P.field.q
     if n != P.n:
         raise ValueError(f"map expects length-{n} inputs, pmf is on length {P.n}")
-    if (_rref_stack(maps, q)[2] != m).any():
-        raise ValueError("map is rank deficient; output space would be oversized")
     if m == 0:
         return np.ones((count, 1))
     out_size = DensePmf._check_size(P.field, m, caps)

@@ -30,6 +30,7 @@ __all__ = [
     "RmResultRow",
     "parse_r_rule",
     "rm_divergence",
+    "rm_divergences",
     "rm_convergence_run",
     "rows_to_csv",
     "intrinsic_gap",
@@ -92,30 +93,39 @@ class RmResultRow:
     seconds: float
 
 
-def rm_divergence(m: int, r: int, delta: float, p: float, method: str,
-                  caps: Caps = DEFAULT_CAPS) -> float:
-    """Divergence (base 2) of the RM(r, m) syndrome of Bernoulli(delta) noise.
+def rm_divergences(m: int, r: int, delta: float, orders: Sequence[float], method: str,
+                   caps: Caps = DEFAULT_CAPS) -> list[float]:
+    """Divergence (base 2) of the RM(r, m) syndrome of Bernoulli(delta) noise,
+    one entry per order.
 
-    method "dense" materializes the full syndrome pmf and works for any
+    method "dense" materializes the full syndrome pmf once and works for any
     order >= 1 including inf; "dual-character" sums characters over the dual
-    code and needs an integer order >= 2, but scales to much larger m.
+    code and needs integer orders >= 2, but scales to much larger m.  Every
+    order reads the same code, and on the dense route the same source and
+    pushforward.
     """
     if not 0 <= r <= m:
         raise ValueError(f"need 0 <= r <= m, got r={r}, m={m}")
     code = reed_muller_code(r, m)
     syndrome_bits = code.n - code.k
     if syndrome_bits == 0:
-        return 0.0
+        return [0.0] * len(orders)
     if method == "dense":
         dense = ProductBernoulli(delta, code.n).to_dense(caps)
         syn = pushforward(dense, code.H, caps)
-        return syndrome_bits - renyi_entropy(syn, p)
+        return [syndrome_bits - renyi_entropy(syn, p) for p in orders]
     if method == "dual-character":
-        if math.isinf(p) or p != int(p) or p < 2:
+        if any(math.isinf(p) or p != int(p) or p < 2 for p in orders):
             raise ValueError("dual-character method needs an integer order >= 2")
-        excess = bernoulli_syndrome_excess(code, delta, int(p), caps)
-        return math.log1p(excess) / ((p - 1.0) * math.log(2.0))
+        return [math.log1p(bernoulli_syndrome_excess(code, delta, int(p), caps))
+                / ((p - 1.0) * math.log(2.0)) for p in orders]
     raise ValueError(f"unknown method {method!r}")
+
+
+def rm_divergence(m: int, r: int, delta: float, p: float, method: str,
+                  caps: Caps = DEFAULT_CAPS) -> float:
+    """rm_divergences at the one order p."""
+    return rm_divergences(m, r, delta, (p,), method, caps)[0]
 
 
 def _timed_divergence(m: int, r: int, delta: float, p: float, method: str,

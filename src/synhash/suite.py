@@ -33,7 +33,7 @@ from .verify import (
     _identity_result,
     _random_pmf,
 )
-from .rm_lab import rm_divergence
+from .rm_lab import rm_divergence, rm_divergences
 
 __all__ = ["ACCEPTANCE_NAMES", "run_acceptance", "expected_failure"]
 
@@ -154,11 +154,12 @@ def run_acceptance(seed: int = DEFAULT_SEED, caps: Caps = DEFAULT_CAPS,
         r_lo = 1 if m >= 4 else 0
         for r in range(r_lo, m + 1):
             for delta in deltas:
-                for p in (2, 3):
-                    dense = rm_divergence(m, r, delta, p, "dense", caps)
-                    dual = rm_divergence(m, r, delta, p, "dual-character", caps)
+                # one source and pushforward, and one code, for both orders
+                dense = rm_divergences(m, r, delta, (2, 3), "dense", caps)
+                dual = rm_divergences(m, r, delta, (2, 3), "dual-character", caps)
+                for p, a, b in zip((2, 3), dense, dual):
                     params = {"m": m, "r": r, "delta": delta, "p": p}
-                    batch.append(_identity_result("rm-dense-dual", params, dense, dual, 1e-10))
+                    batch.append(_identity_result("rm-dense-dual", params, a, b, 1e-10))
     results.append(_merge("c09-rm-dense-dual", batch))
 
     # c09b: RM(m-2, m) syndrome divergence decays strictly, anchored at m=4

@@ -23,7 +23,7 @@ from .codes import (
     DEFAULT_SEED,
     CodeEnsembleSpec,
     LinearCode,
-    codeword_indices,
+    codeword_indices,  # traced site: perfbench/tracing.py wraps it here
     enumerate_all_codes,
     rank_tuple_count,
     sample_uniform_code,  # traced site: perfbench/tracing.py wraps it here
@@ -42,15 +42,13 @@ from .distributions import (
     _PMF_SUM_TOL,
     _character_transform,
     _convolve_transformed,
-    lp_smoothness,
     pushforward,
-    _pushforward_rows,
-    renyi_divergence,
+    _syndrome_rows,
     renyi_entropy,
 )
 # digit_table and _rank_array are only traced sites: perfbench/tracing.py wraps them here
 from .field import (FieldSpec, FqMatrix, FqVector, digit_table, image_indices, index_to_vec,
-                    vec_to_index, _image_rows, _rank_array, _rref_array)
+                    vec_to_index, _image_rows, _rank_array)
 
 __all__ = [
     "CheckResult",
@@ -190,9 +188,14 @@ def _random_nonneg(shape, seed_key) -> np.ndarray:
     return np.random.default_rng(seed_key).random(shape)
 
 
+def _random_probs(size: int, seed_key) -> np.ndarray:
+    """The probabilities of _random_pmf: every entry is positive."""
+    raw = np.random.default_rng(seed_key).random(size) + 1e-9
+    return raw / raw.sum()
+
+
 def _random_pmf(field: FieldSpec, n: int, seed_key) -> DensePmf:
-    raw = np.random.default_rng(seed_key).random(field.q ** n) + 1e-9
-    return DensePmf(field, n, raw / raw.sum())
+    return DensePmf(field, n, _random_probs(field.q ** n, seed_key))
 
 
 # -- ensemble structure checks ------------------------------------------------
@@ -233,19 +236,28 @@ def check_p_balanced(n: int, k: int, q: int, p: int,
 
 
 def _tuple_average(n: int, k: int, q: int, p: int, f_key, f_values, caps: Caps):
-    """Every [n, k]_q code, the tuple ranks, the flattened test function f on
-    p-tuples (drawn from f_key unless given) and the average over codes of the
-    sum of f over codeword p-tuples."""
+    """The number of [n, k]_q codes, the tuple ranks, the flattened test
+    function f on p-tuples (drawn from f_key unless given) and the average over
+    codes of the sum of f over codeword p-tuples."""
     size = q ** n
-    codes = _codes_list(q, n, k, caps)
+    G = _code_stacks(q, n, k, caps)[0]
     ranks = _tuple_ranks(q, n, p, caps)
     f = f_values if f_values is not None else _random_nonneg(size ** p, f_key)
-    f = np.asarray(f, dtype=np.float64).reshape([size] * p)
+    flat = np.asarray(f, dtype=np.float64).reshape(size ** p)
+    caps.admit("codeword enumeration", q ** k, "code_enumeration")
     lhs = 0.0
-    for code in codes:
-        cw = codeword_indices(code, caps)
-        lhs += float(f[np.ix_(*([cw] * p))].sum())
-    return codes, ranks, f.reshape(-1), lhs / len(codes)
+    # a chunk of codes at a time: every code's codeword indices from one table,
+    # then the flat index of each codeword p-tuple, v_1 in the top digits
+    chunk = max(1, _BATCH_ENTRIES // q ** (k * p))
+    for first in range(0, len(G), chunk):
+        words = _image_rows(q, G[first:first + chunk].transpose(0, 2, 1))
+        tuples = words
+        for _ in range(p - 1):
+            tuples = (tuples[:, :, None] * size + words[:, None, :]).reshape(len(words), -1)
+        # one row sum per code, added in code order as one code at a time
+        for total in flat[tuples].sum(axis=1).tolist():
+            lhs += total
+    return len(G), ranks, flat, lhs / len(G)
 
 
 def check_balanced_identity(n: int, k: int, q: int, p: int, f_seed: int = DEFAULT_SEED,
@@ -267,7 +279,7 @@ def check_balanced_identity(n: int, k: int, q: int, p: int, f_seed: int = DEFAUL
         ratio = Fraction(rank_tuple_count(k, p, d, q), t_n)
         if ratio:
             rhs += float(ratio) * float(flat[ranks == d].sum())
-    params = {"n": n, "k": k, "q": q, "p": p, "codes": len(codes), "rel_tol": rel_tol}
+    params = {"n": n, "k": k, "q": q, "p": p, "codes": codes, "rel_tol": rel_tol}
     return _identity_result("balanced-identity", params, lhs, rhs, rel_tol,
                             seed=f_seed)
 
@@ -285,7 +297,7 @@ def check_balanced_inequality(n: int, k: int, q: int, p: int,
     rhs = 0.0
     for d in range(min(k, p) + 1):
         rhs += float(q ** (d * (k - n))) * float(flat[ranks == d].sum())
-    params = {"n": n, "k": k, "q": q, "p": p, "codes": len(codes)}
+    params = {"n": n, "k": k, "q": q, "p": p, "codes": codes}
     return _inequality_result("balanced-inequality", params, lhs, rhs, seed=f_seed)
 
 
@@ -303,22 +315,21 @@ def check_tuple_probability(n: int, k: int, q: int,
     idx = [_tuple_index(v, field, n) for v in vectors]
     # n x p, columns are the tuple vectors
     U = np.array([index_to_vec(i, n, field).coords for i in idx], dtype=np.int64).reshape(p, n).T
-    # A U = 0 iff A B^T = 0 for B a row basis of U^T, whose n columns index
-    # q^n points for any p
-    basis = _rref_array(U.T, q)[0]
-    d = len(basis)
     m = n - k
     matrices = caps.admit("iid parity-check enumeration", q ** (m * n), "code_enumeration")
+    caps.admit("tuple zero count", p * q ** n, "dense_pmf_entries")
     H = _code_stacks(q, n, k, caps)[1]
     # a code holds every tuple vector iff its parity check sends U to zero
     contained = len(H) - int(np.count_nonzero((H @ U % q).any(axis=(1, 2))))
     prob = Fraction(contained, len(H))
+    # row j of the table holds <u_j, x> for every x in F_q^n (a digit, so no
+    # q^p index is formed); the z points where every row reads 0 are the
+    # orthogonal complement of the tuple's span, so z = q^(n - d) exactly
+    z = int(np.count_nonzero(~_image_rows(q, U.T[:, None, :]).any(axis=0)))
+    d = n - next(e for e in range(n + 1) if q ** e == z)
     bound = Fraction(1, q ** (d * (n - k)))
-    # the m rows of an iid A are independent, and each must be one of the z
-    # points of F_q^n that B sends to 0; at m = 0 no q^n table is needed
-    hit = 1
-    if m:
-        hit = int(np.count_nonzero(image_indices(FqMatrix(field, basis)) == 0)) ** m
+    # the m rows of an iid A are independent, and each must be one of the z points
+    hit = z ** m
     iid_prob = Fraction(hit, matrices)
     params = {"n": n, "k": k, "q": q, "p": p, "tuple": [int(i) for i in idx],
               "rank": d, "ensemble_probability": str(prob), "bound": str(bound),
@@ -520,7 +531,11 @@ def _mc_trials(P: DensePmf, spec: CodeEnsembleSpec, trials: int, statistic,
     generator or parity-check entries, whichever are more, and is pushed
     forward a chunk at a time; a chunk holds
     about a quarter of _BATCH_ENTRIES generator entries and at most
-    _BATCH_ENTRIES syndrome pmf entries.  tests/test_verify.py checks the
+    _BATCH_ENTRIES syndrome pmf entries.  The parity checks come from
+    codes._kernel_from_rref, an identity on the free columns, so they have
+    full rank and are pushed forward without a rank check
+    (tests/test_codes.py, test_sampled_parity_checks_have_full_rank).
+    tests/test_verify.py checks the
     values against a per-code loop over per-trial generators
     (test_monte_carlo_chunks_are_contiguous_spans_of_the_code_stream and
     test_batched_monte_carlo_matches_a_per_code_pushforward_loop).
@@ -538,8 +553,8 @@ def _mc_trials(P: DensePmf, spec: CodeEnsembleSpec, trials: int, statistic,
         maps = _sample_codes(spec, first, last)[1]
         for start in range(first, last, chunk):
             stop = min(start + chunk, last)
-            vals[start:stop] = statistic(_pushforward_rows(P, maps[start - first:stop - first],
-                                                           caps))
+            vals[start:stop] = statistic(_syndrome_rows(P, maps[start - first:stop - first],
+                                                         caps))
     return vals
 
 
@@ -622,6 +637,15 @@ def mc_bucket_linf(source: Source, eps: float, trials: int,
 # -- pointwise conversion inequalities ----------------------------------------
 
 
+def _conversion_orders(orders: Sequence[float]) -> list[float]:
+    """The orders of a conversion check as floats, each finite and above 1."""
+    orders = [float(p) for p in orders]
+    bad = [p for p in orders if not 1.0 < p < math.inf]
+    if bad:
+        raise ValueError(f"orders must be finite and exceed 1, got {bad[0]}")
+    return orders
+
+
 def check_proximity_conversions(q: int, n: int, count: int,
                                 orders: Sequence[float] = (1.5, 2, 3),
                                 seed: int = DEFAULT_SEED,
@@ -631,39 +655,48 @@ def check_proximity_conversions(q: int, n: int, count: int,
     satisfy every conversion between the three proximity notions.
 
     For integer orders the divergence and distance conversions of the
-    extraction corollary are included.
+    extraction corollary are included.  The pmfs are scored a table of rows
+    at a time; every measure of a row equals lp_smoothness, renyi_divergence
+    against uniform and lp_norm of that pmf alone, bit for bit, and the claims
+    are then evaluated in Python floats, pmf by pmf and order by order.
     """
     if count < 1:
         raise ValueError(f"need at least one random sample, got count={count}")
-    field = FieldSpec(q)
-    uniform = DensePmf.uniform(field, n, caps)
+    orders = _conversion_orders(orders)
+    uniform = DensePmf.uniform(FieldSpec(q), n, caps).probs
+    size = len(uniform)
     lnq = math.log(q)
     worst = (math.inf, math.nan, math.nan, "")
-    for i in range(count):
-        P = _random_pmf(field, n, (seed, 23, q, n, i))
-        centered = float(q) ** n * P.probs - 1.0
-        for p in orders:
-            p = float(p)
-            delta = lp_smoothness(P, p)
-            div = renyi_divergence(P, uniform, p)
-            dist = lp_norm(centered, p)
-            pp = p / (p - 1.0)
-            claims = [
-                ("smooth-to-divergence", div, pp * math.log1p(delta) / lnq),
-                ("divergence-to-smooth", delta, q ** (div / pp) - 1.0),
-                ("smooth-to-distance", dist, phi(p, delta)),
-                ("distance-to-smooth", delta, dist),
-            ]
-            if p == int(p) and p >= 2:
-                d1, d2 = corollary_bounds(delta, int(p), q)
-                claims.append(("corollary-divergence", div, d1))
-                claims.append(("corollary-distance", dist, d2))
-            for label, lhs, rhs in claims:
-                slack = rhs - lhs
-                if slack < worst[0]:
-                    worst = (slack, lhs, rhs, f"{label} (p={p}, pmf {i})")
+    chunk = max(1, _BATCH_ENTRIES // size)
+    for first in range(0, count, chunk):
+        probs = np.array([_random_probs(size, (seed, 23, q, n, i))
+                          for i in range(first, min(first + chunk, count))])
+        centered = float(q) ** n * probs - 1.0
+        # renyi_divergence(P, uniform, p), over the whole support of a random pmf
+        measures = [(lp_norms(size * probs, p).tolist(),
+                     (np.log((probs ** p * uniform ** (1.0 - p)).sum(axis=1))
+                      / ((p - 1.0) * lnq)).tolist(),
+                     lp_norms(centered, p).tolist()) for p in orders]
+        for row in range(len(probs)):
+            for p, (norm, divs, dists) in zip(orders, measures):
+                delta, div, dist = norm[row] - 1.0, divs[row], dists[row]
+                pp = p / (p - 1.0)
+                claims = [
+                    ("smooth-to-divergence", div, pp * math.log1p(delta) / lnq),
+                    ("divergence-to-smooth", delta, q ** (div / pp) - 1.0),
+                    ("smooth-to-distance", dist, phi(p, delta)),
+                    ("distance-to-smooth", delta, dist),
+                ]
+                if p == int(p) and p >= 2:
+                    d1, d2 = corollary_bounds(delta, int(p), q)
+                    claims.append(("corollary-divergence", div, d1))
+                    claims.append(("corollary-distance", dist, d2))
+                for label, lhs, rhs in claims:
+                    slack = rhs - lhs
+                    if slack < worst[0]:
+                        worst = (slack, lhs, rhs, f"{label} (p={p}, pmf {first + row})")
     slack, lhs, rhs = worst[0], worst[1], worst[2]
-    params = {"q": q, "n": n, "count": count, "orders": [float(o) for o in orders],
+    params = {"q": q, "n": n, "count": count, "orders": orders,
               "tightest_claim": worst[3]}
     return _inequality_result("proximity-conversions", params, lhs, rhs,
                               rel_tol=rel_tol, seed=seed)
@@ -673,34 +706,40 @@ def check_clarkson(q: int, n: int, count: int,
                    orders: Sequence[float] = (1.5, 2, 3),
                    seed: int = DEFAULT_SEED,
                    rel_tol: float = 1e-9) -> CheckResult:
-    """Two-branch uniform convexity inequalities on random function pairs."""
+    """Two-branch uniform convexity inequalities on random function pairs.
+
+    Pair i is the draws 2i and 2i + 1 of one normal stream, taken a table of
+    pairs at a time; each norm equals lp_norm of that function alone, and the
+    two sides are then evaluated in Python floats, pair by pair and order by
+    order.
+    """
     if count < 1:
         raise ValueError(f"need at least one random sample, got count={count}")
+    orders = _conversion_orders(orders)
     size = q ** n
     rng = np.random.default_rng((seed, 29, q, n))
     worst = (math.inf, math.nan, math.nan, "")
-    for i in range(count):
-        f = rng.normal(size=size)
-        g = rng.normal(size=size)
-        half_sum = (f + g) / 2.0
-        half_diff = (f - g) / 2.0
-        for p in orders:
-            p = float(p)
-            if p <= 1:
-                raise ValueError("orders must exceed 1")
-            if p < 2:
-                pp = p / (p - 1.0)
-                lhs = lp_norm(half_sum, p) ** pp + lp_norm(half_diff, p) ** pp
-                rhs = (0.5 * lp_norm(f, p) ** p + 0.5 * lp_norm(g, p) ** p) ** (pp / p)
-                label = f"two-sided branch p={p}"
-            else:
-                lhs = lp_norm(half_sum, p) ** p + lp_norm(half_diff, p) ** p
-                rhs = 0.5 * (lp_norm(f, p) ** p + lp_norm(g, p) ** p)
-                label = f"power branch p={p}"
-            slack = rhs - lhs
-            if slack < worst[0]:
-                worst = (slack, lhs, rhs, f"{label}, pair {i}")
-    params = {"q": q, "n": n, "count": count, "orders": [float(o) for o in orders],
+    chunk = max(1, _BATCH_ENTRIES // (2 * size))
+    for first in range(0, count, chunk):
+        pairs = rng.normal(size=(min(chunk, count - first), 2, size))
+        f, g = pairs[:, 0], pairs[:, 1]
+        tables = ((f + g) / 2.0, (f - g) / 2.0, f, g)
+        norms = [[lp_norms(t, p).tolist() for t in tables] for p in orders]
+        for row in range(len(pairs)):
+            for p, (half_sum, half_diff, norm_f, norm_g) in zip(orders, norms):
+                if p < 2:
+                    pp = p / (p - 1.0)
+                    lhs = half_sum[row] ** pp + half_diff[row] ** pp
+                    rhs = (0.5 * norm_f[row] ** p + 0.5 * norm_g[row] ** p) ** (pp / p)
+                    label = f"two-sided branch p={p}"
+                else:
+                    lhs = half_sum[row] ** p + half_diff[row] ** p
+                    rhs = 0.5 * (norm_f[row] ** p + norm_g[row] ** p)
+                    label = f"power branch p={p}"
+                slack = rhs - lhs
+                if slack < worst[0]:
+                    worst = (slack, lhs, rhs, f"{label}, pair {first + row}")
+    params = {"q": q, "n": n, "count": count, "orders": orders,
               "tightest_claim": worst[3]}
     return _inequality_result("clarkson", params, worst[1], worst[2],
                               rel_tol=rel_tol, seed=seed)

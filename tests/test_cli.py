@@ -246,6 +246,20 @@ def test_impossible_dimensions_are_usage_errors(argv, capsys):
     assert err.startswith("synhash: error: need ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    "verify clarkson --n 4 --orders 2,inf",
+    "verify clarkson --n 4 --orders inf",
+    "verify proximity --n 4 --orders 2,inf",
+    "verify proximity --n 4 --orders 1,2",
+])
+def test_conversion_checks_refuse_orders_outside_the_finite_range(argv, capsys):
+    # clarkson used to pass --orders 2,inf without checking inf, and to fail
+    # --orders inf with nan sides
+    rc, out, err = run(argv.split(), capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("synhash: error: orders must be finite and exceed 1, got ")
+
+
 @pytest.mark.parametrize("check", ["balanced-identity", "p-balanced", "exact-smoothing"])
 def test_code_cap_bounds_the_enumerated_ensemble(check, capsys):
     # [3, 1]_2 has 7 codes: a cap of 6 refuses them, a cap of 7 admits them
@@ -278,6 +292,26 @@ def test_code_cap_bounds_the_enumerated_ensemble(check, capsys):
 ])
 def test_exact_checks_are_pinned(argv, digest, capsys):
     rc, out, _ = run(["--format", "csv", *argv.split()], capsys)
+    assert rc == 0
+    assert hashlib.sha1(out.encode()).hexdigest() == digest
+
+
+# sha1 of the --stable-output --format csv stdout, recorded before the
+# proximity and Clarkson checks scored their draws as one table, before the
+# Reed-Muller divergences of c09 were taken for all orders at once, and
+# before the tuple ranks of c03 were read from one zero count
+@pytest.mark.parametrize("argv, digest", [
+    ("suite", "3d7c407ae57b9e9a25fd37d46e948ce439de5dc8"),
+    ("suite --quick", "99bbc787034044b294792d89bdc14be232408fb6"),
+    ("--seed 7 suite", "3b7cd4615cab8cab8c611a73a7cf7b3c3e2ded83"),
+    ("--seed 7 suite --quick", "077bb5ca0b3d9097874e638858c715d01a68733c"),
+    ("verify proximity --n 5 --count 200", "594394214695cc8b31e92b023aa50186919286ef"),
+    ("verify clarkson --n 5 --count 200", "db461440accb602c5e66bf6ffa617a00848aa3e1"),
+    ("--seed 7 verify proximity --n 5 --count 200", "eb22bbe8c75dff1eb744cb80c80eb28bbcced277"),
+    ("--seed 7 verify clarkson --n 5 --count 200", "5c18df63c755b7de76a98139f87230a847641af6"),
+])
+def test_suite_and_draw_checks_are_pinned(argv, digest, capsys):
+    rc, out, _ = run(["--stable-output", "--format", "csv", *argv.split()], capsys)
     assert rc == 0
     assert hashlib.sha1(out.encode()).hexdigest() == digest
 

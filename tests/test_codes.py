@@ -23,7 +23,7 @@ from synhash.codes import (
     sample_uniform_code,
     _sample_codes,
 )
-from synhash.field import FieldSpec, FqMatrix, kernel_basis, rank
+from synhash.field import FieldSpec, FqMatrix, kernel_basis, rank, _rref_stack
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -207,6 +207,19 @@ def test_sampled_code_matches_the_reference_across_a_rejected_word(reference_cod
     for t in range(trial - 2, trial + 2):
         ref_G, ref_H = reference_code(spec, t)
         assert np.array_equal(G[t - trial + 2], ref_G) and np.array_equal(H[t - trial + 2], ref_H)
+
+
+@pytest.mark.parametrize("q, n, k, start, stop", [
+    (2, 12, 10, 0, 500), (2, 8, 1, 0, 300), (2, 6, 6, 0, 50), (2, 6, 0, 0, 50),
+    (3, 8, 4, 0, 300), (5, 5, 2, 0, 300),
+    # across the rejected word of the test above
+    (9973, 12, 11, 16883 - 2, 16883 + 2),
+])
+def test_sampled_parity_checks_have_full_rank(q, n, k, start, stop):
+    # the Monte Carlo checks push these stacks forward without a rank check
+    H = _sample_codes(CodeEnsembleSpec(FieldSpec(q), n, k, DEFAULT_SEED), start, stop)[1]
+    assert H.shape == (stop - start, n - k, n)
+    assert (_rref_stack(H, q)[2] == n - k).all()
 
 
 def test_sampling_is_deterministic_per_seed_and_trial():

@@ -27,6 +27,7 @@ from synhash.distributions import (
     _character_transform,
     _convolve_transformed,
     _pushforward_rows,
+    _signed_power,
 )
 from synhash.field import FieldSpec, FqMatrix, index_to_vec, mat_vec, q_powers, rank, vec_to_index
 
@@ -454,6 +455,15 @@ def test_stacked_transform_and_convolution_equal_a_per_row_loop(q, n):
     assert mixed.shape == (5, size)
     for t in range(5):
         assert np.array_equal(mixed[t], _convolve_transformed(stack[t], transformed, q, n))
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.1, 0.25, 0.5, 1.0])
+def test_bernoulli_table_equals_the_per_entry_powers(delta):
+    # to_dense takes one probability per weight; the reference powers every entry
+    for n in range(17):
+        weights = np.array([bin(i).count("1") for i in range(1 << n)])
+        want = _signed_power(delta, weights) * _signed_power(1.0 - delta, n - weights)
+        assert np.array_equal(ProductBernoulli(delta, n).to_dense().probs, want)
 
 
 def _full_rank_maps(q, n, m, count, seed):

@@ -14,6 +14,7 @@ from synhash.rm_lab import (
     parse_r_rule,
     rm_convergence_run,
     rm_divergence,
+    rm_divergences,
     rows_to_csv,
 )
 
@@ -49,6 +50,16 @@ def test_dense_and_dual_agree(m, delta, p):
         dense = rm_divergence(m, r, delta, p, "dense")
         dual = rm_divergence(m, r, delta, p, DUAL)
         assert abs(dense - dual) <= 1e-10 * max(1.0, abs(dense), abs(dual))
+
+
+@pytest.mark.parametrize("method", ["dense", DUAL])
+def test_divergences_of_several_orders_equal_the_one_order_calls(method):
+    # one source and pushforward (dense) or one code (dual) serves every order
+    for m in range(1, 5):
+        for r in range(m + 1):
+            for delta in (0.1, 0.25, 0.4):
+                want = [rm_divergence(m, r, delta, p, method) for p in (2, 3)]
+                assert rm_divergences(m, r, delta, (2, 3), method) == want
 
 
 def test_dense_covers_orders_dual_cannot():

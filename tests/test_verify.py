@@ -222,6 +222,20 @@ def test_iid_count_matches_the_kron_enumeration(n, k, q, tuples):
         assert res.parameters["rank"] == d and res.passed
 
 
+@pytest.mark.parametrize("q, n, k", [(2, 4, 2), (3, 2, 1)])
+def test_tuple_rank_from_the_zero_count_matches_the_rank_table(q, n, k):
+    ranks, size = _tuple_ranks_cached(q, n, 2), q ** n
+    for i, j in itertools.product(range(size), repeat=2):
+        assert check_tuple_probability(n, k, q, (i, j)).parameters["rank"] == ranks[i * size + j]
+
+
+def test_tuple_zero_count_table_is_admitted_first(monkeypatch):
+    # [4, 4]_2 needs no iid count, but its zero count is a 3 x 2^4 table
+    monkeypatch.setattr(verify, "_image_rows", _refuse_work)
+    with pytest.raises(CapExceeded, match="tuple zero count"):
+        check_tuple_probability(4, 4, 2, (1, 2, 3), caps=Caps(dense_pmf_entries=47))
+
+
 def test_tuple_probability_all_pairs_small():
     for i in range(8):
         for j in range(8):
@@ -450,7 +464,7 @@ def test_monte_carlo_chunks_are_contiguous_spans_of_the_code_stream(monkeypatch,
     monkeypatch.setattr(verify, "_BATCH_ENTRIES", 1 << 10)
     monkeypatch.setattr(verify, "_SPAN_BATCHES", 1)
     spans, chunks = [], []
-    sample, push = verify._sample_codes, verify._pushforward_rows
+    sample, push = verify._sample_codes, verify._syndrome_rows
 
     def sampled(spec, start, stop):
         spans.append((start, stop))
@@ -461,7 +475,7 @@ def test_monte_carlo_chunks_are_contiguous_spans_of_the_code_stream(monkeypatch,
         return push(P, maps, caps)
 
     monkeypatch.setattr(verify, "_sample_codes", sampled)
-    monkeypatch.setattr(verify, "_pushforward_rows", pushed)
+    monkeypatch.setattr(verify, "_syndrome_rows", pushed)
     spec = CodeEnsembleSpec(F2, 8, 4, 3)
     P = _random_pmf(F2, 8, (8,))
     vals = verify._mc_trials(P, spec, 70, _fingerprints, DEFAULT_CAPS)
@@ -527,6 +541,30 @@ def test_clarkson_pass_and_reject():
     assert check_clarkson(2, 4, 60, (1.5, 2, 3), seed=1).passed
     with pytest.raises(ValueError):
         check_clarkson(2, 3, 5, (1.0,))
+
+
+@pytest.mark.parametrize("orders, bad", [
+    ((2, math.inf), "inf"), ((math.inf,), "inf"), ((1.5, 1.0), "1.0"), ((0.5, 2), "0.5"),
+    ((2, math.nan), "nan"),
+])
+def test_conversion_checks_refuse_bad_orders_before_drawing(monkeypatch, orders, bad):
+    # an infinite order used to be skipped by the clarkson scan (its nan slack
+    # is never the least), so (2, inf) passed without checking inf
+    monkeypatch.setattr(np.random, "default_rng", _refuse_work)
+    message = f"orders must be finite and exceed 1, got {bad}$"
+    with pytest.raises(ValueError, match=message):
+        check_clarkson(2, 4, 10, orders)
+    with pytest.raises(ValueError, match=message):
+        check_proximity_conversions(2, 4, 10, orders)
+
+
+@pytest.mark.parametrize("check", [check_proximity_conversions, check_clarkson])
+def test_conversion_checks_do_not_depend_on_the_table_size(monkeypatch, check):
+    # 2^6 / 2^4 = 4 pmfs (2 pairs of 2 functions) a table: 11 samples take
+    # several tables and end in a short one
+    whole = check(2, 4, 11, (1.5, 2, 3), seed=3)
+    monkeypatch.setattr(verify, "_BATCH_ENTRIES", 1 << 6)
+    assert check(2, 4, 11, (1.5, 2, 3), seed=3) == whole
 
 
 def test_negative_controls_fail_as_designed():
