@@ -29,7 +29,6 @@ from .codes import (
     CodeEnsembleSpec,
     LinearCode,
     codeword_indices,
-    codewords,
     enumerate_all_codes,
     gaussian_binomial,
     rank_tuple_count,

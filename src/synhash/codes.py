@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -20,10 +19,8 @@ from .caps import DEFAULT_CAPS, Caps
 from .field import (
     FieldSpec,
     FqMatrix,
-    FqVector,
     digit_table,  # traced site, see field.digit_table
     image_indices,
-    index_to_vec,
     kernel_basis,
     rank,
     rref,
@@ -45,7 +42,6 @@ __all__ = [
     "rm_parity_check",
     "reed_muller_dimensions",
     "reed_muller_code",
-    "codewords",
     "codeword_indices",
 ]
 
@@ -107,32 +103,6 @@ class LinearCode:
         """Row-space identity: bytes of the reduced echelon form of G."""
         red, _ = rref(self.G)
         return red.array.astype(np.int64).tobytes()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "q": self.field.q,
-            "n": self.n,
-            "k": self.k,
-            "G": self.G.array.tolist(),
-            "H": self.H.array.tolist(),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "LinearCode":
-        field = FieldSpec(int(data["q"]))
-        n, k = int(data["n"]), int(data["k"])
-        G = FqMatrix.from_rows(field, data["G"], cols=n)
-        H = FqMatrix.from_rows(field, data["H"], cols=n)
-        code = cls(field, n, k, G, H)
-        code.verify()
-        return code
-
-    @classmethod
-    def from_json(cls, text: str) -> "LinearCode":
-        return cls.from_json_dict(json.loads(text))
 
     def __repr__(self) -> str:
         return f"LinearCode(q={self.field.q}, n={self.n}, k={self.k})"
@@ -224,14 +194,20 @@ def enumerate_all_codes(field: FieldSpec, n: int, k: int,
     dimensions are checked and the count admitted when this is called, before
     the first code is drawn.
     """
+    _admit_enumeration(field.q, n, k, caps)
+    return (LinearCode(field, n, k, FqMatrix(field, g), FqMatrix(field, h))
+            for G, H in _echelon_codes(field.q, n, k) for g, h in zip(G, H))
+
+
+def _admit_enumeration(q: int, n: int, k: int, caps: Caps) -> None:
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    caps.admit("code enumeration", gaussian_binomial(n, k, field.q), "code_enumeration")
-    return _echelon_codes(field, n, k)
+    caps.admit("code enumeration", gaussian_binomial(n, k, q), "code_enumeration")
 
 
-def _echelon_codes(field: FieldSpec, n: int, k: int) -> Iterator[LinearCode]:
-    q = field.q
+def _echelon_codes(q: int, n: int, k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The int64 (T, k, n) generators and (T, n - k, n) parity checks of the
+    enumeration stream, a chunk of about _ENUM_ENTRIES entries at a time."""
     chunk = max(1, _ENUM_ENTRIES // max(1, n * n))
     for pattern in itertools.combinations(range(n), k):
         pivots = np.array(pattern, dtype=np.int64)
@@ -245,9 +221,26 @@ def _echelon_codes(field: FieldSpec, n: int, k: int) -> Iterator[LinearCode]:
             # free entry e of code t holds digit e of t, little-endian base q
             G[:, rows, cols] = t[:, None] // q ** np.arange(len(free), dtype=np.int64) % q
             # G is already reduced, so its kernel needs no elimination
-            H = _kernel_from_rref(G, np.broadcast_to(pivots, (len(t), k)), q)
-            for g, h in zip(G, H):
-                yield LinearCode(field, n, k, FqMatrix(field, g), FqMatrix(field, h))
+            yield G, _kernel_from_rref(G, np.broadcast_to(pivots, (len(t), k)), q)
+
+
+def _ensemble_stacks(q: int, n: int, k: int, caps: Caps) -> tuple[np.ndarray, np.ndarray]:
+    """The (codes, k, n) generators and (codes, n - k, n) parity checks of
+    every [n, k]_q code, in the order of enumerate_all_codes, admitted against
+    caps on every call."""
+    _admit_enumeration(q, n, k, caps)
+    return _ensemble_stacks_cached(q, n, k)
+
+
+@functools.lru_cache(maxsize=32)
+def _ensemble_stacks_cached(q: int, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only stacks of the smallest unsigned type that holds a residue;
+    each chunk is cast as it is made, so no int64 copy of the ensemble lives."""
+    dtype = np.min_scalar_type(q - 1)
+    chunks = [(G.astype(dtype), H.astype(dtype)) for G, H in _echelon_codes(q, n, k)]
+    G, H = (np.concatenate(part) for part in zip(*chunks))
+    G.flags.writeable = H.flags.writeable = False
+    return G, H
 
 
 def reed_muller_generator(r: int, m: int) -> FqMatrix:
@@ -299,8 +292,3 @@ def codeword_indices(code: LinearCode, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
     caps.admit("codeword enumeration", code.field.q ** code.k, "code_enumeration")
     return image_indices(FqMatrix(code.field, code.G.array.T))
 
-
-def codewords(code: LinearCode, caps: Caps = DEFAULT_CAPS) -> Iterator[FqVector]:
-    """Stream the q**k codewords in message-index order."""
-    for i in codeword_indices(code, caps):
-        yield index_to_vec(int(i), code.n, code.field)

@@ -7,7 +7,6 @@ pmf P.  Entropies and divergences are reported in base-q symbols.
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 from dataclasses import dataclass
@@ -151,21 +150,6 @@ class DensePmf:
         probs = np.zeros(size)
         probs[:support_size] = 1.0 / support_size
         return cls(field, n, probs)
-
-    def to_json_dict(self) -> dict:
-        return {"q": self.field.q, "n": self.n, "probs": self.probs.tolist()}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "DensePmf":
-        return cls(FieldSpec(int(data["q"])), int(data["n"]),
-                   np.asarray(data["probs"], dtype=np.float64))
-
-    @classmethod
-    def from_json(cls, text: str) -> "DensePmf":
-        return cls.from_json_dict(json.loads(text))
 
     def to_qpmf_bytes(self) -> bytes:
         header = struct.pack("<4sII", _QPMF_MAGIC, self.field.q, self.n)

@@ -27,6 +27,7 @@ from .codes import (
     enumerate_all_codes,
     rank_tuple_count,
     sample_uniform_code,  # traced site: perfbench/tracing.py wraps it here
+    _ensemble_stacks,
     _sample_codes,
 )
 from .distributions import (
@@ -47,7 +48,7 @@ from .distributions import (
     renyi_entropy,
 )
 # digit_table and _rank_array are only traced sites: perfbench/tracing.py wraps them here
-from .field import (FieldSpec, FqMatrix, FqVector, digit_table, image_indices, index_to_vec,
+from .field import (FieldSpec, FqMatrix, FqVector, digit_table, image_indices, q_powers,
                     vec_to_index, _image_rows, _rank_array)
 
 __all__ = [
@@ -155,32 +156,21 @@ def _tuple_ranks(q: int, n: int, p: int, caps: Caps) -> np.ndarray:
     return _tuple_ranks_cached(q, n, p)
 
 
-@functools.lru_cache(maxsize=32)
-def _codes_list(q: int, n: int, k: int, caps: Caps) -> tuple[LinearCode, ...]:
-    """Every [n, k]_q code, admitted against caps and enumerated once per key."""
-    return tuple(enumerate_all_codes(FieldSpec(q), n, k, caps))
-
-
-@functools.lru_cache(maxsize=32)
-def _code_stacks(q: int, n: int, k: int, caps: Caps) -> tuple[np.ndarray, np.ndarray]:
-    """The (codes, k, n) generators and (codes, n - k, n) parity checks of
-    _codes_list(q, n, k, caps), in its order, as read-only stacks of the
-    smallest unsigned type that holds a residue (they stay cached)."""
-    codes = _codes_list(q, n, k, caps)
-    dtype = np.min_scalar_type(q - 1)
-    G = np.array([code.G.array for code in codes], dtype=dtype).reshape(len(codes), k, n)
-    H = np.array([code.H.array for code in codes], dtype=dtype).reshape(len(codes), n - k, n)
-    G.flags.writeable = H.flags.writeable = False
-    return G, H
-
-
-def _containment_counts(codes: Sequence[LinearCode], size: int, p: int) -> np.ndarray:
-    """counts[v_1, ..., v_p] = number of codes containing every v_j, flattened:
-    a tuple lies in C when every v_j has zero syndrome, so kron(I_p, H) sends it to 0."""
+def _containment_counts(q: int, H: np.ndarray, p: int) -> np.ndarray:
+    """counts[v_1, ..., v_p] = number of codes of the (codes, n - k, n) parity
+    check stack H that contain every v_j, flattened.  A code holds a vector
+    when its syndrome is 0, so with z[c, v] that indicator the counts are
+    sum_c z[c, v_1] ... z[c, v_p]: z^T times the outer product of the other
+    p - 1, a chunk of codes at a time so no table passes _BATCH_ENTRIES."""
+    size = q ** H.shape[2]
     counts = np.zeros(size ** p, dtype=np.int64)
-    blocks = np.eye(p, dtype=np.int64)
-    for code in codes:
-        counts += image_indices(FqMatrix(code.field, np.kron(blocks, code.H.array))) == 0
+    chunk = max(1, _BATCH_ENTRIES // size ** max(1, p - 1))
+    for first in range(0, len(H), chunk):
+        z = _image_rows(q, H[first:first + chunk]) == 0
+        rest = np.ones((len(z), 1), dtype=bool)
+        for _ in range(p - 1):
+            rest = (rest[:, :, None] & z[:, None, :]).reshape(len(z), -1)
+        counts += (z.T.astype(np.int64) @ rest).reshape(-1)
     return counts
 
 
@@ -210,17 +200,17 @@ def check_p_balanced(n: int, k: int, q: int, p: int,
     makes this a test of that family instead.
     """
     if ensemble is None:
-        codes = _codes_list(q, n, k, caps)
+        H = _ensemble_stacks(q, n, k, caps)[1]
     else:
         codes = tuple(ensemble)
         if not codes:
             raise ValueError("the ensemble holds no code")
         if any((code.field.q, code.n, code.k) != (q, n, k) for code in codes):
             raise ValueError(f"every code of the ensemble must be an [{n}, {k}]_{q} code")
-    size = q ** n
-    caps.admit("balance census", len(codes) * size ** p, "tuple_products")
+        H = np.array([code.H.array for code in codes])
+    caps.admit("balance census", len(H) * (q ** n) ** p, "tuple_products")
     ranks = _tuple_ranks(q, n, p, caps)  # its cap refuses before the census runs
-    counts = _containment_counts(codes, size, p)
+    counts = _containment_counts(q, H, p)
     spread = 0
     by_rank: dict[int, list[int]] = {}
     for d in range(min(n, p) + 1):
@@ -230,7 +220,7 @@ def check_p_balanced(n: int, k: int, q: int, p: int,
         lo, hi = int(vals.min()), int(vals.max())
         by_rank[d] = [lo, hi]
         spread = max(spread, hi - lo)
-    params = {"n": n, "k": k, "q": q, "p": p, "codes": len(codes),
+    params = {"n": n, "k": k, "q": q, "p": p, "codes": len(H),
               "counts_by_rank": by_rank}
     return _identity_result("p-balanced", params, float(spread), 0.0, rel_tol=0.0)
 
@@ -240,7 +230,7 @@ def _tuple_average(n: int, k: int, q: int, p: int, f_key, f_values, caps: Caps):
     function f on p-tuples (drawn from f_key unless given) and the average over
     codes of the sum of f over codeword p-tuples."""
     size = q ** n
-    G = _code_stacks(q, n, k, caps)[0]
+    G = _ensemble_stacks(q, n, k, caps)[0]
     ranks = _tuple_ranks(q, n, p, caps)
     f = f_values if f_values is not None else _random_nonneg(size ** p, f_key)
     flat = np.asarray(f, dtype=np.float64).reshape(size ** p)
@@ -313,12 +303,15 @@ def check_tuple_probability(n: int, k: int, q: int,
     field = FieldSpec(q)
     p = len(vectors)
     idx = [_tuple_index(v, field, n) for v in vectors]
-    # n x p, columns are the tuple vectors
-    U = np.array([index_to_vec(i, n, field).coords for i in idx], dtype=np.int64).reshape(p, n).T
+    outside = [i for i in idx if not 0 <= i < q ** n]
+    if outside:
+        raise ValueError(f"index {outside[0]} out of range for q**n = {q}**{n}")
     m = n - k
     matrices = caps.admit("iid parity-check enumeration", q ** (m * n), "code_enumeration")
     caps.admit("tuple zero count", p * q ** n, "dense_pmf_entries")
-    H = _code_stacks(q, n, k, caps)[1]
+    # n x p, columns are the tuple vectors: every little-endian digit at once
+    U = (np.array(idx, dtype=np.int64)[:, None] // q_powers(q, n) % q).T
+    H = _ensemble_stacks(q, n, k, caps)[1]
     # a code holds every tuple vector iff its parity check sends U to zero
     contained = len(H) - int(np.count_nonzero((H @ U % q).any(axis=(1, 2))))
     prob = Fraction(contained, len(H))
@@ -487,12 +480,12 @@ def exact_expected_smoothness(n: int, k: int, q: int, p: int, P: DensePmf,
                               caps: Caps = DEFAULT_CAPS) -> CheckResult:
     """Average of ||q^n P_{X_C+Z}||_p^p over every [n, k]_q code stays under
     the closed-form ensemble budget."""
-    G = _code_stacks(q, n, k, caps)[0]
+    if (P.field.q, P.n) != (q, n):
+        raise ValueError("convolution needs two pmfs on the same space")
+    G = _ensemble_stacks(q, n, k, caps)[0]
     transformed = _character_transform(P.probs, P.field.q, P.n)  # once for every code
     size = DensePmf._check_size(FieldSpec(q), n, caps)
     caps.admit("codeword enumeration", q ** k, "code_enumeration")
-    if (P.field.q, P.n) != (q, n):
-        raise ValueError("convolution needs two pmfs on the same space")
     total = 0.0
     # a chunk of codes at a time: their pmfs, convolved with P, and the norms.
     # About eight tables of a chunk's size are alive at once, on top of the
@@ -750,7 +743,7 @@ def check_clarkson(q: int, n: int, count: int,
 
 def negative_control_unbalanced(caps: Caps = DEFAULT_CAPS) -> CheckResult:
     """A single fixed code is not a balanced family; this check must fail."""
-    code = _codes_list(2, 3, 1, caps)[0]
+    code = next(enumerate_all_codes(FieldSpec(2), 3, 1, caps))
     result = check_p_balanced(3, 1, 2, 1, ensemble=[code], caps=caps)
     result.name = "negative-control-unbalanced"
     result.parameters["expected_failure"] = True

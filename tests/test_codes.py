@@ -13,7 +13,6 @@ from synhash.codes import (
     CodeEnsembleSpec,
     LinearCode,
     codeword_indices,
-    codewords,
     enumerate_all_codes,
     gaussian_binomial,
     rank_tuple_count,
@@ -21,9 +20,10 @@ from synhash.codes import (
     reed_muller_generator,
     rm_parity_check,
     sample_uniform_code,
+    _ensemble_stacks,
     _sample_codes,
 )
-from synhash.field import FieldSpec, FqMatrix, kernel_basis, rank, _rref_stack
+from synhash.field import FieldSpec, FqMatrix, index_to_vec, kernel_basis, rank, _rref_stack
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -98,6 +98,26 @@ def test_enumeration_stream_does_not_depend_on_the_chunk(monkeypatch):
         assert a.G == b.G and a.H == b.H
 
 
+@pytest.mark.parametrize("n, k, q", [(4, 2, 2), (3, 1, 3), (2, 1, 5), (4, 0, 2), (4, 4, 2)])
+def test_ensemble_stacks_equal_the_stacked_code_stream(n, k, q):
+    codes = list(enumerate_all_codes(FieldSpec(q), n, k))
+    G, H = _ensemble_stacks(q, n, k, Caps())
+    assert G.dtype == H.dtype == np.min_scalar_type(q - 1)
+    assert G.shape == (len(codes), k, n) and H.shape == (len(codes), n - k, n)
+    assert not G.flags.writeable and not H.flags.writeable
+    for code, g, h in zip(codes, G, H):
+        assert np.array_equal(code.G.array, g) and np.array_equal(code.H.array, h)
+
+
+def test_ensemble_stacks_are_admitted_on_every_call():
+    _ensemble_stacks(2, 4, 2, Caps(code_enumeration=35))
+    # the 35 [4, 2]_2 codes are cached now, and a lower cap still refuses them
+    with pytest.raises(CapExceeded, match="^code enumeration: estimated cost 35 exceeds cap 34$"):
+        _ensemble_stacks(2, 4, 2, Caps(code_enumeration=34))
+    with pytest.raises(ValueError, match="need 0 <= k <= n"):
+        _ensemble_stacks(2, 3, 4, Caps())
+
+
 @pytest.mark.parametrize("n, k", [(3, 4), (3, 5), (3, -1), (-1, 0)])
 def test_enumerate_refuses_dimensions_outside_the_length(n, k):
     # refused on the call itself, before any code is drawn
@@ -132,8 +152,9 @@ def test_codeword_indices_example():
     G = FqMatrix.from_rows(F2, [[1, 0, 1, 0], [0, 1, 0, 1]])
     code = LinearCode.from_generator(G)
     assert codeword_indices(code).tolist() == [0, 5, 10, 15]
-    assert [v.coords for v in codewords(code)] == [(0, 0, 0, 0), (1, 0, 1, 0),
-                                                  (0, 1, 0, 1), (1, 1, 1, 1)]
+    # little-endian: index 5 is the codeword (1, 0, 1, 0)
+    assert [index_to_vec(i, 4, F2).coords for i in codeword_indices(code).tolist()] == [
+        (0, 0, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1), (1, 1, 1, 1)]
 
 
 def test_from_generator_rejects_dependent_rows():
@@ -142,18 +163,9 @@ def test_from_generator_rejects_dependent_rows():
         LinearCode.from_generator(G)
 
 
-def test_code_json_roundtrip():
-    code = sample_uniform_code(CodeEnsembleSpec(F3, 4, 2, 1), 0)
-    again = LinearCode.from_json(code.to_json())
-    assert again.canonical_key() == code.canonical_key()
-    assert again.H == code.H
-
-
-def test_reed_muller_past_64_columns_roundtrips_through_json():
+def test_reed_muller_past_64_columns_has_full_rank():
     code = reed_muller_code(1, 7)  # 128 columns
     assert rank(code.G) == 8 and rank(code.H) == 120
-    again = LinearCode.from_json(code.to_json())
-    assert again.G == code.G and again.H == code.H
 
 
 @pytest.mark.parametrize("spec, digest", [

@@ -275,12 +275,6 @@ def test_qpmf_header_is_checked_against_the_payload_first():
         DensePmf.from_qpmf_bytes(blob)
 
 
-def test_json_roundtrip():
-    P = pmf(F3, 1, [0.2, 0.3, 0.5])
-    again = DensePmf.from_json_dict(P.to_json_dict())
-    assert np.allclose(again.probs, P.probs)
-
-
 def test_syndrome_norm_degenerate_cases():
     code = reed_muller_code(1, 3)
     # delta = 1/2 gives a perfectly uniform syndrome

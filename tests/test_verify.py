@@ -96,6 +96,42 @@ def test_balance_refuses_an_empty_or_foreign_ensemble():
         check_p_balanced(3, 1, 2, 2, ensemble=[wider])
 
 
+def _kron_census(codes, p):
+    """counts[v_1, ..., v_p] one code at a time: a tuple lies in the code when
+    kron(I_p, H) sends it to 0."""
+    counts = np.zeros((codes[0].field.q ** codes[0].n) ** p, dtype=np.int64)
+    blocks = np.eye(p, dtype=np.int64)
+    for code in codes:
+        counts += image_indices(FqMatrix(code.field, np.kron(blocks, code.H.array))) == 0
+    return counts
+
+
+# c02's four shapes, p = 3 past the suite's size, and q = 3 at p = 2
+@pytest.mark.parametrize("n, k, q, p", [(3, 1, 2, 2), (3, 2, 2, 2), (2, 1, 3, 2), (4, 2, 2, 3),
+                                        (5, 2, 2, 3), (4, 2, 3, 2)])
+def test_stack_census_matches_the_per_code_kron_census(monkeypatch, n, k, q, p):
+    codes = list(enumerate_all_codes(FieldSpec(q), n, k))
+    H = verify._ensemble_stacks(q, n, k, DEFAULT_CAPS)[1]
+    ref = _kron_census(codes, p)
+    assert np.array_equal(verify._containment_counts(q, H, p), ref)
+    # three codes a chunk, so the census also sums over chunks and a short last one
+    monkeypatch.setattr(verify, "_BATCH_ENTRIES", 3 * (q ** n) ** max(1, p - 1))
+    assert np.array_equal(verify._containment_counts(q, H, p), ref)
+
+
+def test_balance_census_memory_stays_within_a_chunk():
+    check_p_balanced(7, 3, 2, 1)  # caches the [7, 3]_2 stacks and the tuple ranks
+    tracemalloc.start()
+    try:
+        res = check_p_balanced(7, 3, 2, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 11811 codes: one syndrome table of them all would take 12 MiB
+    assert res.passed and res.parameters["codes"] == 11811
+    assert peak < 2 << 20
+
+
 def test_balance_census_respects_cap():
     with pytest.raises(CapExceeded):
         check_p_balanced(3, 1, 2, 9)
@@ -119,7 +155,7 @@ def test_balance_refuses_the_tuple_rank_cap_before_the_census(monkeypatch):
 
 def test_tuple_probability_refuses_the_iid_cap_before_enumerating(monkeypatch):
     # 35 [4, 2]_2 codes fit the cap, 2^8 iid parity checks do not
-    monkeypatch.setattr(verify, "_codes_list", _refuse_work)
+    monkeypatch.setattr(verify, "_ensemble_stacks", _refuse_work)
     with pytest.raises(CapExceeded, match="iid parity-check"):
         check_tuple_probability(4, 2, 2, (1, 2), caps=Caps(code_enumeration=100))
 
@@ -173,6 +209,15 @@ def test_tuple_probability_examples():
     res = check_tuple_probability(3, 1, 2, tuple(range(8)) * 5)
     assert res.passed and res.parameters["rank"] == 3
     assert res.parameters["iid_probability"] == "1/64"
+
+
+def test_tuple_probability_reads_vectors_as_indices():
+    field = FieldSpec(3)
+    vectors = [index_to_vec(i, 3, field) for i in (5, 11, 16)]
+    assert (check_tuple_probability(3, 1, 3, vectors).parameters
+            == check_tuple_probability(3, 1, 3, (5, 11, 16)).parameters)
+    with pytest.raises(ValueError, match="does not live in F_3\\^3"):
+        check_tuple_probability(3, 1, 3, [index_to_vec(5, 2, field)])
 
 
 def test_tuple_probability_rejects_indices_outside_the_space():
@@ -337,6 +382,13 @@ def test_exact_expected_smoothness_grid():
         for p in (2, 3):
             res = exact_expected_smoothness(4, 2, 2, p, P)
             assert res.passed, (i, p, res.lhs, res.rhs)
+
+
+def test_exact_smoothing_checks_the_space_before_admitting_codes():
+    # a pmf on F_2^3 against [4, 2]_2 codes is a usage error, not a refusal
+    with pytest.raises(ValueError, match="same space"):
+        exact_expected_smoothness(4, 2, 2, 2, DensePmf.uniform(F2, 3),
+                                  caps=Caps(code_enumeration=1))
 
 
 def test_exact_expected_smoothness_q3():
