@@ -40,10 +40,8 @@ from .codes import (
 from .distributions import (
     DensePmf,
     ProductBernoulli,
-    RenyiOrder,
     Source,
     bernoulli_syndrome_excess,
-    bernoulli_syndrome_norm,
     code_pmf,
     convolve,
     lp_norm,

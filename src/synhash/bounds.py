@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field
 
 __all__ = [
     "BoundReport",
@@ -39,12 +39,7 @@ class BoundReport:
     satisfied_condition: bool | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "inputs": dict(self.inputs),
-            "value": self.value,
-            "satisfied_condition": self.satisfied_condition,
-        }
+        return asdict(self)
 
 
 def _logq(x: float, q: int) -> float:
@@ -65,14 +60,16 @@ def _logsumexp(logs: list[float]) -> float:
     return m + math.log(sum(math.exp(v - m) for v in logs))
 
 
-def _validate_order_p(p: float, minimum: float = 1.0) -> None:
-    if not p > minimum:
-        raise ValueError(f"order p must exceed {minimum}, got {p}")
+def _integer_order(p: int) -> None:
+    """The guarantees hold for every integer order p >= 2; refuse any other p."""
+    if not (isinstance(p, int) and p >= 2):
+        raise ValueError(f"integer order p >= 2 required, got {p}")
 
 
 def phi(p: float, eps: float) -> float:
     """Distance conversion from smoothness eps; two branches split at p = 2."""
-    _validate_order_p(p)
+    if not p > 1.0:
+        raise ValueError(f"order p must exceed 1.0, got {p}")
     if not math.isfinite(p):
         raise ValueError("phi is defined for finite p only")
     if eps < 0:
@@ -86,8 +83,7 @@ def phi(p: float, eps: float) -> float:
 def smoothing_bound_rhs(n: int, k: int, q: int, p: int, entropy_p: float) -> float:
     """Ensemble average of the p-th power smoothed norm, bounded over span
     dimensions: sum_d C(p,d) q^{(p-d)(d + n - k - H_p)}."""
-    if not (isinstance(p, int) and p >= 2):
-        raise ValueError(f"integer order p >= 2 required, got {p}")
+    _integer_order(p)
     lnq = math.log(q)
     logs = [math.log(math.comb(p, d)) + (p - d) * (d + n - k - entropy_p) * lnq
             for d in range(p + 1)]
@@ -110,8 +106,7 @@ def nonlinear_bound_rhs(n: int, k: int, q: int, p: int, entropy_p: float) -> flo
     Never exceeds smoothing_bound_rhs at the same parameters; that comparison
     is asserted on every call.
     """
-    if not (isinstance(p, int) and p >= 2):
-        raise ValueError(f"integer order p >= 2 required, got {p}")
+    _integer_order(p)
     lnq = math.log(q)
     logs = []
     for d in range(p + 1):
@@ -134,8 +129,7 @@ def main_guarantee(m: int, entropy_p: float, p: int, q: int,
     When a target eps is given, satisfied_condition reports whether the
     guarantee meets it.
     """
-    if not (isinstance(p, int) and p >= 2):
-        raise ValueError(f"integer order p >= 2 required, got {p}")
+    _integer_order(p)
     value = _qpow(q, m - entropy_p + p)
     inputs = {"m": m, "entropy_p": entropy_p, "p": p, "q": q}
     satisfied = None
@@ -162,8 +156,7 @@ def generic_loss(eps: float, p: int, q: int) -> float:
 def corollary_bounds(eps: float, p: int, q: int) -> tuple[float, float]:
     """Divergence and distance conversions of a smoothness guarantee eps:
     (p eps / ((p-1) ln q), 2^{1-1/p} ((1+eps)^p - 1)^{1/p})."""
-    if not (isinstance(p, int) and p >= 2):
-        raise ValueError(f"integer order p >= 2 required, got {p}")
+    _integer_order(p)
     if eps < 0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
     d_bound = p * eps / ((p - 1) * math.log(q))

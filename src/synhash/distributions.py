@@ -14,7 +14,7 @@ from typing import Union
 
 import numpy as np
 
-from .bounds import two_point_renyi
+from .bounds import _integer_order, two_point_renyi
 from .caps import DEFAULT_CAPS, Caps
 from .codes import LinearCode, codeword_indices
 from .field import (
@@ -28,9 +28,6 @@ from .field import (
 )
 
 __all__ = [
-    "RenyiOrder",
-    "ORDER_ONE",
-    "ORDER_INF",
     "DensePmf",
     "ProductBernoulli",
     "lp_norm",
@@ -42,7 +39,6 @@ __all__ = [
     "convolve",
     "code_pmf",
     "pushforward",
-    "bernoulli_syndrome_norm",
     "bernoulli_syndrome_excess",
 ]
 
@@ -50,46 +46,6 @@ _PMF_SUM_TOL = 1e-12
 _QPMF_MAGIC = b"QPMF"
 # table entries per batch of a stacked computation (512 KiB of int64 or float64)
 _BATCH_ENTRIES = 1 << 16
-
-
-@dataclass(frozen=True)
-class RenyiOrder:
-    """Order parameter p: 1, an integer >= 2, infinity, or a positive real != 1."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        v = float(self.value)
-        if not (v > 0.0):
-            raise ValueError(f"order must be positive, got {self.value!r}")
-        object.__setattr__(self, "value", v)
-
-    @classmethod
-    def of(cls, order: Union["RenyiOrder", int, float]) -> "RenyiOrder":
-        if isinstance(order, RenyiOrder):
-            return order
-        return cls(float(order))
-
-    @property
-    def is_one(self) -> bool:
-        return self.value == 1.0
-
-    @property
-    def is_inf(self) -> bool:
-        return math.isinf(self.value)
-
-    @property
-    def integer(self) -> int | None:
-        """The value as an integer >= 2 when it is one, else None."""
-        if math.isfinite(self.value) and self.value >= 2 and self.value == int(self.value):
-            return int(self.value)
-        return None
-
-
-ORDER_ONE = RenyiOrder(1.0)
-ORDER_INF = RenyiOrder(math.inf)
-
-OrderLike = Union[RenyiOrder, int, float]
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,7 +174,15 @@ def _signed_power(base: float, exponents: np.ndarray) -> np.ndarray:
     return sign * mag
 
 
-def lp_norm(values: np.ndarray, order: OrderLike) -> float:
+def _order(p: float) -> float:
+    """An order as a float: 1 (Shannon), inf (min-entropy) or any other positive value."""
+    p = float(p)
+    if not p > 0.0:
+        raise ValueError(f"order must be positive, got {p!r}")
+    return p
+
+
+def lp_norm(values: np.ndarray, order: float) -> float:
     """Averaged p-norm of a function given by its value table."""
     arr = np.asarray(values)
     if arr.ndim != 1 or arr.size == 0:
@@ -226,55 +190,46 @@ def lp_norm(values: np.ndarray, order: OrderLike) -> float:
     return float(lp_norms(arr[None], order)[0])
 
 
-def lp_norms(rows: np.ndarray, order: OrderLike) -> np.ndarray:
+def lp_norms(rows: np.ndarray, order: float) -> np.ndarray:
     """Averaged p-norm of each row of a (T, size) table of function values.
 
     The means run along each row as they would over that row alone, and the
     1/p-th power is taken one float64 scalar at a time, so entry t equals
     lp_norm(rows[t], order) bit for bit.
     """
-    order = RenyiOrder.of(order)
+    p = _order(order)
     arr = np.abs(np.asarray(rows, dtype=np.float64))
     if arr.ndim != 2 or arr.shape[1] == 0:
         raise ValueError("expected a (T, size) table with nonempty rows")
-    if order.is_inf:
+    if math.isinf(p):
         return arr.max(axis=1)
     # a row sum over the row count is what np.mean computes, without its overhead
-    if order.is_one:
+    if p == 1.0:
         return arr.sum(axis=1) / arr.shape[1]
-    p = order.value
     return np.array([m ** (1.0 / p) for m in (arr ** p).sum(axis=1) / arr.shape[1]])
 
 
-def _entropy_power_sum(probs: np.ndarray, p: float) -> float:
-    mask = probs > 0.0
-    return float(np.sum(probs[mask] ** p))
-
-
-def renyi_entropy(P: Source, order: OrderLike) -> float:
+def renyi_entropy(P: Source, order: float) -> float:
     """Order-p entropy in base-q symbols; p = 1 Shannon, p = inf min-entropy."""
-    order = RenyiOrder.of(order)
+    p = _order(order)
     if isinstance(P, ProductBernoulli):
-        return P.n * two_point_renyi(P.delta, order.value)
-    q = P.field.q
-    lnq = math.log(q)
-    probs = P.probs
-    if order.is_one:
-        mask = probs > 0.0
-        return float(-np.sum(probs[mask] * np.log(probs[mask])) / lnq)
-    if order.is_inf:
+        return P.n * two_point_renyi(P.delta, p)
+    lnq = math.log(P.field.q)
+    probs = P.probs[P.probs > 0.0]
+    if p == 1.0:
+        return float(-np.sum(probs * np.log(probs)) / lnq)
+    if math.isinf(p):
         return -math.log(float(probs.max())) / lnq
-    p = order.value
-    return math.log(_entropy_power_sum(probs, p)) / ((1.0 - p) * lnq)
+    return math.log(float(np.sum(probs ** p))) / ((1.0 - p) * lnq)
 
 
-def renyi_divergence(P: DensePmf, Q: DensePmf, order: OrderLike) -> float:
+def renyi_divergence(P: DensePmf, Q: DensePmf, order: float) -> float:
     """Order-p divergence D_p(P || Q) in base-q symbols.
 
     Requires support(P) within support(Q); the first offending index is named
     otherwise.
     """
-    order = RenyiOrder.of(order)
+    p = _order(order)
     if P.field != Q.field or P.n != Q.n:
         raise ValueError("divergence needs two pmfs on the same space")
     mask = P.probs > 0.0
@@ -285,21 +240,19 @@ def renyi_divergence(P: DensePmf, Q: DensePmf, order: OrderLike) -> float:
     lnq = math.log(P.field.q)
     ps = P.probs[mask]
     qs = Q.probs[mask]
-    if order.is_one:
+    if p == 1.0:
         return float(np.sum(ps * np.log(ps / qs)) / lnq)
-    if order.is_inf:
+    if math.isinf(p):
         return float(np.log(np.max(ps / qs)) / lnq)
-    p = order.value
     return float(np.log(np.sum(ps ** p * qs ** (1.0 - p))) / ((p - 1.0) * lnq))
 
 
-def lp_smoothness(P: DensePmf, order: OrderLike) -> float:
+def lp_smoothness(P: DensePmf, order: float) -> float:
     """Distance of P from uniform as a norm overshoot: ||q^n P||_p - 1.
 
     Identically zero at p = 1, so that order is rejected.
     """
-    order = RenyiOrder.of(order)
-    if order.value <= 1.0:
+    if _order(order) <= 1.0:
         raise ValueError("smoothness needs p > 1 (it is identically 0 at p = 1)")
     return lp_norm(P.size * P.probs, order) - 1.0
 
@@ -444,8 +397,7 @@ def bernoulli_syndrome_excess(code: LinearCode, delta: float, p: int,
     """
     if code.field.q != 2:
         raise ValueError("dual-character route requires the binary field")
-    if not (isinstance(p, int) and p >= 2):
-        raise ValueError(f"integer order p >= 2 required, got {p}")
+    _integer_order(p)
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta must lie in [0, 1], got {delta}")
     nk = code.n - code.k
@@ -464,9 +416,3 @@ def bernoulli_syndrome_excess(code: LinearCode, delta: float, p: int,
             power *= e
             total += math.comb(p, j) * float(power.mean())
     return total
-
-
-def bernoulli_syndrome_norm(code: LinearCode, delta: float, p: int,
-                            caps: Caps = DEFAULT_CAPS) -> float:
-    """||q^{n-k} P_{HZ}||_p^p for Z ~ Bernoulli(delta)^n, via the dual character sum."""
-    return 1.0 + bernoulli_syndrome_excess(code, delta, p, caps)

@@ -190,13 +190,6 @@ def _rref_stack(a: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return a, pivots, ranks
 
 
-def _rref_array(a: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod q of one matrix; returns (nonzero rows as
-    int64, pivot columns)."""
-    red, pivots, ranks = _rref_stack(np.asarray(a)[None], q)
-    return red[0, :ranks[0]].astype(np.int64), pivots[0, :ranks[0]].tolist()
-
-
 def _rank_array(a: np.ndarray, q: int) -> int:
     return int(_rref_stack(np.asarray(a)[None], q)[2][0])
 
@@ -219,12 +212,6 @@ def _kernel_from_rref(red: np.ndarray, pivots: np.ndarray, q: int) -> np.ndarray
     return basis
 
 
-def _kernel_array(a: np.ndarray, q: int) -> np.ndarray:
-    """Basis (rows) of the right kernel {x : a @ x = 0 mod q}."""
-    red, pivots, ranks = _rref_stack(np.asarray(a)[None], q)
-    return _kernel_from_rref(red[:, :ranks[0]], pivots[:, :ranks[0]], q)[0]
-
-
 # -- public operations ------------------------------------------------------
 
 def rank(M: FqMatrix) -> int:
@@ -234,13 +221,15 @@ def rank(M: FqMatrix) -> int:
 
 def rref(M: FqMatrix) -> tuple[FqMatrix, list[int]]:
     """Canonical reduced row echelon form (unit pivots, zero rows removed)."""
-    red, pivots = _rref_array(M.array, M.field.q)
-    return FqMatrix(M.field, red), pivots
+    red, pivots, ranks = _rref_stack(M.array[None], M.field.q)
+    return FqMatrix(M.field, red[0, :ranks[0]]), pivots[0, :ranks[0]].tolist()
 
 
 def kernel_basis(M: FqMatrix) -> FqMatrix:
     """Matrix whose rows span {x : M x = 0}; has cols(M) - rank(M) rows."""
-    return FqMatrix(M.field, _kernel_array(M.array, M.field.q))
+    red, pivots, ranks = _rref_stack(M.array[None], M.field.q)
+    basis = _kernel_from_rref(red[:, :ranks[0]], pivots[:, :ranks[0]], M.field.q)
+    return FqMatrix(M.field, basis[0])
 
 
 def mat_vec(M: FqMatrix, v: FqVector | np.ndarray | Sequence[int]) -> FqVector:

@@ -12,7 +12,7 @@ import io
 import math
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Callable, Sequence
 
 from .bounds import rm_threshold, two_point_renyi
@@ -36,10 +36,6 @@ __all__ = [
     "intrinsic_gap",
     "CSV_COLUMNS",
 ]
-
-CSV_COLUMNS = ("m", "n", "k", "rate", "syndrome_bits", "extraction_rate",
-               "delta", "p", "divergence", "threshold", "above_threshold",
-               "method", "seconds")
 
 _R_RULE = re.compile(r"^(?:m-(\d+)|(\d+))$")
 
@@ -91,6 +87,9 @@ class RmResultRow:
     above_threshold: bool
     method: str
     seconds: float
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(RmResultRow))
 
 
 def rm_divergences(m: int, r: int, delta: float, orders: Sequence[float], method: str,
@@ -170,15 +169,15 @@ def intrinsic_gap(row: RmResultRow) -> float:
 
 
 def rows_to_csv(rows: Sequence[RmResultRow]) -> str:
-    """Render rows as CSV, one line per row under a CSV_COLUMNS header."""
+    """Render rows as CSV, one line per row under a CSV_COLUMNS header: bools
+    in lower case, floats by repr, everything else as it is."""
+    def cell(v):
+        if isinstance(v, bool):
+            return str(v).lower()
+        return repr(v) if isinstance(v, float) else v
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in rows:
-        writer.writerow([
-            row.m, row.n, row.k, repr(row.rate), row.syndrome_bits,
-            repr(row.extraction_rate), repr(row.delta), repr(row.p),
-            repr(row.divergence), repr(row.threshold),
-            str(row.above_threshold).lower(), row.method, repr(row.seconds),
-        ])
+        writer.writerow([cell(v) for v in astuple(row)])
     return buf.getvalue()

@@ -11,13 +11,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .bounds import corollary_bounds, linf_bucket_bound, phi, smoothing_bound_rhs
+from .bounds import _integer_order, corollary_bounds, linf_bucket_bound, phi, smoothing_bound_rhs
 from .caps import DEFAULT_CAPS, Caps
 from .codes import (
     DEFAULT_SEED,
@@ -25,15 +25,16 @@ from .codes import (
     LinearCode,
     codeword_indices,  # traced site: perfbench/tracing.py wraps it here
     enumerate_all_codes,
+    gaussian_binomial,
     rank_tuple_count,
     sample_uniform_code,  # traced site: perfbench/tracing.py wraps it here
+    _admit_enumeration,
     _ensemble_stacks,
     _sample_codes,
 )
 from .distributions import (
     DensePmf,
     ProductBernoulli,
-    RenyiOrder,
     Source,
     code_pmf,
     convolve,
@@ -87,17 +88,7 @@ class CheckResult:
     kind: str = "inequality"
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "parameters": dict(self.parameters),
-            "passed": self.passed,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "trials": self.trials,
-            "seed": self.seed,
-            "kind": self.kind,
-        }
+        return asdict(self)
 
 
 def _identity_result(name: str, parameters: dict, lhs: float, rhs: float,
@@ -149,9 +140,13 @@ def _tuple_ranks_cached(q: int, n: int, p: int) -> np.ndarray:
     return ranks
 
 
-def _tuple_ranks(q: int, n: int, p: int, caps: Caps) -> np.ndarray:
+def _tuple_space(n: int, p: int) -> None:
     if n < 0 or p < 1:
         raise ValueError(f"need n >= 0 and p >= 1, got n={n}, p={p}")
+
+
+def _tuple_ranks(q: int, n: int, p: int, caps: Caps) -> np.ndarray:
+    _tuple_space(n, p)
     caps.admit("tuple rank stratification", (q ** n) ** p * max(n, 1), "tuple_products")
     return _tuple_ranks_cached(q, n, p)
 
@@ -197,19 +192,24 @@ def check_p_balanced(n: int, k: int, q: int, p: int,
     """Within every rank class, each p-tuple must sit in the same number of codes.
 
     The default ensemble is every [n, k]_q code; passing an explicit ensemble
-    makes this a test of that family instead.
+    makes this a test of that family instead.  Every cost is admitted before
+    the default ensemble is built.
     """
+    _tuple_space(n, p)
     if ensemble is None:
-        H = _ensemble_stacks(q, n, k, caps)[1]
+        _admit_enumeration(q, n, k, caps)
+        count = gaussian_binomial(n, k, q)
     else:
         codes = tuple(ensemble)
         if not codes:
             raise ValueError("the ensemble holds no code")
         if any((code.field.q, code.n, code.k) != (q, n, k) for code in codes):
             raise ValueError(f"every code of the ensemble must be an [{n}, {k}]_{q} code")
-        H = np.array([code.H.array for code in codes])
-    caps.admit("balance census", len(H) * (q ** n) ** p, "tuple_products")
+        count = len(codes)
+    caps.admit("balance census", count * (q ** n) ** p, "tuple_products")
     ranks = _tuple_ranks(q, n, p, caps)  # its cap refuses before the census runs
+    H = (_ensemble_stacks(q, n, k, caps)[1] if ensemble is None
+         else np.array([code.H.array for code in codes]))
     counts = _containment_counts(q, H, p)
     spread = 0
     by_rank: dict[int, list[int]] = {}
@@ -225,16 +225,18 @@ def check_p_balanced(n: int, k: int, q: int, p: int,
     return _identity_result("p-balanced", params, float(spread), 0.0, rel_tol=0.0)
 
 
-def _tuple_average(n: int, k: int, q: int, p: int, f_key, f_values, caps: Caps):
+def _tuple_average(n: int, k: int, q: int, p: int, f_key, caps: Caps):
     """The number of [n, k]_q codes, the tuple ranks, the flattened test
-    function f on p-tuples (drawn from f_key unless given) and the average over
-    codes of the sum of f over codeword p-tuples."""
-    size = q ** n
-    G = _ensemble_stacks(q, n, k, caps)[0]
+    function f on p-tuples drawn from f_key and the average over codes of the
+    sum of f over codeword p-tuples.  Every cost is admitted before the
+    ensemble is built."""
+    _tuple_space(n, p)
+    _admit_enumeration(q, n, k, caps)
     ranks = _tuple_ranks(q, n, p, caps)
-    f = f_values if f_values is not None else _random_nonneg(size ** p, f_key)
-    flat = np.asarray(f, dtype=np.float64).reshape(size ** p)
     caps.admit("codeword enumeration", q ** k, "code_enumeration")
+    G = _ensemble_stacks(q, n, k, caps)[0]
+    size = q ** n
+    flat = _random_nonneg(size ** p, f_key)
     lhs = 0.0
     # a chunk of codes at a time: every code's codeword indices from one table,
     # then the flat index of each codeword p-tuple, v_1 in the top digits
@@ -251,16 +253,13 @@ def _tuple_average(n: int, k: int, q: int, p: int, f_key, f_values, caps: Caps):
 
 
 def check_balanced_identity(n: int, k: int, q: int, p: int, f_seed: int = DEFAULT_SEED,
-                            caps: Caps = DEFAULT_CAPS,
-                            f_values: np.ndarray | None = None,
-                            rel_tol: float = 1e-9) -> CheckResult:
+                            caps: Caps = DEFAULT_CAPS) -> CheckResult:
     """Code-ensemble tuple average equals the rank-stratified weighted sum.
 
     Both sides are computed over all [n, k]_q codes and a random nonnegative
     test function on p-tuples.
     """
-    codes, ranks, flat, lhs = _tuple_average(n, k, q, p, (f_seed, 11, n, k, q, p),
-                                             f_values, caps)
+    codes, ranks, flat, lhs = _tuple_average(n, k, q, p, (f_seed, 11, n, k, q, p), caps)
     rhs = 0.0
     for d in range(min(n, p) + 1):
         t_n = rank_tuple_count(n, p, d, q)
@@ -269,6 +268,7 @@ def check_balanced_identity(n: int, k: int, q: int, p: int, f_seed: int = DEFAUL
         ratio = Fraction(rank_tuple_count(k, p, d, q), t_n)
         if ratio:
             rhs += float(ratio) * float(flat[ranks == d].sum())
+    rel_tol = 1e-9
     params = {"n": n, "k": k, "q": q, "p": p, "codes": codes, "rel_tol": rel_tol}
     return _identity_result("balanced-identity", params, lhs, rhs, rel_tol,
                             seed=f_seed)
@@ -276,14 +276,12 @@ def check_balanced_identity(n: int, k: int, q: int, p: int, f_seed: int = DEFAUL
 
 def check_balanced_inequality(n: int, k: int, q: int, p: int,
                               f_seed: int = DEFAULT_SEED,
-                              caps: Caps = DEFAULT_CAPS,
-                              f_values: np.ndarray | None = None) -> CheckResult:
+                              caps: Caps = DEFAULT_CAPS) -> CheckResult:
     """Tuple average is at most the rank-stratified sum weighted by q^{d(k-n)}.
 
     Equality holds when k = n.
     """
-    codes, ranks, flat, lhs = _tuple_average(n, k, q, p, (f_seed, 13, n, k, q, p),
-                                             f_values, caps)
+    codes, ranks, flat, lhs = _tuple_average(n, k, q, p, (f_seed, 13, n, k, q, p), caps)
     rhs = 0.0
     for d in range(min(k, p) + 1):
         rhs += float(q ** (d * (k - n))) * float(flat[ranks == d].sum())
@@ -371,8 +369,7 @@ def check_norm_bound_lemma(n: int, q: int, p: int, d: int, f_seed: int = DEFAULT
 def check_rearrangement_lemma(n: int, q: int, p: int, d: int,
                               seed: int = DEFAULT_SEED,
                               caps: Caps = DEFAULT_CAPS,
-                              coefficients: np.ndarray | None = None,
-                              f_values: np.ndarray | None = None) -> CheckResult:
+                              coefficients: np.ndarray | None = None) -> CheckResult:
     """Averages of f-products along fixed nonzero linear combinations are
     bounded by ||f||_1^{d-1} ||f||_{p-d+1}^{p-d+1}."""
     if not 1 <= d <= p:
@@ -393,8 +390,7 @@ def check_rearrangement_lemma(n: int, q: int, p: int, d: int,
         coefficients = np.asarray(coefficients, dtype=np.int64).reshape(p - d, d) % q
         if p > d and not all(row.any() for row in coefficients):
             raise ValueError("need p - d nonzero coefficient rows of length d")
-    f = f_values if f_values is not None else rng.random(size)
-    f = np.asarray(f, dtype=np.float64)
+    f = rng.random(size)
     flat = np.arange(grid, dtype=np.int64)
     prod = np.ones(grid)
     for j in range(d):
@@ -417,8 +413,7 @@ def check_rearrangement_lemma(n: int, q: int, p: int, d: int,
 
 def check_projection_identity(code: LinearCode, P: DensePmf,
                               p_list: Sequence[float] = (2.0, 3.0, math.inf),
-                              caps: Caps = DEFAULT_CAPS,
-                              rel_tol: float = 1e-10) -> CheckResult:
+                              caps: Caps = DEFAULT_CAPS) -> CheckResult:
     """Syndrome-side norms equal smoothed-source norms at every order.
 
     ||q^{n-k} P_{HZ}||_p computed by pushforward must match
@@ -428,6 +423,7 @@ def check_projection_identity(code: LinearCode, P: DensePmf,
     syn = pushforward(P, code.H, caps)
     mixed = convolve(code_pmf(code, caps), P)
     q = code.field.q
+    rel_tol = 1e-10
     per_order = []
     for p in p_list:
         a = lp_norm(float(q) ** m * syn.probs, p)
@@ -446,6 +442,8 @@ def rank_stratified_sum(P: DensePmf, p: int, d: int,
                         caps: Caps = DEFAULT_CAPS) -> float:
     """q^{-n} sum_x sum over rank-d tuples of prod_l P(x - v_l)."""
     q, n = P.field.q, P.n
+    if not 0 <= d <= min(n, p):
+        raise ValueError(f"need 0 <= d <= min(n, p), got d={d}")
     size = P.size
     ranks = _tuple_ranks(q, n, p, caps)
     tuples_d = np.nonzero(ranks == d)[0]
@@ -479,13 +477,16 @@ def check_rank_stratified(P: DensePmf, p: int, d: int,
 def exact_expected_smoothness(n: int, k: int, q: int, p: int, P: DensePmf,
                               caps: Caps = DEFAULT_CAPS) -> CheckResult:
     """Average of ||q^n P_{X_C+Z}||_p^p over every [n, k]_q code stays under
-    the closed-form ensemble budget."""
+    the closed-form ensemble budget.  The order and every cost are checked
+    before the ensemble is built."""
+    _integer_order(p)
     if (P.field.q, P.n) != (q, n):
         raise ValueError("convolution needs two pmfs on the same space")
-    G = _ensemble_stacks(q, n, k, caps)[0]
-    transformed = _character_transform(P.probs, P.field.q, P.n)  # once for every code
+    _admit_enumeration(q, n, k, caps)
     size = DensePmf._check_size(FieldSpec(q), n, caps)
     caps.admit("codeword enumeration", q ** k, "code_enumeration")
+    G = _ensemble_stacks(q, n, k, caps)[0]
+    transformed = _character_transform(P.probs, P.field.q, P.n)  # once for every code
     total = 0.0
     # a chunk of codes at a time: their pmfs, convolved with P, and the norms.
     # About eight tables of a chunk's size are alive at once, on top of the
@@ -567,9 +568,8 @@ def _mc_norms(source: Source, spec: CodeEnsembleSpec, p: int, trials: int,
     P = source.to_dense(caps)
     if P.n != spec.n or P.field != spec.field:
         raise ValueError("source and ensemble live on different spaces")
-    order = RenyiOrder.of(p)
     scale = float(spec.field.q) ** (spec.n - spec.k)
-    norms = _mc_trials(P, spec, trials, lambda rows: lp_norms(scale * rows, order), caps)
+    norms = _mc_trials(P, spec, trials, lambda rows: lp_norms(scale * rows, p), caps)
     norms.flags.writeable = False
     return norms
 
@@ -584,9 +584,9 @@ def mc_expected_smoothness(spec: CodeEnsembleSpec, source: Source, p: int,
     """
     if collision and p != 2:
         raise ValueError("the collision refinement is a p = 2 statement")
+    entropy = renyi_entropy(source, p)  # rejects a bad order before any code is drawn
     norms = _mc_norms(source, spec, p, trials, caps)
     q, m = spec.field.q, spec.n - spec.k
-    entropy = renyi_entropy(source, p)
     power = 2 if collision else 1
     # Python float powers, as a per-code statistic takes them
     mean, stderr = _mean_stderr(np.array([v ** power - 1.0 for v in norms.tolist()]))
@@ -642,8 +642,7 @@ def _conversion_orders(orders: Sequence[float]) -> list[float]:
 def check_proximity_conversions(q: int, n: int, count: int,
                                 orders: Sequence[float] = (1.5, 2, 3),
                                 seed: int = DEFAULT_SEED,
-                                caps: Caps = DEFAULT_CAPS,
-                                rel_tol: float = 1e-9) -> CheckResult:
+                                caps: Caps = DEFAULT_CAPS) -> CheckResult:
     """Measured smoothness, divergence and centered distance of random pmfs
     satisfy every conversion between the three proximity notions.
 
@@ -691,14 +690,12 @@ def check_proximity_conversions(q: int, n: int, count: int,
     slack, lhs, rhs = worst[0], worst[1], worst[2]
     params = {"q": q, "n": n, "count": count, "orders": orders,
               "tightest_claim": worst[3]}
-    return _inequality_result("proximity-conversions", params, lhs, rhs,
-                              rel_tol=rel_tol, seed=seed)
+    return _inequality_result("proximity-conversions", params, lhs, rhs, seed=seed)
 
 
 def check_clarkson(q: int, n: int, count: int,
                    orders: Sequence[float] = (1.5, 2, 3),
-                   seed: int = DEFAULT_SEED,
-                   rel_tol: float = 1e-9) -> CheckResult:
+                   seed: int = DEFAULT_SEED) -> CheckResult:
     """Two-branch uniform convexity inequalities on random function pairs.
 
     Pair i is the draws 2i and 2i + 1 of one normal stream, taken a table of
@@ -734,8 +731,7 @@ def check_clarkson(q: int, n: int, count: int,
                     worst = (slack, lhs, rhs, f"{label}, pair {first + row}")
     params = {"q": q, "n": n, "count": count, "orders": orders,
               "tightest_claim": worst[3]}
-    return _inequality_result("clarkson", params, worst[1], worst[2],
-                              rel_tol=rel_tol, seed=seed)
+    return _inequality_result("clarkson", params, worst[1], worst[2], seed=seed)
 
 
 # -- negative controls ---------------------------------------------------------

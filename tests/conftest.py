@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from synhash.field import _rref_array
+from synhash.field import FieldSpec, FqMatrix, rref
 
 settings.register_profile(
     "suite",
@@ -34,7 +34,8 @@ def _reference_code(spec, trial):
     red, pivots = g, []
     while len(pivots) < k:
         g = rng.integers(0, q, size=(k, n), dtype=np.int64)
-        red, pivots = _rref_array(g, q)
+        reduced, pivots = rref(FqMatrix(FieldSpec(q), g))
+        red = reduced.array
     return g, _reference_kernel(red, pivots, n, q)
 
 

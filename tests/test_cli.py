@@ -236,6 +236,7 @@ def test_zero_cap_refuses_and_negative_cap_is_a_usage_error(flag, argv, capsys):
     "verify tuple-probability --n 3 --k 5 --tuple 1,2",
     "verify norm-bound --n -1 --p 2 --d 1",
     "verify p-balanced --n 3 --k 1 --p 0",
+    "verify rank-stratified --n 3 --p 2 --d 5",
 ])
 def test_impossible_dimensions_are_usage_errors(argv, capsys):
     # these used to pass over an empty ensemble, die in a traceback or print
@@ -244,6 +245,23 @@ def test_impossible_dimensions_are_usage_errors(argv, capsys):
     assert rc == 1
     assert out == ""
     assert err.startswith("synhash: error: need ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("--code-cap 1 verify p-balanced --n 3 --k 1 --p 0",
+     "need n >= 0 and p >= 1, got n=3, p=0"),
+    ("--code-cap 1 verify balanced-identity --n 3 --k 1 --p 0",
+     "need n >= 0 and p >= 1, got n=3, p=0"),
+    ("--code-cap 1 verify exact-smoothing --n 8 --k 4 --p 1 --source uniform",
+     "integer order p >= 2 required, got 1"),
+    ("--dense-cap 10 smooth --n 10 --k 8 --p 0 --source bernoulli:0.2 --trials 50",
+     "order must be positive, got 0.0"),
+])
+def test_usage_errors_come_before_refusals(argv, message, capsys):
+    # these were refused by the cap (exit 2); without a cap the exact-smoothing
+    # case convolved every [8, 4]_2 code before its order error
+    rc, out, err = run(argv.split(), capsys)
+    assert (rc, out, err) == (1, "", f"synhash: error: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -298,8 +316,9 @@ def test_exact_checks_are_pinned(argv, digest, capsys):
 
 # sha1 of the --stable-output --format csv stdout, recorded before the
 # proximity and Clarkson checks scored their draws as one table, before the
-# Reed-Muller divergences of c09 were taken for all orders at once, and
-# before the tuple ranks of c03 were read from one zero count
+# Reed-Muller divergences of c09 were taken for all orders at once, before
+# the tuple ranks of c03 were read from one zero count (the rm rows: before
+# orders were plain floats and the rm CSV cells came from the row's fields)
 @pytest.mark.parametrize("argv, digest", [
     ("suite", "3d7c407ae57b9e9a25fd37d46e948ce439de5dc8"),
     ("suite --quick", "99bbc787034044b294792d89bdc14be232408fb6"),
@@ -309,6 +328,8 @@ def test_exact_checks_are_pinned(argv, digest, capsys):
     ("verify clarkson --n 5 --count 200", "db461440accb602c5e66bf6ffa617a00848aa3e1"),
     ("--seed 7 verify proximity --n 5 --count 200", "eb22bbe8c75dff1eb744cb80c80eb28bbcced277"),
     ("--seed 7 verify clarkson --n 5 --count 200", "5c18df63c755b7de76a98139f87230a847641af6"),
+    ("rm --m-range 4:12", "0ad60c6111576f36e1d6b4e8c03e5a888fbbdc60"),
+    ("rm --m-range 2:6 --method dense --p inf", "3841889fba86695525037907ae53ba327af855f0"),
 ])
 def test_suite_and_draw_checks_are_pinned(argv, digest, capsys):
     rc, out, _ = run(["--stable-output", "--format", "csv", *argv.split()], capsys)

@@ -12,9 +12,7 @@ from synhash.codes import CodeEnsembleSpec, reed_muller_code, sample_uniform_cod
 from synhash.distributions import (
     DensePmf,
     ProductBernoulli,
-    RenyiOrder,
     bernoulli_syndrome_excess,
-    bernoulli_syndrome_norm,
     code_pmf,
     convolve,
     lp_norm,
@@ -50,14 +48,22 @@ def random_pmfs(draw):
 
 
 def test_renyi_order_validation():
-    assert RenyiOrder.of(2).integer == 2
-    assert RenyiOrder.of(math.inf).is_inf
-    assert RenyiOrder.of(1.0).is_one
-    assert RenyiOrder.of(2.5).integer is None
-    with pytest.raises(ValueError):
-        RenyiOrder.of(0.0)
-    with pytest.raises(ValueError):
-        RenyiOrder.of(-1)
+    P = pmf(F2, 2, [0.5, 0.25, 0.125, 0.125])
+    U = DensePmf.uniform(F2, 2)
+    values = np.array([1.0, -2.0, 3.0])
+    measures = (lambda p: lp_norm(values, p), lambda p: renyi_entropy(P, p),
+                lambda p: renyi_divergence(P, U, p))
+    for bad in (0, -1, math.nan):
+        for measure in measures:
+            with pytest.raises(ValueError, match="order must be positive"):
+                measure(bad)
+    # p = 1 is the mean and Shannon route, p = inf the max and min-entropy route
+    assert lp_norm(values, 1) == pytest.approx(2.0)
+    assert lp_norm(values, math.inf) == 3.0
+    assert renyi_entropy(P, 1) == pytest.approx(1.75)
+    assert renyi_entropy(P, math.inf) == pytest.approx(1.0)
+    assert renyi_divergence(P, U, 1) == pytest.approx(0.25)
+    assert renyi_divergence(P, U, math.inf) == pytest.approx(1.0)
 
 
 def test_pmf_validation():
@@ -278,15 +284,15 @@ def test_qpmf_header_is_checked_against_the_payload_first():
 def test_syndrome_norm_degenerate_cases():
     code = reed_muller_code(1, 3)
     # delta = 1/2 gives a perfectly uniform syndrome
-    assert bernoulli_syndrome_norm(code, 0.5, 2) == pytest.approx(1.0, abs=1e-14)
+    assert bernoulli_syndrome_excess(code, 0.5, 2) == pytest.approx(0.0, abs=1e-14)
     # k = n leaves a zero-length syndrome
     full = reed_muller_code(3, 3)
-    assert bernoulli_syndrome_norm(full, 0.25, 2) == pytest.approx(1.0, abs=1e-14)
+    assert bernoulli_syndrome_excess(full, 0.25, 2) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_syndrome_norm_rm13_frozen():
     code = reed_muller_code(1, 3)
-    got = bernoulli_syndrome_norm(code, 0.25, 2)
+    got = 1.0 + bernoulli_syndrome_excess(code, 0.25, 2)
     assert got == pytest.approx(1.0547027587890625, rel=1e-15)
 
 
@@ -298,7 +304,7 @@ def test_syndrome_norm_matches_dense_paths():
         dense = ProductBernoulli(delta, 6).to_dense()
         syn = pushforward(dense, code.H)
         direct = lp_norm(2.0 ** m * syn.probs, p) ** p
-        character = bernoulli_syndrome_norm(code, delta, p)
+        character = 1.0 + bernoulli_syndrome_excess(code, delta, p)
         assert character == pytest.approx(direct, rel=1e-12)
 
 
@@ -318,7 +324,7 @@ def test_syndrome_norm_matches_column_recursion_beyond_dense():
     rm25 = reed_muller_code(2, 5)  # 2^16 syndromes of 2^32 noise patterns
     random_code = sample_uniform_code(CodeEnsembleSpec(F2, 12, 6, 13), 0)
     for code, delta, p in [(rm25, 0.25, 3), (rm25, 0.25, 4), (random_code, 0.2, 5)]:
-        assert bernoulli_syndrome_norm(code, delta, p) == pytest.approx(
+        assert 1.0 + bernoulli_syndrome_excess(code, delta, p) == pytest.approx(
             _column_recursion_norm(code, delta, p), rel=1e-12)
 
 

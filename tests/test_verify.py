@@ -13,7 +13,7 @@ from synhash.codes import (CodeEnsembleSpec, enumerate_all_codes, gaussian_binom
                            rank_tuple_count, sample_uniform_code)
 from synhash.distributions import (DensePmf, ProductBernoulli, code_pmf, convolve,
                                    lp_norm, pushforward, renyi_entropy)
-from synhash.field import FieldSpec, FqMatrix, image_indices, index_to_vec, _rank_array, _rref_array
+from synhash.field import FieldSpec, FqMatrix, image_indices, index_to_vec, rref, _rank_array
 from synhash.verify import (
     check_balanced_identity,
     check_balanced_inequality,
@@ -160,6 +160,35 @@ def test_tuple_probability_refuses_the_iid_cap_before_enumerating(monkeypatch):
         check_tuple_probability(4, 2, 2, (1, 2), caps=Caps(code_enumeration=100))
 
 
+@pytest.mark.parametrize("run, caps, refusal", [
+    (lambda caps: check_p_balanced(3, 1, 2, 2, caps=caps), Caps(code_enumeration=6),
+     "code enumeration"),
+    # 2^11 [11, 2]_2 codes fit the code cap; their census does not fit 1000
+    (lambda caps: check_p_balanced(11, 2, 2, 1, caps=caps), Caps(tuple_products=1000),
+     "balance census"),
+    # the one [3, 0]_2 code: census 8^2 fits, tuple ranks 3 * 8^2 do not
+    (lambda caps: check_p_balanced(3, 0, 2, 2, caps=caps), Caps(tuple_products=100),
+     "tuple rank stratification"),
+    (lambda caps: check_balanced_identity(11, 2, 2, 1, caps=caps), Caps(tuple_products=1000),
+     "tuple rank stratification"),
+    # the one [4, 4]_2 code has 16 codewords
+    (lambda caps: check_balanced_inequality(4, 4, 2, 1, caps=caps), Caps(code_enumeration=15),
+     "codeword enumeration"),
+    (lambda caps: exact_expected_smoothness(4, 2, 2, 2, DensePmf.uniform(F2, 4), caps=caps),
+     Caps(code_enumeration=10), "code enumeration"),
+    (lambda caps: exact_expected_smoothness(4, 2, 2, 2, DensePmf.uniform(F2, 4), caps=caps),
+     Caps(dense_pmf_entries=8), "dense pmf"),
+    (lambda caps: exact_expected_smoothness(4, 4, 2, 2, DensePmf.uniform(F2, 4), caps=caps),
+     Caps(code_enumeration=15), "codeword enumeration"),
+], ids=["balanced-codes", "balanced-census", "balanced-ranks", "identity-ranks",
+        "inequality-codewords", "smoothing-codes", "smoothing-dense", "smoothing-codewords"])
+def test_exhaustive_checks_admit_every_cost_before_building_the_ensemble(
+        monkeypatch, run, caps, refusal):
+    monkeypatch.setattr(verify, "_ensemble_stacks", _refuse_work)
+    with pytest.raises(CapExceeded, match=f"^{refusal}: "):
+        run(caps)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_balanced_identity_random_functions(seed):
     res = check_balanced_identity(4, 2, 2, 2, f_seed=seed)
@@ -247,7 +276,7 @@ def _kron_iid_probability(n, k, q, tuple_):
     the zeros of kron(I_m, B) over every A at once, B a row basis of U^T."""
     field, m = FieldSpec(q), n - k
     U = np.array([index_to_vec(i, n, field).coords for i in tuple_], dtype=np.int64)
-    basis = _rref_array(U, q)[0]
+    basis = rref(FqMatrix(field, U))[0].array
     images = image_indices(FqMatrix(field, np.kron(np.eye(m, dtype=np.int64), basis)))
     return Fraction(int(np.count_nonzero(images == 0)), q ** (m * n)), _rank_array(U, q)
 
