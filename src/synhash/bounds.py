@@ -60,6 +60,14 @@ def _logsumexp(logs: list[float]) -> float:
     return m + math.log(sum(math.exp(v - m) for v in logs))
 
 
+def _order(p: float) -> float:
+    """An order as a float: 1 (Shannon), inf (min-entropy) or any other positive value."""
+    p = float(p)
+    if not p > 0.0:
+        raise ValueError(f"order must be positive, got {p!r}")
+    return p
+
+
 def _integer_order(p: int) -> None:
     """The guarantees hold for every integer order p >= 2; refuse any other p."""
     if not (isinstance(p, int) and p >= 2):
@@ -196,8 +204,7 @@ def two_point_renyi(delta: float, p: float) -> float:
     """
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta must lie in [0, 1], got {delta}")
-    if p <= 0:
-        raise ValueError(f"order must be positive, got {p}")
+    p = _order(p)
     if delta in (0.0, 1.0):
         return 0.0
     if p == 1:
@@ -211,7 +218,7 @@ def rm_threshold(delta: float, p: float, target: str = "smoothing-rate") -> floa
     """Rate threshold for Reed-Muller syndrome extraction on a delta-coin source.
 
     "smoothing-rate" is the code rate above which order-p divergence vanishes:
-    1 - h_p(delta) for p >= 2 or inf, (1 - 2 delta)^2 for p = 1.
+    1 - h_p(delta) for any real p >= 2 or inf, (1 - 2 delta)^2 for p = 1.
     "extraction-rate" is its complement, the achievable output rate.
     """
     if target not in ("smoothing-rate", "extraction-rate"):
@@ -221,5 +228,5 @@ def rm_threshold(delta: float, p: float, target: str = "smoothing-rate") -> floa
     elif math.isinf(p) or (isinstance(p, (int, float)) and p >= 2):
         rate = 1.0 - two_point_renyi(delta, p)
     else:
-        raise ValueError(f"threshold defined for p = 1, integer p >= 2 or inf, got {p}")
+        raise ValueError(f"threshold defined for p = 1, p >= 2 or inf, got {p}")
     return rate if target == "smoothing-rate" else 1.0 - rate

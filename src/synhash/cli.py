@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bounds
 from .caps import DEFAULT_CAPS, Caps, CapExceeded
-from .codes import DEFAULT_SEED, CodeEnsembleSpec, sample_uniform_code
+from .codes import DEFAULT_SEED, CodeEnsembleSpec, _code_dimensions, sample_uniform_code
 from .distributions import DensePmf, ProductBernoulli, Source
 from .field import FieldSpec
 from .rm_lab import RmExperimentSpec, rm_convergence_run, rows_to_csv
@@ -70,6 +70,7 @@ def parse_source(text: str, field: FieldSpec, n: int, seed: int,
     if text == "point":
         return DensePmf.point_mass(field, n, caps=caps)
     if text == "random":
+        DensePmf._check_size(field, n, caps)  # before q^n values are drawn
         return verify._random_pmf(field, n, (seed, 41, field.q, n))
     if text.startswith("bernoulli:"):
         if field.q != 2:
@@ -101,6 +102,20 @@ def _nonneg_int(text: str) -> int:
 
 def _dense_source(a, caps: Caps) -> DensePmf:
     return parse_source(a.source, FieldSpec(a.q), a.n, a.seed, caps).to_dense(caps)
+
+
+# the usage errors that need no source come before the source is built and
+# admitted against --dense-cap, a refusal (exit 2)
+def _rank_stratified(a, caps: Caps) -> verify.CheckResult:
+    verify._stratum(a.n, a.p, a.d)
+    return verify.check_rank_stratified(_dense_source(a, caps), a.p, a.d, caps=caps)
+
+
+def _exact_smoothing(a, caps: Caps) -> verify.CheckResult:
+    bounds._integer_order(a.p)
+    _code_dimensions(a.n, a.k)
+    return verify.exact_expected_smoothness(a.n, a.k, a.q, a.p, _dense_source(a, caps),
+                                            caps=caps)
 
 
 def _projection_identity(a, caps: Caps) -> verify.CheckResult:
@@ -142,11 +157,8 @@ VERIFY_CHECKS = {
          "--orders": {"type": _order_list, "default": [2.0, 3.0, math.inf]},
          "--source": _SOURCE},
         _projection_identity),
-    "rank-stratified": ({**_NQPD, "--source": _SOURCE}, lambda a, caps: (
-        verify.check_rank_stratified(_dense_source(a, caps), a.p, a.d, caps=caps))),
-    "exact-smoothing": ({**_NKQP, "--source": _SOURCE}, lambda a, caps: (
-        verify.exact_expected_smoothness(a.n, a.k, a.q, a.p, _dense_source(a, caps),
-                                         caps=caps))),
+    "rank-stratified": ({**_NQPD, "--source": _SOURCE}, _rank_stratified),
+    "exact-smoothing": ({**_NKQP, "--source": _SOURCE}, _exact_smoothing),
     "proximity": (_NQ_COUNT, lambda a, caps: verify.check_proximity_conversions(
         a.q, a.n, a.count, a.orders, seed=a.seed, caps=caps)),
     "clarkson": (_NQ_COUNT, lambda a, caps: verify.check_clarkson(

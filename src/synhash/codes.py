@@ -118,8 +118,7 @@ class CodeEnsembleSpec:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
-        if not 0 <= self.k <= self.n:
-            raise ValueError(f"need 0 <= k <= n, got k={self.k}, n={self.n}")
+        _code_dimensions(self.n, self.k)
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
@@ -199,9 +198,13 @@ def enumerate_all_codes(field: FieldSpec, n: int, k: int,
             for G, H in _echelon_codes(field.q, n, k) for g, h in zip(G, H))
 
 
-def _admit_enumeration(q: int, n: int, k: int, caps: Caps) -> None:
+def _code_dimensions(n: int, k: int) -> None:
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+
+
+def _admit_enumeration(q: int, n: int, k: int, caps: Caps) -> None:
+    _code_dimensions(n, k)
     caps.admit("code enumeration", gaussian_binomial(n, k, q), "code_enumeration")
 
 

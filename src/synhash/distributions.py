@@ -10,11 +10,11 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
-from .bounds import _integer_order, two_point_renyi
+from .bounds import _integer_order, _order, two_point_renyi
 from .caps import DEFAULT_CAPS, Caps
 from .codes import LinearCode, codeword_indices
 from .field import (
@@ -133,6 +133,16 @@ class DensePmf:
             return cls.from_qpmf_bytes(fh.read())
 
 
+class _PmfStack(NamedTuple):
+    """Pmfs on F_q^n, one per map of a (T, m, n) stack: probs is (T, q^n).
+    It stands where the stacked routes take a DensePmf, whose one pmf every
+    map shares; both carry field, n and probs."""
+
+    field: FieldSpec
+    n: int
+    probs: np.ndarray
+
+
 @dataclass(frozen=True)
 class ProductBernoulli:
     """n iid bits, each equal to 1 with probability delta (field F_2)."""
@@ -172,14 +182,6 @@ def _signed_power(base: float, exponents: np.ndarray) -> np.ndarray:
         return mag
     sign = np.where(exponents % 2 == 0, 1.0, -1.0)
     return sign * mag
-
-
-def _order(p: float) -> float:
-    """An order as a float: 1 (Shannon), inf (min-entropy) or any other positive value."""
-    p = float(p)
-    if not p > 0.0:
-        raise ValueError(f"order must be positive, got {p!r}")
-    return p
 
 
 def lp_norm(values: np.ndarray, order: float) -> float:
@@ -324,18 +326,19 @@ def code_pmf(code: LinearCode, caps: Caps = DEFAULT_CAPS) -> DensePmf:
     return DensePmf(code.field, code.n, probs)
 
 
-def _pushforward_rows(P: DensePmf, maps: np.ndarray, caps: Caps) -> np.ndarray:
-    """_syndrome_rows(P, maps, caps) once one elimination of the whole (T, m, n)
-    stack has checked that every map has full row rank."""
+def _pushforward_rows(P: DensePmf | _PmfStack, maps: np.ndarray, caps: Caps) -> np.ndarray:
+    """_syndrome_rows(P, maps, caps) once one elimination of the whole
+    (T, m, n) stack has checked that every map has full row rank."""
     if (_rref_stack(maps, P.field.q)[2] != maps.shape[1]).any():
         raise ValueError("map is rank deficient; output space would be oversized")
     return _syndrome_rows(P, maps, caps)
 
 
-def _syndrome_rows(P: DensePmf, maps: np.ndarray, caps: Caps) -> np.ndarray:
+def _syndrome_rows(P: DensePmf | _PmfStack, maps: np.ndarray, caps: Caps) -> np.ndarray:
     """Pmf of H z for z ~ P, one row per H in a (T, m, n) stack of full-row-rank
-    maps over P's field, as a (T, q^m) array.  The rank is not checked: the
-    callers pass maps that have full rank by construction.
+    maps over P's field, as a (T, q^m) array; map t pushes forward P's one
+    pmf, or row t of a _PmfStack.  The rank is not checked: the callers pass
+    maps that have full rank by construction.
 
     The syndromes are counted a batch of codes at a time, one bincount over
     row-offset syndrome indices per batch of about _BATCH_ENTRIES index entries.
@@ -350,17 +353,21 @@ def _syndrome_rows(P: DensePmf, maps: np.ndarray, caps: Caps) -> np.ndarray:
     # points past the last one with mass add nothing to any bin, so the table
     # covers the first q^j points only: the image of the first j columns
     j = P.n
-    while j and not P.probs[q ** (j - 1):].any():
+    while j and not P.probs[..., q ** (j - 1):].any():
         j -= 1
-    batch = max(1, _BATCH_ENTRIES // q ** j)
+    size = q ** j
+    batch = max(1, _BATCH_ENTRIES // size)
+    # one weight row per map of a batch: P's one pmf, repeated, or the map's own
+    shared = P.probs.ndim == 1
+    weights = np.tile(P.probs[:size], min(batch, count)) if shared else P.probs[:, :size]
     out = np.empty((count, out_size))
     for first in range(0, count, batch):
-        idx = _image_rows(q, maps[first:first + batch, :, :j])
-        rows = len(idx)
-        idx += out_size * np.arange(rows)[:, None]
-        # row t of the weights is P again; a single row is a view, not a copy
-        weights = np.broadcast_to(P.probs[:idx.shape[1]], idx.shape).reshape(-1)
-        out[first:first + rows] = np.bincount(idx.reshape(-1), weights=weights,
+        table = _image_rows(q, maps[first:first + batch, :, :j])
+        rows = len(table)
+        # int64 bin indices, row t offset by t q^m, from a table of a smaller type
+        idx = np.add(table, out_size * np.arange(rows)[:, None], dtype=np.int64)
+        rows_weights = weights[:idx.size] if shared else weights[first:first + rows].reshape(-1)
+        out[first:first + rows] = np.bincount(idx.reshape(-1), weights=rows_weights,
                                               minlength=rows * out_size).reshape(rows, out_size)
     return out
 

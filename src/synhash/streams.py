@@ -97,26 +97,29 @@ def _pool_state(entropy: np.ndarray) -> np.ndarray:
     return words[:, 0::2] | words[:, 1::2] << _SHIFT32
 
 
-def seed_state(seed: int, start: int, stop: int) -> np.ndarray:
-    """SeedSequence((seed, t)).generate_state(4, np.uint64) for t in
-    start .. stop-1, as a (T, 4) uint64 array.
+def seed_state(key, start: int, stop: int) -> np.ndarray:
+    """SeedSequence((*key, t)).generate_state(4, np.uint64) for t in
+    start .. stop-1, as a (T, 4) uint64 array.  key is a tuple of
+    nonnegative ints, such as (seed, 31); an int seed is the key (seed,).
 
-    The entropy of (seed, t) is the words of seed and then those of t.  Only
-    t's low word changes within a run of 2^32 trials, so the trials are mixed
-    a run at a time, with the other words constant.
+    The entropy of (*key, t) is the words of each key entry and then those
+    of t.  Only t's low word changes within a run of 2^32 trials, so the
+    trials are mixed a run at a time, with the other words constant.
     """
-    if seed < 0 or start < 0:
+    key = (key,) if isinstance(key, (int, np.integer)) else tuple(key)
+    if start < 0 or any(entry < 0 for entry in key):
         raise ValueError("seeds and trial indices must be nonnegative")
+    key_words = [word for entry in key for word in _int_words(int(entry))]
     out = np.empty((max(0, stop - start), 4), dtype=np.uint64)
     t = start
     while t < stop:
         high = t >> 32
         end = min(stop, (high + 1) << 32)
-        seed_words, high_words = _int_words(seed), _int_words(high) if high else []
-        entropy = np.empty((end - t, len(seed_words) + 1 + len(high_words)), dtype=np.uint64)
-        entropy[:, :len(seed_words)] = seed_words
-        entropy[:, len(seed_words)] = np.arange(t - (high << 32), end - (high << 32))
-        entropy[:, len(seed_words) + 1:] = high_words
+        high_words = _int_words(high) if high else []
+        entropy = np.empty((end - t, len(key_words) + 1 + len(high_words)), dtype=np.uint64)
+        entropy[:, :len(key_words)] = key_words
+        entropy[:, len(key_words)] = np.arange(t - (high << 32), end - (high << 32))
+        entropy[:, len(key_words) + 1:] = high_words
         out[t - start:end - start] = _pool_state(entropy)
         t = end
     return out
@@ -188,9 +191,10 @@ def _seeded(words: np.ndarray) -> tuple[tuple, tuple]:
     return state, inc
 
 
-def raw_outputs(seed: int, start: int, stop: int, count: int) -> np.ndarray:
-    """PCG64((seed, t)).random_raw(count) for t in start .. stop-1, as a (T, count) array."""
-    state, inc = _seeded(seed_state(seed, start, stop))
+def raw_outputs(key, start: int, stop: int, count: int) -> np.ndarray:
+    """PCG64((*key, t)).random_raw(count) for t in start .. stop-1, as a (T, count)
+    array; key as in seed_state."""
+    state, inc = _seeded(seed_state(key, start, stop))
     return _output(*_advance(state, inc, count))[:, 1:]
 
 

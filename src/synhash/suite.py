@@ -11,12 +11,12 @@ from __future__ import annotations
 import math
 
 from .caps import DEFAULT_CAPS, Caps
-# nothing here calls sample_uniform_code, as c04 draws its codes as one stack;
-# it stays imported as a traced site: perfbench/tracing.py wraps it here
-from .codes import (DEFAULT_SEED, CodeEnsembleSpec, LinearCode, _sample_codes,
-                    sample_uniform_code)
-from .distributions import DensePmf, ProductBernoulli
-from .field import FieldSpec, FqMatrix
+# nothing here calls sample_uniform_code or check_projection_identity, as c04
+# checks its codes as one stack; both stay imported as traced sites:
+# perfbench/tracing.py wraps them here
+from .codes import DEFAULT_SEED, CodeEnsembleSpec, _sample_codes, sample_uniform_code
+from .distributions import DensePmf, ProductBernoulli, _PmfStack, _pushforward_rows
+from .field import FieldSpec
 from .verify import (
     CheckResult,
     check_balanced_identity,
@@ -31,7 +31,8 @@ from .verify import (
     negative_control_overdraw,
     negative_control_unbalanced,
     _identity_result,
-    _random_pmf,
+    _projection_identities,
+    _random_probs,
 )
 from .rm_lab import rm_divergence, rm_divergences
 
@@ -100,22 +101,19 @@ def run_acceptance(seed: int = DEFAULT_SEED, caps: Caps = DEFAULT_CAPS,
     results.append(_merge("c03-tuple-probability", batch))
 
     # c04: syndrome norms == smoothed-source norms on random code/pmf pairs;
-    # the codes of trials 0 .. pairs-1 are drawn as one stack
+    # the codes of trials 0 .. pairs-1 and their sources are checked as stacks
     pairs = 10 if quick else 50
-    ens = CodeEnsembleSpec(f2, 6, 3, seed)
-    G, H = _sample_codes(ens, 0, pairs)
-    batch = []
-    for t in range(pairs):
-        code = LinearCode(f2, 6, 3, FqMatrix(f2, G[t]), FqMatrix(f2, H[t]))
-        P = _random_pmf(f2, 6, (seed, 31, t))
-        batch.append(check_projection_identity(code, P, (2.0, 3.0, math.inf), caps=caps))
+    G, H = _sample_codes(CodeEnsembleSpec(f2, 6, 3, seed), 0, pairs)
+    pmfs = _PmfStack(f2, 6, _random_probs((seed, 31), 0, pairs, 1 << 6))
+    batch = _projection_identities(pmfs, G, _pushforward_rows(pmfs, H, caps),
+                                   (2.0, 3.0, math.inf), caps)
     results.append(_merge("c04-projection-identity", batch))
 
     # c05: exact ensemble smoothness average under the closed-form budget
     sources = 5 if quick else 20
     batch = []
-    for i in range(sources):
-        P = _random_pmf(f2, 4, (seed, 37, i))
+    for probs in _random_probs((seed, 37), 0, sources, 1 << 4):
+        P = DensePmf(f2, 4, probs)
         for p in (2, 3):
             batch.append(exact_expected_smoothness(4, 2, 2, p, P, caps=caps))
     results.append(_merge("c05-exact-smoothing", batch))

@@ -36,12 +36,13 @@ from .distributions import (
     DensePmf,
     ProductBernoulli,
     Source,
-    code_pmf,
+    code_pmf,  # traced sites, code_pmf and convolve: perfbench/tracing.py wraps them here
     convolve,
     lp_norm,
     lp_norms,
     _BATCH_ENTRIES,
     _PMF_SUM_TOL,
+    _PmfStack,
     _character_transform,
     _convolve_transformed,
     pushforward,
@@ -51,6 +52,7 @@ from .distributions import (
 # digit_table and _rank_array are only traced sites: perfbench/tracing.py wraps them here
 from .field import (FieldSpec, FqMatrix, FqVector, digit_table, image_indices, q_powers,
                     vec_to_index, _image_rows, _rank_array)
+from .streams import raw_outputs
 
 __all__ = [
     "CheckResult",
@@ -173,14 +175,33 @@ def _random_nonneg(shape, seed_key) -> np.ndarray:
     return np.random.default_rng(seed_key).random(shape)
 
 
-def _random_probs(size: int, seed_key) -> np.ndarray:
-    """The probabilities of _random_pmf: every entry is positive."""
-    raw = np.random.default_rng(seed_key).random(size) + 1e-9
-    return raw / raw.sum()
+# the widest rows drawn as one stack: the stacked draw costs about 0.2 ms a
+# call and 25 ns an entry, numpy's own about 20 us a row up to thousands of
+# entries, so a single row or a wider one is drawn by numpy
+_STACKED_WIDTH = 256
 
 
-def _random_pmf(field: FieldSpec, n: int, seed_key) -> DensePmf:
-    return DensePmf(field, n, _random_probs(field.q ** n, seed_key))
+def _random_probs(key, start: int, stop: int, size: int) -> np.ndarray:
+    """The probabilities of the random pmfs (*key, t) for t in start .. stop-1,
+    as a (T, size) array whose row t is np.random.default_rng((*key, t))
+    .random(size) + 1e-9, normalised, so every entry is positive.
+    Generator.random is PCG64's (raw >> 11) 2^-53, which streams.raw_outputs
+    draws for every t at once when the rows are narrow
+    (tests/test_streams.py, test_random_pmfs_are_generator_draws)."""
+    if stop - start > 1 and size <= _STACKED_WIDTH:
+        raw = raw_outputs(key, start, stop, size)
+        values = (raw >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    else:
+        values = np.array([np.random.default_rng((*key, t)).random(size)
+                           for t in range(start, stop)]).reshape(-1, size)
+    values += 1e-9
+    return values / values.sum(axis=1, keepdims=True)
+
+
+def _random_pmf(field: FieldSpec, n: int, seed_key: tuple) -> DensePmf:
+    """The random pmf of _random_probs drawn from default_rng(seed_key)."""
+    *key, t = seed_key
+    return DensePmf(field, n, _random_probs(key, t, t + 1, field.q ** n)[0])
 
 
 # -- ensemble structure checks ------------------------------------------------
@@ -242,7 +263,7 @@ def _tuple_average(n: int, k: int, q: int, p: int, f_key, caps: Caps):
     # then the flat index of each codeword p-tuple, v_1 in the top digits
     chunk = max(1, _BATCH_ENTRIES // q ** (k * p))
     for first in range(0, len(G), chunk):
-        words = _image_rows(q, G[first:first + chunk].transpose(0, 2, 1))
+        words = _image_rows(q, G[first:first + chunk].transpose(0, 2, 1)).astype(np.int64)
         tuples = words
         for _ in range(p - 1):
             tuples = (tuples[:, :, None] * size + words[:, None, :]).reshape(len(words), -1)
@@ -417,33 +438,74 @@ def check_projection_identity(code: LinearCode, P: DensePmf,
     """Syndrome-side norms equal smoothed-source norms at every order.
 
     ||q^{n-k} P_{HZ}||_p computed by pushforward must match
-    ||q^n P_{X_C + Z}||_p computed by code convolution.
+    ||q^n P_{X_C + Z}||_p computed by code convolution.  The one-code call of
+    _projection_identities.
     """
-    m = code.n - code.k
-    syn = pushforward(P, code.H, caps)
-    mixed = convolve(code_pmf(code, caps), P)
-    q = code.field.q
+    syndromes = pushforward(P, code.H, caps).probs[None]
+    return _projection_identities(P, code.G.array[None], syndromes, p_list, caps)[0]
+
+
+def _projection_identities(P: DensePmf | _PmfStack, G: np.ndarray, syndromes: np.ndarray,
+                           p_list: Sequence[float], caps: Caps) -> list[CheckResult]:
+    """check_projection_identity for every code of a (T, k, n) generator stack
+    over P's field, given the (T, q^{n-k}) pmfs of its syndromes, the
+    pushforward route (distributions._pushforward_rows for a stack).  Every
+    code has source P, or code t row t of a _PmfStack.
+
+    The other side is the convolution route, taken once for the whole stack:
+    one image table of the generators gives the code pmfs, and one
+    convolution smooths the sources.  Every norm equals that of pushforward,
+    code_pmf, convolve and lp_norm, one code at a time, bit for bit, and the
+    caps and errors are theirs, in their order.
+    """
+    q = P.field.q
+    count, k, n = G.shape
+    m = n - k
+    _check_sums(syndromes)
+    DensePmf._check_size(P.field, n, caps)
+    caps.admit("codeword enumeration", q ** k, "code_enumeration")
+    code_pmfs = _code_pmfs(q, G)
+    _check_sums(code_pmfs)
+    mixed = _convolve_transformed(code_pmfs, _character_transform(P.probs, q, n), q, n)
+    _check_sums(mixed)
+    norms = [(lp_norms(float(q) ** m * syndromes, p).tolist(),
+              lp_norms(float(q) ** n * mixed, p).tolist()) for p in p_list]
     rel_tol = 1e-10
-    per_order = []
-    for p in p_list:
-        a = lp_norm(float(q) ** m * syn.probs, p)
-        b = lp_norm(float(q) ** code.n * mixed.probs, p)
-        per_order.append((abs(a - b) / max(1.0, abs(a), abs(b)), float(a), float(b), p))
-    # at equality the errors are rounding noise: report the worst failing order, else the first
-    failing = [row for row in per_order if not row[0] <= rel_tol]
-    _, a, b, at_p = max(failing, key=lambda row: row[0]) if failing else per_order[0]
-    params = {"n": code.n, "k": code.k, "q": q,
-              "orders": [str(p) for p in p_list], "worst_order": str(at_p),
-              "rel_tol": rel_tol}
-    return _identity_result("projection-identity", params, a, b, rel_tol)
+    results = []
+    for t in range(count):
+        per_order = [(abs(a[t] - b[t]) / max(1.0, abs(a[t]), abs(b[t])), a[t], b[t], p)
+                     for p, (a, b) in zip(p_list, norms)]
+        # at equality the errors are rounding noise: report the worst failing order, else the first
+        failing = [row for row in per_order if not row[0] <= rel_tol]
+        _, a, b, at_p = max(failing, key=lambda row: row[0]) if failing else per_order[0]
+        params = {"n": n, "k": k, "q": q,
+                  "orders": [str(p) for p in p_list], "worst_order": str(at_p),
+                  "rel_tol": rel_tol}
+        results.append(_identity_result("projection-identity", params, a, b, rel_tol))
+    return results
+
+
+def _code_pmfs(q: int, G: np.ndarray) -> np.ndarray:
+    """code_pmf of every generator of a (T, k, n) stack mod q, as a (T, q^n)
+    array, from one image table of the G^T stack."""
+    count, k, n = G.shape
+    pmfs = np.zeros((count, q ** n))
+    np.put_along_axis(pmfs, _image_rows(q, G.transpose(0, 2, 1)), 1.0 / q ** k, axis=1)
+    return pmfs
+
+
+def _check_sums(rows: np.ndarray) -> None:
+    """The sum DensePmf checks, for each row of a (T, size) stack of pmfs."""
+    bad = np.abs(rows.sum(axis=1) - 1.0) > _PMF_SUM_TOL
+    if bad.any():
+        raise ValueError(f"probabilities sum to {rows[bad][0].sum()}, not 1")
 
 
 def rank_stratified_sum(P: DensePmf, p: int, d: int,
                         caps: Caps = DEFAULT_CAPS) -> float:
     """q^{-n} sum_x sum over rank-d tuples of prod_l P(x - v_l)."""
     q, n = P.field.q, P.n
-    if not 0 <= d <= min(n, p):
-        raise ValueError(f"need 0 <= d <= min(n, p), got d={d}")
+    _stratum(n, p, d)
     size = P.size
     ranks = _tuple_ranks(q, n, p, caps)
     tuples_d = np.nonzero(ranks == d)[0]
@@ -462,6 +524,14 @@ def rank_stratified_sum(P: DensePmf, p: int, d: int,
             acc = acc * probs[sub_index[:, v]]
         total += float(acc.sum())
     return total / size
+
+
+def _stratum(n: int, p: int, d: int) -> None:
+    """The usage errors of a rank stratum, which need no source: d outside
+    0 .. min(n, p), then n or p out of range."""
+    if not 0 <= d <= min(n, p):
+        raise ValueError(f"need 0 <= d <= min(n, p), got d={d}")
+    _tuple_space(n, p)
 
 
 def check_rank_stratified(P: DensePmf, p: int, d: int,
@@ -493,14 +563,8 @@ def exact_expected_smoothness(n: int, k: int, q: int, p: int, P: DensePmf,
     # enumerated ensembles, so a chunk takes a sixteenth of the batch budget
     chunk = max(1, _BATCH_ENTRIES // 16 // size)
     for first in range(0, len(G), chunk):
-        part = G[first:first + chunk]
-        pmfs = np.zeros((len(part), size))
-        np.put_along_axis(pmfs, _image_rows(q, part.transpose(0, 2, 1)), 1.0 / q ** k, axis=1)
-        mixed = _convolve_transformed(pmfs, transformed, q, n)
-        # the sum DensePmf checks when it holds one code's convolution
-        bad = np.abs(mixed.sum(axis=1) - 1.0) > _PMF_SUM_TOL
-        if bad.any():
-            raise ValueError(f"probabilities sum to {mixed[bad][0].sum()}, not 1")
+        mixed = _convolve_transformed(_code_pmfs(q, G[first:first + chunk]), transformed, q, n)
+        _check_sums(mixed)
         # a sequential float sum, as one code at a time
         for norm in lp_norms(float(q) ** n * mixed, p):
             total += float(norm) ** p
@@ -661,8 +725,7 @@ def check_proximity_conversions(q: int, n: int, count: int,
     worst = (math.inf, math.nan, math.nan, "")
     chunk = max(1, _BATCH_ENTRIES // size)
     for first in range(0, count, chunk):
-        probs = np.array([_random_probs(size, (seed, 23, q, n, i))
-                          for i in range(first, min(first + chunk, count))])
+        probs = _random_probs((seed, 23, q, n), first, min(first + chunk, count), size)
         centered = float(q) ** n * probs - 1.0
         # renyi_divergence(P, uniform, p), over the whole support of a random pmf
         measures = [(lp_norms(size * probs, p).tolist(),

@@ -134,6 +134,23 @@ def test_two_point_renyi_frozen():
     assert two_point_renyi(1.0, 2) == 0.0
 
 
+@pytest.mark.parametrize("p", [math.nan, 0.0, -1.0, -math.inf])
+def test_two_point_renyi_refuses_an_order_that_is_not_positive(p):
+    # nan used to pass the p <= 0 test and come out as the entropy nan
+    with pytest.raises(ValueError, match=f"order must be positive, got {p!r}"):
+        two_point_renyi(0.2, p)
+    # 0 at delta = 0 or 1 was returned before the order was read
+    with pytest.raises(ValueError, match="order must be positive"):
+        two_point_renyi(0.0, p)
+
+
+def test_rm_threshold_admits_any_real_order_from_two():
+    # 1 - h_p(delta) holds for real p >= 2, and rm --p 2.5 --method dense reads it
+    assert rm_threshold(0.25, 2.5) == 1.0 - two_point_renyi(0.25, 2.5)
+    with pytest.raises(ValueError, match=r"^threshold defined for p = 1, p >= 2 or inf, got 1.5$"):
+        rm_threshold(0.25, 1.5)
+
+
 def test_rm_threshold_values():
     assert rm_threshold(0.25, 2) == pytest.approx(1 - 0.6780719051126378, rel=1e-10)
     assert rm_threshold(0.25, 2, "extraction-rate") == \

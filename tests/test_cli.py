@@ -65,6 +65,20 @@ def test_cap_refusal_exits_two(capsys):
     assert "refused" in err
 
 
+@pytest.mark.parametrize("argv", [
+    # the random source used to be drawn whole and never admitted, so this
+    # ran to the end with 4096 dense entries under a cap of 16
+    "smooth --n 12 --k 10 --source random --trials 5",
+    # and here 2^22 values were drawn before the check refused them
+    "verify projection-identity --n 22 --k 20",
+])
+def test_random_source_is_admitted_before_it_is_drawn(argv, monkeypatch, capsys):
+    monkeypatch.setattr(verify, "_random_pmf", None)  # a draw would raise TypeError
+    rc, out, err = run(["--dense-cap", "16", *argv.split()], capsys)
+    assert rc == 2 and out == ""
+    assert "refused: dense pmf: estimated cost" in err
+
+
 def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])
@@ -256,6 +270,15 @@ def test_impossible_dimensions_are_usage_errors(argv, capsys):
      "integer order p >= 2 required, got 1"),
     ("--dense-cap 10 smooth --n 10 --k 8 --p 0 --source bernoulli:0.2 --trials 50",
      "order must be positive, got 0.0"),
+    # the source used to be built and refused by --dense-cap first
+    ("--dense-cap 1 verify exact-smoothing --n 8 --k 4 --p 1 --source uniform",
+     "integer order p >= 2 required, got 1"),
+    ("--dense-cap 1 verify exact-smoothing --n 8 --k 9 --p 2 --source uniform",
+     "need 0 <= k <= n, got k=9, n=8"),
+    ("--dense-cap 1 verify rank-stratified --n 3 --p 2 --d 5 --source uniform",
+     "need 0 <= d <= min(n, p), got d=5"),
+    ("--dense-cap 1 verify rank-stratified --n 3 --p 0 --d 0 --source uniform",
+     "need n >= 0 and p >= 1, got n=3, p=0"),
 ])
 def test_usage_errors_come_before_refusals(argv, message, capsys):
     # these were refused by the cap (exit 2); without a cap the exact-smoothing

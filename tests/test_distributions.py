@@ -505,3 +505,21 @@ def test_pushforward_batches_equal_a_per_code_loop(monkeypatch, q, n, support):
     monkeypatch.setattr(distributions, "_image_rows", recorded)
     assert np.array_equal(_pushforward_rows(P, maps, DEFAULT_CAPS), want)
     assert sizes == [5, 5, 5, 5, 3]
+
+
+@pytest.mark.parametrize("q, n, m", [(2, 9, 8), (3, 6, 5)])
+def test_wide_syndrome_tables_push_forward_as_a_point_loop(q, n, m):
+    # 2 q^m - 1 needs uint16 here, so the image tables are uint16 before the
+    # bin offsets widen them to int64
+    field = FieldSpec(q)
+    maps = _full_rank_maps(q, n, m, 3, 11)
+    probs = np.random.default_rng((q, n, m)).random(q ** n)
+    P = DensePmf(field, n, probs / probs.sum())
+    rows = _pushforward_rows(P, maps, DEFAULT_CAPS)
+    for H, row in zip(maps, rows):
+        H = FqMatrix(field, H)
+        ref = np.zeros(q ** m)
+        for x in range(q ** n):
+            ref[vec_to_index(mat_vec(H, index_to_vec(x, n, field)))] += P.probs[x]
+        assert np.array_equal(row, ref)
+        assert np.array_equal(pushforward(P, H).probs, ref)

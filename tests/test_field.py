@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from synhash.field import (
@@ -312,6 +312,60 @@ def test_gf2_elimination_matches_the_generic_loop(a):
     kernel = kernel_basis(FqMatrix(F2, a)).array
     assert kernel.shape == (a.shape[1] - len(pivots), a.shape[1])
     assert not ((a @ kernel.T) % 2).any()
+
+
+@st.composite
+def gf2_stacks(draw):
+    """(T, rows, cols) 0/1 stacks around the uint64 word edges: each matrix is
+    a rows x r times r x cols product, so r < rows makes it rank deficient."""
+    count, rows = draw(st.integers(0, 4)), draw(st.integers(0, 10))
+    cols = draw(st.sampled_from([0, 1, 7, 63, 64, 65, 127, 128, 129, 200]))
+    r = draw(st.integers(0, 10))
+    density = draw(st.sampled_from([0.05, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    left = rng.integers(0, 2, size=(count, rows, r))
+    right = (rng.random((count, r, cols)) < density).astype(np.int64)
+    return (left @ right) % 2
+
+
+@given(gf2_stacks())
+@example(np.zeros((0, 3, 65), dtype=np.int64))  # no matrix
+@example(np.zeros((3, 0, 64), dtype=np.int64))  # no row
+@example(np.ones((1, 6, 13), dtype=np.int64))  # one matrix of rank 1
+@example(np.eye(130, dtype=np.int64)[None, ::-1])  # one matrix, pivots in three words
+def test_packed_gf2_elimination_matches_a_per_matrix_loop(a):
+    # the swap-free elimination on packed words against a row-swapping loop,
+    # one matrix at a time
+    red, pivots, ranks = _rref_stack(a, 2)
+    assert red.dtype == np.uint8 and red.shape == a.shape
+    assert pivots.dtype == np.int64 and pivots.shape == a.shape[:2]
+    assert ranks.shape == a.shape[:1]
+    for t in range(a.shape[0]):
+        ref, ref_pivots = _generic_rref(a[t], 2)
+        r = len(ref_pivots)
+        assert ranks[t] == r and pivots[t, :r].tolist() == ref_pivots
+        assert (pivots[t, r:] == -1).all()
+        assert np.array_equal(red[t, :r], ref) and not red[t, r:].any()
+
+
+@pytest.mark.parametrize("q, rows, cols", [(2, 3, 6), (2, 0, 3), (2, 7, 4), (2, 8, 3),
+                                           (3, 2, 4), (3, 5, 2), (5, 2, 3), (5, 4, 2)])
+def test_image_rows_are_of_the_smallest_type_that_holds_them(q, rows, cols):
+    # the type holds 2 q^rows - 1 (uint8 at q = 2 up to 7 rows, uint16 from 8
+    # rows or at 3^5 and 5^4), and image_indices stays int64
+    field = FieldSpec(q)
+    stack = np.random.default_rng((q, rows, cols)).integers(0, q, size=(4, rows, cols))
+    if rows:
+        stack[1, -1] = q - 1  # at q > 2 every step of this row wraps past q
+    table = _image_rows(q, stack)
+    assert table.dtype == np.min_scalar_type(2 * q ** rows - 1)
+    assert table.dtype == (np.uint8 if 2 * q ** rows <= 256 else np.uint16)
+    for M, row in zip(stack, table):
+        M = FqMatrix(field, M)
+        assert row.tolist() == [vec_to_index(mat_vec(M, index_to_vec(i, cols, field)))
+                                for i in range(q ** cols)]
+        assert image_indices(M).dtype == np.int64
+        assert np.array_equal(image_indices(M), row)
 
 
 @pytest.mark.parametrize("q, cols", [(3, 5), (5, 4), (101, 2)])

@@ -9,10 +9,12 @@ import pytest
 
 from synhash import distributions, verify
 from synhash.caps import DEFAULT_CAPS, Caps, CapExceeded
-from synhash.codes import (CodeEnsembleSpec, enumerate_all_codes, gaussian_binomial,
-                           rank_tuple_count, sample_uniform_code)
+from synhash.codes import (CodeEnsembleSpec, LinearCode, enumerate_all_codes,
+                           gaussian_binomial, rank_tuple_count, sample_uniform_code,
+                           _sample_codes)
 from synhash.distributions import (DensePmf, ProductBernoulli, code_pmf, convolve,
-                                   lp_norm, pushforward, renyi_entropy)
+                                   lp_norm, pushforward, renyi_entropy, _PmfStack,
+                                   _pushforward_rows)
 from synhash.field import FieldSpec, FqMatrix, image_indices, index_to_vec, rref, _rank_array
 from synhash.verify import (
     check_balanced_identity,
@@ -31,7 +33,9 @@ from synhash.verify import (
     negative_control_overdraw,
     negative_control_unbalanced,
     rank_stratified_sum,
+    _projection_identities,
     _random_pmf,
+    _random_probs,
     _tuple_ranks_cached,
 )
 
@@ -371,6 +375,67 @@ def test_projection_identity_sampled_codes():
             P = _random_pmf(field, n, (17, q, n, t))
             res = check_projection_identity(code, P, (2.0, 3.0, math.inf))
             assert res.passed, res.parameters
+
+
+def _per_code_projection_identity(code, P, p_list):
+    """check_projection_identity one code at a time: pushforward, code_pmf,
+    convolve and lp_norm, order by order."""
+    q, n, m = code.field.q, code.n, code.n - code.k
+    syn = pushforward(P, code.H)
+    mixed = convolve(code_pmf(code), P)
+    per_order = []
+    for p in p_list:
+        a = lp_norm(float(q) ** m * syn.probs, p)
+        b = lp_norm(float(q) ** n * mixed.probs, p)
+        per_order.append((abs(a - b) / max(1.0, abs(a), abs(b)), a, b, p))
+    failing = [row for row in per_order if not row[0] <= 1e-10]
+    _, a, b, at_p = max(failing, key=lambda row: row[0]) if failing else per_order[0]
+    return a, b, str(at_p)
+
+
+# n = k (one syndrome), k = 0 (one codeword) and q > 2
+@pytest.mark.parametrize("q, n, k", [(2, 6, 3), (2, 5, 5), (2, 4, 0), (3, 4, 2), (3, 3, 1)])
+def test_stacked_projection_identity_equals_a_per_code_loop(q, n, k):
+    field = FieldSpec(q)
+    p_list = (1.5, 2.0, 3.0, math.inf)
+    G, H = _sample_codes(CodeEnsembleSpec(field, n, k, 6), 0, 9)
+    probs = _random_probs((6, q), 0, 9, q ** n)
+    sources = _PmfStack(field, n, probs)
+    stacked = _projection_identities(sources, G, _pushforward_rows(sources, H, DEFAULT_CAPS),
+                                     p_list, DEFAULT_CAPS)
+    assert len(stacked) == 9
+    for t, res in enumerate(stacked):
+        code = LinearCode(field, n, k, FqMatrix(field, G[t]), FqMatrix(field, H[t]))
+        source = DensePmf(field, n, probs[t])
+        a, b, at_p = _per_code_projection_identity(code, source, p_list)
+        assert (res.lhs, res.rhs, res.parameters["worst_order"]) == (a, b, at_p)
+        assert res.passed and res.kind == "identity"
+        one = check_projection_identity(code, source, p_list)
+        assert one.to_json_dict() == res.to_json_dict()
+    # one shared source for every code
+    P = DensePmf(field, n, probs[0])
+    shared = _projection_identities(P, G, _pushforward_rows(P, H, DEFAULT_CAPS), p_list,
+                                    DEFAULT_CAPS)
+    for t, res in enumerate(shared):
+        code = LinearCode(field, n, k, FqMatrix(field, G[t]), FqMatrix(field, H[t]))
+        assert (res.lhs, res.rhs) == _per_code_projection_identity(code, P, p_list)[:2]
+
+
+def test_projection_identity_keeps_the_errors_of_its_routes():
+    code = sample_uniform_code(CodeEnsembleSpec(F2, 4, 2, 1), 0)
+    with pytest.raises(ValueError, match="different fields"):
+        check_projection_identity(code, DensePmf.uniform(F3, 4))
+    with pytest.raises(ValueError, match="length-4 inputs, pmf is on length 3"):
+        check_projection_identity(code, DensePmf.uniform(F2, 3))
+    deficient = LinearCode(F2, 4, 2, code.G, FqMatrix(F2, [[1, 1, 0, 0], [1, 1, 0, 0]]))
+    with pytest.raises(ValueError, match="rank deficient"):
+        check_projection_identity(deficient, DensePmf.uniform(F2, 3))
+    with pytest.raises(CapExceeded, match="dense pmf: estimated cost 16"):
+        check_projection_identity(code, DensePmf.uniform(F2, 4), caps=Caps(dense_pmf_entries=4))
+    with pytest.raises(CapExceeded, match="codeword enumeration"):
+        check_projection_identity(code, DensePmf.uniform(F2, 4), caps=Caps(code_enumeration=3))
+    with pytest.raises(ValueError, match="order must be positive"):
+        check_projection_identity(code, DensePmf.uniform(F2, 4), (2.0, 0.0))
 
 
 def test_rank_stratified_sum_triple_loop_oracle():
