@@ -54,15 +54,11 @@ from .distributions import (
 from .field import (
     FieldSpec,
     FqMatrix,
-    FqVector,
     image_indices,
-    index_to_vec,
     kernel_basis,
-    mat_vec,
     q_powers,
     rank,
     rref,
-    vec_to_index,
 )
 from .rm_lab import (
     RmExperimentSpec,

@@ -74,6 +74,13 @@ def _integer_order(p: int) -> None:
         raise ValueError(f"integer order p >= 2 required, got {p}")
 
 
+def _field_size(q: int) -> None:
+    """The closed forms hold over any F_q, prime or not; refuse a q that is
+    not an integer >= 2."""
+    if not (isinstance(q, int) and q >= 2):
+        raise ValueError(f"field size q must be an integer >= 2, got {q}")
+
+
 def phi(p: float, eps: float) -> float:
     """Distance conversion from smoothness eps; two branches split at p = 2."""
     if not p > 1.0:
@@ -91,6 +98,7 @@ def phi(p: float, eps: float) -> float:
 def smoothing_bound_rhs(n: int, k: int, q: int, p: int, entropy_p: float) -> float:
     """Ensemble average of the p-th power smoothed norm, bounded over span
     dimensions: sum_d C(p,d) q^{(p-d)(d + n - k - H_p)}."""
+    _field_size(q)
     _integer_order(p)
     lnq = math.log(q)
     logs = [math.log(math.comb(p, d)) + (p - d) * (d + n - k - entropy_p) * lnq
@@ -114,6 +122,7 @@ def nonlinear_bound_rhs(n: int, k: int, q: int, p: int, entropy_p: float) -> flo
     Never exceeds smoothing_bound_rhs at the same parameters; that comparison
     is asserted on every call.
     """
+    _field_size(q)
     _integer_order(p)
     lnq = math.log(q)
     logs = []
@@ -137,6 +146,7 @@ def main_guarantee(m: int, entropy_p: float, p: int, q: int,
     When a target eps is given, satisfied_condition reports whether the
     guarantee meets it.
     """
+    _field_size(q)
     _integer_order(p)
     value = _qpow(q, m - entropy_p + p)
     inputs = {"m": m, "entropy_p": entropy_p, "p": p, "q": q}
@@ -149,6 +159,7 @@ def main_guarantee(m: int, entropy_p: float, p: int, q: int,
 
 def max_output_length(entropy_p: float, p: int, q: int, eps: float) -> int:
     """Largest m with q^{m - H_p + p} <= eps."""
+    _field_size(q)
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     return math.floor(entropy_p - p - _logq(1.0 / eps, q))
@@ -156,6 +167,7 @@ def max_output_length(entropy_p: float, p: int, q: int, eps: float) -> int:
 
 def generic_loss(eps: float, p: int, q: int) -> float:
     """Entropy paid beyond the output length at any order: p + log_q(1/eps)."""
+    _field_size(q)
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     return p + _logq(1.0 / eps, q)
@@ -164,6 +176,7 @@ def generic_loss(eps: float, p: int, q: int) -> float:
 def corollary_bounds(eps: float, p: int, q: int) -> tuple[float, float]:
     """Divergence and distance conversions of a smoothness guarantee eps:
     (p eps / ((p-1) ln q), 2^{1-1/p} ((1+eps)^p - 1)^{1/p})."""
+    _field_size(q)
     _integer_order(p)
     if eps < 0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
@@ -174,11 +187,13 @@ def corollary_bounds(eps: float, p: int, q: int) -> tuple[float, float]:
 
 def collision_bound(m: int, entropy_2: float, q: int) -> float:
     """Collision-order refinement: expected squared norm is at most 1 + q^{m - H_2}."""
+    _field_size(q)
     return 1.0 + _qpow(q, m - entropy_2)
 
 
 def collision_loss(eps: float, q: int) -> float:
     """Entropy loss at collision order for target eps: log_q(1/((1+eps)^2 - 1))."""
+    _field_size(q)
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     return _logq(1.0 / ((1.0 + eps) ** 2 - 1.0), q)
@@ -192,6 +207,7 @@ def collision_max_output(entropy_2: float, eps: float, q: int) -> int:
 def linf_bucket_bound(n: int, eps: float, q: int) -> float:
     """Expected max bucket overshoot with m = floor(H_inf - n eps):
     q^{2/eps} (1 + q^{-eps n / 2})."""
+    _field_size(q)
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     return _qpow(q, 2.0 / eps) * (1.0 + _qpow(q, -eps * n / 2.0))

@@ -70,7 +70,7 @@ def parse_source(text: str, field: FieldSpec, n: int, seed: int,
     if text == "point":
         return DensePmf.point_mass(field, n, caps=caps)
     if text == "random":
-        DensePmf._check_size(field, n, caps)  # before q^n values are drawn
+        DensePmf._check_size(field.q, n, caps)  # before q^n values are drawn
         return verify._random_pmf(field, n, (seed, 41, field.q, n))
     if text.startswith("bernoulli:"):
         if field.q != 2:
@@ -384,17 +384,17 @@ def main(argv: list[str] | None = None) -> int:
             text = _format_checks(rows, config, args.format)
         else:  # pragma: no cover
             raise ValueError(f"unknown command {args.command!r}")
+        if args.output:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except CapExceeded as exc:
         print(f"synhash: refused: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"synhash: error: {exc}", file=sys.stderr)
         return 1
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0 if ok else 1
 
 

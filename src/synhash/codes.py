@@ -21,7 +21,7 @@ from .field import (
     FqMatrix,
     digit_table,  # traced site, see field.digit_table
     image_indices,
-    kernel_basis,
+    kernel_basis,  # traced sites, with rank and rref: perfbench/tracing.py wraps them here
     rank,
     rref,
     _kernel_from_rref,
@@ -70,13 +70,6 @@ class LinearCode:
         if self.H.array.shape != (self.n - self.k, self.n):
             raise ValueError(f"parity check shape {self.H.array.shape} != ({self.n - self.k}, {self.n})")
 
-    @classmethod
-    def from_generator(cls, G: FqMatrix, check: bool = True) -> "LinearCode":
-        code = cls(G.field, G.cols, G.rows, G, kernel_basis(G))
-        if check:
-            code.verify()
-        return code
-
     def _checked_generator(self, G: FqMatrix) -> FqMatrix:
         if G.array.shape != (self.k, self.n):
             raise ValueError(f"generator shape {G.array.shape} != ({self.k}, {self.n})")
@@ -87,22 +80,6 @@ class LinearCode:
         if isinstance(self.generator, FqMatrix):
             return self.generator
         return self._checked_generator(self.generator())
-
-    def verify(self) -> None:
-        """Assert rank(G) = k, rank(H) = n - k and G H^T = 0."""
-        if rank(self.G) != self.k:
-            raise ValueError("generator matrix is rank deficient")
-        if rank(self.H) != self.n - self.k:
-            raise ValueError("parity check matrix is rank deficient")
-        if self.k and self.n - self.k:
-            prod = (self.G.array @ self.H.array.T) % self.field.q
-            if prod.any():
-                raise ValueError("G H^T != 0")
-
-    def canonical_key(self) -> bytes:
-        """Row-space identity: bytes of the reduced echelon form of G."""
-        red, _ = rref(self.G)
-        return red.array.astype(np.int64).tobytes()
 
     def __repr__(self) -> str:
         return f"LinearCode(q={self.field.q}, n={self.n}, k={self.k})"

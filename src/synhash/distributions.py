@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import Union
 
 import numpy as np
 
@@ -80,27 +80,27 @@ class DensePmf:
         return self
 
     @classmethod
-    def _check_size(cls, field: FieldSpec, n: int, caps: Caps) -> int:
-        return caps.admit("dense pmf", field.q ** n, "dense_pmf_entries")
+    def _check_size(cls, q: int, n: int, caps: Caps) -> int:
+        return caps.admit("dense pmf", q ** n, "dense_pmf_entries")
 
     @classmethod
     def uniform(cls, field: FieldSpec, n: int, caps: Caps = DEFAULT_CAPS) -> "DensePmf":
-        size = cls._check_size(field, n, caps)
+        size = cls._check_size(field.q, n, caps)
         return cls(field, n, np.full(size, 1.0 / size))
 
     @classmethod
-    def point_mass(cls, field: FieldSpec, n: int, index: int = 0,
-                   caps: Caps = DEFAULT_CAPS) -> "DensePmf":
-        size = cls._check_size(field, n, caps)
+    def point_mass(cls, field: FieldSpec, n: int, caps: Caps = DEFAULT_CAPS) -> "DensePmf":
+        """All mass on the zero vector."""
+        size = cls._check_size(field.q, n, caps)
         probs = np.zeros(size)
-        probs[index] = 1.0
+        probs[0] = 1.0
         return cls(field, n, probs)
 
     @classmethod
     def flat(cls, field: FieldSpec, n: int, support_size: int,
              caps: Caps = DEFAULT_CAPS) -> "DensePmf":
         """Uniform on the first support_size indices."""
-        size = cls._check_size(field, n, caps)
+        size = cls._check_size(field.q, n, caps)
         if not 1 <= support_size <= size:
             raise ValueError(f"support size {support_size} out of range [1, {size}]")
         probs = np.zeros(size)
@@ -133,16 +133,6 @@ class DensePmf:
             return cls.from_qpmf_bytes(fh.read())
 
 
-class _PmfStack(NamedTuple):
-    """Pmfs on F_q^n, one per map of a (T, m, n) stack: probs is (T, q^n).
-    It stands where the stacked routes take a DensePmf, whose one pmf every
-    map shares; both carry field, n and probs."""
-
-    field: FieldSpec
-    n: int
-    probs: np.ndarray
-
-
 @dataclass(frozen=True)
 class ProductBernoulli:
     """n iid bits, each equal to 1 with probability delta (field F_2)."""
@@ -161,7 +151,7 @@ class ProductBernoulli:
         return FieldSpec(2)
 
     def to_dense(self, caps: Caps = DEFAULT_CAPS) -> DensePmf:
-        size = DensePmf._check_size(self.field, self.n, caps)
+        size = DensePmf._check_size(2, self.n, caps)
         weights = np.zeros(size, dtype=np.int64)  # popcount of each index, by doubling
         for j in range(self.n):
             weights[1 << j:2 << j] = weights[:1 << j] + 1
@@ -320,46 +310,50 @@ def convolve(P: DensePmf, Q: DensePmf) -> DensePmf:
 
 def code_pmf(code: LinearCode, caps: Caps = DEFAULT_CAPS) -> DensePmf:
     """Uniform distribution over the codewords of a code."""
-    size = DensePmf._check_size(code.field, code.n, caps)
+    size = DensePmf._check_size(code.field.q, code.n, caps)
     probs = np.zeros(size)
     probs[codeword_indices(code, caps)] = 1.0 / code.field.q ** code.k
     return DensePmf(code.field, code.n, probs)
 
 
-def _pushforward_rows(P: DensePmf | _PmfStack, maps: np.ndarray, caps: Caps) -> np.ndarray:
-    """_syndrome_rows(P, maps, caps) once one elimination of the whole
-    (T, m, n) stack has checked that every map has full row rank."""
-    if (_rref_stack(maps, P.field.q)[2] != maps.shape[1]).any():
+def _check_ranks(q: int, maps: np.ndarray) -> None:
+    """Refuse a (T, m, n) stack of maps mod q unless every map has full row
+    rank, by one elimination of the whole stack."""
+    if (_rref_stack(maps, q)[2] != maps.shape[1]).any():
         raise ValueError("map is rank deficient; output space would be oversized")
-    return _syndrome_rows(P, maps, caps)
 
 
-def _syndrome_rows(P: DensePmf | _PmfStack, maps: np.ndarray, caps: Caps) -> np.ndarray:
+def _pushforward_rows(q: int, probs: np.ndarray, maps: np.ndarray, caps: Caps) -> np.ndarray:
+    """_syndrome_rows(q, probs, maps, caps) once _check_ranks has passed."""
+    _check_ranks(q, maps)
+    return _syndrome_rows(q, probs, maps, caps)
+
+
+def _syndrome_rows(q: int, probs: np.ndarray, maps: np.ndarray, caps: Caps) -> np.ndarray:
     """Pmf of H z for z ~ P, one row per H in a (T, m, n) stack of full-row-rank
-    maps over P's field, as a (T, q^m) array; map t pushes forward P's one
-    pmf, or row t of a _PmfStack.  The rank is not checked: the callers pass
-    maps that have full rank by construction.
+    maps mod q, as a (T, q^m) array.  probs holds P's q^n probabilities: 1-D
+    for one source that every map pushes forward, or (T, q^n) with row t the
+    source of map t.  Neither the rank nor the length of probs is checked: the
+    callers pass maps that have full rank by construction, and sources on
+    their space.
 
     The syndromes are counted a batch of codes at a time, one bincount over
     row-offset syndrome indices per batch of about _BATCH_ENTRIES index entries.
     """
     count, m, n = maps.shape
-    q = P.field.q
-    if n != P.n:
-        raise ValueError(f"map expects length-{n} inputs, pmf is on length {P.n}")
     if m == 0:
         return np.ones((count, 1))
-    out_size = DensePmf._check_size(P.field, m, caps)
+    out_size = DensePmf._check_size(q, m, caps)
     # points past the last one with mass add nothing to any bin, so the table
     # covers the first q^j points only: the image of the first j columns
-    j = P.n
-    while j and not P.probs[..., q ** (j - 1):].any():
+    j = n
+    while j and not probs[..., q ** (j - 1):].any():
         j -= 1
     size = q ** j
     batch = max(1, _BATCH_ENTRIES // size)
-    # one weight row per map of a batch: P's one pmf, repeated, or the map's own
-    shared = P.probs.ndim == 1
-    weights = np.tile(P.probs[:size], min(batch, count)) if shared else P.probs[:, :size]
+    # one weight row per map of a batch: the one source, repeated, or the map's own
+    shared = probs.ndim == 1
+    weights = np.tile(probs[:size], min(batch, count)) if shared else probs[:, :size]
     out = np.empty((count, out_size))
     for first in range(0, count, batch):
         table = _image_rows(q, maps[first:first + batch, :, :j])
@@ -373,10 +367,14 @@ def _syndrome_rows(P: DensePmf | _PmfStack, maps: np.ndarray, caps: Caps) -> np.
 
 
 def pushforward(P: DensePmf, H: FqMatrix, caps: Caps = DEFAULT_CAPS) -> DensePmf:
-    """Distribution of H z for z ~ P; H must have full row rank."""
+    """Distribution of H z for z ~ P; H must have full row rank.  The field,
+    then the rank, then the input length are checked."""
     if H.field != P.field:
         raise ValueError("pmf and map live over different fields")
-    return DensePmf(P.field, H.rows, _pushforward_rows(P, H.array[None], caps)[0])
+    _check_ranks(P.field.q, H.array[None])
+    if H.cols != P.n:
+        raise ValueError(f"map expects length-{H.cols} inputs, pmf is on length {P.n}")
+    return DensePmf(P.field, H.rows, _syndrome_rows(P.field.q, P.probs, H.array[None], caps)[0])
 
 
 def _dual_weights(code: LinearCode) -> np.ndarray:

@@ -1,28 +1,23 @@
 """Exact linear algebra over prime fields F_q.
 
-Matrices and vectors hold residues in [0, q).  Containers are immutable after
-construction and all operations are pure functions.  Indexing of F_q^n is
-little-endian base q: coordinate 0 is the least significant digit.
+Matrices hold residues in [0, q).  FqMatrix is immutable after construction
+and all operations are pure functions.  Indexing of F_q^n is little-endian
+base q: coordinate 0 is the least significant digit.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
     "FieldSpec",
-    "FqVector",
     "FqMatrix",
     "rank",
     "rref",
     "kernel_basis",
-    "mat_vec",
-    "vec_to_index",
-    "index_to_vec",
     "q_powers",
     "image_indices",
 ]
@@ -53,55 +48,14 @@ class FieldSpec:
         if not isinstance(self.q, int) or not _is_prime(self.q):
             raise ValueError(f"field modulus must be a prime integer, got {self.q!r}")
 
-    @property
-    def inverses(self) -> np.ndarray:
-        """inv[a] = a**-1 mod q for a in [1, q); entry 0 is unused.  One table per
-        q, shared by every FieldSpec of that q."""
-        return _inverse_table(self.q)
-
 
 @functools.lru_cache(maxsize=64)
 def _inverse_table(q: int) -> np.ndarray:
+    """inv[a] = a**-1 mod q for a in [1, q); entry 0 is unused.  One read-only
+    table per q."""
     inv = np.array([0] + [pow(a, q - 2, q) for a in range(1, q)], dtype=np.int64)
     inv.flags.writeable = False
     return inv
-
-
-def _as_residues(field: FieldSpec, data, ndim: int) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.int64)
-    if arr.ndim != ndim:
-        raise ValueError(f"expected {ndim}-dimensional data, got shape {arr.shape}")
-    arr = np.mod(arr, field.q)
-    arr.flags.writeable = False
-    return arr
-
-
-@dataclass(frozen=True)
-class FqVector:
-    """Immutable coordinate vector over F_q."""
-
-    field: FieldSpec
-    coords: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        q = self.field.q
-        norm = tuple(int(c) % q for c in self.coords)
-        object.__setattr__(self, "coords", norm)
-
-    @classmethod
-    def from_array(cls, field: FieldSpec, arr: Iterable[int]) -> "FqVector":
-        return cls(field, tuple(int(c) for c in arr))
-
-    @property
-    def n(self) -> int:
-        return len(self.coords)
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.array(self.coords, dtype=np.int64)
-
-    def __len__(self) -> int:
-        return len(self.coords)
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,23 +66,12 @@ class FqMatrix:
     array: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "array", _as_residues(self.field, self.array, 2))
-
-    @classmethod
-    def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "FqMatrix":
-        return cls(field, np.zeros((rows, cols), dtype=np.int64))
-
-    @classmethod
-    def identity(cls, field: FieldSpec, n: int) -> "FqMatrix":
-        return cls(field, np.eye(n, dtype=np.int64))
-
-    @classmethod
-    def from_rows(cls, field: FieldSpec, rows: Sequence[Sequence[int]], cols: int | None = None) -> "FqMatrix":
-        if len(rows) == 0:
-            if cols is None:
-                raise ValueError("empty matrix needs an explicit column count")
-            return cls(field, np.zeros((0, cols), dtype=np.int64))
-        return cls(field, np.array(rows, dtype=np.int64))
+        arr = np.asarray(self.array, dtype=np.int64)
+        if arr.ndim != 2:
+            raise ValueError(f"expected 2-dimensional data, got shape {arr.shape}")
+        arr = np.mod(arr, self.field.q)
+        arr.flags.writeable = False
+        object.__setattr__(self, "array", arr)
 
     @property
     def rows(self) -> int:
@@ -281,41 +224,11 @@ def kernel_basis(M: FqMatrix) -> FqMatrix:
     return FqMatrix(M.field, basis[0])
 
 
-def mat_vec(M: FqMatrix, v: FqVector | np.ndarray | Sequence[int]) -> FqVector:
-    """Product M v over F_q."""
-    arr = v.array if isinstance(v, FqVector) else np.asarray(v, dtype=np.int64)
-    if arr.shape != (M.cols,):
-        raise ValueError(f"vector length {arr.shape} incompatible with {M.rows}x{M.cols} matrix")
-    out = (M.array @ (arr % M.field.q)) % M.field.q
-    return FqVector.from_array(M.field, out)
-
-
 def q_powers(q: int, n: int) -> np.ndarray:
     """[q**0, ..., q**(n-1)] as int64; refuses when q**n would overflow."""
     if n > 0 and q ** n > 2 ** 62:
         raise ValueError(f"q**n = {q}**{n} does not fit the index arithmetic")
     return q ** np.arange(n, dtype=np.int64)
-
-
-def vec_to_index(v: FqVector) -> int:
-    """Little-endian base-q index of v in [0, q**n)."""
-    q = v.field.q
-    idx = 0
-    for c in reversed(v.coords):
-        idx = idx * q + c
-    return idx
-
-
-def index_to_vec(i: int, n: int, field: FieldSpec) -> FqVector:
-    """Inverse of vec_to_index for 0 <= i < q**n."""
-    q = field.q
-    if not 0 <= i < q ** n:
-        raise ValueError(f"index {i} out of range for q**n = {q}**{n}")
-    coords = []
-    for _ in range(n):
-        coords.append(i % q)
-        i //= q
-    return FqVector(field, tuple(coords))
 
 
 def image_indices(M: FqMatrix) -> np.ndarray:

@@ -15,7 +15,7 @@ from .caps import DEFAULT_CAPS, Caps
 # checks its codes as one stack; both stay imported as traced sites:
 # perfbench/tracing.py wraps them here
 from .codes import DEFAULT_SEED, CodeEnsembleSpec, _sample_codes, sample_uniform_code
-from .distributions import DensePmf, ProductBernoulli, _PmfStack, _pushforward_rows
+from .distributions import DensePmf, ProductBernoulli, _pushforward_rows
 from .field import FieldSpec
 from .verify import (
     CheckResult,
@@ -66,11 +66,9 @@ def _badness(r: CheckResult) -> tuple:
     return (not r.passed, err)
 
 
-def _merge(name: str, results: list[CheckResult], extra: dict | None = None) -> CheckResult:
+def _merge(name: str, results: list[CheckResult]) -> CheckResult:
     worst = max(results, key=_badness)
     params = {"checks": len(results), "worst_case": dict(worst.parameters)}
-    if extra:
-        params.update(extra)
     return CheckResult(name, params, all(r.passed for r in results),
                        worst.lhs, worst.rhs, worst.slack,
                        trials=worst.trials, seed=worst.seed, kind=worst.kind)
@@ -104,8 +102,8 @@ def run_acceptance(seed: int = DEFAULT_SEED, caps: Caps = DEFAULT_CAPS,
     # the codes of trials 0 .. pairs-1 and their sources are checked as stacks
     pairs = 10 if quick else 50
     G, H = _sample_codes(CodeEnsembleSpec(f2, 6, 3, seed), 0, pairs)
-    pmfs = _PmfStack(f2, 6, _random_probs((seed, 31), 0, pairs, 1 << 6))
-    batch = _projection_identities(pmfs, G, _pushforward_rows(pmfs, H, caps),
+    probs = _random_probs((seed, 31), 0, pairs, 1 << 6)
+    batch = _projection_identities(2, probs, G, _pushforward_rows(2, probs, H, caps),
                                    (2.0, 3.0, math.inf), caps)
     results.append(_merge("c04-projection-identity", batch))
 

@@ -42,7 +42,6 @@ from .distributions import (
     lp_norms,
     _BATCH_ENTRIES,
     _PMF_SUM_TOL,
-    _PmfStack,
     _character_transform,
     _convolve_transformed,
     pushforward,
@@ -50,8 +49,8 @@ from .distributions import (
     renyi_entropy,
 )
 # digit_table and _rank_array are only traced sites: perfbench/tracing.py wraps them here
-from .field import (FieldSpec, FqMatrix, FqVector, digit_table, image_indices, q_powers,
-                    vec_to_index, _image_rows, _rank_array)
+from .field import (FieldSpec, FqMatrix, digit_table, image_indices, q_powers, _image_rows,
+                    _rank_array)
 from .streams import raw_outputs
 
 __all__ = [
@@ -310,18 +309,18 @@ def check_balanced_inequality(n: int, k: int, q: int, p: int,
     return _inequality_result("balanced-inequality", params, lhs, rhs, seed=f_seed)
 
 
-def check_tuple_probability(n: int, k: int, q: int,
-                            vectors: Sequence[int | FqVector],
+def check_tuple_probability(n: int, k: int, q: int, vectors: Sequence[int],
                             caps: Caps = DEFAULT_CAPS) -> CheckResult:
     """Containment probability of a fixed tuple is at most q^{-d(n-k)}.
 
     Exact rational arithmetic on both ensembles: the uniform full-rank-code
     ensemble obeys the bound, and the iid-parity-check ensemble (kernel of a
-    uniform (n-k) x n matrix) attains it with equality.
+    uniform (n-k) x n matrix) attains it with equality.  The tuple is given
+    by the little-endian indices of its vectors in F_q^n.
     """
-    field = FieldSpec(q)
+    FieldSpec(q)  # refuses a modulus that is not prime
     p = len(vectors)
-    idx = [_tuple_index(v, field, n) for v in vectors]
+    idx = [int(v) for v in vectors]
     outside = [i for i in idx if not 0 <= i < q ** n]
     if outside:
         raise ValueError(f"index {outside[0]} out of range for q**n = {q}**{n}")
@@ -351,27 +350,16 @@ def check_tuple_probability(n: int, k: int, q: int,
                        float(bound - prob), kind="inequality")
 
 
-def _tuple_index(v, field: FieldSpec, n: int) -> int:
-    if isinstance(v, FqVector):
-        if v.field != field or v.n != n:
-            raise ValueError(f"tuple vector does not live in F_{field.q}^{n}")
-        return vec_to_index(v)
-    return int(v)
-
-
 # -- moment and rearrangement inequalities ------------------------------------
 
 
 def check_norm_bound_lemma(n: int, q: int, p: int, d: int, f_seed: int = DEFAULT_SEED,
-                           caps: Caps = DEFAULT_CAPS,
-                           f_values: np.ndarray | None = None) -> CheckResult:
+                           caps: Caps = DEFAULT_CAPS) -> CheckResult:
     """Rank-d tuple sums of products of f are controlled by mixed norms of f."""
     if not 1 <= d <= p:
         raise ValueError(f"need 1 <= d <= p, got d={d}, p={p}")
-    size = q ** n
     ranks = _tuple_ranks(q, n, p, caps)
-    f = f_values if f_values is not None else _random_nonneg(size, (f_seed, 17, n, q, p, d))
-    f = np.asarray(f, dtype=np.float64)
+    f = _random_nonneg(q ** n, (f_seed, 17, n, q, p, d))
     tensor = f
     for _ in range(p - 1):
         tensor = np.multiply.outer(tensor, f)
@@ -389,8 +377,7 @@ def check_norm_bound_lemma(n: int, q: int, p: int, d: int, f_seed: int = DEFAULT
 
 def check_rearrangement_lemma(n: int, q: int, p: int, d: int,
                               seed: int = DEFAULT_SEED,
-                              caps: Caps = DEFAULT_CAPS,
-                              coefficients: np.ndarray | None = None) -> CheckResult:
+                              caps: Caps = DEFAULT_CAPS) -> CheckResult:
     """Averages of f-products along fixed nonzero linear combinations are
     bounded by ||f||_1^{d-1} ||f||_{p-d+1}^{p-d+1}."""
     if not 1 <= d <= p:
@@ -399,18 +386,11 @@ def check_rearrangement_lemma(n: int, q: int, p: int, d: int,
     grid = size ** d
     caps.admit("rearrangement grid", grid * (p + n), "tuple_products")
     rng = np.random.default_rng((seed, 19, n, q, p, d))
-    if coefficients is None:
-        coefficients = np.empty((p - d, d), dtype=np.int64)
-        for i in range(p - d):
-            while True:
-                row = rng.integers(0, q, size=d)
-                if row.any():
-                    coefficients[i] = row
-                    break
-    else:
-        coefficients = np.asarray(coefficients, dtype=np.int64).reshape(p - d, d) % q
-        if p > d and not all(row.any() for row in coefficients):
-            raise ValueError("need p - d nonzero coefficient rows of length d")
+    coefficients = []  # p - d nonzero rows of length d
+    while len(coefficients) < p - d:
+        row = rng.integers(0, q, size=d)
+        if row.any():
+            coefficients.append(row.tolist())
     f = rng.random(size)
     flat = np.arange(grid, dtype=np.int64)
     prod = np.ones(grid)
@@ -424,8 +404,7 @@ def check_rearrangement_lemma(n: int, q: int, p: int, d: int,
     lhs = float(prod.mean())
     r = p - d + 1
     rhs = lp_norm(f, 1) ** (d - 1) * lp_norm(f, r) ** r
-    params = {"n": n, "q": q, "p": p, "d": d,
-              "coefficients": coefficients.tolist()}
+    params = {"n": n, "q": q, "p": p, "d": d, "coefficients": coefficients}
     return _inequality_result("rearrangement", params, lhs, rhs, seed=seed)
 
 
@@ -442,15 +421,17 @@ def check_projection_identity(code: LinearCode, P: DensePmf,
     _projection_identities.
     """
     syndromes = pushforward(P, code.H, caps).probs[None]
-    return _projection_identities(P, code.G.array[None], syndromes, p_list, caps)[0]
+    return _projection_identities(P.field.q, P.probs, code.G.array[None], syndromes,
+                                  p_list, caps)[0]
 
 
-def _projection_identities(P: DensePmf | _PmfStack, G: np.ndarray, syndromes: np.ndarray,
+def _projection_identities(q: int, probs: np.ndarray, G: np.ndarray, syndromes: np.ndarray,
                            p_list: Sequence[float], caps: Caps) -> list[CheckResult]:
     """check_projection_identity for every code of a (T, k, n) generator stack
-    over P's field, given the (T, q^{n-k}) pmfs of its syndromes, the
-    pushforward route (distributions._pushforward_rows for a stack).  Every
-    code has source P, or code t row t of a _PmfStack.
+    mod q, given the (T, q^{n-k}) pmfs of its syndromes, the pushforward route
+    (distributions._pushforward_rows for a stack).  probs holds the sources'
+    q^n probabilities: 1-D for one source of every code, or (T, q^n) with row
+    t the source of code t.
 
     The other side is the convolution route, taken once for the whole stack:
     one image table of the generators gives the code pmfs, and one
@@ -458,15 +439,14 @@ def _projection_identities(P: DensePmf | _PmfStack, G: np.ndarray, syndromes: np
     code_pmf, convolve and lp_norm, one code at a time, bit for bit, and the
     caps and errors are theirs, in their order.
     """
-    q = P.field.q
     count, k, n = G.shape
     m = n - k
     _check_sums(syndromes)
-    DensePmf._check_size(P.field, n, caps)
+    DensePmf._check_size(q, n, caps)
     caps.admit("codeword enumeration", q ** k, "code_enumeration")
     code_pmfs = _code_pmfs(q, G)
     _check_sums(code_pmfs)
-    mixed = _convolve_transformed(code_pmfs, _character_transform(P.probs, q, n), q, n)
+    mixed = _convolve_transformed(code_pmfs, _character_transform(probs, q, n), q, n)
     _check_sums(mixed)
     norms = [(lp_norms(float(q) ** m * syndromes, p).tolist(),
               lp_norms(float(q) ** n * mixed, p).tolist()) for p in p_list]
@@ -553,7 +533,7 @@ def exact_expected_smoothness(n: int, k: int, q: int, p: int, P: DensePmf,
     if (P.field.q, P.n) != (q, n):
         raise ValueError("convolution needs two pmfs on the same space")
     _admit_enumeration(q, n, k, caps)
-    size = DensePmf._check_size(FieldSpec(q), n, caps)
+    size = DensePmf._check_size(q, n, caps)
     caps.admit("codeword enumeration", q ** k, "code_enumeration")
     G = _ensemble_stacks(q, n, k, caps)[0]
     transformed = _character_transform(P.probs, P.field.q, P.n)  # once for every code
@@ -611,8 +591,8 @@ def _mc_trials(P: DensePmf, spec: CodeEnsembleSpec, trials: int, statistic,
         maps = _sample_codes(spec, first, last)[1]
         for start in range(first, last, chunk):
             stop = min(start + chunk, last)
-            vals[start:stop] = statistic(_syndrome_rows(P, maps[start - first:stop - first],
-                                                         caps))
+            vals[start:stop] = statistic(_syndrome_rows(
+                q, P.probs, maps[start - first:stop - first], caps))
     return vals
 
 

@@ -182,3 +182,21 @@ def test_two_point_symmetry(den, p):
     delta = den / 16.0
     assert two_point_renyi(delta, p) == pytest.approx(
         two_point_renyi(1 - delta, p), rel=1e-12)
+
+
+def test_field_size_must_be_an_integer():
+    calls = [lambda q: smoothing_bound_rhs(4, 2, q, 2, 1.0),
+             lambda q: nonlinear_bound_rhs(4, 2, q, 2, 1.0),
+             lambda q: main_guarantee(2, 1.0, 2, q),
+             lambda q: max_output_length(1.0, 2, q, 0.5),
+             lambda q: generic_loss(0.5, 2, q),
+             lambda q: corollary_bounds(0.5, 2, q),
+             lambda q: collision_bound(2, 1.0, q),
+             lambda q: collision_loss(0.5, q),
+             lambda q: collision_max_output(1.0, 0.5, q),
+             lambda q: linf_bucket_bound(4, 0.5, q)]
+    for call in calls:
+        for q in (2.0, 2.5):  # the command line covers q < 2
+            with pytest.raises(ValueError, match="field size q must be an integer >= 2"):
+                call(q)
+        call(4)  # not prime, but every closed form holds over any F_q

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from synhash import bounds, verify
-from synhash.cli import _sanitize, build_parser, main, parse_source
+from synhash.cli import BOUNDS, _sanitize, build_parser, main, parse_source
 from synhash.caps import DEFAULT_CAPS
 from synhash.codes import CodeEnsembleSpec, sample_uniform_code
 from synhash.distributions import DensePmf, ProductBernoulli
@@ -56,6 +56,42 @@ def test_value_error_exits_one(capsys):
     rc, _, err = run(["bound", "phi", "--p", "0.5", "--eps", "1"], capsys)
     assert rc == 1
     assert "error" in err
+
+
+def test_unwritable_output_is_an_error(tmp_path, capsys):
+    # an --output path that cannot be opened is a usage error, not a traceback
+    path = tmp_path / "missing" / "x.json"
+    rc, out, err = run(["--output", str(path), "bound", "phi", "--p", "2", "--eps", "0.1"],
+                       capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("synhash: error: ") and "No such file" in err
+    assert not path.exists()
+
+
+_Q_BOUNDS = [name for name, (flags, _) in BOUNDS.items() if "--q" in flags]
+
+
+def _bound_argv(name, q):
+    """bound <name> with --q q and a small valid value for every other required flag."""
+    argv = ["bound", name]
+    for flag, keywords in BOUNDS[name][0].items():
+        if flag == "--q":
+            argv += [flag, q]
+        elif keywords.get("required"):
+            argv += [flag, "2" if keywords["type"] is int else "0.5"]
+    return argv
+
+
+@pytest.mark.parametrize("name", _Q_BOUNDS)
+def test_bounds_need_a_field_size_of_at_least_two(name, capsys):
+    # q = 1 used to divide by log 1 = 0, or print a value and exit 0
+    for q in ("1", "0", "-3"):
+        rc, out, err = run(_bound_argv(name, q), capsys)
+        assert rc == 1 and out == ""
+        assert err.startswith(f"synhash: error: field size q must be an integer >= 2, got {q}")
+    # the closed forms do not need a prime q
+    rc, _, err = run(_bound_argv(name, "4"), capsys)
+    assert rc == 0, err
 
 
 def test_cap_refusal_exits_two(capsys):

@@ -23,7 +23,7 @@ from synhash.codes import (
     _ensemble_stacks,
     _sample_codes,
 )
-from synhash.field import FieldSpec, FqMatrix, index_to_vec, kernel_basis, rank, _rref_stack
+from synhash.field import FieldSpec, FqMatrix, kernel_basis, rank, rref, _rref_stack
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -47,17 +47,22 @@ def test_rank_tuple_counts_partition_the_tuple_space():
     assert rank_tuple_count(2, 2, 3, 2) == 0
 
 
-def test_enumerate_all_codes_is_complete_and_distinct():
+def _row_space_key(code):
+    """A code's row-space identity: the reduced echelon form of G."""
+    return rref(code.G)[0].array.tobytes()
+
+
+def test_enumerate_all_codes_is_complete_and_distinct(check_code):
     codes = list(enumerate_all_codes(F2, 4, 2))
     assert len(codes) == 35
-    keys = {c.canonical_key() for c in codes}
+    keys = {_row_space_key(c) for c in codes}
     assert len(keys) == 35
     for c in codes:
-        c.verify()
+        check_code(c.G.array, c.H.array, 2)
 
     codes3 = list(enumerate_all_codes(F3, 3, 2))
     assert len(codes3) == gaussian_binomial(3, 2, 3) == 13
-    assert len({c.canonical_key() for c in codes3}) == 13
+    assert len({_row_space_key(c) for c in codes3}) == 13
     # H comes from the echelon generator itself, as kernel_basis would give it
     for c in codes + codes3:
         assert c.H == kernel_basis(c.G)
@@ -149,18 +154,12 @@ def test_trivial_dimensions():
 
 
 def test_codeword_indices_example():
-    G = FqMatrix.from_rows(F2, [[1, 0, 1, 0], [0, 1, 0, 1]])
-    code = LinearCode.from_generator(G)
+    G = FqMatrix(F2, [[1, 0, 1, 0], [0, 1, 0, 1]])
+    code = LinearCode(F2, 4, 2, G, kernel_basis(G))
     assert codeword_indices(code).tolist() == [0, 5, 10, 15]
     # little-endian: index 5 is the codeword (1, 0, 1, 0)
-    assert [index_to_vec(i, 4, F2).coords for i in codeword_indices(code).tolist()] == [
-        (0, 0, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1), (1, 1, 1, 1)]
-
-
-def test_from_generator_rejects_dependent_rows():
-    G = FqMatrix.from_rows(F2, [[1, 0, 1], [1, 0, 1]])
-    with pytest.raises(ValueError):
-        LinearCode.from_generator(G)
+    assert [[i >> j & 1 for j in range(4)] for i in codeword_indices(code).tolist()] == [
+        [0, 0, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [1, 1, 1, 1]]
 
 
 def test_reed_muller_past_64_columns_has_full_rank():
@@ -245,10 +244,11 @@ def test_sampling_is_deterministic_per_seed_and_trial():
     assert a.G != d.G
 
 
-def test_sampled_codes_are_valid():
+def test_sampled_codes_are_valid(check_code):
     spec = CodeEnsembleSpec(F3, 5, 3, 7)
     for t in range(10):
-        sample_uniform_code(spec, t).verify()
+        code = sample_uniform_code(spec, t)
+        check_code(code.G.array, code.H.array, 3)
 
 
 def test_sampling_is_uniform_over_codes():
@@ -279,14 +279,14 @@ def test_reed_muller_generator_shape_and_weights():
     assert weights == {0: 1, 4: 14, 8: 1}
 
 
-def test_reed_muller_dimension_and_duality():
+def test_reed_muller_dimension_and_duality(check_code):
     import math
     for m in range(1, 5):
         for r in range(0, m + 1):
             code = reed_muller_code(r, m)
             assert code.n == 2 ** m
             assert code.k == sum(math.comb(m, i) for i in range(r + 1))
-            code.verify()
+            check_code(code.G.array, code.H.array, 2)
             # dual generator: orthogonal rows
             H = rm_parity_check(r, m)
             assert not ((code.G.array @ H.array.T) % 2).any()
@@ -301,13 +301,13 @@ def test_reed_muller_nesting():
             assert not ((inner.G.array @ outer_H.array.T) % 2).any()
 
 
-def test_reed_muller_generator_is_built_when_read():
+def test_reed_muller_generator_is_built_when_read(check_code):
     for m in range(8):
         for r in range(m + 1):
             code = reed_muller_code(r, m)
             assert "G" not in vars(code)  # H, n and k only until G is read
             assert code.G == reed_muller_generator(r, m)
-            code.verify()
+            check_code(code.G.array, code.H.array, 2)
 
 
 def test_generator_builder_shape_is_checked_when_built():

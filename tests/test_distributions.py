@@ -27,7 +27,7 @@ from synhash.distributions import (
     _pushforward_rows,
     _signed_power,
 )
-from synhash.field import FieldSpec, FqMatrix, index_to_vec, mat_vec, q_powers, rank, vec_to_index
+from synhash.field import FieldSpec, FqMatrix, q_powers, rank
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -145,7 +145,7 @@ def test_convolve_point_mass_is_identity():
 
 def test_convolve_shift_by_point_mass():
     P = pmf(F2, 2, [0.4, 0.3, 0.2, 0.1])
-    shift = DensePmf.point_mass(F2, 2, index=3)
+    shift = pmf(F2, 2, [0.0, 0.0, 0.0, 1.0])
     out = convolve(P, shift)
     # adding a fixed vector permutes mass by xor with 3
     assert out.probs[0] == pytest.approx(P.probs[3])
@@ -154,9 +154,8 @@ def test_convolve_shift_by_point_mass():
 
 def _direct_convolution(a, b, q, n):
     """Distribution of X + Y by summing over every pair (x, y)."""
-    field = FieldSpec(q)
-    digits = [index_to_vec(i, n, field).array for i in range(q ** n)]
     powers = q_powers(q, n)
+    digits = np.arange(q ** n)[:, None] // powers % q
     out = np.zeros(q ** n)
     for x in range(q ** n):
         for y in range(q ** n):
@@ -212,7 +211,7 @@ def test_code_pmf_uniform_on_codewords():
 
 def test_pushforward_parity_example():
     dense = ProductBernoulli(0.25, 4).to_dense()
-    H = FqMatrix.from_rows(F2, [[1, 1, 1, 1]])
+    H = FqMatrix(F2, [[1, 1, 1, 1]])
     out = pushforward(dense, H)
     assert out.n == 1
     assert out.probs[0] == pytest.approx(0.53125, rel=1e-14)
@@ -220,31 +219,31 @@ def test_pushforward_parity_example():
 
 def test_pushforward_checks_inputs():
     dense = ProductBernoulli(0.25, 4).to_dense()
+    with pytest.raises(ValueError, match="length-2 inputs"):
+        pushforward(dense, FqMatrix(F2, [[1, 1]]))  # wrong width
     with pytest.raises(ValueError):
-        pushforward(dense, FqMatrix.from_rows(F2, [[1, 1]]))  # wrong width
-    with pytest.raises(ValueError):
-        pushforward(dense, FqMatrix.from_rows(F2, [[1, 1, 1, 1], [1, 1, 1, 1]]))
+        pushforward(dense, FqMatrix(F2, [[1, 1, 1, 1], [1, 1, 1, 1]]))
 
 
 def test_pushforward_preserves_mass_and_marginals():
     rng = np.random.default_rng(7)
     a = rng.random(81); a /= a.sum()
     P = pmf(F3, 4, a)
-    H = FqMatrix.from_rows(F3, [[1, 0, 2, 1], [0, 1, 1, 1]])
+    H = FqMatrix(F3, [[1, 0, 2, 1], [0, 1, 1, 1]])
     out = pushforward(P, H)
     assert out.size == 9
     assert out.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 @given(st.data())
-def test_pushforward_matches_a_point_loop_on_sparse_sources(data):
+def test_pushforward_matches_a_point_loop_on_sparse_sources(point_images, data):
     # zeros anywhere and a zero tail from a random point on: the syndrome table
     # stops at the last point with mass, and no point with mass may fall past it
     q = data.draw(st.sampled_from([2, 3, 5]))
     n = data.draw(st.integers(1, 4 if q < 5 else 3))
     m = data.draw(st.integers(1, n))
     field = FieldSpec(q)
-    H = FqMatrix.from_rows(field, data.draw(st.lists(
+    H = FqMatrix(field, data.draw(st.lists(
         st.lists(st.integers(0, q - 1), min_size=n, max_size=n), min_size=m, max_size=m)))
     assume(rank(H) == m)
     mass = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0, 0.375]),
@@ -253,8 +252,8 @@ def test_pushforward_matches_a_point_loop_on_sparse_sources(data):
     assume(mass.any())
     P = DensePmf(field, n, mass / mass.sum())
     ref = np.zeros(q ** m)
-    for x in range(q ** n):
-        ref[vec_to_index(mat_vec(H, index_to_vec(x, n, field)))] += P.probs[x]
+    for x, image in enumerate(point_images(H.array, q)):
+        ref[image] += P.probs[x]
     assert np.array_equal(pushforward(P, H).probs, ref)
 
 
@@ -476,10 +475,10 @@ def _full_rank_maps(q, n, m, count, seed):
 def test_stacked_rank_check_refuses_any_deficient_map(q, where):
     maps = _full_rank_maps(q, 5, 3, 9, 2)
     P = DensePmf.uniform(FieldSpec(q), 5)
-    _pushforward_rows(P, maps, DEFAULT_CAPS)  # every map has full rank
+    _pushforward_rows(q, P.probs, maps, DEFAULT_CAPS)  # every map has full rank
     maps[where, 2] = (maps[where, 0] + 2 * maps[where, 1]) % q
     with pytest.raises(ValueError, match="rank deficient"):
-        _pushforward_rows(P, maps, DEFAULT_CAPS)
+        _pushforward_rows(q, P.probs, maps, DEFAULT_CAPS)
 
 
 # (q, n, digits of support): full support, and a flat source whose syndrome
@@ -503,23 +502,22 @@ def test_pushforward_batches_equal_a_per_code_loop(monkeypatch, q, n, support):
         return image_rows(q, arr)
 
     monkeypatch.setattr(distributions, "_image_rows", recorded)
-    assert np.array_equal(_pushforward_rows(P, maps, DEFAULT_CAPS), want)
+    assert np.array_equal(_pushforward_rows(q, P.probs, maps, DEFAULT_CAPS), want)
     assert sizes == [5, 5, 5, 5, 3]
 
 
 @pytest.mark.parametrize("q, n, m", [(2, 9, 8), (3, 6, 5)])
-def test_wide_syndrome_tables_push_forward_as_a_point_loop(q, n, m):
+def test_wide_syndrome_tables_push_forward_as_a_point_loop(point_images, q, n, m):
     # 2 q^m - 1 needs uint16 here, so the image tables are uint16 before the
     # bin offsets widen them to int64
     field = FieldSpec(q)
     maps = _full_rank_maps(q, n, m, 3, 11)
     probs = np.random.default_rng((q, n, m)).random(q ** n)
     P = DensePmf(field, n, probs / probs.sum())
-    rows = _pushforward_rows(P, maps, DEFAULT_CAPS)
+    rows = _pushforward_rows(q, P.probs, maps, DEFAULT_CAPS)
     for H, row in zip(maps, rows):
-        H = FqMatrix(field, H)
         ref = np.zeros(q ** m)
-        for x in range(q ** n):
-            ref[vec_to_index(mat_vec(H, index_to_vec(x, n, field)))] += P.probs[x]
+        for x, image in enumerate(point_images(H, q)):
+            ref[image] += P.probs[x]
         assert np.array_equal(row, ref)
-        assert np.array_equal(pushforward(P, H).probs, ref)
+        assert np.array_equal(pushforward(P, FqMatrix(field, H)).probs, ref)
