@@ -81,14 +81,20 @@ def _field_size(q: int) -> None:
         raise ValueError(f"field size q must be an integer >= 2, got {q}")
 
 
+def _entropy(h: float) -> None:
+    """Refuse an entropy that is NaN or infinite, where no closed form has a value."""
+    if not math.isfinite(h):
+        raise ValueError(f"entropy must be finite, got {h}")
+
+
 def phi(p: float, eps: float) -> float:
     """Distance conversion from smoothness eps; two branches split at p = 2."""
     if not p > 1.0:
         raise ValueError(f"order p must exceed 1.0, got {p}")
     if not math.isfinite(p):
         raise ValueError("phi is defined for finite p only")
-    if eps < 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"eps must be finite and nonnegative, got {eps}")
     if p < 2:
         pp = p / (p - 1.0)
         return 2.0 * ((((1.0 + eps) ** p + 1.0) / 2.0) ** (pp / p) - 1.0) ** (1.0 / pp)
@@ -100,6 +106,7 @@ def smoothing_bound_rhs(n: int, k: int, q: int, p: int, entropy_p: float) -> flo
     dimensions: sum_d C(p,d) q^{(p-d)(d + n - k - H_p)}."""
     _field_size(q)
     _integer_order(p)
+    _entropy(entropy_p)
     lnq = math.log(q)
     logs = [math.log(math.comb(p, d)) + (p - d) * (d + n - k - entropy_p) * lnq
             for d in range(p + 1)]
@@ -124,6 +131,7 @@ def nonlinear_bound_rhs(n: int, k: int, q: int, p: int, entropy_p: float) -> flo
     """
     _field_size(q)
     _integer_order(p)
+    _entropy(entropy_p)
     lnq = math.log(q)
     logs = []
     for d in range(p + 1):
@@ -148,10 +156,13 @@ def main_guarantee(m: int, entropy_p: float, p: int, q: int,
     """
     _field_size(q)
     _integer_order(p)
+    _entropy(entropy_p)
     value = _qpow(q, m - entropy_p + p)
     inputs = {"m": m, "entropy_p": entropy_p, "p": p, "q": q}
     satisfied = None
     if eps is not None:
+        if not math.isfinite(eps):
+            raise ValueError(f"eps must be finite, got {eps}")
         inputs["eps"] = eps
         satisfied = value <= eps
     return BoundReport("main-guarantee", inputs, value, satisfied)
@@ -160,16 +171,17 @@ def main_guarantee(m: int, entropy_p: float, p: int, q: int,
 def max_output_length(entropy_p: float, p: int, q: int, eps: float) -> int:
     """Largest m with q^{m - H_p + p} <= eps."""
     _field_size(q)
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    _entropy(entropy_p)
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     return math.floor(entropy_p - p - _logq(1.0 / eps, q))
 
 
 def generic_loss(eps: float, p: int, q: int) -> float:
     """Entropy paid beyond the output length at any order: p + log_q(1/eps)."""
     _field_size(q)
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     return p + _logq(1.0 / eps, q)
 
 
@@ -178,8 +190,8 @@ def corollary_bounds(eps: float, p: int, q: int) -> tuple[float, float]:
     (p eps / ((p-1) ln q), 2^{1-1/p} ((1+eps)^p - 1)^{1/p})."""
     _field_size(q)
     _integer_order(p)
-    if eps < 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"eps must be finite and nonnegative, got {eps}")
     d_bound = p * eps / ((p - 1) * math.log(q))
     dist_bound = 2.0 ** (1.0 - 1.0 / p) * ((1.0 + eps) ** p - 1.0) ** (1.0 / p)
     return d_bound, dist_bound
@@ -188,19 +200,21 @@ def corollary_bounds(eps: float, p: int, q: int) -> tuple[float, float]:
 def collision_bound(m: int, entropy_2: float, q: int) -> float:
     """Collision-order refinement: expected squared norm is at most 1 + q^{m - H_2}."""
     _field_size(q)
+    _entropy(entropy_2)
     return 1.0 + _qpow(q, m - entropy_2)
 
 
 def collision_loss(eps: float, q: int) -> float:
     """Entropy loss at collision order for target eps: log_q(1/((1+eps)^2 - 1))."""
     _field_size(q)
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     return _logq(1.0 / ((1.0 + eps) ** 2 - 1.0), q)
 
 
 def collision_max_output(entropy_2: float, eps: float, q: int) -> int:
     """Largest m meeting a collision-order smoothness target eps."""
+    _entropy(entropy_2)
     return math.floor(entropy_2 - collision_loss(eps, q))
 
 
@@ -208,8 +222,8 @@ def linf_bucket_bound(n: int, eps: float, q: int) -> float:
     """Expected max bucket overshoot with m = floor(H_inf - n eps):
     q^{2/eps} (1 + q^{-eps n / 2})."""
     _field_size(q)
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     return _qpow(q, 2.0 / eps) * (1.0 + _qpow(q, -eps * n / 2.0))
 
 
@@ -239,6 +253,8 @@ def rm_threshold(delta: float, p: float, target: str = "smoothing-rate") -> floa
     """
     if target not in ("smoothing-rate", "extraction-rate"):
         raise ValueError(f"unknown target {target!r}")
+    if not 0.0 <= delta <= 1.0:
+        raise ValueError(f"delta must lie in [0, 1], got {delta}")
     if p == 1:
         rate = (1.0 - 2.0 * delta) ** 2
     elif math.isinf(p) or (isinstance(p, (int, float)) and p >= 2):

@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, is_dataclass, replace
 
 import numpy as np
 
@@ -40,18 +40,14 @@ def _order(text: str) -> float:
     return float(text)
 
 
-def _index_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad index list {text!r}") from exc
-
-
-def _order_list(text: str) -> list[float]:
-    try:
-        return [_order(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad order list {text!r}") from exc
+def _list_of(parse, what: str):
+    """The argparse type of a comma-separated list of parse(part), blank parts skipped."""
+    def parse_list(text: str) -> list:
+        try:
+            return [parse(part) for part in text.split(",") if part.strip() != ""]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad {what} list {text!r}") from exc
+    return parse_list
 
 
 def _m_values(text: str) -> tuple[int, ...]:
@@ -130,10 +126,11 @@ _FLOAT = {"type": float, "required": True}
 _ORDER = {"type": _order, "required": True}
 _Q = {"type": int, "default": 2}
 _SOURCE = {"default": "random"}
+_ORDERS = _list_of(_order, "order")
 _NKQP = {"--n": _INT, "--k": _INT, "--q": _Q, "--p": _INT}
 _NQPD = {"--n": _INT, "--q": _Q, "--p": _INT, "--d": _INT}
 _NQ_COUNT = {"--n": _INT, "--q": _Q, "--count": {"type": int, "default": 100},
-             "--orders": {"type": _order_list, "default": [1.5, 2.0, 3.0]}}
+             "--orders": {"type": _ORDERS, "default": [1.5, 2.0, 3.0]}}
 
 # verify check -> (its flags, run(args, caps) -> CheckResult)
 VERIFY_CHECKS = {
@@ -145,7 +142,7 @@ VERIFY_CHECKS = {
         a.n, a.k, a.q, a.p, f_seed=a.seed, caps=caps)),
     "tuple-probability": (
         {"--n": _INT, "--k": _INT, "--q": _Q,
-         "--tuple": {"type": _index_list, "required": True,
+         "--tuple": {"type": _list_of(int, "index"), "required": True,
                      "help": "comma-separated vector indices, e.g. 3,7"}},
         lambda a, caps: verify.check_tuple_probability(a.n, a.k, a.q, a.tuple, caps=caps)),
     "norm-bound": (_NQPD, lambda a, caps: verify.check_norm_bound_lemma(
@@ -154,7 +151,7 @@ VERIFY_CHECKS = {
         a.n, a.q, a.p, a.d, seed=a.seed, caps=caps)),
     "projection-identity": (
         {"--n": _INT, "--k": _INT, "--q": _Q,
-         "--orders": {"type": _order_list, "default": [2.0, 3.0, math.inf]},
+         "--orders": {"type": _ORDERS, "default": [2.0, 3.0, math.inf]},
          "--source": _SOURCE},
         _projection_identity),
     "rank-stratified": ({**_NQPD, "--source": _SOURCE}, _rank_stratified),
@@ -199,12 +196,89 @@ BOUNDS = {
 }
 
 
+def _verify(a, caps: Caps) -> tuple[list[dict], bool]:
+    row, ok = _check_row(VERIFY_CHECKS[a.check][1](a, caps))
+    return [row], ok
+
+
+def _bound(a, caps: Caps) -> tuple[list[dict], bool]:
+    flags, fn = BOUNDS[a.name]
+    inputs = {flag[2:]: getattr(a, flag[2:]) for flag in flags}
+    value = fn(*inputs.values())
+    if a.name == "main-guarantee":
+        return [value.to_json_dict()], True
+    named = (zip(("corollary-divergence", "corollary-distance"), value)
+             if a.name == "corollary" else [(a.name, value)])
+    return [{"name": name, "inputs": inputs, "value": v} for name, v in named], True
+
+
+def _smooth(a, caps: Caps) -> tuple[list[dict], bool]:
+    # a dimension error is a usage error, before the source is admitted against --dense-cap
+    spec = CodeEnsembleSpec(FieldSpec(a.q), a.n, a.k, a.seed)
+    source = parse_source(a.source, spec.field, a.n, a.seed, caps)
+    res = verify.mc_expected_smoothness(spec, source, a.p, a.trials, collision=a.collision,
+                                        caps=caps)
+    return [res.to_json_dict()], res.passed
+
+
+def _bucket(a, caps: Caps) -> tuple[list[dict], bool]:
+    source = parse_source(a.source, FieldSpec(a.q), a.n, a.seed, caps)
+    res = verify.mc_bucket_linf(source, a.eps, a.trials, seed=a.seed, caps=caps)
+    return [res.to_json_dict()], res.passed
+
+
+def _rm(a, caps: Caps) -> tuple[list, bool]:
+    rows = rm_convergence_run(RmExperimentSpec(a.m_range, a.r_rule, a.delta, a.p, a.method),
+                              caps)
+    if a.stable_output:
+        rows = [replace(r, seconds=0.0) for r in rows]
+    return rows, True
+
+
+def _suite(a, caps: Caps) -> tuple[list[dict], bool]:
+    checked = map(_check_row, run_acceptance(seed=a.seed, caps=caps, quick=a.quick))
+    rows = [{**row, "ok": ok} for row, ok in checked]
+    return rows, all(row["ok"] for row in rows)
+
+
+# command -> (its flags, run(args, caps) -> (rows, ok), help); a group's flags
+# are (dest, table), one subcommand per entry of the table
+COMMANDS = {
+    "verify": (("check", VERIFY_CHECKS), _verify, "run one verification check"),
+    "bound": (("name", BOUNDS), _bound, "evaluate a closed-form bound"),
+    "smooth": ({"--n": _INT, "--k": _INT, "--q": _Q, "--p": {"type": int, "default": 2},
+                "--source": {"required": True}, "--trials": {"type": int, "default": 1000},
+                "--collision": {"action": "store_true",
+                                "help": "test the sharper squared-norm bound (p = 2)"}},
+               _smooth, "Monte Carlo syndrome smoothness"),
+    "bucket": ({"--n": _INT, "--q": _Q, "--eps": _FLOAT, "--source": {"required": True},
+                "--trials": {"type": int, "default": 1000}},
+               _bucket, "Monte Carlo max bucket load"),
+    "rm": ({"--m-range": {"type": _m_values, "required": True,
+                          "help": "4:10 or a comma list like 4,6,8"},
+            "--r-rule": {"default": "m-2"}, "--delta": {"type": float, "default": 0.25},
+            "--p": {"type": _order, "default": 2.0},
+            "--method": {"choices": ("dense", "dual-character"), "default": "dual-character"}},
+           _rm, "Reed-Muller syndrome convergence sweep"),
+    "suite": ({"--quick": {"action": "store_true"}}, _suite,
+              "run the whole acceptance battery"),
+}
+
+
 def _add_table(sub, table: dict) -> None:
-    """One subparser per table entry, taking the entry's flags."""
-    for name, (flags, _) in table.items():
-        parser = sub.add_parser(name)
-        for flag, keywords in flags.items():
-            parser.add_argument(flag, **keywords)
+    """One subparser per table entry, with the entry's help if it has one.  A
+    group entry, whose flags are (dest, table), gets subcommands of its own;
+    any other entry takes its flags."""
+    for name, (flags, *rest) in table.items():
+        # a check or bound has no help: help=None would still list it in the group's help
+        parser = sub.add_parser(name, **({"help": rest[1]} if len(rest) > 1 else {}))
+        if isinstance(flags, tuple):
+            dest, group = flags
+            _add_table(parser.add_subparsers(dest=dest, required=True, parser_class=_Parser),
+                       group)
+        else:
+            for flag, keywords in flags.items():
+                parser.add_argument(flag, **keywords)
 
 
 def build_parser() -> _Parser:
@@ -221,43 +295,8 @@ def build_parser() -> _Parser:
                       help="max dense pmf entries (default %d)" % DEFAULT_CAPS.dense_pmf_entries)
     main.add_argument("--tuple-cap", type=_nonneg_int, default=None)
     main.add_argument("--code-cap", type=_nonneg_int, default=None)
-    sub = main.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    ver = sub.add_parser("verify", help="run one verification check")
-    _add_table(ver.add_subparsers(dest="check", required=True, parser_class=_Parser),
-               VERIFY_CHECKS)
-    bnd = sub.add_parser("bound", help="evaluate a closed-form bound")
-    _add_table(bnd.add_subparsers(dest="name", required=True, parser_class=_Parser),
-               BOUNDS)
-
-    sm = sub.add_parser("smooth", help="Monte Carlo syndrome smoothness")
-    sm.add_argument("--n", type=int, required=True)
-    sm.add_argument("--k", type=int, required=True)
-    sm.add_argument("--q", type=int, default=2)
-    sm.add_argument("--p", type=int, default=2)
-    sm.add_argument("--source", required=True)
-    sm.add_argument("--trials", type=int, default=1000)
-    sm.add_argument("--collision", action="store_true",
-                    help="test the sharper squared-norm bound (p = 2)")
-
-    bk = sub.add_parser("bucket", help="Monte Carlo max bucket load")
-    bk.add_argument("--n", type=int, required=True)
-    bk.add_argument("--q", type=int, default=2)
-    bk.add_argument("--eps", type=float, required=True)
-    bk.add_argument("--source", required=True)
-    bk.add_argument("--trials", type=int, default=1000)
-
-    rm = sub.add_parser("rm", help="Reed-Muller syndrome convergence sweep")
-    rm.add_argument("--m-range", type=_m_values, required=True,
-                    help="4:10 or a comma list like 4,6,8")
-    rm.add_argument("--r-rule", default="m-2")
-    rm.add_argument("--delta", type=float, default=0.25)
-    rm.add_argument("--p", type=_order, default=2.0)
-    rm.add_argument("--method", choices=("dense", "dual-character"),
-                    default="dual-character")
-
-    st = sub.add_parser("suite", help="run the whole acceptance battery")
-    st.add_argument("--quick", action="store_true")
+    _add_table(main.add_subparsers(dest="command", required=True, parser_class=_Parser),
+               COMMANDS)
     return main
 
 
@@ -276,15 +315,13 @@ def _sanitize(obj):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return _sanitize(obj.tolist())
+    if is_dataclass(obj):
+        return _sanitize(asdict(obj))
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
     return obj
-
-
-def _value_result(name: str, value, inputs: dict) -> dict:
-    return {"name": name, "inputs": inputs, "value": value}
 
 
 def _check_row(res: verify.CheckResult) -> tuple[dict, bool]:
@@ -295,23 +332,15 @@ def _check_row(res: verify.CheckResult) -> tuple[dict, bool]:
     return row, res.passed == (not row["expected_failure"])
 
 
-def _run_bound(args) -> list[dict]:
-    flags, fn = BOUNDS[args.name]
-    inputs = {flag[2:]: getattr(args, flag[2:]) for flag in flags}
-    value = fn(*inputs.values())
-    if args.name == "main-guarantee":
-        return [value.to_json_dict()]
-    if args.name == "corollary":
-        return [_value_result("corollary-divergence", value[0], inputs),
-                _value_result("corollary-distance", value[1], inputs)]
-    return [_value_result(args.name, value, inputs)]
-
-
-def _format_checks(rows: list[dict], config: dict, fmt: str) -> str:
+def _format(command: str, rows: list, config: dict, fmt: str) -> str:
+    """The config and rows as JSON, or as CSV under a config comment line: the
+    rm sweep's own columns, else one line per check or bound."""
     if fmt == "json":
         return json.dumps(_sanitize({"config": config, "results": rows}),
                           indent=2, sort_keys=True) + "\n"
     lines = ["# config: " + json.dumps(_sanitize(config), sort_keys=True)]
+    if command == "rm":
+        return lines[0] + "\n" + rows_to_csv(rows)
     lines.append("name,params,lhs,rhs,slack,passed,trials,seed")
     for row in rows:
         params = json.dumps(_sanitize(row.get("parameters", row.get("inputs", {}))),
@@ -331,59 +360,11 @@ def _format_checks(rows: list[dict], config: dict, fmt: str) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    caps = _caps_from(args)
+    args = build_parser().parse_args(argv)
     config = {k: v for k, v in sorted(vars(args).items()) if k != "output"}
-    if isinstance(config.get("m_range"), tuple):
-        config["m_range"] = list(config["m_range"])
     try:
-        ok = True
-        if args.command == "verify":
-            row, ok = _check_row(VERIFY_CHECKS[args.check][1](args, caps))
-            text = _format_checks([row], config, args.format)
-        elif args.command == "bound":
-            rows = _run_bound(args)
-            text = _format_checks(rows, config, args.format)
-        elif args.command == "smooth":
-            field = FieldSpec(args.q)
-            source = parse_source(args.source, field, args.n, args.seed, caps)
-            spec = CodeEnsembleSpec(field, args.n, args.k, args.seed)
-            res = verify.mc_expected_smoothness(spec, source, args.p, args.trials,
-                                                collision=args.collision, caps=caps)
-            ok = res.passed
-            text = _format_checks([res.to_json_dict()], config, args.format)
-        elif args.command == "bucket":
-            field = FieldSpec(args.q)
-            source = parse_source(args.source, field, args.n, args.seed, caps)
-            res = verify.mc_bucket_linf(source, args.eps, args.trials,
-                                        seed=args.seed, caps=caps)
-            ok = res.passed
-            text = _format_checks([res.to_json_dict()], config, args.format)
-        elif args.command == "rm":
-            spec = RmExperimentSpec(m_values=args.m_range, r_rule=args.r_rule,
-                                    delta=args.delta, p=args.p, method=args.method)
-            rows = rm_convergence_run(spec, caps)
-            if args.stable_output:
-                rows = [replace(r, seconds=0.0) for r in rows]
-            if args.format == "csv":
-                text = "# config: " + json.dumps(_sanitize(config), sort_keys=True) \
-                    + "\n" + rows_to_csv(rows)
-            else:
-                text = json.dumps(_sanitize({"config": config,
-                                             "results": [asdict(r) for r in rows]}),
-                                  indent=2, sort_keys=True) + "\n"
-        elif args.command == "suite":
-            results = run_acceptance(seed=args.seed, caps=caps, quick=args.quick)
-            rows = []
-            for res in results:
-                row, row_ok = _check_row(res)
-                row["ok"] = row_ok
-                ok = ok and row_ok
-                rows.append(row)
-            text = _format_checks(rows, config, args.format)
-        else:  # pragma: no cover
-            raise ValueError(f"unknown command {args.command!r}")
+        rows, ok = COMMANDS[args.command][1](args, _caps_from(args))
+        text = _format(args.command, rows, config, args.format)
         if args.output:
             with open(args.output, "w") as fh:
                 fh.write(text)

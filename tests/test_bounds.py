@@ -151,6 +151,13 @@ def test_rm_threshold_admits_any_real_order_from_two():
         rm_threshold(0.25, 1.5)
 
 
+def test_rm_threshold_refuses_a_delta_outside_the_unit_interval():
+    # at p = 1 the rate (1 - 2 delta)^2 used to be taken of any delta, NaN included
+    for delta in (math.nan, -0.1, 1.5):
+        with pytest.raises(ValueError, match="delta must lie in"):
+            rm_threshold(delta, 1)
+
+
 def test_rm_threshold_values():
     assert rm_threshold(0.25, 2) == pytest.approx(1 - 0.6780719051126378, rel=1e-10)
     assert rm_threshold(0.25, 2, "extraction-rate") == \

@@ -2,17 +2,19 @@ import argparse
 import hashlib
 import json
 import math
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from synhash import bounds, verify
-from synhash.cli import BOUNDS, _sanitize, build_parser, main, parse_source
+from synhash.cli import BOUNDS, VERIFY_CHECKS, _order, _sanitize, build_parser, main, parse_source
 from synhash.caps import DEFAULT_CAPS
 from synhash.codes import CodeEnsembleSpec, sample_uniform_code
 from synhash.distributions import DensePmf, ProductBernoulli
 from synhash.field import FieldSpec
-from synhash.suite import expected_failure
+from synhash.rm_lab import RmExperimentSpec, rm_convergence_run
+from synhash.suite import expected_failure, run_acceptance
 
 F2 = FieldSpec(2)
 
@@ -71,14 +73,19 @@ def test_unwritable_output_is_an_error(tmp_path, capsys):
 _Q_BOUNDS = [name for name, (flags, _) in BOUNDS.items() if "--q" in flags]
 
 
-def _bound_argv(name, q):
-    """bound <name> with --q q and a small valid value for every other required flag."""
+# a valid value of each required bound flag, by flag, else by type
+_VALID = {"--delta": "0.25", "--p": "2"}
+
+
+def _bound_argv(name, **given):
+    """bound <name> with the given flag values and a small valid value for
+    every other required flag."""
     argv = ["bound", name]
     for flag, keywords in BOUNDS[name][0].items():
-        if flag == "--q":
-            argv += [flag, q]
+        if flag[2:] in given:
+            argv += [flag, given[flag[2:]]]
         elif keywords.get("required"):
-            argv += [flag, "2" if keywords["type"] is int else "0.5"]
+            argv += [flag, _VALID.get(flag, "2" if keywords["type"] is int else "0.5")]
     return argv
 
 
@@ -86,12 +93,48 @@ def _bound_argv(name, q):
 def test_bounds_need_a_field_size_of_at_least_two(name, capsys):
     # q = 1 used to divide by log 1 = 0, or print a value and exit 0
     for q in ("1", "0", "-3"):
-        rc, out, err = run(_bound_argv(name, q), capsys)
+        rc, out, err = run(_bound_argv(name, q=q), capsys)
         assert rc == 1 and out == ""
         assert err.startswith(f"synhash: error: field size q must be an integer >= 2, got {q}")
     # the closed forms do not need a prime q
-    rc, _, err = run(_bound_argv(name, "4"), capsys)
+    rc, _, err = run(_bound_argv(name, q="4"), capsys)
     assert rc == 0, err
+
+
+_FLOAT_FLAGS = [(name, flag) for name, (flags, _) in BOUNDS.items()
+                for flag, keywords in flags.items() if keywords.get("type") in (float, _order)]
+
+
+@pytest.mark.parametrize("name, flag", _FLOAT_FLAGS,
+                         ids=[f"{name}-{flag[2:]}" for name, flag in _FLOAT_FLAGS])
+def test_bounds_refuse_numbers_that_are_not_finite(name, flag, capsys):
+    # a NaN used to pass guards written as eps <= 0 and print nan, and an
+    # infinite entropy to end in an OverflowError traceback from math.floor
+    assert run(_bound_argv(name), capsys)[0] == 0
+    for value in ("nan", "inf"):
+        rc, out, err = run(_bound_argv(name, **{flag[2:]: value}), capsys)
+        if value == "inf" and BOUNDS[name][0][flag]["type"] is _order:
+            assert rc == 0, err  # an infinite order is the min-entropy
+            continue
+        assert rc == 1 and out == ""
+        assert err.startswith("synhash: error: ") and err.count("\n") == 1
+
+
+_Q_CHECKS = [name for name, (flags, _) in VERIFY_CHECKS.items() if "--q" in flags]
+
+
+@pytest.mark.parametrize("name", _Q_CHECKS)
+def test_verify_checks_need_a_prime_field_before_any_cap(name, capsys):
+    # p-balanced and balanced-inequality at q = 1 and clarkson at q = 0 used to
+    # end in a ZeroDivisionError traceback, and clarkson ran at q = 4
+    flags = {"--n": "2", "--k": "1", "--p": "2", "--d": "1", "--tuple": "1,2"}
+    argv = [part for flag, keywords in VERIFY_CHECKS[name][0].items()
+            if keywords.get("required") for part in (flag, flags[flag])]
+    for q in ("1", "0", "4"):
+        rc, out, err = run(["--dense-cap", "0", "--tuple-cap", "0", "--code-cap", "0",
+                            "verify", name, "--q", q, *argv], capsys)
+        assert (rc, out, err) == (
+            1, "", f"synhash: error: field modulus must be a prime integer, got {q}\n")
 
 
 def test_cap_refusal_exits_two(capsys):
@@ -306,6 +349,9 @@ def test_impossible_dimensions_are_usage_errors(argv, capsys):
      "integer order p >= 2 required, got 1"),
     ("--dense-cap 10 smooth --n 10 --k 8 --p 0 --source bernoulli:0.2 --trials 50",
      "order must be positive, got 0.0"),
+    # the random source used to be admitted first
+    ("--dense-cap 1 smooth --n 4 --k 9 --source random --trials 5",
+     "need 0 <= k <= n, got k=9, n=4"),
     # the source used to be built and refused by --dense-cap first
     ("--dense-cap 1 verify exact-smoothing --n 8 --k 4 --p 1 --source uniform",
      "integer order p >= 2 required, got 1"),
@@ -398,7 +444,7 @@ def test_suite_and_draw_checks_are_pinned(argv, digest, capsys):
 
 SEED = 5
 
-# (group, subcommand) -> (its flags at a small size, the direct library call)
+# the argv path of a command -> (its flags at a small size, the direct library call)
 CLI_CASES = {
     ("verify", "p-balanced"): (
         "--n 3 --k 1 --p 2", lambda: verify.check_p_balanced(3, 1, 2, 2)),
@@ -460,15 +506,31 @@ CLI_CASES = {
     ("bound", "rm-threshold"): (
         "--delta 0.25 --p inf --target extraction-rate",
         lambda: bounds.rm_threshold(0.25, math.inf, "extraction-rate")),
+    ("smooth",): (
+        "--n 6 --k 4 --q 3 --p 3 --source random --trials 20",
+        lambda: verify.mc_expected_smoothness(
+            CodeEnsembleSpec(FieldSpec(3), 6, 4, SEED),
+            parse_source("random", FieldSpec(3), 6, SEED, DEFAULT_CAPS), 3, 20)),
+    ("bucket",): (
+        "--n 10 --eps 0.25 --source flat:8 --trials 20",
+        lambda: verify.mc_bucket_linf(DensePmf.flat(F2, 10, 1 << 8), 0.25, 20, seed=SEED)),
+    ("rm",): (
+        "--m-range 3,5 --r-rule m-3 --delta 0.1 --p inf --method dense",
+        lambda: rm_convergence_run(RmExperimentSpec((3, 5), "m-3", 0.1, math.inf, "dense"),
+                                   DEFAULT_CAPS)),
+    ("suite",): ("--quick", lambda: run_acceptance(seed=SEED, quick=True)),
 }
 
 
-def _subcommands():
-    def choices(parser):
-        return next(action.choices for action in parser._actions
-                    if isinstance(action, argparse._SubParsersAction))
-    top = choices(build_parser())
-    return [(group, name) for group in ("verify", "bound") for name in choices(top[group])]
+def _subcommands(parser=None, path=()):
+    """The argv path of every command the parser runs, through its groups."""
+    parser = parser or build_parser()
+    sub = next((action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction)), None)
+    if sub is None:
+        return [path]
+    return [leaf for name, child in sub.choices.items()
+            for leaf in _subcommands(child, (*path, name))]
 
 
 def _as_json(obj):
@@ -479,18 +541,28 @@ def test_cli_cases_cover_every_table_entry():
     assert set(CLI_CASES) == set(_subcommands())
 
 
-@pytest.mark.parametrize("group, name", _subcommands())
-def test_every_table_subcommand_runs(group, name, capsys):
-    flags, direct = CLI_CASES[(group, name)]
-    rc, out, _ = run(["--seed", str(SEED), group, name, *flags.split()], capsys)
+def _check_rows(results):
+    return [{**r.to_json_dict(), "expected_failure": expected_failure(r.name)} for r in results]
+
+
+@pytest.mark.parametrize("path", _subcommands(), ids="-".join)
+def test_every_table_subcommand_runs(path, capsys):
+    flags, direct = CLI_CASES[path]
+    rc, out, _ = run(["--seed", str(SEED), *path, *flags.split()], capsys)
     assert rc == 0
     rows = json.loads(out)["results"]
     expected = direct()
-    if group == "verify":
-        assert rows == _as_json([{**expected.to_json_dict(),
-                                  "expected_failure": expected_failure(expected.name)}])
-    elif name == "main-guarantee":
+    if path[0] == "verify":
+        assert rows == _as_json(_check_rows([expected]))
+    elif path[0] in ("smooth", "bucket") or path[-1] == "main-guarantee":
         assert rows == _as_json([expected.to_json_dict()])
+    elif path == ("rm",):
+        # every field but the timing
+        assert [{**row, "seconds": 0.0} for row in rows] == _as_json(
+            [asdict(replace(row, seconds=0.0)) for row in expected])
+    elif path == ("suite",):
+        assert rows == _as_json([{**row, "ok": row["passed"] != row["expected_failure"]}
+                                 for row in _check_rows(expected)])
     else:
-        values = expected if name == "corollary" else (expected,)
+        values = expected if path[-1] == "corollary" else (expected,)
         assert [row["value"] for row in rows] == _as_json(list(values))

@@ -84,17 +84,11 @@ def test_tuple_ranks_memory_stays_near_the_rank_array():
 
 
 def test_single_code_is_not_balanced():
-    code = next(iter(enumerate_all_codes(F2, 3, 1)))
-    res = check_p_balanced(3, 1, 2, 1, ensemble=[code])
+    # one [3, 1]_2 code holds one of the 7 nonzero vectors: rank-1 counts of 0 and 1
+    res = negative_control_unbalanced()
     assert not res.passed
-
-
-def test_balance_refuses_an_empty_or_foreign_ensemble():
-    with pytest.raises(ValueError, match="no code"):
-        check_p_balanced(3, 1, 2, 2, ensemble=[])
-    wider = next(iter(enumerate_all_codes(F2, 4, 1)))
-    with pytest.raises(ValueError, match=r"\[3, 1\]_2"):
-        check_p_balanced(3, 1, 2, 2, ensemble=[wider])
+    assert res.parameters["codes"] == 1
+    assert res.parameters["counts_by_rank"] == {0: [1, 1], 1: [0, 1]}
 
 
 def _kron_census(codes, p):
@@ -147,11 +141,11 @@ def _refuse_work(*args, **kwargs):
 
 
 def test_balance_refuses_the_tuple_rank_cap_before_the_census(monkeypatch):
-    # one code: census cost 1 * 8^2 = 64 fits, tuple ranks cost 3 * 8^2 = 192 does not
+    # the one [3, 3]_2 code: census cost 1 * 8^2 = 64 fits, tuple ranks cost
+    # 3 * 8^2 = 192 does not
     monkeypatch.setattr(verify, "_containment_counts", _refuse_work)
-    code = next(iter(enumerate_all_codes(F2, 3, 1)))
     with pytest.raises(CapExceeded, match="tuple rank"):
-        check_p_balanced(3, 1, 2, 2, ensemble=[code], caps=Caps(tuple_products=100))
+        check_p_balanced(3, 3, 2, 2, caps=Caps(tuple_products=100))
 
 
 def test_tuple_probability_refuses_the_iid_cap_before_enumerating(monkeypatch):
@@ -514,6 +508,13 @@ def test_mc_bucket_linf_rejects_empty_output():
     flat = DensePmf.flat(F2, 4, 4)  # H_inf = 2, eps = 0.5 drives m to 0
     with pytest.raises(ValueError):
         mc_bucket_linf(flat, 0.5, 10)
+
+
+@pytest.mark.parametrize("eps", [math.inf, math.nan, -0.5])
+def test_mc_bucket_linf_refuses_an_eps_before_deriving_the_output_length(eps):
+    # an infinite eps used to end in an OverflowError from math.floor
+    with pytest.raises(ValueError, match="eps must be finite and positive"):
+        mc_bucket_linf(DensePmf.flat(F2, 8, 1 << 6), eps, 10)
 
 
 @pytest.mark.parametrize("trials", [0, -3])
