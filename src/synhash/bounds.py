@@ -205,11 +205,12 @@ def collision_bound(m: int, entropy_2: float, q: int) -> float:
 
 
 def collision_loss(eps: float, q: int) -> float:
-    """Entropy loss at collision order for target eps: log_q(1/((1+eps)^2 - 1))."""
+    """Entropy loss at collision order for target eps: log_q(1/((1+eps)^2 - 1)),
+    with (1+eps)^2 - 1 taken as eps (2 + eps), which does not cancel at small eps."""
     _field_size(q)
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be finite and positive, got {eps}")
-    return _logq(1.0 / ((1.0 + eps) ** 2 - 1.0), q)
+    return -_logq(eps * (2.0 + eps), q)
 
 
 def collision_max_output(entropy_2: float, eps: float, q: int) -> int:

@@ -27,9 +27,10 @@ DEFAULT_CAPS = Caps()
 
 
 class CapExceeded(RuntimeError):
-    """A computation was refused because its estimated cost exceeds a cap."""
+    """A computation was refused because its estimated cost exceeds a cap; a
+    cost too large to form is given as a formula such as "2^16384"."""
 
-    def __init__(self, what: str, cost: int, cap: int):
+    def __init__(self, what: str, cost: int | str, cap: int):
         super().__init__(f"{what}: estimated cost {cost} exceeds cap {cap}")
         self.what = what
         self.cost = cost

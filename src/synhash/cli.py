@@ -159,7 +159,7 @@ VERIFY_CHECKS = {
     "proximity": (_NQ_COUNT, lambda a, caps: verify.check_proximity_conversions(
         a.q, a.n, a.count, a.orders, seed=a.seed, caps=caps)),
     "clarkson": (_NQ_COUNT, lambda a, caps: verify.check_clarkson(
-        a.q, a.n, a.count, a.orders, seed=a.seed)),
+        a.q, a.n, a.count, a.orders, seed=a.seed, caps=caps)),
     "negative-control-unbalanced": (
         {}, lambda a, caps: verify.negative_control_unbalanced(caps=caps)),
     "negative-control-overdraw": (

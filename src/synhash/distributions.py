@@ -15,7 +15,7 @@ from typing import Union
 import numpy as np
 
 from .bounds import _integer_order, _order, two_point_renyi
-from .caps import DEFAULT_CAPS, Caps
+from .caps import DEFAULT_CAPS, Caps, CapExceeded
 from .codes import LinearCode, codeword_indices
 from .field import (
     FieldSpec,
@@ -23,8 +23,7 @@ from .field import (
     digit_table,  # traced site, see field.digit_table
     q_powers,
     _image_rows,
-    _rank_array,  # traced site: perfbench/tracing.py wraps it here; the rank check is _rref_stack
-    _rref_stack,
+    _rank_array,
 )
 
 __all__ = [
@@ -81,6 +80,10 @@ class DensePmf:
 
     @classmethod
     def _check_size(cls, q: int, n: int, caps: Caps) -> int:
+        # q^n >= 2^n exceeds the cap once n passes its bit length; past 64 bits as
+        # well, the cost is named by its formula, as the integer may be too big to form
+        if n > max(64, caps.dense_pmf_entries.bit_length()):
+            raise CapExceeded("dense pmf", f"{q}^{n}", caps.dense_pmf_entries)
         return caps.admit("dense pmf", q ** n, "dense_pmf_entries")
 
     @classmethod
@@ -316,19 +319,6 @@ def code_pmf(code: LinearCode, caps: Caps = DEFAULT_CAPS) -> DensePmf:
     return DensePmf(code.field, code.n, probs)
 
 
-def _check_ranks(q: int, maps: np.ndarray) -> None:
-    """Refuse a (T, m, n) stack of maps mod q unless every map has full row
-    rank, by one elimination of the whole stack."""
-    if (_rref_stack(maps, q)[2] != maps.shape[1]).any():
-        raise ValueError("map is rank deficient; output space would be oversized")
-
-
-def _pushforward_rows(q: int, probs: np.ndarray, maps: np.ndarray, caps: Caps) -> np.ndarray:
-    """_syndrome_rows(q, probs, maps, caps) once _check_ranks has passed."""
-    _check_ranks(q, maps)
-    return _syndrome_rows(q, probs, maps, caps)
-
-
 def _syndrome_rows(q: int, probs: np.ndarray, maps: np.ndarray, caps: Caps) -> np.ndarray:
     """Pmf of H z for z ~ P, one row per H in a (T, m, n) stack of full-row-rank
     maps mod q, as a (T, q^m) array.  probs holds P's q^n probabilities: 1-D
@@ -371,7 +361,8 @@ def pushforward(P: DensePmf, H: FqMatrix, caps: Caps = DEFAULT_CAPS) -> DensePmf
     then the rank, then the input length are checked."""
     if H.field != P.field:
         raise ValueError("pmf and map live over different fields")
-    _check_ranks(P.field.q, H.array[None])
+    if _rank_array(H.array, P.field.q) != H.rows:
+        raise ValueError("map is rank deficient; output space would be oversized")
     if H.cols != P.n:
         raise ValueError(f"map expects length-{H.cols} inputs, pmf is on length {P.n}")
     return DensePmf(P.field, H.rows, _syndrome_rows(P.field.q, P.probs, H.array[None], caps)[0])
@@ -387,6 +378,15 @@ def _dual_weights(code: LinearCode) -> np.ndarray:
     counts = np.bincount(code.H.array.T @ q_powers(2, nk), minlength=1 << nk)
     signed = _character_transform(counts, 2, nk).reshape(-1)
     return np.rint((code.n - signed) / 2).astype(np.int64)
+
+
+def _admit_dual_sum(n: int, nk: int, p: int, caps: Caps) -> int:
+    """The cost of bernoulli_syndrome_excess at order p on a length-n code
+    with nk syndrome bits, if it fits the caps: the column histogram, one
+    transform (two at p > 2) and p - 2 power passes."""
+    size = 1 << nk
+    cost = n + (1 if p == 2 else 2) * size * nk + (p - 2) * size
+    return caps.admit("dual character sum", cost, "tuple_products")
 
 
 def bernoulli_syndrome_excess(code: LinearCode, delta: float, p: int,
@@ -406,10 +406,7 @@ def bernoulli_syndrome_excess(code: LinearCode, delta: float, p: int,
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta must lie in [0, 1], got {delta}")
     nk = code.n - code.k
-    size = 1 << nk
-    # column histogram, one transform (two at p > 2), p - 2 power passes
-    cost = code.n + (1 if p == 2 else 2) * size * nk + (p - 2) * size
-    caps.admit("dual character sum", cost, "tuple_products")
+    _admit_dual_sum(code.n, nk, p, caps)
     g = _signed_power(1.0 - 2.0 * delta, _dual_weights(code))
     total = math.comb(p, 2) * float(np.sum(g[1:] ** 2))
     if p > 2:

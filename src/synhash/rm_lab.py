@@ -23,6 +23,7 @@ from .distributions import (
     bernoulli_syndrome_excess,
     pushforward,
     renyi_entropy,
+    _admit_dual_sum,
 )
 
 __all__ = [
@@ -105,20 +106,24 @@ def rm_divergences(m: int, r: int, delta: float, orders: Sequence[float], method
     """
     if not 0 <= r <= m:
         raise ValueError(f"need 0 <= r <= m, got r={r}, m={m}")
-    code = reed_muller_code(r, m)
-    syndrome_bits = code.n - code.k
-    if syndrome_bits == 0:
+    if method not in ("dense", "dual-character"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "dual-character" and any(math.isinf(p) or p != int(p) or p < 2
+                                          for p in orders):
+        raise ValueError("dual-character method needs an integer order >= 2")
+    n, k = reed_muller_dimensions(r, m)
+    if n == k:
         return [0.0] * len(orders)
+    # each route's cost is admitted before the code's 2^m-column matrices are built
     if method == "dense":
-        dense = ProductBernoulli(delta, code.n).to_dense(caps)
-        syn = pushforward(dense, code.H, caps)
-        return [syndrome_bits - renyi_entropy(syn, p) for p in orders]
-    if method == "dual-character":
-        if any(math.isinf(p) or p != int(p) or p < 2 for p in orders):
-            raise ValueError("dual-character method needs an integer order >= 2")
-        return [math.log1p(bernoulli_syndrome_excess(code, delta, int(p), caps))
-                / ((p - 1.0) * math.log(2.0)) for p in orders]
-    raise ValueError(f"unknown method {method!r}")
+        dense = ProductBernoulli(delta, n).to_dense(caps)
+        syn = pushforward(dense, reed_muller_code(r, m).H, caps)
+        return [n - k - renyi_entropy(syn, p) for p in orders]
+    for p in orders:
+        _admit_dual_sum(n, n - k, int(p), caps)
+    code = reed_muller_code(r, m)
+    return [math.log1p(bernoulli_syndrome_excess(code, delta, int(p), caps))
+            / ((p - 1.0) * math.log(2.0)) for p in orders]
 
 
 def rm_divergence(m: int, r: int, delta: float, p: float, method: str,

@@ -15,7 +15,7 @@ from .caps import DEFAULT_CAPS, Caps
 # checks its codes as one stack; both stay imported as traced sites:
 # perfbench/tracing.py wraps them here
 from .codes import DEFAULT_SEED, CodeEnsembleSpec, _sample_codes, sample_uniform_code
-from .distributions import DensePmf, ProductBernoulli, _pushforward_rows
+from .distributions import DensePmf, ProductBernoulli, _syndrome_rows
 from .field import FieldSpec
 from .verify import (
     CheckResult,
@@ -103,7 +103,7 @@ def run_acceptance(seed: int = DEFAULT_SEED, caps: Caps = DEFAULT_CAPS,
     pairs = 10 if quick else 50
     G, H = _sample_codes(CodeEnsembleSpec(f2, 6, 3, seed), 0, pairs)
     probs = _random_probs((seed, 31), 0, pairs, 1 << 6)
-    batch = _projection_identities(2, probs, G, _pushforward_rows(2, probs, H, caps),
+    batch = _projection_identities(2, probs, G, _syndrome_rows(2, probs, H, caps),
                                    (2.0, 3.0, math.inf), caps)
     results.append(_merge("c04-projection-identity", batch))
 
@@ -131,7 +131,7 @@ def run_acceptance(seed: int = DEFAULT_SEED, caps: Caps = DEFAULT_CAPS,
     results.append(_rename(check_proximity_conversions(2, 5, count, (1.5, 2, 3),
                                                        seed=seed, caps=caps),
                            "c07-proximity"))
-    results.append(_rename(check_clarkson(2, 5, count, (1.5, 2, 3), seed=seed),
+    results.append(_rename(check_clarkson(2, 5, count, (1.5, 2, 3), seed=seed, caps=caps),
                            "c07-clarkson"))
 
     # c08: max bucket load of a flat source stays under the closed form

@@ -320,8 +320,6 @@ def check_tuple_probability(n: int, k: int, q: int, vectors: Sequence[int],
     outside = [i for i in idx if not 0 <= i < q ** n]
     if outside:
         raise ValueError(f"index {outside[0]} out of range for q**n = {q}**{n}")
-    m = n - k
-    matrices = caps.admit("iid parity-check enumeration", q ** (m * n), "code_enumeration")
     caps.admit("tuple zero count", p * q ** n, "dense_pmf_entries")
     # n x p, columns are the tuple vectors: every little-endian digit at once
     U = (np.array(idx, dtype=np.int64)[:, None] // q_powers(q, n) % q).T
@@ -335,9 +333,9 @@ def check_tuple_probability(n: int, k: int, q: int, vectors: Sequence[int],
     z = int(np.count_nonzero(~_image_rows(q, U.T[:, None, :]).any(axis=0)))
     d = n - next(e for e in range(n + 1) if q ** e == z)
     bound = Fraction(1, q ** (d * (n - k)))
-    # the m rows of an iid A are independent, and each must be one of the z points
-    hit = z ** m
-    iid_prob = Fraction(hit, matrices)
+    # the n - k rows of an iid A are independent, and each must be one of the z
+    # points: an exact fraction, so none of the q^{(n-k)n} matrices is formed
+    iid_prob = Fraction(z ** (n - k), q ** ((n - k) * n))
     params = {"n": n, "k": k, "q": q, "p": p, "tuple": [int(i) for i in idx],
               "rank": d, "ensemble_probability": str(prob), "bound": str(bound),
               "iid_probability": str(iid_prob), "iid_equality": iid_prob == bound}
@@ -426,7 +424,7 @@ def _projection_identities(q: int, probs: np.ndarray, G: np.ndarray, syndromes: 
                            p_list: Sequence[float], caps: Caps) -> list[CheckResult]:
     """check_projection_identity for every code of a (T, k, n) generator stack
     mod q, given the (T, q^{n-k}) pmfs of its syndromes, the pushforward route
-    (distributions._pushforward_rows for a stack).  probs holds the sources'
+    (distributions._syndrome_rows for a stack).  probs holds the sources'
     q^n probabilities: 1-D for one source of every code, or (T, q^n) with row
     t the source of code t.
 
@@ -667,13 +665,25 @@ def mc_bucket_linf(source: Source, eps: float, trials: int,
 # -- pointwise conversion inequalities ----------------------------------------
 
 
-def _conversion_orders(orders: Sequence[float]) -> list[float]:
-    """The orders of a conversion check as floats, each finite and above 1."""
+def _tightest_claim(name: str, q: int, n: int, count: int, orders: Sequence[float],
+                    seed: int, caps: Caps, tables: int, claims) -> CheckResult:
+    """The first claim (label, lhs, rhs) of least slack rhs - lhs, never a NaN one,
+    that claims(orders, chunk) yields after q, count, the orders (as floats) and the
+    dense cap on q^n are checked; chunk draws hold `tables` q^n tables in _BATCH_ENTRIES."""
+    FieldSpec(q)  # refuses a modulus that is not prime
+    if count < 1:
+        raise ValueError(f"need at least one random sample, got count={count}")
     orders = [float(p) for p in orders]
     bad = [p for p in orders if not 1.0 < p < math.inf]
     if bad:
         raise ValueError(f"orders must be finite and exceed 1, got {bad[0]}")
-    return orders
+    size = DensePmf._check_size(q, n, caps)
+    worst = (math.inf, math.nan, math.nan, "")
+    for label, lhs, rhs in claims(orders, max(1, _BATCH_ENTRIES // (tables * size))):
+        if rhs - lhs < worst[0]:
+            worst = (rhs - lhs, lhs, rhs, label)
+    params = {"q": q, "n": n, "count": count, "orders": orders, "tightest_claim": worst[3]}
+    return _inequality_result(name, params, worst[1], worst[2], seed=seed)
 
 
 def check_proximity_conversions(q: int, n: int, count: int,
@@ -689,49 +699,38 @@ def check_proximity_conversions(q: int, n: int, count: int,
     against uniform and lp_norm of that pmf alone, bit for bit, and the claims
     are then evaluated in Python floats, pmf by pmf and order by order.
     """
-    if count < 1:
-        raise ValueError(f"need at least one random sample, got count={count}")
-    orders = _conversion_orders(orders)
-    uniform = DensePmf.uniform(FieldSpec(q), n, caps).probs
-    size = len(uniform)
-    lnq = math.log(q)
-    worst = (math.inf, math.nan, math.nan, "")
-    chunk = max(1, _BATCH_ENTRIES // size)
-    for first in range(0, count, chunk):
-        probs = _random_probs((seed, 23, q, n), first, min(first + chunk, count), size)
-        centered = float(q) ** n * probs - 1.0
-        # renyi_divergence(P, uniform, p), over the whole support of a random pmf
-        measures = [(lp_norms(size * probs, p).tolist(),
-                     (np.log((probs ** p * uniform ** (1.0 - p)).sum(axis=1))
-                      / ((p - 1.0) * lnq)).tolist(),
-                     lp_norms(centered, p).tolist()) for p in orders]
-        for row in range(len(probs)):
-            for p, (norm, divs, dists) in zip(orders, measures):
-                delta, div, dist = norm[row] - 1.0, divs[row], dists[row]
-                pp = p / (p - 1.0)
-                claims = [
-                    ("smooth-to-divergence", div, pp * math.log1p(delta) / lnq),
-                    ("divergence-to-smooth", delta, q ** (div / pp) - 1.0),
-                    ("smooth-to-distance", dist, phi(p, delta)),
-                    ("distance-to-smooth", delta, dist),
-                ]
-                if p == int(p) and p >= 2:
-                    d1, d2 = corollary_bounds(delta, int(p), q)
-                    claims.append(("corollary-divergence", div, d1))
-                    claims.append(("corollary-distance", dist, d2))
-                for label, lhs, rhs in claims:
-                    slack = rhs - lhs
-                    if slack < worst[0]:
-                        worst = (slack, lhs, rhs, f"{label} (p={p}, pmf {first + row})")
-    slack, lhs, rhs = worst[0], worst[1], worst[2]
-    params = {"q": q, "n": n, "count": count, "orders": orders,
-              "tightest_claim": worst[3]}
-    return _inequality_result("proximity-conversions", params, lhs, rhs, seed=seed)
+    def claims(orders, chunk):
+        size = q ** n
+        uniform = np.full(size, 1.0 / size)
+        lnq = math.log(q)
+        for first in range(0, count, chunk):
+            probs = _random_probs((seed, 23, q, n), first, min(first + chunk, count), size)
+            centered = float(q) ** n * probs - 1.0
+            # renyi_divergence(P, uniform, p), over the whole support of a random pmf
+            measures = [(lp_norms(size * probs, p).tolist(),
+                         (np.log((probs ** p * uniform ** (1.0 - p)).sum(axis=1))
+                          / ((p - 1.0) * lnq)).tolist(),
+                         lp_norms(centered, p).tolist()) for p in orders]
+            for row in range(len(probs)):
+                for p, (norm, divs, dists) in zip(orders, measures):
+                    delta, div, dist = norm[row] - 1.0, divs[row], dists[row]
+                    pp = p / (p - 1.0)
+                    at = f" (p={p}, pmf {first + row})"
+                    yield "smooth-to-divergence" + at, div, pp * math.log1p(delta) / lnq
+                    yield "divergence-to-smooth" + at, delta, q ** (div / pp) - 1.0
+                    yield "smooth-to-distance" + at, dist, phi(p, delta)
+                    yield "distance-to-smooth" + at, delta, dist
+                    if p == int(p) and p >= 2:
+                        d1, d2 = corollary_bounds(delta, int(p), q)
+                        yield "corollary-divergence" + at, div, d1
+                        yield "corollary-distance" + at, dist, d2
+    return _tightest_claim("proximity-conversions", q, n, count, orders, seed, caps, 1, claims)
 
 
 def check_clarkson(q: int, n: int, count: int,
                    orders: Sequence[float] = (1.5, 2, 3),
-                   seed: int = DEFAULT_SEED) -> CheckResult:
+                   seed: int = DEFAULT_SEED,
+                   caps: Caps = DEFAULT_CAPS) -> CheckResult:
     """Two-branch uniform convexity inequalities on random function pairs.
 
     Pair i is the draws 2i and 2i + 1 of one normal stream, taken a table of
@@ -739,36 +738,25 @@ def check_clarkson(q: int, n: int, count: int,
     two sides are then evaluated in Python floats, pair by pair and order by
     order.
     """
-    FieldSpec(q)  # refuses a modulus that is not prime
-    if count < 1:
-        raise ValueError(f"need at least one random sample, got count={count}")
-    orders = _conversion_orders(orders)
-    size = q ** n
-    rng = np.random.default_rng((seed, 29, q, n))
-    worst = (math.inf, math.nan, math.nan, "")
-    chunk = max(1, _BATCH_ENTRIES // (2 * size))
-    for first in range(0, count, chunk):
-        pairs = rng.normal(size=(min(chunk, count - first), 2, size))
-        f, g = pairs[:, 0], pairs[:, 1]
-        tables = ((f + g) / 2.0, (f - g) / 2.0, f, g)
-        norms = [[lp_norms(t, p).tolist() for t in tables] for p in orders]
-        for row in range(len(pairs)):
-            for p, (half_sum, half_diff, norm_f, norm_g) in zip(orders, norms):
-                if p < 2:
-                    pp = p / (p - 1.0)
-                    lhs = half_sum[row] ** pp + half_diff[row] ** pp
-                    rhs = (0.5 * norm_f[row] ** p + 0.5 * norm_g[row] ** p) ** (pp / p)
-                    label = f"two-sided branch p={p}"
-                else:
-                    lhs = half_sum[row] ** p + half_diff[row] ** p
-                    rhs = 0.5 * (norm_f[row] ** p + norm_g[row] ** p)
-                    label = f"power branch p={p}"
-                slack = rhs - lhs
-                if slack < worst[0]:
-                    worst = (slack, lhs, rhs, f"{label}, pair {first + row}")
-    params = {"q": q, "n": n, "count": count, "orders": orders,
-              "tightest_claim": worst[3]}
-    return _inequality_result("clarkson", params, worst[1], worst[2], seed=seed)
+    def claims(orders, chunk):
+        rng = np.random.default_rng((seed, 29, q, n))
+        for first in range(0, count, chunk):
+            pairs = rng.normal(size=(min(chunk, count - first), 2, q ** n))
+            f, g = pairs[:, 0], pairs[:, 1]
+            tables = ((f + g) / 2.0, (f - g) / 2.0, f, g)
+            norms = [[lp_norms(t, p).tolist() for t in tables] for p in orders]
+            for row in range(len(pairs)):
+                for p, (half_sum, half_diff, norm_f, norm_g) in zip(orders, norms):
+                    if p < 2:
+                        pp = p / (p - 1.0)
+                        yield (f"two-sided branch p={p}, pair {first + row}",
+                               half_sum[row] ** pp + half_diff[row] ** pp,
+                               (0.5 * norm_f[row] ** p + 0.5 * norm_g[row] ** p) ** (pp / p))
+                    else:
+                        yield (f"power branch p={p}, pair {first + row}",
+                               half_sum[row] ** p + half_diff[row] ** p,
+                               0.5 * (norm_f[row] ** p + norm_g[row] ** p))
+    return _tightest_claim("clarkson", q, n, count, orders, seed, caps, 2, claims)
 
 
 # -- negative controls ---------------------------------------------------------

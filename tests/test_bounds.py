@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -106,6 +107,16 @@ def test_corollary_frozen():
     dv, dist = corollary_bounds(0.1, 2, 2)
     assert dv == pytest.approx(0.2885390081777927, rel=1e-13)
     assert dist == pytest.approx(0.6480740698407864, rel=1e-13)
+
+
+@pytest.mark.parametrize("eps", [1e-300, 1e-15])
+@pytest.mark.parametrize("q", [2, 3])
+def test_collision_loss_does_not_cancel_at_small_eps(eps, q):
+    # (1 + eps)^2 - 1 used to round to 0.0 (a ZeroDivisionError at 1e-300) or
+    # to lose digits (48.678 bits at 1e-15, where the loss is 48.829)
+    excess = Fraction(eps) * (2 + Fraction(eps))
+    want = (math.log(excess.denominator) - math.log(excess.numerator)) / math.log(q)
+    assert collision_loss(eps, q) == pytest.approx(want, rel=1e-14)
 
 
 def test_collision_family():

@@ -383,6 +383,40 @@ def test_conversion_checks_refuse_orders_outside_the_finite_range(argv, capsys):
     assert err.startswith("synhash: error: orders must be finite and exceed 1, got ")
 
 
+def test_tuple_probability_enumerates_no_iid_parity_checks(capsys):
+    # the iid probability is z^m / q^{mn} off one zero count, so no cap on the
+    # 3^15 iid parity checks applies (it used to refuse with exit 2)
+    rc, out, err = run(["verify", "tuple-probability", "--n", "5", "--k", "2", "--q", "3",
+                        "--tuple", "1,2,7"], capsys)
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["results"][0]["parameters"]["iid_equality"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    "--dense-cap 16 verify clarkson --n 10 --count 3",
+    "verify clarkson --n 40 --count 1",
+])
+def test_clarkson_obeys_the_dense_cap(argv, capsys):
+    # the first ran to the end past the cap, the second ended in a numpy
+    # _ArrayMemoryError traceback
+    rc, out, err = run(argv.split(), capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith("synhash: refused: dense pmf: ") and err.count("\n") == 1
+
+
+def test_rm_reports_a_row_refused_before_its_code_is_built(monkeypatch, capsys):
+    # np.arange(2^30) in the Reed-Muller generator used to end in a traceback
+    monkeypatch.setattr("synhash.rm_lab.reed_muller_code", _fail)
+    rc, out, err = run(["rm", "--m-range", "30"], capsys)
+    assert (rc, err) == (0, "")
+    row = json.loads(out)["results"][0]
+    assert (row["m"], row["n"], row["divergence"]) == (30, 1 << 30, "nan")
+
+
+def _fail(*args, **kwargs):
+    raise AssertionError("the refused work was started")
+
+
 @pytest.mark.parametrize("check", ["balanced-identity", "p-balanced", "exact-smoothing"])
 def test_code_cap_bounds_the_enumerated_ensemble(check, capsys):
     # [3, 1]_2 has 7 codes: a cap of 6 refuses them, a cap of 7 admits them

@@ -24,8 +24,8 @@ from synhash.distributions import (
     tv_distance,
     _character_transform,
     _convolve_transformed,
-    _pushforward_rows,
     _signed_power,
+    _syndrome_rows,
 )
 from synhash.field import FieldSpec, FqMatrix, q_powers, rank
 
@@ -471,14 +471,13 @@ def _full_rank_maps(q, n, m, count, seed):
 
 
 @pytest.mark.parametrize("q", [2, 3])
-@pytest.mark.parametrize("where", [0, 4, 8])
-def test_stacked_rank_check_refuses_any_deficient_map(q, where):
-    maps = _full_rank_maps(q, 5, 3, 9, 2)
+def test_pushforward_refuses_a_rank_deficient_map(q):
+    H = _full_rank_maps(q, 5, 3, 1, 2)[0]
     P = DensePmf.uniform(FieldSpec(q), 5)
-    _pushforward_rows(q, P.probs, maps, DEFAULT_CAPS)  # every map has full rank
-    maps[where, 2] = (maps[where, 0] + 2 * maps[where, 1]) % q
+    pushforward(P, FqMatrix(FieldSpec(q), H))  # the map has full rank
+    H[2] = (H[0] + 2 * H[1]) % q
     with pytest.raises(ValueError, match="rank deficient"):
-        _pushforward_rows(q, P.probs, maps, DEFAULT_CAPS)
+        pushforward(P, FqMatrix(FieldSpec(q), H))
 
 
 # (q, n, digits of support): full support, and a flat source whose syndrome
@@ -502,7 +501,7 @@ def test_pushforward_batches_equal_a_per_code_loop(monkeypatch, q, n, support):
         return image_rows(q, arr)
 
     monkeypatch.setattr(distributions, "_image_rows", recorded)
-    assert np.array_equal(_pushforward_rows(q, P.probs, maps, DEFAULT_CAPS), want)
+    assert np.array_equal(_syndrome_rows(q, P.probs, maps, DEFAULT_CAPS), want)
     assert sizes == [5, 5, 5, 5, 3]
 
 
@@ -514,7 +513,7 @@ def test_wide_syndrome_tables_push_forward_as_a_point_loop(point_images, q, n, m
     maps = _full_rank_maps(q, n, m, 3, 11)
     probs = np.random.default_rng((q, n, m)).random(q ** n)
     P = DensePmf(field, n, probs / probs.sum())
-    rows = _pushforward_rows(q, P.probs, maps, DEFAULT_CAPS)
+    rows = _syndrome_rows(q, P.probs, maps, DEFAULT_CAPS)
     for H, row in zip(maps, rows):
         ref = np.zeros(q ** m)
         for x, image in enumerate(point_images(H, q)):

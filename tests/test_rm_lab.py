@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from synhash import rm_lab
 from synhash.caps import Caps, CapExceeded
 from synhash.bounds import two_point_renyi
 from synhash.rm_lab import (
@@ -140,6 +141,23 @@ def test_cap_exhaustion_reports_nan_row():
     row = rm_convergence_run(spec, caps=tiny)[0]
     assert math.isnan(row.divergence)
     assert row.n == 8  # geometry is still reported
+
+
+@pytest.mark.parametrize("m, method, refusal", [
+    (22, DUAL, "dual character sum: estimated cost 197132288 "),  # 2^22 + 23 * 2^23
+    # a source of 2^(2^25) entries, named by its formula: the integer itself
+    # has too many digits to print
+    (25, "dense", "dense pmf: estimated cost 2\\^33554432 "),
+], ids=["dual-m22", "dense-m25"])
+def test_divergence_refuses_before_building_the_code(monkeypatch, m, method, refusal):
+    # m = 22 used to build its parity check (1.5 GiB) before the dual sum was
+    # refused, and m = 30 ended in an _ArrayMemoryError from np.arange(2^30)
+    def fail(*args, **kwargs):
+        raise AssertionError("the refused code was built")
+
+    monkeypatch.setattr(rm_lab, "reed_muller_code", fail)
+    with pytest.raises(CapExceeded, match=f"^{refusal}exceeds cap "):
+        rm_divergence(m, m - 2, 0.25, 2, method)
 
 
 def test_csv_rendering():

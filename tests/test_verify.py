@@ -13,7 +13,7 @@ from synhash.codes import (DEFAULT_SEED, CodeEnsembleSpec, LinearCode, enumerate
                            gaussian_binomial, rank_tuple_count, sample_uniform_code,
                            _sample_codes)
 from synhash.distributions import (DensePmf, ProductBernoulli, code_pmf, convolve,
-                                   lp_norm, pushforward, renyi_entropy, _pushforward_rows)
+                                   lp_norm, pushforward, renyi_entropy, _syndrome_rows)
 from synhash.field import FieldSpec, FqMatrix, image_indices, rref, _rank_array
 from synhash.verify import (
     check_balanced_identity,
@@ -146,13 +146,6 @@ def test_balance_refuses_the_tuple_rank_cap_before_the_census(monkeypatch):
     monkeypatch.setattr(verify, "_containment_counts", _refuse_work)
     with pytest.raises(CapExceeded, match="tuple rank"):
         check_p_balanced(3, 3, 2, 2, caps=Caps(tuple_products=100))
-
-
-def test_tuple_probability_refuses_the_iid_cap_before_enumerating(monkeypatch):
-    # 35 [4, 2]_2 codes fit the cap, 2^8 iid parity checks do not
-    monkeypatch.setattr(verify, "_ensemble_stacks", _refuse_work)
-    with pytest.raises(CapExceeded, match="iid parity-check"):
-        check_tuple_probability(4, 2, 2, (1, 2), caps=Caps(code_enumeration=100))
 
 
 @pytest.mark.parametrize("run, caps, refusal", [
@@ -386,7 +379,7 @@ def test_stacked_projection_identity_equals_a_per_code_loop(q, n, k):
     p_list = (1.5, 2.0, 3.0, math.inf)
     G, H = _sample_codes(CodeEnsembleSpec(field, n, k, 6), 0, 9)
     probs = _random_probs((6, q), 0, 9, q ** n)
-    stacked = _projection_identities(q, probs, G, _pushforward_rows(q, probs, H, DEFAULT_CAPS),
+    stacked = _projection_identities(q, probs, G, _syndrome_rows(q, probs, H, DEFAULT_CAPS),
                                      p_list, DEFAULT_CAPS)
     assert len(stacked) == 9
     for t, res in enumerate(stacked):
@@ -399,7 +392,7 @@ def test_stacked_projection_identity_equals_a_per_code_loop(q, n, k):
         assert one.to_json_dict() == res.to_json_dict()
     # one shared source for every code
     P = DensePmf(field, n, probs[0])
-    syndromes = _pushforward_rows(q, P.probs, H, DEFAULT_CAPS)
+    syndromes = _syndrome_rows(q, P.probs, H, DEFAULT_CAPS)
     shared = _projection_identities(q, P.probs, G, syndromes, p_list, DEFAULT_CAPS)
     for t, res in enumerate(shared):
         code = LinearCode(field, n, k, FqMatrix(field, G[t]), FqMatrix(field, H[t]))
@@ -673,6 +666,14 @@ def test_proximity_conversions_pass():
     assert res.passed
     res3 = check_proximity_conversions(3, 2, 30, (2, 4), seed=2)
     assert res3.passed
+
+
+@pytest.mark.parametrize("check", [check_proximity_conversions, check_clarkson])
+def test_conversion_checks_refuse_the_dense_cap_before_drawing(monkeypatch, check):
+    # clarkson used to take no caps, so 2^10 values a function ran past a cap of 16
+    monkeypatch.setattr(np.random, "default_rng", _refuse_work)
+    with pytest.raises(CapExceeded, match="^dense pmf: estimated cost 1024 exceeds cap 16$"):
+        check(2, 10, 3, caps=Caps(dense_pmf_entries=16))
 
 
 def test_clarkson_pass_and_reject():
