@@ -471,13 +471,19 @@ def _full_rank_maps(q, n, m, count, seed):
 
 
 @pytest.mark.parametrize("q", [2, 3])
-def test_pushforward_refuses_a_rank_deficient_map(q):
-    H = _full_rank_maps(q, 5, 3, 1, 2)[0]
+@pytest.mark.parametrize("where", [0, 4, 8])
+def test_stacked_rank_check_refuses_any_deficient_map(q, where):
+    # pushforward checks its one map: whichever map of a sampled stack is made
+    # rank deficient is refused, and every other map of the stack is pushed
+    maps = _full_rank_maps(q, 5, 3, 9, 2)
     P = DensePmf.uniform(FieldSpec(q), 5)
-    pushforward(P, FqMatrix(FieldSpec(q), H))  # the map has full rank
-    H[2] = (H[0] + 2 * H[1]) % q
-    with pytest.raises(ValueError, match="rank deficient"):
-        pushforward(P, FqMatrix(FieldSpec(q), H))
+    maps[where, 2] = (maps[where, 0] + 2 * maps[where, 1]) % q
+    for t, H in enumerate(maps):
+        if t == where:
+            with pytest.raises(ValueError, match="rank deficient"):
+                pushforward(P, FqMatrix(FieldSpec(q), H))
+        else:
+            pushforward(P, FqMatrix(FieldSpec(q), H))  # full rank
 
 
 # (q, n, digits of support): full support, and a flat source whose syndrome
