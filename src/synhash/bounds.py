@@ -206,11 +206,16 @@ def collision_bound(m: int, entropy_2: float, q: int) -> float:
 
 def collision_loss(eps: float, q: int) -> float:
     """Entropy loss at collision order for target eps: log_q(1/((1+eps)^2 - 1)),
-    with (1+eps)^2 - 1 taken as eps (2 + eps), which does not cancel at small eps."""
+    with (1+eps)^2 - 1 taken as eps (2 + eps), which does not cancel at small
+    eps; past about eps = 1.3e154, where that product overflows, as the sum of
+    the two logarithms."""
     _field_size(q)
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be finite and positive, got {eps}")
-    return -_logq(eps * (2.0 + eps), q)
+    product = eps * (2.0 + eps)
+    if math.isinf(product):
+        return -(_logq(eps, q) + _logq(2.0 + eps, q))
+    return -_logq(product, q)
 
 
 def collision_max_output(entropy_2: float, eps: float, q: int) -> int:

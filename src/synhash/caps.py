@@ -28,10 +28,15 @@ DEFAULT_CAPS = Caps()
 
 class CapExceeded(RuntimeError):
     """A computation was refused because its estimated cost exceeds a cap; a
-    cost too large to form is given as a formula such as "2^16384"."""
+    cost too large to form is given as a formula such as "2^16384", and one
+    too long to print by its magnitude, such as "at least 2^200016"."""
 
     def __init__(self, what: str, cost: int | str, cap: int):
-        super().__init__(f"{what}: estimated cost {cost} exceeds cap {cap}")
+        try:
+            shown = str(cost)
+        except ValueError:  # past the interpreter's limit on digits an int prints
+            shown = f"at least 2^{cost.bit_length() - 1}"
+        super().__init__(f"{what}: estimated cost {shown} exceeds cap {cap}")
         self.what = what
         self.cost = cost
         self.cap = cap

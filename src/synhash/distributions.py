@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -62,11 +62,10 @@ class DensePmf:
             raise ValueError(f"probs shape {arr.shape} != ({size},)")
         if arr.min(initial=0.0) < -1e-12:
             raise ValueError(f"negative probability {arr.min()} at index {int(arr.argmin())}")
-        arr = np.maximum(arr, 0.0)
+        arr = np.maximum(arr, 0.0)  # a new array, which this pmf alone holds
         total = float(arr.sum())
         if abs(total - 1.0) > _PMF_SUM_TOL:
             raise ValueError(f"probabilities sum to {total}, not 1")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
 
@@ -154,17 +153,25 @@ class ProductBernoulli:
         return FieldSpec(2)
 
     def to_dense(self, caps: Caps = DEFAULT_CAPS) -> DensePmf:
-        size = DensePmf._check_size(2, self.n, caps)
-        weights = np.zeros(size, dtype=np.int64)  # popcount of each index, by doubling
-        for j in range(self.n):
-            weights[1 << j:2 << j] = weights[:1 << j] + 1
-        # one probability per weight, read off by each index's weight
-        e = np.arange(self.n + 1)
-        by_weight = _signed_power(self.delta, e) * _signed_power(1.0 - self.delta, self.n - e)
-        return DensePmf(self.field, self.n, by_weight[weights])
+        return DensePmf(self.field, self.n, _bernoulli_probs([self], caps)[0])
 
 
 Source = Union[DensePmf, ProductBernoulli]
+
+
+def _bernoulli_probs(sources: Sequence[ProductBernoulli], caps: Caps) -> np.ndarray:
+    """The (S, 2^n) probabilities of S product sources of one length n, row s
+    that of sources[s].to_dense(), from one popcount table."""
+    n = sources[0].n
+    size = DensePmf._check_size(2, n, caps)
+    weights = np.zeros(size, dtype=np.int64)  # popcount of each index, by doubling
+    for j in range(n):
+        weights[1 << j:2 << j] = weights[:1 << j] + 1
+    # one probability per weight, read off by each index's weight
+    e = np.arange(n + 1)
+    by_weight = np.array([_signed_power(src.delta, e) * _signed_power(1.0 - src.delta, n - e)
+                          for src in sources])
+    return np.take(by_weight, weights, axis=1)
 
 
 def _signed_power(base: float, exponents: np.ndarray) -> np.ndarray:
@@ -290,10 +297,11 @@ def _character_transform(values: np.ndarray, q: int, n: int) -> np.ndarray:
 def _convolve_transformed(probs: np.ndarray, transformed: np.ndarray, q: int,
                           n: int) -> np.ndarray:
     """Each pmf of a (..., q^n) stack on F_q^n convolved with the pmf whose
-    character transform is given: the inverse transform of T(P) * transformed,
-    clamped at 0, as a (..., q^n) stack."""
-    lead = np.shape(probs)[:-1]
+    character transform is given, the stacks broadcast against each other:
+    the inverse transform of T(P) * transformed, clamped at 0, as a
+    (..., q^n) stack."""
     product = _character_transform(probs, q, n) * transformed
+    lead = product.shape[:product.ndim - n]
     if q == 2:
         out = _character_transform(product.reshape(lead + (-1,)), 2, n) * 2.0 ** -n
     else:
@@ -323,14 +331,18 @@ def _syndrome_rows(q: int, probs: np.ndarray, maps: np.ndarray, caps: Caps) -> n
     """Pmf of H z for z ~ P, one row per H in a (T, m, n) stack of full-row-rank
     maps mod q, as a (T, q^m) array.  probs holds P's q^n probabilities: 1-D
     for one source that every map pushes forward, or (T, q^n) with row t the
-    source of map t.  Neither the rank nor the length of probs is checked: the
-    callers pass maps that have full rank by construction, and sources on
-    their space.
+    source of map t.  A (1, m, n) stack with (T, q^n) probs pushes every
+    source through its one map, from one image table.  Neither the rank nor
+    the length of probs is checked: the callers pass maps that have full rank
+    by construction, and sources on their space.
 
-    The syndromes are counted a batch of codes at a time, one bincount over
+    The syndromes are counted a batch of rows at a time, one bincount over
     row-offset syndrome indices per batch of about _BATCH_ENTRIES index entries.
     """
-    count, m, n = maps.shape
+    _, m, n = maps.shape
+    shared = probs.ndim == 1
+    one_map = len(maps) == 1 and not shared
+    count = len(probs) if one_map else len(maps)
     if m == 0:
         return np.ones((count, 1))
     out_size = DensePmf._check_size(q, m, caps)
@@ -341,13 +353,14 @@ def _syndrome_rows(q: int, probs: np.ndarray, maps: np.ndarray, caps: Caps) -> n
         j -= 1
     size = q ** j
     batch = max(1, _BATCH_ENTRIES // size)
-    # one weight row per map of a batch: the one source, repeated, or the map's own
-    shared = probs.ndim == 1
+    # one weight row per row of a batch: the one source, repeated, or the row's own
     weights = np.tile(probs[:size], min(batch, count)) if shared else probs[:, :size]
+    table = _image_rows(q, maps[:, :, :j]) if one_map else None
     out = np.empty((count, out_size))
     for first in range(0, count, batch):
-        table = _image_rows(q, maps[first:first + batch, :, :j])
-        rows = len(table)
+        if not one_map:
+            table = _image_rows(q, maps[first:first + batch, :, :j])
+        rows = min(batch, count - first)
         # int64 bin indices, row t offset by t q^m, from a table of a smaller type
         idx = np.add(table, out_size * np.arange(rows)[:, None], dtype=np.int64)
         rows_weights = weights[:idx.size] if shared else weights[first:first + rows].reshape(-1)
@@ -398,23 +411,41 @@ def bernoulli_syndrome_excess(code: LinearCode, delta: float, p: int,
     q^{n-k} P_{HZ} = 1 + e with e the transform of g off a = 0, and the excess
     is sum_{j >= 2} C(p, j) mean(e^j).  The j = 2 term is sum_{a != 0} g(a)^2
     (Parseval).  No term is cancelled against 1, so the result stays accurate
-    down to subnormal magnitudes.  Binary field, integer p >= 2.
+    down to subnormal magnitudes.  Binary field, integer p >= 2.  The
+    one-delta, one-order call of _syndrome_excesses.
     """
+    return _syndrome_excesses(code, (delta,), (p,), caps)[0][0]
+
+
+def _syndrome_excesses(code: LinearCode, deltas: Sequence[float], orders: Sequence[int],
+                       caps: Caps) -> list[list[float]]:
+    """bernoulli_syndrome_excess of one code for every delta (rows) and order
+    (columns), from one set of dual weights, equal to the one-item calls."""
     if code.field.q != 2:
         raise ValueError("dual-character route requires the binary field")
-    _integer_order(p)
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"delta must lie in [0, 1], got {delta}")
+    for p in orders:
+        _integer_order(p)
+    for delta in deltas:
+        if not 0.0 <= delta <= 1.0:
+            raise ValueError(f"delta must lie in [0, 1], got {delta}")
     nk = code.n - code.k
-    _admit_dual_sum(code.n, nk, p, caps)
-    g = _signed_power(1.0 - 2.0 * delta, _dual_weights(code))
-    total = math.comb(p, 2) * float(np.sum(g[1:] ** 2))
-    if p > 2:
-        h = g.copy()
-        h[0] = 0.0
-        e = _character_transform(h, 2, nk)
-        power = e * e
-        for j in range(3, p + 1):
-            power *= e
-            total += math.comb(p, j) * float(power.mean())
-    return total
+    for p in orders:
+        _admit_dual_sum(code.n, nk, p, caps)
+    weights = _dual_weights(code)
+    out = []
+    for delta in deltas:
+        g = _signed_power(1.0 - 2.0 * delta, weights)
+        row = []
+        for p in orders:
+            total = math.comb(p, 2) * float(np.sum(g[1:] ** 2))
+            if p > 2:
+                h = g.copy()
+                h[0] = 0.0
+                e = _character_transform(h, 2, nk)
+                power = e * e
+                for j in range(3, p + 1):
+                    power *= e
+                    total += math.comb(p, j) * float(power.mean())
+            row.append(total)
+        out.append(row)
+    return out

@@ -18,13 +18,20 @@ from typing import Callable, Sequence
 from .bounds import rm_threshold, two_point_renyi
 from .caps import DEFAULT_CAPS, Caps, CapExceeded
 from .codes import reed_muller_code, reed_muller_dimensions
+# pushforward and bernoulli_syndrome_excess are the one-item routes of the
+# grid; both stay imported as traced sites: perfbench/tracing.py wraps them here
 from .distributions import (
+    DensePmf,
     ProductBernoulli,
     bernoulli_syndrome_excess,
     pushforward,
     renyi_entropy,
     _admit_dual_sum,
+    _bernoulli_probs,
+    _syndrome_excesses,
+    _syndrome_rows,
 )
+from .field import _rank_array
 
 __all__ = [
     "RmExperimentSpec",
@@ -102,28 +109,50 @@ def rm_divergences(m: int, r: int, delta: float, orders: Sequence[float], method
     order >= 1 including inf; "dual-character" sums characters over the dual
     code and needs integer orders >= 2, but scales to much larger m.  Every
     order reads the same code, and on the dense route the same source and
-    pushforward.
+    pushforward.  The one-delta, one-method call of _rm_divergence_grid.
     """
+    return _rm_divergence_grid(m, r, (delta,), orders, (method,), caps)[0][0]
+
+
+def _rm_divergence_grid(m: int, r: int, deltas: Sequence[float], orders: Sequence[float],
+                        methods: Sequence[str], caps: Caps) -> list[list[list[float]]]:
+    """rm_divergences for every method and delta, as [method][delta][order],
+    from one RM(r, m) code, equal to the one-item calls bit for bit.  Every
+    cost is admitted before the code is built; the dense route pushes the
+    stacked sources through one image table of H."""
     if not 0 <= r <= m:
         raise ValueError(f"need 0 <= r <= m, got r={r}, m={m}")
-    if method not in ("dense", "dual-character"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "dual-character" and any(math.isinf(p) or p != int(p) or p < 2
-                                          for p in orders):
-        raise ValueError("dual-character method needs an integer order >= 2")
+    for method in methods:
+        if method not in ("dense", "dual-character"):
+            raise ValueError(f"unknown method {method!r}")
+        if method == "dual-character" and any(math.isinf(p) or p != int(p) or p < 2
+                                              for p in orders):
+            raise ValueError("dual-character method needs an integer order >= 2")
     n, k = reed_muller_dimensions(r, m)
     if n == k:
-        return [0.0] * len(orders)
-    # each route's cost is admitted before the code's 2^m-column matrices are built
-    if method == "dense":
-        dense = ProductBernoulli(delta, n).to_dense(caps)
-        syn = pushforward(dense, reed_muller_code(r, m).H, caps)
-        return [n - k - renyi_entropy(syn, p) for p in orders]
-    for p in orders:
-        _admit_dual_sum(n, n - k, int(p), caps)
+        return [[[0.0] * len(orders) for _ in deltas] for _ in methods]
+    noise = [ProductBernoulli(delta, n) for delta in deltas] if "dense" in methods else []
+    for method in methods:
+        if method == "dense":
+            DensePmf._check_size(2, n, caps)
+        else:
+            for p in orders:
+                _admit_dual_sum(n, n - k, int(p), caps)
     code = reed_muller_code(r, m)
-    return [math.log1p(bernoulli_syndrome_excess(code, delta, int(p), caps))
-            / ((p - 1.0) * math.log(2.0)) for p in orders]
+    out = []
+    for method in methods:
+        if method == "dense":
+            H = code.H.array
+            if _rank_array(H, 2) != n - k:
+                raise ValueError("map is rank deficient; output space would be oversized")
+            syndromes = _syndrome_rows(2, _bernoulli_probs(noise, caps), H[None], caps)
+            pmfs = [DensePmf(code.field, n - k, row) for row in syndromes]
+            out.append([[n - k - renyi_entropy(syn, p) for p in orders] for syn in pmfs])
+        else:
+            excess = _syndrome_excesses(code, deltas, [int(p) for p in orders], caps)
+            out.append([[math.log1p(x) / ((p - 1.0) * math.log(2.0)) for p, x in zip(orders, row)]
+                        for row in excess])
+    return out
 
 
 def rm_divergence(m: int, r: int, delta: float, p: float, method: str,

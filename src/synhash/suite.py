@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 
 from .caps import DEFAULT_CAPS, Caps
-# nothing here calls sample_uniform_code or check_projection_identity, as c04
-# checks its codes as one stack; both stay imported as traced sites:
+# nothing here calls sample_uniform_code, check_projection_identity,
+# check_tuple_probability or exact_expected_smoothness, as c03, c04 and c05
+# check their items as stacks; all four stay imported as traced sites:
 # perfbench/tracing.py wraps them here
 from .codes import DEFAULT_SEED, CodeEnsembleSpec, _sample_codes, sample_uniform_code
 from .distributions import DensePmf, ProductBernoulli, _syndrome_rows
@@ -30,11 +31,13 @@ from .verify import (
     mc_expected_smoothness,
     negative_control_overdraw,
     negative_control_unbalanced,
+    _exact_smoothnesses,
     _identity_result,
     _projection_identities,
     _random_probs,
+    _tuple_probabilities,
 )
-from .rm_lab import rm_divergence, rm_divergences
+from .rm_lab import rm_divergence, _rm_divergence_grid
 
 __all__ = ["ACCEPTANCE_NAMES", "run_acceptance", "expected_failure"]
 
@@ -91,11 +94,11 @@ def run_acceptance(seed: int = DEFAULT_SEED, caps: Caps = DEFAULT_CAPS,
              for (n, k, q, p) in ((3, 1, 2, 2), (3, 2, 2, 2), (2, 1, 3, 2), (4, 2, 2, 3))]
     results.append(_merge("c02-p-balanced", batch))
 
-    # c03: exact containment probabilities for every pair of vectors
-    batch = [check_tuple_probability(4, 2, 2, (i, j), caps=caps)
-             for i in range(16) for j in range(16)]
-    batch += [check_tuple_probability(3, 1, 2, (i, j), caps=caps)
-              for (i, j) in ((1, 2), (3, 3), (0, 5))]
+    # c03: exact containment probabilities for every pair of vectors, each
+    # ensemble's pairs checked as one stack
+    batch = _tuple_probabilities(4, 2, 2, [(i, j) for i in range(16) for j in range(16)],
+                                 caps)
+    batch += _tuple_probabilities(3, 1, 2, ((1, 2), (3, 3), (0, 5)), caps)
     results.append(_merge("c03-tuple-probability", batch))
 
     # c04: syndrome norms == smoothed-source norms on random code/pmf pairs;
@@ -107,13 +110,11 @@ def run_acceptance(seed: int = DEFAULT_SEED, caps: Caps = DEFAULT_CAPS,
                                    (2.0, 3.0, math.inf), caps)
     results.append(_merge("c04-projection-identity", batch))
 
-    # c05: exact ensemble smoothness average under the closed-form budget
-    sources = 5 if quick else 20
-    batch = []
-    for probs in _random_probs((seed, 37), 0, sources, 1 << 4):
-        P = DensePmf(f2, 4, probs)
-        for p in (2, 3):
-            batch.append(exact_expected_smoothness(4, 2, 2, p, P, caps=caps))
+    # c05: exact ensemble smoothness average under the closed-form budget,
+    # every source and order scored from one ensemble
+    sources = [DensePmf(f2, 4, probs)
+               for probs in _random_probs((seed, 37), 0, 5 if quick else 20, 1 << 4)]
+    batch = [res for row in _exact_smoothnesses(4, 2, 2, (2, 3), sources, caps) for res in row]
     results.append(_merge("c05-exact-smoothing", batch))
 
     # c06: Monte Carlo smoothness and its collision refinement
@@ -148,11 +149,11 @@ def run_acceptance(seed: int = DEFAULT_SEED, caps: Caps = DEFAULT_CAPS,
         # c09 together; tests/test_rm_lab.py checks it instead
         r_lo = 1 if m >= 4 else 0
         for r in range(r_lo, m + 1):
-            for delta in deltas:
-                # one source and pushforward, and one code, for both orders
-                dense = rm_divergences(m, r, delta, (2, 3), "dense", caps)
-                dual = rm_divergences(m, r, delta, (2, 3), "dual-character", caps)
-                for p, a, b in zip((2, 3), dense, dual):
+            # one code for both routes and every delta and order
+            dense, dual = _rm_divergence_grid(m, r, deltas, (2, 3),
+                                              ("dense", "dual-character"), caps)
+            for delta, dense_row, dual_row in zip(deltas, dense, dual):
+                for p, a, b in zip((2, 3), dense_row, dual_row):
                     params = {"m": m, "r": r, "delta": delta, "p": p}
                     batch.append(_identity_result("rm-dense-dual", params, a, b, 1e-10))
     results.append(_merge("c09-rm-dense-dual", batch))

@@ -312,36 +312,79 @@ def check_tuple_probability(n: int, k: int, q: int, vectors: Sequence[int],
     Exact rational arithmetic on both ensembles: the uniform full-rank-code
     ensemble obeys the bound, and the iid-parity-check ensemble (kernel of a
     uniform (n-k) x n matrix) attains it with equality.  The tuple is given
-    by the little-endian indices of its vectors in F_q^n.
+    by the little-endian indices of its vectors in F_q^n.  The one-tuple call
+    of _tuple_probabilities.
     """
+    return _tuple_probabilities(n, k, q, [vectors], caps)[0]
+
+
+def _tuple_probabilities(n: int, k: int, q: int, tuples: Sequence[Sequence[int]],
+                         caps: Caps) -> list[CheckResult]:
+    """check_tuple_probability for every tuple, from one ensemble.  Each
+    tuple is checked and admitted in turn, the ensemble after the first, as
+    in a sequence of one-tuple calls, before any table is built."""
     FieldSpec(q)  # refuses a modulus that is not prime
-    p = len(vectors)
-    idx = [int(v) for v in vectors]
-    outside = [i for i in idx if not 0 <= i < q ** n]
-    if outside:
-        raise ValueError(f"index {outside[0]} out of range for q**n = {q}**{n}")
-    caps.admit("tuple zero count", p * q ** n, "dense_pmf_entries")
-    # n x p, columns are the tuple vectors: every little-endian digit at once
-    U = (np.array(idx, dtype=np.int64)[:, None] // q_powers(q, n) % q).T
+    size = q ** n
+    idx = []
+    for vectors in tuples:
+        tuple_ = [int(v) for v in vectors]
+        outside = [i for i in tuple_ if not 0 <= i < size]
+        if outside:
+            raise ValueError(f"index {outside[0]} out of range for q**n = {q}**{n}")
+        caps.admit("tuple zero count", len(tuple_) * size, "dense_pmf_entries")
+        if not idx:
+            _admit_enumeration(q, n, k, caps)
+        idx.append(tuple_)
+    width = max(map(len, idx))
+    padded = np.array([t + [0] * (width - len(t)) for t in idx], dtype=np.int64)
+    # (T, width, n) digits; the zero vector pads, as every code holds it and
+    # it reads 0 at every x
+    U = padded.reshape(len(idx), width, 1) // q_powers(q, n) % q
     H = _ensemble_stacks(q, n, k, caps)[1]
-    # a code holds every tuple vector iff its parity check sends U to zero
-    contained = len(H) - int(np.count_nonzero((H @ U % q).any(axis=(1, 2))))
-    prob = Fraction(contained, len(H))
-    # row j of the table holds <u_j, x> for every x in F_q^n (a digit, so no
-    # q^p index is formed); the z points where every row reads 0 are the
-    # orthogonal complement of the tuple's span, so z = q^(n - d) exactly
-    z = int(np.count_nonzero(~_image_rows(q, U.T[:, None, :]).any(axis=0)))
-    d = n - next(e for e in range(n + 1) if q ** e == z)
-    bound = Fraction(1, q ** (d * (n - k)))
-    # the n - k rows of an iid A are independent, and each must be one of the z
-    # points: an exact fraction, so none of the q^{(n-k)n} matrices is formed
-    iid_prob = Fraction(z ** (n - k), q ** ((n - k) * n))
-    params = {"n": n, "k": k, "q": q, "p": p, "tuple": [int(i) for i in idx],
-              "rank": d, "ensemble_probability": str(prob), "bound": str(bound),
-              "iid_probability": str(iid_prob), "iid_equality": iid_prob == bound}
-    passed = prob <= bound and iid_prob == bound
-    return CheckResult("tuple-probability", params, passed, float(prob), float(bound),
-                       float(bound - prob), kind="inequality")
+    # a code holds every vector of a tuple iff its parity check sends them all
+    # to zero; a chunk of codes at a time, so no product passes _BATCH_ENTRIES
+    held = np.zeros(len(idx), dtype=np.int64)
+    vectors = U.reshape(len(idx) * width, n).T
+    chunk = max(1, _BATCH_ENTRIES // max(1, (n - k) * len(idx) * width))
+    for first in range(0, len(H), chunk):
+        part = H[first:first + chunk]
+        syndromes = (part.reshape(len(part) * (n - k), n) @ vectors % q).reshape(
+            len(part), n - k, len(idx), width)
+        held += len(part) - np.count_nonzero(syndromes.any(axis=(1, 3)), axis=0)
+    # row j of a tuple's table holds <u_j, x> for every x in F_q^n (a digit, so
+    # no q^width index is formed); the z points where every row reads 0 are
+    # the orthogonal complement of the tuple's span, so z = q^(n - d) exactly.
+    # A chunk of tuples at a time, so no table passes _BATCH_ENTRIES
+    zeros = np.empty(len(idx), dtype=np.int64)
+    rows = max(1, _BATCH_ENTRIES // max(1, width * size))
+    for first in range(0, len(idx), rows):
+        part = U[first:first + rows]
+        table = _image_rows(q, part.reshape(len(part) * width, 1, n))
+        table = table.reshape(len(part), width, size)
+        zeros[first:first + rows] = size - np.count_nonzero(table.any(axis=1), axis=1)
+    rank_of = {q ** e: n - e for e in range(n + 1)}
+    keys = list(zip(held.tolist(), zeros.tolist()))
+    # the exact fractions depend on a tuple through (contained, z) alone
+    verdicts = {}
+    for contained, z in set(keys):
+        prob = Fraction(contained, len(H))
+        d = rank_of[z]
+        bound = Fraction(1, q ** (d * (n - k)))
+        # the n - k rows of an iid A are independent, and each must be one of
+        # the z points: an exact fraction, so none of the q^{(n-k)n} matrices
+        # is formed
+        iid_prob = Fraction(z ** (n - k), q ** ((n - k) * n))
+        fields = {"rank": d, "ensemble_probability": str(prob), "bound": str(bound),
+                  "iid_probability": str(iid_prob), "iid_equality": iid_prob == bound}
+        verdicts[contained, z] = (fields, prob <= bound and iid_prob == bound,
+                                  float(prob), float(bound), float(bound - prob))
+    results = []
+    for tuple_, key in zip(idx, keys):
+        fields, passed, lhs, rhs, slack = verdicts[key]
+        params = {"n": n, "k": k, "q": q, "p": len(tuple_), "tuple": tuple_, **fields}
+        results.append(CheckResult("tuple-probability", params, passed, lhs, rhs, slack,
+                                   kind="inequality"))
+    return results
 
 
 # -- moment and rearrangement inequalities ------------------------------------
@@ -523,30 +566,55 @@ def exact_expected_smoothness(n: int, k: int, q: int, p: int, P: DensePmf,
                               caps: Caps = DEFAULT_CAPS) -> CheckResult:
     """Average of ||q^n P_{X_C+Z}||_p^p over every [n, k]_q code stays under
     the closed-form ensemble budget.  The order and every cost are checked
-    before the ensemble is built."""
-    _integer_order(p)
-    if (P.field, P.n) != (FieldSpec(q), n):
-        raise ValueError("convolution needs two pmfs on the same space")
+    before the ensemble is built.  The one-source, one-order call of
+    _exact_smoothnesses."""
+    return _exact_smoothnesses(n, k, q, (p,), [P], caps)[0][0]
+
+
+def _exact_smoothnesses(n: int, k: int, q: int, orders: Sequence[int],
+                        sources: Sequence[DensePmf], caps: Caps) -> list[list[CheckResult]]:
+    """exact_expected_smoothness of every source (rows) at every order
+    (columns), from one ensemble and one convolution of each chunk of code
+    pmfs with every source, equal to the one-item calls bit for bit."""
+    for p in orders:
+        _integer_order(p)
+    for P in sources:
+        if (P.field, P.n) != (FieldSpec(q), n):
+            raise ValueError("convolution needs two pmfs on the same space")
     _admit_enumeration(q, n, k, caps)
     size = DensePmf._check_size(q, n, caps)
     caps.admit("codeword enumeration", q ** k, "code_enumeration")
     G = _ensemble_stacks(q, n, k, caps)[0]
-    transformed = _character_transform(P.probs, P.field.q, P.n)  # once for every code
-    total = 0.0
-    # a chunk of codes at a time: their pmfs, convolved with P, and the norms.
-    # About eight tables of a chunk's size are alive at once, on top of the
-    # enumerated ensembles, so a chunk takes a sixteenth of the batch budget
-    chunk = max(1, _BATCH_ENTRIES // 16 // size)
+    transformed = _character_transform(np.array([P.probs for P in sources]), q, n)
+    totals = [[0.0] * len(orders) for _ in sources]
+    # a chunk of codes at a time: their pmfs, convolved with every source, and
+    # the norms.  About eight tables of a chunk's size are alive at once, on
+    # top of the enumerated ensembles, so a chunk takes a sixteenth of the
+    # batch budget
+    chunk = max(1, _BATCH_ENTRIES // 16 // (size * len(sources)))
     for first in range(0, len(G), chunk):
-        mixed = _convolve_transformed(_code_pmfs(q, G[first:first + chunk]), transformed, q, n)
-        _check_sums(mixed)
-        # a sequential float sum, as one code at a time
-        for norm in lp_norms(float(q) ** n * mixed, p):
-            total += float(norm) ** p
-    lhs = total / len(G)
-    rhs = smoothing_bound_rhs(n, k, q, p, renyi_entropy(P, p))
-    params = {"n": n, "k": k, "q": q, "p": p, "codes": len(G)}
-    return _inequality_result("exact-smoothing", params, lhs, rhs)
+        # (codes, sources, q^n)
+        mixed = _convolve_transformed(_code_pmfs(q, G[first:first + chunk])[:, None],
+                                      transformed, q, n)
+        rows = mixed.reshape(-1, size)
+        _check_sums(rows)
+        scaled = float(q) ** n * rows
+        for j, p in enumerate(orders):
+            norms = lp_norms(scaled, p).reshape(mixed.shape[:2])
+            for s, column in enumerate(norms.T.tolist()):
+                total = totals[s][j]
+                for norm in column:  # a sequential float sum, as one code at a time
+                    total += norm ** p
+                totals[s][j] = total
+    results = []
+    for P, sums in zip(sources, totals):
+        row = []
+        for p, total in zip(orders, sums):
+            rhs = smoothing_bound_rhs(n, k, q, p, renyi_entropy(P, p))
+            params = {"n": n, "k": k, "q": q, "p": p, "codes": len(G)}
+            row.append(_inequality_result("exact-smoothing", params, total / len(G), rhs))
+        results.append(row)
+    return results
 
 
 # a Monte Carlo sample span holds about this many _BATCH_ENTRIES of code entries

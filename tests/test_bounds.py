@@ -119,6 +119,20 @@ def test_collision_loss_does_not_cancel_at_small_eps(eps, q):
     assert collision_loss(eps, q) == pytest.approx(want, rel=1e-14)
 
 
+@pytest.mark.parametrize("eps", [1e160, 1e300, 1.7e308])
+@pytest.mark.parametrize("q", [2, 3])
+def test_collision_loss_stays_finite_past_the_product_overflow(eps, q):
+    # eps (2 + eps) used to overflow to inf, so the loss read -inf
+    excess = Fraction(eps) * (2 + Fraction(eps))
+    want = (math.log(excess.denominator) - math.log(excess.numerator)) / math.log(q)
+    assert collision_loss(eps, q) == pytest.approx(want, rel=1e-14)
+
+
+def test_collision_max_output_at_a_huge_eps():
+    # floor(-inf) used to end in an OverflowError
+    assert collision_max_output(20.0, 1e300, 2) == 2013
+
+
 def test_collision_family():
     assert collision_bound(3, 5.0, 2) == pytest.approx(1.25, rel=1e-13)
     assert collision_loss(0.0625, 2) == pytest.approx(2.9556058806415466, rel=1e-13)

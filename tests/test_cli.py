@@ -404,6 +404,15 @@ def test_clarkson_obeys_the_dense_cap(argv, capsys):
     assert err.startswith("synhash: refused: dense pmf: ") and err.count("\n") == 1
 
 
+def test_a_refused_cost_too_long_to_print_is_named_by_its_magnitude(capsys):
+    # (2^100000)^2 * 100000 has 60212 digits, past Python's limit on the
+    # digits an int prints: this used to be a usage error (exit 1)
+    rc, out, err = run("verify norm-bound --n 100000 --p 2 --d 1".split(), capsys)
+    assert (rc, out) == (2, "")
+    assert err == ("synhash: refused: tuple rank stratification: estimated cost "
+                   "at least 2^200016 exceeds cap 100000000\n")
+
+
 def test_rm_reports_a_row_refused_before_its_code_is_built(monkeypatch, capsys):
     # np.arange(2^30) in the Reed-Muller generator used to end in a traceback
     monkeypatch.setattr("synhash.rm_lab.reed_muller_code", _fail)

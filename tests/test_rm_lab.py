@@ -17,6 +17,7 @@ from synhash.rm_lab import (
     rm_divergence,
     rm_divergences,
     rows_to_csv,
+    _rm_divergence_grid,
 )
 
 DUAL = "dual-character"
@@ -61,6 +62,40 @@ def test_divergences_of_several_orders_equal_the_one_order_calls(method):
             for delta in (0.1, 0.25, 0.4):
                 want = [rm_divergence(m, r, delta, p, method) for p in (2, 3)]
                 assert rm_divergences(m, r, delta, (2, 3), method) == want
+
+
+METHODS = ("dense", DUAL)
+DELTAS = (0.1, 0.25, 0.4)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_grid_equals_the_one_delta_calls(m):
+    # one code for both routes, one source stack and image table on the dense
+    # route, one set of dual weights on the dual route
+    for r in range(m + 1):
+        want = [[rm_divergences(m, r, delta, (2, 3), method) for delta in DELTAS]
+                for method in METHODS]
+        assert _rm_divergence_grid(m, r, DELTAS, (2, 3), METHODS, Caps()) == want
+
+
+@pytest.mark.parametrize("caps", [Caps(dense_pmf_entries=1 << 15), Caps(tuple_products=1000)],
+                         ids=["dense", "dual"])
+def test_grid_refuses_as_the_one_delta_calls_before_building_the_code(monkeypatch, caps):
+    refusals = []
+    for delta in DELTAS:
+        for method in METHODS:
+            try:
+                rm_divergences(4, 1, delta, (2, 3), method, caps)
+            except CapExceeded as exc:
+                refusals.append(str(exc))
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the refused code was built")
+
+    monkeypatch.setattr(rm_lab, "reed_muller_code", fail)
+    with pytest.raises(CapExceeded) as err:
+        _rm_divergence_grid(4, 1, DELTAS, (2, 3), METHODS, caps)
+    assert str(err.value) == refusals[0]
 
 
 def test_dense_covers_orders_dual_cannot():

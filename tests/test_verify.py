@@ -32,9 +32,11 @@ from synhash.verify import (
     negative_control_overdraw,
     negative_control_unbalanced,
     rank_stratified_sum,
+    _exact_smoothnesses,
     _projection_identities,
     _random_pmf,
     _random_probs,
+    _tuple_probabilities,
     _tuple_ranks_cached,
 )
 
@@ -295,6 +297,42 @@ def test_tuple_probability_all_pairs_small():
             assert check_tuple_probability(3, 1, 2, (i, j)).passed
 
 
+@pytest.mark.parametrize("n, k, q, tuples", [
+    (4, 2, 2, list(itertools.product(range(16), repeat=2))),
+    # pairs and a triple in one stack, padded to one width
+    (3, 1, 3, [(1, 2), (3, 26), (0, 0), (4, 8, 12), (5, 13)]),
+    (3, 1, 2, [(1, 2), (3, 3), (0, 5)]),
+], ids=["all-pairs-4-2-2", "mixed-3-1-3", "suite-3-1-2"])
+def test_stacked_tuple_probabilities_equal_the_one_tuple_calls(n, k, q, tuples):
+    want = [check_tuple_probability(n, k, q, tuple_) for tuple_ in tuples]
+    assert _tuple_probabilities(n, k, q, tuples, DEFAULT_CAPS) == want
+
+
+def _first_refusal(calls) -> str:
+    """The message of the first CapExceeded that a sequence of calls raises."""
+    for call in calls:
+        try:
+            call()
+        except CapExceeded as exc:
+            return str(exc)
+    raise AssertionError("no call was refused")
+
+
+@pytest.mark.parametrize("caps", [
+    Caps(dense_pmf_entries=40),  # the triple's 3 x 16 zero count, after a pair
+    Caps(dense_pmf_entries=40, code_enumeration=34),  # the 35 codes, before the triple
+], ids=["zero-count", "codes-first"])
+def test_stacked_tuple_probabilities_refuse_as_the_one_tuple_calls(monkeypatch, caps):
+    tuples = [(1, 2), (1, 2, 3), (4,)]
+    want = _first_refusal(lambda t=t: check_tuple_probability(4, 2, 2, t, caps=caps)
+                          for t in tuples)
+    monkeypatch.setattr(verify, "_ensemble_stacks", _refuse_work)
+    monkeypatch.setattr(verify, "_image_rows", _refuse_work)
+    with pytest.raises(CapExceeded) as err:
+        _tuple_probabilities(4, 2, 2, tuples, caps)
+    assert str(err.value) == want
+
+
 def test_norm_bound_lemma_brute_force_lhs():
     # independent recomputation of the rank-d product sum, on the f the check draws
     q, n, p, d = 2, 2, 3, 2
@@ -466,6 +504,27 @@ def test_exact_smoothing_checks_the_space_before_admitting_codes():
 def test_exact_expected_smoothness_q3():
     P = _random_pmf(F3, 2, (21,))
     assert exact_expected_smoothness(2, 1, 3, 2, P).passed
+
+
+@pytest.mark.parametrize("n, k, q, count", [(4, 2, 2, 20), (3, 1, 3, 4)])
+def test_stacked_smoothness_equals_the_one_source_calls(n, k, q, count):
+    field = FieldSpec(q)
+    sources = [DensePmf(field, n, probs)
+               for probs in _random_probs((43, q), 0, count, q ** n)]
+    want = [[exact_expected_smoothness(n, k, q, p, P) for p in (2, 3)] for P in sources]
+    assert _exact_smoothnesses(n, k, q, (2, 3), sources, DEFAULT_CAPS) == want
+
+
+@pytest.mark.parametrize("caps", [Caps(code_enumeration=10), Caps(dense_pmf_entries=8)],
+                         ids=["codes", "dense"])
+def test_stacked_smoothness_refuses_as_the_one_source_calls(monkeypatch, caps):
+    sources = [DensePmf.uniform(F2, 4), DensePmf.point_mass(F2, 4)]
+    want = _first_refusal(lambda P=P, p=p: exact_expected_smoothness(4, 2, 2, p, P, caps=caps)
+                          for P in sources for p in (2, 3))
+    monkeypatch.setattr(verify, "_ensemble_stacks", _refuse_work)
+    with pytest.raises(CapExceeded) as err:
+        _exact_smoothnesses(4, 2, 2, (2, 3), sources, caps)
+    assert str(err.value) == want
 
 
 def test_mc_expected_smoothness_deterministic_and_valid():
