@@ -74,6 +74,12 @@ def _integer_order(p: int) -> None:
         raise ValueError(f"integer order p >= 2 required, got {p}")
 
 
+def _bit_probability(delta: float) -> None:
+    """Refuse a coin bias outside [0, 1], NaN included."""
+    if not 0.0 <= delta <= 1.0:
+        raise ValueError(f"delta must lie in [0, 1], got {delta}")
+
+
 def _field_size(q: int) -> None:
     """The closed forms hold over any F_q, prime or not; refuse a q that is
     not an integer >= 2."""
@@ -238,8 +244,7 @@ def two_point_renyi(delta: float, p: float) -> float:
 
     p = 1 is the Shannon entropy, p = inf the min-entropy.
     """
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"delta must lie in [0, 1], got {delta}")
+    _bit_probability(delta)
     p = _order(p)
     if delta in (0.0, 1.0):
         return 0.0
@@ -259,8 +264,7 @@ def rm_threshold(delta: float, p: float, target: str = "smoothing-rate") -> floa
     """
     if target not in ("smoothing-rate", "extraction-rate"):
         raise ValueError(f"unknown target {target!r}")
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"delta must lie in [0, 1], got {delta}")
+    _bit_probability(delta)
     if p == 1:
         rate = (1.0 - 2.0 * delta) ** 2
     elif math.isinf(p) or (isinstance(p, (int, float)) and p >= 2):

@@ -11,11 +11,11 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from .caps import DEFAULT_CAPS, Caps
+from .caps import DEFAULT_CAPS, CapExceeded, Caps
 from .field import (
     FieldSpec,
     FqMatrix,
@@ -52,34 +52,19 @@ _ENUM_ENTRIES = 1 << 14
 
 @dataclass(frozen=True, eq=False)
 class LinearCode:
-    """[n, k]_q code with explicit generator and parity-check matrices.
-
-    The generator may be passed as a zero-argument builder instead of a
-    matrix; it is then built, and its shape checked, the first time G is read.
-    """
+    """[n, k]_q code with explicit generator and parity-check matrices."""
 
     field: FieldSpec
     n: int
     k: int
-    generator: FqMatrix | Callable[[], FqMatrix]
+    G: FqMatrix
     H: FqMatrix
 
     def __post_init__(self) -> None:
-        if isinstance(self.generator, FqMatrix):
-            self._checked_generator(self.generator)
+        if self.G.array.shape != (self.k, self.n):
+            raise ValueError(f"generator shape {self.G.array.shape} != ({self.k}, {self.n})")
         if self.H.array.shape != (self.n - self.k, self.n):
             raise ValueError(f"parity check shape {self.H.array.shape} != ({self.n - self.k}, {self.n})")
-
-    def _checked_generator(self, G: FqMatrix) -> FqMatrix:
-        if G.array.shape != (self.k, self.n):
-            raise ValueError(f"generator shape {G.array.shape} != ({self.k}, {self.n})")
-        return G
-
-    @functools.cached_property
-    def G(self) -> FqMatrix:
-        if isinstance(self.generator, FqMatrix):
-            return self.generator
-        return self._checked_generator(self.generator())
 
     def __repr__(self) -> str:
         return f"LinearCode(q={self.field.q}, n={self.n}, k={self.k})"
@@ -104,6 +89,7 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of F_q^n (exact integer)."""
     if k < 0 or k > n:
         return 0
+    k = min(k, n - k)  # the count is symmetric in k and n - k
     num = 1
     den = 1
     for j in range(k):
@@ -182,6 +168,11 @@ def _code_dimensions(n: int, k: int) -> None:
 
 def _admit_enumeration(q: int, n: int, k: int, caps: Caps) -> None:
     _code_dimensions(n, k)
+    # the count is at least q^{k(n-k)}, which passes the cap once k(n-k) passes its
+    # bit length; past 64 bits as well, it is named by that bound, unformed
+    if k * (n - k) > max(64, caps.code_enumeration.bit_length()):
+        raise CapExceeded("code enumeration", f"at least {q}^{k * (n - k)}",
+                          caps.code_enumeration)
     caps.admit("code enumeration", gaussian_binomial(n, k, q), "code_enumeration")
 
 
@@ -257,14 +248,9 @@ def reed_muller_dimensions(r: int, m: int) -> tuple[int, int]:
 
 
 def reed_muller_code(r: int, m: int) -> LinearCode:
-    """Reed-Muller code of order r on 2**m points, with its dual parity check.
-
-    The k x 2**m generator is built only when G is read; the divergence
-    routes read H alone.
-    """
-    H = rm_parity_check(r, m)
+    """Reed-Muller code of order r on 2**m points, with its dual parity check."""
     n, k = reed_muller_dimensions(r, m)
-    return LinearCode(FieldSpec(2), n, k, functools.partial(reed_muller_generator, r, m), H)
+    return LinearCode(FieldSpec(2), n, k, reed_muller_generator(r, m), rm_parity_check(r, m))
 
 
 def codeword_indices(code: LinearCode, caps: Caps = DEFAULT_CAPS) -> np.ndarray:

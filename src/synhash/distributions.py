@@ -14,7 +14,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .bounds import _integer_order, _order, two_point_renyi
+from .bounds import _bit_probability, _integer_order, _order, two_point_renyi
 from .caps import DEFAULT_CAPS, Caps, CapExceeded
 from .codes import LinearCode, codeword_indices
 from .field import (
@@ -143,8 +143,7 @@ class ProductBernoulli:
     n: int
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.delta <= 1.0:
-            raise ValueError(f"delta must lie in [0, 1], got {self.delta}")
+        _bit_probability(self.delta)
         if self.n < 0:
             raise ValueError(f"n must be nonnegative, got {self.n}")
 
@@ -153,24 +152,23 @@ class ProductBernoulli:
         return FieldSpec(2)
 
     def to_dense(self, caps: Caps = DEFAULT_CAPS) -> DensePmf:
-        return DensePmf(self.field, self.n, _bernoulli_probs([self], caps)[0])
+        return DensePmf(self.field, self.n, _bernoulli_probs([self.delta], self.n, caps)[0])
 
 
 Source = Union[DensePmf, ProductBernoulli]
 
 
-def _bernoulli_probs(sources: Sequence[ProductBernoulli], caps: Caps) -> np.ndarray:
-    """The (S, 2^n) probabilities of S product sources of one length n, row s
-    that of sources[s].to_dense(), from one popcount table."""
-    n = sources[0].n
+def _bernoulli_probs(deltas: Sequence[float], n: int, caps: Caps) -> np.ndarray:
+    """The (S, 2^n) probabilities of S product sources of length n, row s
+    that of ProductBernoulli(deltas[s], n).to_dense(), from one popcount table."""
     size = DensePmf._check_size(2, n, caps)
     weights = np.zeros(size, dtype=np.int64)  # popcount of each index, by doubling
     for j in range(n):
         weights[1 << j:2 << j] = weights[:1 << j] + 1
     # one probability per weight, read off by each index's weight
     e = np.arange(n + 1)
-    by_weight = np.array([_signed_power(src.delta, e) * _signed_power(1.0 - src.delta, n - e)
-                          for src in sources])
+    by_weight = np.array([_signed_power(delta, e) * _signed_power(1.0 - delta, n - e)
+                          for delta in deltas])
     return np.take(by_weight, weights, axis=1)
 
 
@@ -381,16 +379,17 @@ def pushforward(P: DensePmf, H: FqMatrix, caps: Caps = DEFAULT_CAPS) -> DensePmf
     return DensePmf(P.field, H.rows, _syndrome_rows(P.field.q, P.probs, H.array[None], caps)[0])
 
 
-def _dual_weights(code: LinearCode) -> np.ndarray:
-    """Hamming weights of a H for every message a, in message-index order.
+def _dual_weights(H: np.ndarray) -> np.ndarray:
+    """Hamming weights of a H for every message a, in message-index order, for
+    a binary (n - k, n) parity check H.
 
     With c the histogram of H's column indices, n - 2 wt(a H) is the
     Walsh-Hadamard transform of c at a (MacWilliams duality).
     """
-    nk = code.n - code.k
-    counts = np.bincount(code.H.array.T @ q_powers(2, nk), minlength=1 << nk)
+    nk, n = H.shape
+    counts = np.bincount(H.T @ q_powers(2, nk), minlength=1 << nk)
     signed = _character_transform(counts, 2, nk).reshape(-1)
-    return np.rint((code.n - signed) / 2).astype(np.int64)
+    return np.rint((n - signed) / 2).astype(np.int64)
 
 
 def _admit_dual_sum(n: int, nk: int, p: int, caps: Caps) -> int:
@@ -414,24 +413,22 @@ def bernoulli_syndrome_excess(code: LinearCode, delta: float, p: int,
     down to subnormal magnitudes.  Binary field, integer p >= 2.  The
     one-delta, one-order call of _syndrome_excesses.
     """
-    return _syndrome_excesses(code, (delta,), (p,), caps)[0][0]
-
-
-def _syndrome_excesses(code: LinearCode, deltas: Sequence[float], orders: Sequence[int],
-                       caps: Caps) -> list[list[float]]:
-    """bernoulli_syndrome_excess of one code for every delta (rows) and order
-    (columns), from one set of dual weights, equal to the one-item calls."""
     if code.field.q != 2:
         raise ValueError("dual-character route requires the binary field")
-    for p in orders:
-        _integer_order(p)
-    for delta in deltas:
-        if not 0.0 <= delta <= 1.0:
-            raise ValueError(f"delta must lie in [0, 1], got {delta}")
-    nk = code.n - code.k
-    for p in orders:
-        _admit_dual_sum(code.n, nk, p, caps)
-    weights = _dual_weights(code)
+    _integer_order(p)
+    _bit_probability(delta)
+    _admit_dual_sum(code.n, code.n - code.k, p, caps)
+    return _syndrome_excesses(code.H.array, (delta,), (p,))[0][0]
+
+
+def _syndrome_excesses(H: np.ndarray, deltas: Sequence[float],
+                       orders: Sequence[int]) -> list[list[float]]:
+    """bernoulli_syndrome_excess of the code of a binary (n - k, n) parity
+    check H for every delta (rows) and integer order (columns), from one set
+    of dual weights, equal to the one-item calls.  The callers check the
+    inputs and admit each order's cost."""
+    nk = H.shape[0]
+    weights = _dual_weights(H)
     out = []
     for delta in deltas:
         g = _signed_power(1.0 - 2.0 * delta, weights)

@@ -15,14 +15,14 @@ import time
 from dataclasses import astuple, dataclass, fields
 from typing import Callable, Sequence
 
-from .bounds import rm_threshold, two_point_renyi
+from .bounds import _bit_probability, _order, rm_threshold, two_point_renyi
 from .caps import DEFAULT_CAPS, Caps, CapExceeded
-from .codes import reed_muller_code, reed_muller_dimensions
-# pushforward and bernoulli_syndrome_excess are the one-item routes of the
-# grid; both stay imported as traced sites: perfbench/tracing.py wraps them here
+# reed_muller_code, pushforward and bernoulli_syndrome_excess are the object
+# routes the grid replaces; nothing here calls them, but they stay imported as
+# traced sites: perfbench/tracing.py wraps them here
+from .codes import reed_muller_code, reed_muller_dimensions, rm_parity_check
 from .distributions import (
     DensePmf,
-    ProductBernoulli,
     bernoulli_syndrome_excess,
     pushforward,
     renyi_entropy,
@@ -31,14 +31,13 @@ from .distributions import (
     _syndrome_excesses,
     _syndrome_rows,
 )
-from .field import _rank_array
+from .field import FieldSpec
 
 __all__ = [
     "RmExperimentSpec",
     "RmResultRow",
     "parse_r_rule",
     "rm_divergence",
-    "rm_divergences",
     "rm_convergence_run",
     "rows_to_csv",
     "intrinsic_gap",
@@ -100,75 +99,60 @@ class RmResultRow:
 CSV_COLUMNS = tuple(f.name for f in fields(RmResultRow))
 
 
-def rm_divergences(m: int, r: int, delta: float, orders: Sequence[float], method: str,
-                   caps: Caps = DEFAULT_CAPS) -> list[float]:
-    """Divergence (base 2) of the RM(r, m) syndrome of Bernoulli(delta) noise,
-    one entry per order.
+def rm_divergence(m: int, r: int, delta: float, p: float, method: str,
+                  caps: Caps = DEFAULT_CAPS) -> float:
+    """Divergence (base 2) of the RM(r, m) syndrome of Bernoulli(delta) noise
+    at order p.
 
-    method "dense" materializes the full syndrome pmf once and works for any
-    order >= 1 including inf; "dual-character" sums characters over the dual
-    code and needs integer orders >= 2, but scales to much larger m.  Every
-    order reads the same code, and on the dense route the same source and
-    pushforward.  The one-delta, one-method call of _rm_divergence_grid.
+    method "dense" materializes the full syndrome pmf and works for any order
+    >= 1 including inf; "dual-character" sums characters over the dual code
+    and needs an integer order >= 2, but scales to much larger m.  The
+    one-item call of _rm_divergence_grid.
     """
-    return _rm_divergence_grid(m, r, (delta,), orders, (method,), caps)[0][0]
+    return _rm_divergence_grid(m, r, (delta,), (p,), (method,), caps)[0][0][0]
 
 
 def _rm_divergence_grid(m: int, r: int, deltas: Sequence[float], orders: Sequence[float],
                         methods: Sequence[str], caps: Caps) -> list[list[list[float]]]:
-    """rm_divergences for every method and delta, as [method][delta][order],
-    from one RM(r, m) code, equal to the one-item calls bit for bit.  Every
-    cost is admitted before the code is built; the dense route pushes the
-    stacked sources through one image table of H."""
+    """rm_divergence for every method, delta and order, as
+    [method][delta][order], from one RM(r, m) parity check, equal to the
+    one-item calls bit for bit.  Every input is checked and every cost
+    admitted before the parity check is built; the dense route pushes the
+    stacked sources through one image table of it.  The parity check has full
+    rank by construction (tests/test_codes.py checks it), so it is not
+    eliminated again."""
     if not 0 <= r <= m:
         raise ValueError(f"need 0 <= r <= m, got r={r}, m={m}")
     for method in methods:
         if method not in ("dense", "dual-character"):
             raise ValueError(f"unknown method {method!r}")
-        if method == "dual-character" and any(math.isinf(p) or p != int(p) or p < 2
-                                              for p in orders):
-            raise ValueError("dual-character method needs an integer order >= 2")
+    orders = [_order(p) for p in orders]
+    if "dual-character" in methods and any(math.isinf(p) or p != int(p) or p < 2
+                                           for p in orders):
+        raise ValueError("dual-character method needs an integer order >= 2")
+    for delta in deltas:
+        _bit_probability(delta)
     n, k = reed_muller_dimensions(r, m)
     if n == k:
         return [[[0.0] * len(orders) for _ in deltas] for _ in methods]
-    noise = [ProductBernoulli(delta, n) for delta in deltas] if "dense" in methods else []
     for method in methods:
         if method == "dense":
             DensePmf._check_size(2, n, caps)
         else:
             for p in orders:
                 _admit_dual_sum(n, n - k, int(p), caps)
-    code = reed_muller_code(r, m)
+    H = rm_parity_check(r, m).array
     out = []
     for method in methods:
         if method == "dense":
-            H = code.H.array
-            if _rank_array(H, 2) != n - k:
-                raise ValueError("map is rank deficient; output space would be oversized")
-            syndromes = _syndrome_rows(2, _bernoulli_probs(noise, caps), H[None], caps)
-            pmfs = [DensePmf(code.field, n - k, row) for row in syndromes]
+            syndromes = _syndrome_rows(2, _bernoulli_probs(deltas, n, caps), H[None], caps)
+            pmfs = [DensePmf(FieldSpec(2), n - k, row) for row in syndromes]
             out.append([[n - k - renyi_entropy(syn, p) for p in orders] for syn in pmfs])
         else:
-            excess = _syndrome_excesses(code, deltas, [int(p) for p in orders], caps)
+            excess = _syndrome_excesses(H, deltas, [int(p) for p in orders])
             out.append([[math.log1p(x) / ((p - 1.0) * math.log(2.0)) for p, x in zip(orders, row)]
                         for row in excess])
     return out
-
-
-def rm_divergence(m: int, r: int, delta: float, p: float, method: str,
-                  caps: Caps = DEFAULT_CAPS) -> float:
-    """rm_divergences at the one order p."""
-    return rm_divergences(m, r, delta, (p,), method, caps)[0]
-
-
-def _timed_divergence(m: int, r: int, delta: float, p: float, method: str,
-                      caps: Caps) -> tuple[float, float]:
-    started = time.perf_counter()
-    try:
-        divergence = rm_divergence(m, r, delta, p, method, caps)
-    except CapExceeded:
-        divergence = math.nan
-    return divergence, time.perf_counter() - started
 
 
 def rm_convergence_run(spec: RmExperimentSpec,
@@ -185,7 +169,12 @@ def rm_convergence_run(spec: RmExperimentSpec,
         orders.append(r)
     rows = []
     for m, r in zip(ms, orders):
-        divergence, seconds = _timed_divergence(m, r, spec.delta, spec.p, spec.method, caps)
+        started = time.perf_counter()
+        try:
+            divergence = rm_divergence(m, r, spec.delta, spec.p, spec.method, caps)
+        except CapExceeded:
+            divergence = math.nan
+        seconds = time.perf_counter() - started
         n, k = reed_muller_dimensions(r, m)
         rate = k / n
         rows.append(RmResultRow(

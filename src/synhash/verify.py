@@ -49,8 +49,7 @@ from .distributions import (
     renyi_entropy,
 )
 # digit_table and _rank_array are only traced sites: perfbench/tracing.py wraps them here
-from .field import (FieldSpec, FqMatrix, digit_table, image_indices, q_powers, _image_rows,
-                    _rank_array)
+from .field import FieldSpec, digit_table, q_powers, _image_rows, _rank_array, _rref_stack
 from .streams import raw_outputs
 
 __all__ = [
@@ -124,14 +123,13 @@ def _tuple_ranks_cached(q: int, n: int, p: int) -> np.ndarray:
     which leaves |K| alone.
     """
     s = min(n, p)
-    field = FieldSpec(q)
     identity = np.eye(n if s == p else p, dtype=np.int64)
     points = [c for c in itertools.product(range(q), repeat=s)
               if next((a for a in c if a), 0) == 1]
     zeros = np.zeros(q ** (n * p), dtype=np.min_scalar_type(len(points)))
     for c in points:
         M = np.kron(c, identity) if s == p else np.kron(identity, c)
-        zeros += image_indices(FqMatrix(field, M)) == 0
+        zeros += _image_rows(q, M[None])[0] == 0
     # |K| = q^e exactly when zeros reads (q^e - 1) / (q - 1)
     rank_of = np.zeros(len(points) + 1, dtype=np.int8)
     for e in range(s + 1):
@@ -321,8 +319,8 @@ def check_tuple_probability(n: int, k: int, q: int, vectors: Sequence[int],
 def _tuple_probabilities(n: int, k: int, q: int, tuples: Sequence[Sequence[int]],
                          caps: Caps) -> list[CheckResult]:
     """check_tuple_probability for every tuple, from one ensemble.  Each
-    tuple is checked and admitted in turn, the ensemble after the first, as
-    in a sequence of one-tuple calls, before any table is built."""
+    tuple's indices are checked in turn, and the ensemble admitted after the
+    first, as in a sequence of one-tuple calls, before any table is built."""
     FieldSpec(q)  # refuses a modulus that is not prime
     size = q ** n
     idx = []
@@ -331,15 +329,15 @@ def _tuple_probabilities(n: int, k: int, q: int, tuples: Sequence[Sequence[int]]
         outside = [i for i in tuple_ if not 0 <= i < size]
         if outside:
             raise ValueError(f"index {outside[0]} out of range for q**n = {q}**{n}")
-        caps.admit("tuple zero count", len(tuple_) * size, "dense_pmf_entries")
         if not idx:
             _admit_enumeration(q, n, k, caps)
         idx.append(tuple_)
+    powers = q_powers(q, n)  # refuses an index past int64 before one is stored
     width = max(map(len, idx))
     padded = np.array([t + [0] * (width - len(t)) for t in idx], dtype=np.int64)
     # (T, width, n) digits; the zero vector pads, as every code holds it and
-    # it reads 0 at every x
-    U = padded.reshape(len(idx), width, 1) // q_powers(q, n) % q
+    # it leaves the span alone
+    U = padded.reshape(len(idx), width, 1) // powers % q
     H = _ensemble_stacks(q, n, k, caps)[1]
     # a code holds every vector of a tuple iff its parity check sends them all
     # to zero; a chunk of codes at a time, so no product passes _BATCH_ENTRIES
@@ -351,32 +349,20 @@ def _tuple_probabilities(n: int, k: int, q: int, tuples: Sequence[Sequence[int]]
         syndromes = (part.reshape(len(part) * (n - k), n) @ vectors % q).reshape(
             len(part), n - k, len(idx), width)
         held += len(part) - np.count_nonzero(syndromes.any(axis=(1, 3)), axis=0)
-    # row j of a tuple's table holds <u_j, x> for every x in F_q^n (a digit, so
-    # no q^width index is formed); the z points where every row reads 0 are
-    # the orthogonal complement of the tuple's span, so z = q^(n - d) exactly.
-    # A chunk of tuples at a time, so no table passes _BATCH_ENTRIES
-    zeros = np.empty(len(idx), dtype=np.int64)
-    rows = max(1, _BATCH_ENTRIES // max(1, width * size))
-    for first in range(0, len(idx), rows):
-        part = U[first:first + rows]
-        table = _image_rows(q, part.reshape(len(part) * width, 1, n))
-        table = table.reshape(len(part), width, size)
-        zeros[first:first + rows] = size - np.count_nonzero(table.any(axis=1), axis=1)
-    rank_of = {q ** e: n - e for e in range(n + 1)}
-    keys = list(zip(held.tolist(), zeros.tolist()))
-    # the exact fractions depend on a tuple through (contained, z) alone
+    keys = list(zip(held.tolist(), _rref_stack(U, q)[2].tolist()))
+    # the exact fractions depend on a tuple through (contained, rank) alone
     verdicts = {}
-    for contained, z in set(keys):
+    for contained, d in set(keys):
         prob = Fraction(contained, len(H))
-        d = rank_of[z]
         bound = Fraction(1, q ** (d * (n - k)))
         # the n - k rows of an iid A are independent, and each must be one of
-        # the z points: an exact fraction, so none of the q^{(n-k)n} matrices
-        # is formed
+        # the z = q^(n - d) points orthogonal to the tuple's span: an exact
+        # fraction, so none of the q^{(n-k)n} matrices is formed
+        z = q ** (n - d)
         iid_prob = Fraction(z ** (n - k), q ** ((n - k) * n))
         fields = {"rank": d, "ensemble_probability": str(prob), "bound": str(bound),
                   "iid_probability": str(iid_prob), "iid_equality": iid_prob == bound}
-        verdicts[contained, z] = (fields, prob <= bound and iid_prob == bound,
+        verdicts[contained, d] = (fields, prob <= bound and iid_prob == bound,
                                   float(prob), float(bound), float(bound - prob))
     results = []
     for tuple_, key in zip(idx, keys):
@@ -418,7 +404,7 @@ def check_rearrangement_lemma(n: int, q: int, p: int, d: int,
                               caps: Caps = DEFAULT_CAPS) -> CheckResult:
     """Averages of f-products along fixed nonzero linear combinations are
     bounded by ||f||_1^{d-1} ||f||_{p-d+1}^{p-d+1}."""
-    field = FieldSpec(q)  # refuses a modulus that is not prime
+    FieldSpec(q)  # refuses a modulus that is not prime
     if not 1 <= d <= p:
         raise ValueError(f"need 1 <= d <= p, got d={d}, p={p}")
     size = q ** n
@@ -438,7 +424,7 @@ def check_rearrangement_lemma(n: int, q: int, p: int, d: int,
     identity = np.eye(n, dtype=np.int64)
     for row in coefficients:
         # v_0 holds the most significant digits of a grid index
-        prod *= f[image_indices(FqMatrix(field, np.kron(row[::-1], identity)))]
+        prod *= f[_image_rows(q, np.kron(row[::-1], identity)[None])[0]]
     lhs = float(prod.mean())
     r = p - d + 1
     rhs = lp_norm(f, 1) ** (d - 1) * lp_norm(f, r) ** r
@@ -529,8 +515,8 @@ def rank_stratified_sum(P: DensePmf, p: int, d: int,
     tuples_d = np.nonzero(ranks == d)[0]
     caps.admit("rank-stratified sum", int(tuples_d.size) * size * p, "tuple_products")
     # sub_index[x, v] = idx(x - v); v holds the low digits of x * size + v
-    minus_plus = FqMatrix(P.field, np.kron([q - 1, 1], np.eye(n, dtype=np.int64)))
-    sub_index = image_indices(minus_plus).reshape(size, size)
+    minus_plus = np.kron([q - 1, 1], np.eye(n, dtype=np.int64))
+    sub_index = _image_rows(q, minus_plus[None])[0].reshape(size, size)
     probs = P.probs
     total = 0.0
     for t in tuples_d:

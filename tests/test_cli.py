@@ -384,12 +384,22 @@ def test_conversion_checks_refuse_orders_outside_the_finite_range(argv, capsys):
 
 
 def test_tuple_probability_enumerates_no_iid_parity_checks(capsys):
-    # the iid probability is z^m / q^{mn} off one zero count, so no cap on the
+    # the iid probability is z^m / q^{mn} off the tuple's rank, so no cap on the
     # 3^15 iid parity checks applies (it used to refuse with exit 2)
     rc, out, err = run(["verify", "tuple-probability", "--n", "5", "--k", "2", "--q", "3",
                         "--tuple", "1,2,7"], capsys)
     assert (rc, err) == (0, "")
     assert json.loads(out)["results"][0]["parameters"]["iid_equality"] is True
+
+
+def test_tuple_index_past_the_index_arithmetic_is_a_usage_error(capsys):
+    # 2^70 - 1 is a valid index of F_2^70, but past int64: this used to end in
+    # an OverflowError traceback when the tuple was stored as an int64 array
+    argv = ("--dense-cap 1000000000000000000000000000 verify tuple-probability "
+            "--n 70 --k 70 --tuple 1180591620717411303423,2").split()
+    rc, out, err = run(argv, capsys)
+    assert (rc, out) == (1, "")
+    assert err == "synhash: error: q**n = 2**70 does not fit the index arithmetic\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -415,7 +425,7 @@ def test_a_refused_cost_too_long_to_print_is_named_by_its_magnitude(capsys):
 
 def test_rm_reports_a_row_refused_before_its_code_is_built(monkeypatch, capsys):
     # np.arange(2^30) in the Reed-Muller generator used to end in a traceback
-    monkeypatch.setattr("synhash.rm_lab.reed_muller_code", _fail)
+    monkeypatch.setattr("synhash.rm_lab.rm_parity_check", _fail)
     rc, out, err = run(["rm", "--m-range", "30"], capsys)
     assert (rc, err) == (0, "")
     row = json.loads(out)["results"][0]

@@ -305,18 +305,21 @@ def test_reed_muller_generator_is_built_when_read(check_code):
     for m in range(8):
         for r in range(m + 1):
             code = reed_muller_code(r, m)
-            assert "G" not in vars(code)  # H, n and k only until G is read
             assert code.G == reed_muller_generator(r, m)
             check_code(code.G.array, code.H.array, 2)
 
 
-def test_generator_builder_shape_is_checked_when_built():
+def test_generator_shape_is_checked():
     # RM(2, 3) has 7 rows, not k = 4
-    code = LinearCode(F2, 8, 4, lambda: reed_muller_generator(2, 3), rm_parity_check(1, 3))
-    with pytest.raises(ValueError, match="generator shape"):
-        code.G
     with pytest.raises(ValueError, match="generator shape"):
         LinearCode(F2, 8, 4, reed_muller_generator(2, 3), rm_parity_check(1, 3))
+
+
+def test_gaussian_binomial_near_k_equals_n_is_formed_from_the_short_side():
+    # k = n used to multiply n integers of up to n^2 bits: over two minutes at
+    # n = 3000, and check_p_balanced(100000, 100000, 2, 2) never reached its refusal
+    assert gaussian_binomial(3000, 3000, 2) == 1
+    assert gaussian_binomial(3000, 2999, 2) == 2 ** 3000 - 1
 
 
 @given(st.integers(0, 5), st.integers(0, 5), st.sampled_from([2, 3]))

@@ -15,7 +15,6 @@ from synhash.rm_lab import (
     parse_r_rule,
     rm_convergence_run,
     rm_divergence,
-    rm_divergences,
     rows_to_csv,
     _rm_divergence_grid,
 )
@@ -56,12 +55,12 @@ def test_dense_and_dual_agree(m, delta, p):
 
 @pytest.mark.parametrize("method", ["dense", DUAL])
 def test_divergences_of_several_orders_equal_the_one_order_calls(method):
-    # one source and pushforward (dense) or one code (dual) serves every order
+    # one source and pushforward (dense) or one parity check (dual) serves every order
     for m in range(1, 5):
         for r in range(m + 1):
             for delta in (0.1, 0.25, 0.4):
                 want = [rm_divergence(m, r, delta, p, method) for p in (2, 3)]
-                assert rm_divergences(m, r, delta, (2, 3), method) == want
+                assert _rm_divergence_grid(m, r, (delta,), (2, 3), (method,), Caps()) == [[want]]
 
 
 METHODS = ("dense", DUAL)
@@ -70,10 +69,10 @@ DELTAS = (0.1, 0.25, 0.4)
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_grid_equals_the_one_delta_calls(m):
-    # one code for both routes, one source stack and image table on the dense
-    # route, one set of dual weights on the dual route
+    # one parity check for both routes, one source stack and image table on the
+    # dense route, one set of dual weights on the dual route
     for r in range(m + 1):
-        want = [[rm_divergences(m, r, delta, (2, 3), method) for delta in DELTAS]
+        want = [[[rm_divergence(m, r, delta, p, method) for p in (2, 3)] for delta in DELTAS]
                 for method in METHODS]
         assert _rm_divergence_grid(m, r, DELTAS, (2, 3), METHODS, Caps()) == want
 
@@ -84,15 +83,16 @@ def test_grid_refuses_as_the_one_delta_calls_before_building_the_code(monkeypatc
     refusals = []
     for delta in DELTAS:
         for method in METHODS:
-            try:
-                rm_divergences(4, 1, delta, (2, 3), method, caps)
-            except CapExceeded as exc:
-                refusals.append(str(exc))
+            for p in (2, 3):
+                try:
+                    rm_divergence(4, 1, delta, p, method, caps)
+                except CapExceeded as exc:
+                    refusals.append(str(exc))
 
     def fail(*args, **kwargs):
         raise AssertionError("the refused code was built")
 
-    monkeypatch.setattr(rm_lab, "reed_muller_code", fail)
+    monkeypatch.setattr(rm_lab, "rm_parity_check", fail)
     with pytest.raises(CapExceeded) as err:
         _rm_divergence_grid(4, 1, DELTAS, (2, 3), METHODS, caps)
     assert str(err.value) == refusals[0]
@@ -143,6 +143,20 @@ def test_divergence_validates_inputs():
         rm_divergence(3, 1, 0.25, 2, "magic")
 
 
+@pytest.mark.parametrize("r", [1, 3], ids=["r<m", "r=m"])
+@pytest.mark.parametrize("delta, p, method, message", [
+    (7.0, 2, DUAL, "delta must lie in"),
+    (math.nan, 2, "dense", "delta must lie in"),
+    (0.25, -1, "dense", "order must be positive"),
+    (0.25, math.nan, "dense", "order must be positive"),
+    (0.25, math.nan, DUAL, "order must be positive"),
+])
+def test_full_code_checks_inputs_as_the_other_orders(r, delta, p, method, message):
+    # at r = m the grid used to return 0.0 before any delta or order was read
+    with pytest.raises(ValueError, match=message):
+        rm_divergence(3, r, delta, p, method)
+
+
 def test_convergence_run_tracking_rule():
     spec = RmExperimentSpec(m_values=(5, 3, 4), r_rule="m-2", delta=0.25, p=2)
     rows = rm_convergence_run(spec)
@@ -190,7 +204,7 @@ def test_divergence_refuses_before_building_the_code(monkeypatch, m, method, ref
     def fail(*args, **kwargs):
         raise AssertionError("the refused code was built")
 
-    monkeypatch.setattr(rm_lab, "reed_muller_code", fail)
+    monkeypatch.setattr(rm_lab, "rm_parity_check", fail)
     with pytest.raises(CapExceeded, match=f"^{refusal}exceeds cap "):
         rm_divergence(m, m - 2, 0.25, 2, method)
 

@@ -142,6 +142,15 @@ def _refuse_work(*args, **kwargs):
     raise _WorkStarted
 
 
+def test_certain_enumeration_refusal_forms_no_code_count(monkeypatch):
+    # the [4000, 2000]_2 count is at least 2^4000000; forming it exactly took
+    # minutes before the refusal
+    monkeypatch.setattr("synhash.codes.gaussian_binomial", _refuse_work)
+    with pytest.raises(CapExceeded, match=r"^code enumeration: estimated cost at least "
+                                          r"2\^4000000 exceeds cap 1000000$"):
+        check_p_balanced(4000, 2000, 2, 2)
+
+
 def test_balance_refuses_the_tuple_rank_cap_before_the_census(monkeypatch):
     # the one [3, 3]_2 code: census cost 1 * 8^2 = 64 fits, tuple ranks cost
     # 3 * 8^2 = 192 does not
@@ -284,13 +293,6 @@ def test_tuple_rank_from_the_zero_count_matches_the_rank_table(q, n, k):
         assert check_tuple_probability(n, k, q, (i, j)).parameters["rank"] == ranks[i * size + j]
 
 
-def test_tuple_zero_count_table_is_admitted_first(monkeypatch):
-    # [4, 4]_2 needs no iid count, but its zero count is a 3 x 2^4 table
-    monkeypatch.setattr(verify, "_image_rows", _refuse_work)
-    with pytest.raises(CapExceeded, match="tuple zero count"):
-        check_tuple_probability(4, 4, 2, (1, 2, 3), caps=Caps(dense_pmf_entries=47))
-
-
 def test_tuple_probability_all_pairs_small():
     for i in range(8):
         for j in range(8):
@@ -319,15 +321,14 @@ def _first_refusal(calls) -> str:
 
 
 @pytest.mark.parametrize("caps", [
-    Caps(dense_pmf_entries=40),  # the triple's 3 x 16 zero count, after a pair
-    Caps(dense_pmf_entries=40, code_enumeration=34),  # the 35 codes, before the triple
-], ids=["zero-count", "codes-first"])
+    Caps(code_enumeration=34),  # the 35 codes, after the first tuple's indices
+], ids=["codes-first"])
 def test_stacked_tuple_probabilities_refuse_as_the_one_tuple_calls(monkeypatch, caps):
     tuples = [(1, 2), (1, 2, 3), (4,)]
     want = _first_refusal(lambda t=t: check_tuple_probability(4, 2, 2, t, caps=caps)
                           for t in tuples)
     monkeypatch.setattr(verify, "_ensemble_stacks", _refuse_work)
-    monkeypatch.setattr(verify, "_image_rows", _refuse_work)
+    monkeypatch.setattr(verify, "_rref_stack", _refuse_work)
     with pytest.raises(CapExceeded) as err:
         _tuple_probabilities(4, 2, 2, tuples, caps)
     assert str(err.value) == want
