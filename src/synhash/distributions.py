@@ -367,6 +367,38 @@ def _syndrome_rows(q: int, probs: np.ndarray, maps: np.ndarray, caps: Caps) -> n
     return out
 
 
+def _product_syndrome_rows(delta: float, maps: np.ndarray) -> np.ndarray:
+    """Pmf of H z for z ~ Bernoulli(delta)^n, one row per H in a (T, m, n)
+    stack of binary maps, as a (T, 2^m) array, without the 2^n source.
+
+    Each bit z_j adds column h_j of H with probability delta, independently,
+    so from the point mass at 0 the column steps
+    D <- (1 - delta) D + delta D[s xor h_j], read at the column indices
+    q_powers(2, m) @ H, give the syndrome pmf in n 2^m operations per map.
+    Every entry is computed on its own, so a row equals the one-map call bit
+    for bit.  Neither the rank nor delta is checked: the callers pass
+    sampled full-rank maps and a ProductBernoulli's delta.
+    """
+    count, m, n = maps.shape
+    if m == 0:
+        return np.ones((count, 1))
+    columns = q_powers(2, m) @ maps
+    # flat index t 2^m + s of each entry; as h_j < 2^m, xor with h_j moves s alone
+    points = np.arange(count << m).reshape(count, 1 << m)
+    out = np.zeros((count, 1 << m))
+    out[:, 0] = 1.0
+    keep = 1.0 - delta
+    idx, shifted = np.empty_like(points), np.empty_like(out)
+    for j in range(n):
+        np.bitwise_xor(points, columns[:, j, None], out=idx)
+        # every index is in range; "clip" writes to out without a buffer copy
+        np.take(out, idx, out=shifted, mode="clip")
+        shifted *= delta
+        out *= keep
+        out += shifted
+    return out
+
+
 def pushforward(P: DensePmf, H: FqMatrix, caps: Caps = DEFAULT_CAPS) -> DensePmf:
     """Distribution of H z for z ~ P; H must have full row rank.  The field,
     then the rank, then the input length are checked."""

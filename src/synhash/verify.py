@@ -45,6 +45,7 @@ from .distributions import (
     _character_transform,
     _convolve_transformed,
     pushforward,
+    _product_syndrome_rows,
     _syndrome_rows,
     renyi_entropy,
 )
@@ -607,10 +608,17 @@ def _exact_smoothnesses(n: int, k: int, q: int, orders: Sequence[int],
 _SPAN_BATCHES = 4
 
 
-def _mc_trials(P: DensePmf, spec: CodeEnsembleSpec, trials: int, statistic,
+def _mc_trials(source: Source, spec: CodeEnsembleSpec, trials: int, statistic,
                caps: Caps) -> np.ndarray:
     """statistic(rows) for the codes 0 .. trials-1 of spec, where statistic maps
     a (T, q^m) array of syndrome pmfs to T values.
+
+    The route is picked once, by source type.  A ProductBernoulli is pushed
+    through each parity check column by column
+    (distributions._product_syndrome_rows), trials n 2^m operations in all,
+    and is never made dense; a DensePmf is counted through the image tables
+    of distributions._syndrome_rows.  Either way the q^m-entry syndrome table
+    is admitted against the dense cap before any code is drawn.
 
     Codes are sampled a span at a time, by one codes._sample_codes call whose
     draws equal default_rng((spec.seed, t)).integers trial by trial.  A span
@@ -625,11 +633,17 @@ def _mc_trials(P: DensePmf, spec: CodeEnsembleSpec, trials: int, statistic,
     tests/test_verify.py checks the
     values against a per-code loop over per-trial generators
     (test_monte_carlo_chunks_are_contiguous_spans_of_the_code_stream and
-    test_batched_monte_carlo_matches_a_per_code_pushforward_loop).
+    test_batched_monte_carlo_matches_a_per_code_pushforward_loop; for the
+    column steps, test_batched_overdraw_control_matches_a_per_code_loop).
     """
     if trials < 1:
         raise ValueError(f"need at least one Monte Carlo trial, got {trials}")
     q, m = spec.field.q, spec.n - spec.k
+    DensePmf._check_size(q, m, caps)
+    if isinstance(source, ProductBernoulli):
+        push = functools.partial(_product_syndrome_rows, source.delta)
+    else:
+        push = functools.partial(_syndrome_rows, q, source.probs, caps=caps)
     chunk = max(1, min(_BATCH_ENTRIES // 4 // max(1, spec.k * spec.n), _BATCH_ENTRIES // q ** m))
     # the parity checks of a span stay alive while it is pushed forward
     per_code = spec.n * max(1, spec.k, m)
@@ -640,8 +654,7 @@ def _mc_trials(P: DensePmf, spec: CodeEnsembleSpec, trials: int, statistic,
         maps = _sample_codes(spec, first, last)[1]
         for start in range(first, last, chunk):
             stop = min(start + chunk, last)
-            vals[start:stop] = statistic(_syndrome_rows(
-                q, P.probs, maps[start - first:stop - first], caps))
+            vals[start:stop] = statistic(push(maps[start - first:stop - first]))
     return vals
 
 
@@ -662,12 +675,12 @@ def _mc_norms(source: Source, spec: CodeEnsembleSpec, p: int, trials: int,
               caps: Caps) -> np.ndarray:
     """||q^m P_{HZ}||_p for the codes 0 .. trials-1 of spec, kept for the last
     key: the main and collision checks of one run read the same sample.  A
-    DensePmf key is its identity, which is safe as its probs are read-only."""
-    P = source.to_dense(caps)
-    if P.n != spec.n or P.field != spec.field:
+    DensePmf key is its identity, which is safe as its probs are read-only.
+    The source is not made dense: _mc_trials picks its route."""
+    if source.n != spec.n or source.field != spec.field:
         raise ValueError("source and ensemble live on different spaces")
     scale = float(spec.field.q) ** (spec.n - spec.k)
-    norms = _mc_trials(P, spec, trials, lambda rows: lp_norms(scale * rows, p), caps)
+    norms = _mc_trials(source, spec, trials, lambda rows: lp_norms(scale * rows, p), caps)
     norms.flags.writeable = False
     return norms
 

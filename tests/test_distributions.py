@@ -1,5 +1,6 @@
 import math
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from synhash.distributions import (
     tv_distance,
     _character_transform,
     _convolve_transformed,
+    _product_syndrome_rows,
     _signed_power,
     _syndrome_rows,
 )
@@ -468,6 +470,41 @@ def test_bernoulli_table_equals_the_per_entry_powers(delta):
 def _full_rank_maps(q, n, m, count, seed):
     spec = CodeEnsembleSpec(FieldSpec(q), n, n - m, seed)
     return np.array([sample_uniform_code(spec, t).H.array for t in range(count)])
+
+
+def _exact_product_rows(delta, maps):
+    """The syndrome pmfs of Bernoulli(delta)^n noise through each binary map,
+    in exact fractions of the float delta: one column step
+    D <- (1 - delta) D + delta D[s ^ col] per noise bit."""
+    d = Fraction(delta)
+    rows = []
+    for H in maps:
+        m = H.shape[0]
+        D = [Fraction(int(s == 0)) for s in range(1 << m)]
+        for col in (q_powers(2, m) @ H).tolist():
+            D = [(1 - d) * D[s] + d * D[s ^ col] for s in range(1 << m)]
+        rows.append(D)
+    return rows
+
+
+# a sampled [12, 10] stack, an [8, 1] stack (m = 7) and k = n (m = 0)
+@pytest.mark.parametrize("n, k", [(12, 10), (8, 1), (6, 6)])
+@pytest.mark.parametrize("delta", [0.0, 0.2, 0.5])
+def test_product_syndrome_rows_match_exact_and_dense_pmfs(n, k, delta):
+    maps = _full_rank_maps(2, n, n - k, 12, 7)
+    rows = _product_syndrome_rows(delta, maps)
+    assert rows.shape == (12, 1 << (n - k))
+    # each column step rounds (1 - delta), two products and a sum of positive terms
+    tol = 4 * n * 2.0 ** -53
+    for row, exact in zip(rows.tolist(), _exact_product_rows(delta, maps)):
+        for got, want in zip(row, exact):
+            assert abs(Fraction(got) - want) <= tol * want
+    dense = ProductBernoulli(delta, n).to_dense()
+    for H, row in zip(maps, rows):
+        want = pushforward(dense, FqMatrix(F2, H)).probs
+        assert np.all(np.abs(row - want) <= 1e-12 * want)
+    one_map = np.concatenate([_product_syndrome_rows(delta, H[None]) for H in maps])
+    assert np.array_equal(rows, one_map)
 
 
 @pytest.mark.parametrize("q", [2, 3])

@@ -13,7 +13,8 @@ from synhash.codes import (DEFAULT_SEED, CodeEnsembleSpec, LinearCode, enumerate
                            gaussian_binomial, rank_tuple_count, sample_uniform_code,
                            _sample_codes)
 from synhash.distributions import (DensePmf, ProductBernoulli, code_pmf, convolve,
-                                   lp_norm, pushforward, renyi_entropy, _syndrome_rows)
+                                   lp_norm, pushforward, renyi_entropy,
+                                   _product_syndrome_rows, _syndrome_rows)
 from synhash.field import FieldSpec, FqMatrix, image_indices, rref, _rank_array
 from synhash.verify import (
     check_balanced_identity,
@@ -549,6 +550,16 @@ def test_mc_smoothness_rejects_mismatched_source():
         mc_expected_smoothness(spec, ProductBernoulli(0.2, 9), 2, 10)
 
 
+def test_dense_syndrome_table_is_admitted_before_any_code_is_drawn(monkeypatch):
+    # the dense route used to draw a span of codes before refusing the table;
+    # tests/test_cli.py checks the Bernoulli route
+    monkeypatch.setattr(verify, "_sample_codes", _refuse_work)
+    spec = CodeEnsembleSpec(F2, 12, 1, 5)
+    with pytest.raises(CapExceeded, match="^dense pmf: estimated cost 2048 exceeds cap 16$"):
+        mc_expected_smoothness(spec, DensePmf.uniform(F2, 12), 2, 5,
+                               caps=Caps(dense_pmf_entries=16))
+
+
 def test_mc_bucket_linf_derives_output_length():
     flat = DensePmf.flat(F2, 14, 1 << 10)
     res = mc_bucket_linf(flat, 0.25, 50)
@@ -603,6 +614,14 @@ def _per_code_stats(P, spec, trials, statistic, reference_code):
     codes drawn one trial at a time by the reference sampler."""
     maps = [FqMatrix(spec.field, reference_code(spec, t)[1]) for t in range(trials)]
     return np.array([statistic(pushforward(P, H).probs) for H in maps])
+
+
+def _per_code_product_stats(delta, spec, trials, statistic, reference_code):
+    """The Monte Carlo statistic of Bernoulli(delta)^n noise one code at a
+    time, through the column steps of a one-map stack, on codes drawn one
+    trial at a time by the reference sampler."""
+    maps = [reference_code(spec, t)[1] for t in range(trials)]
+    return np.array([statistic(_product_syndrome_rows(delta, H[None])[0]) for H in maps])
 
 
 def _fingerprint(probs):
@@ -684,9 +703,16 @@ def test_shared_smoothness_sample_follows_its_key(reference_code):
         spec = CodeEnsembleSpec(F2, 8, 6, seed)
         res = mc_expected_smoothness(spec, src, 2, 40, collision=collision)
         power = 2 if collision else 1
-        ref = _per_code_stats(P, spec, 40, lambda probs: lp_norm(4.0 * probs, 2) ** power - 1.0,
-                              reference_code)
-        assert (res.parameters["mean"], res.parameters["stderr"]) == _mean_stderr(ref)
+
+        def statistic(probs):
+            return lp_norm(4.0 * probs, 2) ** power - 1.0
+
+        got = (res.parameters["mean"], res.parameters["stderr"])
+        assert got == _mean_stderr(_per_code_product_stats(0.2, spec, 40, statistic,
+                                                           reference_code))
+        # the dense pushforward of the same codes, an independent route
+        dense = _mean_stderr(_per_code_stats(P, spec, 40, statistic, reference_code))
+        assert got == pytest.approx(dense, rel=1e-12)
 
 
 @pytest.mark.parametrize("q, n, k, p", [(2, 4, 2, 3), (3, 3, 1, 2)])
@@ -713,12 +739,18 @@ def test_exact_smoothing_chunks_equal_a_per_code_loop(monkeypatch, q, n, k, p):
 
 
 def test_batched_overdraw_control_matches_a_per_code_loop(reference_code):
-    # q^n = 256 gives 256 codes a batch, so 300 trials end in a short batch
+    # the 300 codes are pushed through their column steps as one stack
     spec = CodeEnsembleSpec(F2, 8, 1, 5)
-    P = ProductBernoulli(0.2, 8).to_dense()
-    ref = _per_code_stats(P, spec, 300, lambda probs: lp_norm(2.0 ** 7 * probs, 2) - 1.0,
-                          reference_code)
-    assert negative_control_overdraw(trials=300, seed=5).lhs == float(ref.mean())
+
+    def statistic(probs):
+        return lp_norm(2.0 ** 7 * probs, 2) - 1.0
+
+    lhs = negative_control_overdraw(trials=300, seed=5).lhs
+    ref = _per_code_product_stats(0.2, spec, 300, statistic, reference_code)
+    assert lhs == float(ref.mean())
+    dense = _per_code_stats(ProductBernoulli(0.2, 8).to_dense(), spec, 300, statistic,
+                            reference_code)
+    assert lhs == pytest.approx(float(dense.mean()), rel=1e-12)
 
 
 def test_proximity_conversions_pass():
