@@ -152,24 +152,18 @@ class ProductBernoulli:
         return FieldSpec(2)
 
     def to_dense(self, caps: Caps = DEFAULT_CAPS) -> DensePmf:
-        return DensePmf(self.field, self.n, _bernoulli_probs([self.delta], self.n, caps)[0])
+        n = self.n
+        size = DensePmf._check_size(2, n, caps)
+        weights = np.zeros(size, dtype=np.int64)  # popcount of each index, by doubling
+        for j in range(n):
+            weights[1 << j:2 << j] = weights[:1 << j] + 1
+        # one probability per weight, read off by each index's weight
+        e = np.arange(n + 1)
+        by_weight = _signed_power(self.delta, e) * _signed_power(1.0 - self.delta, n - e)
+        return DensePmf(self.field, n, by_weight[weights])
 
 
 Source = Union[DensePmf, ProductBernoulli]
-
-
-def _bernoulli_probs(deltas: Sequence[float], n: int, caps: Caps) -> np.ndarray:
-    """The (S, 2^n) probabilities of S product sources of length n, row s
-    that of ProductBernoulli(deltas[s], n).to_dense(), from one popcount table."""
-    size = DensePmf._check_size(2, n, caps)
-    weights = np.zeros(size, dtype=np.int64)  # popcount of each index, by doubling
-    for j in range(n):
-        weights[1 << j:2 << j] = weights[:1 << j] + 1
-    # one probability per weight, read off by each index's weight
-    e = np.arange(n + 1)
-    by_weight = np.array([_signed_power(delta, e) * _signed_power(1.0 - delta, n - e)
-                          for delta in deltas])
-    return np.take(by_weight, weights, axis=1)
 
 
 def _signed_power(base: float, exponents: np.ndarray) -> np.ndarray:
@@ -329,18 +323,15 @@ def _syndrome_rows(q: int, probs: np.ndarray, maps: np.ndarray, caps: Caps) -> n
     """Pmf of H z for z ~ P, one row per H in a (T, m, n) stack of full-row-rank
     maps mod q, as a (T, q^m) array.  probs holds P's q^n probabilities: 1-D
     for one source that every map pushes forward, or (T, q^n) with row t the
-    source of map t.  A (1, m, n) stack with (T, q^n) probs pushes every
-    source through its one map, from one image table.  Neither the rank nor
-    the length of probs is checked: the callers pass maps that have full rank
-    by construction, and sources on their space.
+    source of map t.  Neither the rank nor the length of probs is checked:
+    the callers pass maps that have full rank by construction, and sources
+    on their space.
 
     The syndromes are counted a batch of rows at a time, one bincount over
     row-offset syndrome indices per batch of about _BATCH_ENTRIES index entries.
     """
-    _, m, n = maps.shape
+    count, m, n = maps.shape
     shared = probs.ndim == 1
-    one_map = len(maps) == 1 and not shared
-    count = len(probs) if one_map else len(maps)
     if m == 0:
         return np.ones((count, 1))
     out_size = DensePmf._check_size(q, m, caps)
@@ -353,11 +344,9 @@ def _syndrome_rows(q: int, probs: np.ndarray, maps: np.ndarray, caps: Caps) -> n
     batch = max(1, _BATCH_ENTRIES // size)
     # one weight row per row of a batch: the one source, repeated, or the row's own
     weights = np.tile(probs[:size], min(batch, count)) if shared else probs[:, :size]
-    table = _image_rows(q, maps[:, :, :j]) if one_map else None
     out = np.empty((count, out_size))
     for first in range(0, count, batch):
-        if not one_map:
-            table = _image_rows(q, maps[first:first + batch, :, :j])
+        table = _image_rows(q, maps[first:first + batch, :, :j])
         rows = min(batch, count - first)
         # int64 bin indices, row t offset by t q^m, from a table of a smaller type
         idx = np.add(table, out_size * np.arange(rows)[:, None], dtype=np.int64)

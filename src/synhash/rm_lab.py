@@ -27,9 +27,8 @@ from .distributions import (
     pushforward,
     renyi_entropy,
     _admit_dual_sum,
-    _bernoulli_probs,
+    _product_syndrome_rows,
     _syndrome_excesses,
-    _syndrome_rows,
 )
 from .field import FieldSpec
 
@@ -117,8 +116,9 @@ def _rm_divergence_grid(m: int, r: int, deltas: Sequence[float], orders: Sequenc
     """rm_divergence for every method, delta and order, as
     [method][delta][order], from one RM(r, m) parity check, equal to the
     one-item calls bit for bit.  Every input is checked and every cost
-    admitted before the parity check is built; the dense route pushes the
-    stacked sources through one image table of it.  The parity check has full
+    admitted before the parity check is built; the dense route takes each
+    delta's 2^{n-k} syndrome pmf by the n column steps of
+    distributions._product_syndrome_rows.  The parity check has full
     rank by construction (tests/test_codes.py checks it), so it is not
     eliminated again."""
     if not 0 <= r <= m:
@@ -137,7 +137,8 @@ def _rm_divergence_grid(m: int, r: int, deltas: Sequence[float], orders: Sequenc
         return [[[0.0] * len(orders) for _ in deltas] for _ in methods]
     for method in methods:
         if method == "dense":
-            DensePmf._check_size(2, n, caps)
+            size = DensePmf._check_size(2, n - k, caps)
+            caps.admit("column steps", n * size, "tuple_products")
         else:
             for p in orders:
                 _admit_dual_sum(n, n - k, int(p), caps)
@@ -145,8 +146,8 @@ def _rm_divergence_grid(m: int, r: int, deltas: Sequence[float], orders: Sequenc
     out = []
     for method in methods:
         if method == "dense":
-            syndromes = _syndrome_rows(2, _bernoulli_probs(deltas, n, caps), H[None], caps)
-            pmfs = [DensePmf(FieldSpec(2), n - k, row) for row in syndromes]
+            pmfs = [DensePmf(FieldSpec(2), n - k, _product_syndrome_rows(delta, H[None])[0])
+                    for delta in deltas]
             out.append([[n - k - renyi_entropy(syn, p) for p in orders] for syn in pmfs])
         else:
             excess = _syndrome_excesses(H, deltas, [int(p) for p in orders])

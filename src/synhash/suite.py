@@ -140,7 +140,7 @@ def run_acceptance(seed: int = DEFAULT_SEED, caps: Caps = DEFAULT_CAPS,
     results.append(_rename(mc_bucket_linf(flat, 0.25, trials, seed=seed, caps=caps),
                            "c08-bucket"))
 
-    # c09a: dense pushforward divergence == dual character sum
+    # c09a: dense (column-step) divergence == dual character sum
     grid_m = (2, 3) if quick else (2, 3, 4)
     deltas = (0.25,) if quick else (0.1, 0.25, 0.4)
     batch = []

@@ -696,6 +696,8 @@ def mc_expected_smoothness(spec: CodeEnsembleSpec, source: Source, p: int,
     if collision and p != 2:
         raise ValueError("the collision refinement is a p = 2 statement")
     entropy = renyi_entropy(source, p)  # rejects a bad order before any code is drawn
+    # at p = 1 every ||q^m P||_1 is 1, so the check would pass with nothing tested
+    _integer_order(p)
     norms = _mc_norms(source, spec, p, trials, caps)
     q, m = spec.field.q, spec.n - spec.k
     power = 2 if collision else 1
@@ -713,18 +715,18 @@ def mc_bucket_linf(source: Source, eps: float, trials: int,
     """Sampled mean of the max bucket load against q^{2/eps}(1 + q^{-eps n/2}).
 
     The output length is m = floor(H_inf - n eps), the regime where every
-    bucket stays near its fair share.
+    bucket stays near its fair share.  The source is not made dense:
+    _mc_trials picks its route.
     """
-    P = source.to_dense(caps)
-    q, n = P.field.q, P.n
+    q, n = source.field.q, source.n
     rhs = linf_bucket_bound(n, eps, q)  # refuses an eps m cannot be derived from
-    h_inf = renyi_entropy(P, math.inf)
+    h_inf = renyi_entropy(source, math.inf)
     m = math.floor(h_inf - n * eps)
     if not 1 <= m <= n:
         raise ValueError(f"derived output length m={m} out of range [1, {n}]")
-    spec = CodeEnsembleSpec(P.field, n, n - m, seed)
+    spec = CodeEnsembleSpec(source.field, n, n - m, seed)
     scale = float(q) ** m
-    vals = _mc_trials(P, spec, trials, lambda rows: scale * rows.max(axis=1), caps)
+    vals = _mc_trials(source, spec, trials, lambda rows: scale * rows.max(axis=1), caps)
     params = {"n": n, "q": q, "eps": eps, "m": m, "min_entropy": h_inf}
     return _mc_result("mc-bucket-linf", params, vals, rhs, seed)
 

@@ -215,6 +215,15 @@ def test_smooth_and_bucket_pass(capsys):
     assert json.loads(out)["results"][0]["parameters"]["m"] == 5
 
 
+def test_bucket_takes_a_bernoulli_source_past_the_dense_cap(capsys):
+    # the 2^30-point source used to be made dense and refused (exit 2); the
+    # column steps need only the 2^14-entry syndrome table
+    argv = "bucket --n 30 --eps 0.25 --source bernoulli:0.4 --trials 10".split()
+    rc, out, err = run(argv, capsys)
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["results"][0]["parameters"]["m"] == 14
+
+
 def test_verify_tuple_probability(capsys):
     rc, out, _ = run(["verify", "tuple-probability", "--n", "3", "--k", "1",
                       "--tuple", "3,3"], capsys)
@@ -368,6 +377,9 @@ def test_impossible_dimensions_are_usage_errors(argv, capsys):
      "integer order p >= 2 required, got 1"),
     ("--dense-cap 10 smooth --n 10 --k 8 --p 0 --source bernoulli:0.2 --trials 50",
      "order must be positive, got 0.0"),
+    # every ||q^m P||_1 is 1, so this used to pass (exit 0) with nothing tested
+    ("smooth --n 8 --k 6 --p 1 --source bernoulli:0.3 --trials 10",
+     "integer order p >= 2 required, got 1"),
     # the random source used to be admitted first
     ("--dense-cap 1 smooth --n 4 --k 9 --source random --trials 5",
      "need 0 <= k <= n, got k=9, n=4"),
@@ -498,18 +510,22 @@ def test_exact_checks_are_pinned(argv, digest, capsys):
 # orders were plain floats and the rm CSV cells came from the row's fields).
 # The four suite digests were recorded again when the Bernoulli source of
 # c06 and c10 went through the column steps instead of the dense count,
-# which moves the means of those three rows in the 13th to 16th digit
+# which moves the means of those three rows in the 13th to 16th digit.
+# The full suite digests and the dense rm digest were recorded again when
+# the dense RM route took the column steps: c09a's worst row moved, and
+# the m = 5 and 6 rows of the dense rm run, refused for their 2^n source
+# before, read numbers
 @pytest.mark.parametrize("argv, digest", [
-    ("suite", "c031de02fd8844e638a225761f6c5e6358f4a6b6"),
+    ("suite", "50f7efdd34165d4482f6b0a1cb31b28ff40791fe"),
     ("suite --quick", "a081248bebe4f0adf829169c2757c9493b28f68f"),
-    ("--seed 7 suite", "b4d30b3fb54b14c00ebc40bee3b0ada436d96812"),
+    ("--seed 7 suite", "84cb1be75c3ad65d5bd22a6c0e2f3d164b70531e"),
     ("--seed 7 suite --quick", "d2eeeb2065507ee77bc7c616af36a9d3bf101dc2"),
     ("verify proximity --n 5 --count 200", "594394214695cc8b31e92b023aa50186919286ef"),
     ("verify clarkson --n 5 --count 200", "db461440accb602c5e66bf6ffa617a00848aa3e1"),
     ("--seed 7 verify proximity --n 5 --count 200", "eb22bbe8c75dff1eb744cb80c80eb28bbcced277"),
     ("--seed 7 verify clarkson --n 5 --count 200", "5c18df63c755b7de76a98139f87230a847641af6"),
     ("rm --m-range 4:12", "0ad60c6111576f36e1d6b4e8c03e5a888fbbdc60"),
-    ("rm --m-range 2:6 --method dense --p inf", "3841889fba86695525037907ae53ba327af855f0"),
+    ("rm --m-range 2:6 --method dense --p inf", "6babdfc3eae0a9377d6a2079751ff6fb80b44f53"),
 ])
 def test_suite_and_draw_checks_are_pinned(argv, digest, capsys):
     rc, out, _ = run(["--stable-output", "--format", "csv", *argv.split()], capsys)

@@ -80,6 +80,9 @@ def test_pmf_validation():
 def test_pmf_size_cap():
     with pytest.raises(CapExceeded):
         DensePmf.uniform(F2, 5, Caps(dense_pmf_entries=16))
+    # past 64 bits the cost is named by its formula, and q^n is never formed
+    with pytest.raises(CapExceeded, match=r"^dense pmf: estimated cost 2\^16384 exceeds cap "):
+        DensePmf.uniform(F2, 16384)
 
 
 def test_norm_example():

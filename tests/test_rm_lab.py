@@ -8,6 +8,9 @@ import pytest
 from synhash import rm_lab
 from synhash.caps import Caps, CapExceeded
 from synhash.bounds import two_point_renyi
+from synhash.codes import reed_muller_dimensions, rm_parity_check
+from synhash.distributions import DensePmf, renyi_entropy, _product_syndrome_rows
+from synhash.field import FieldSpec
 from synhash.rm_lab import (
     CSV_COLUMNS,
     RmExperimentSpec,
@@ -55,7 +58,7 @@ def test_dense_and_dual_agree(m, delta, p):
 
 @pytest.mark.parametrize("method", ["dense", DUAL])
 def test_divergences_of_several_orders_equal_the_one_order_calls(method):
-    # one source and pushforward (dense) or one parity check (dual) serves every order
+    # one syndrome pmf (dense) or one parity check (dual) serves every order
     for m in range(1, 5):
         for r in range(m + 1):
             for delta in (0.1, 0.25, 0.4):
@@ -69,7 +72,7 @@ DELTAS = (0.1, 0.25, 0.4)
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_grid_equals_the_one_delta_calls(m):
-    # one parity check for both routes, one source stack and image table on the
+    # one parity check for both routes, the column steps of each delta on the
     # dense route, one set of dual weights on the dual route
     for r in range(m + 1):
         want = [[[rm_divergence(m, r, delta, p, method) for p in (2, 3)] for delta in DELTAS]
@@ -77,7 +80,31 @@ def test_grid_equals_the_one_delta_calls(m):
         assert _rm_divergence_grid(m, r, DELTAS, (2, 3), METHODS, Caps()) == want
 
 
-@pytest.mark.parametrize("caps", [Caps(dense_pmf_entries=1 << 15), Caps(tuple_products=1000)],
+@pytest.mark.parametrize("p", [2, 3])
+def test_dense_route_is_relatively_close_to_the_dual_route(p):
+    # about 3e-10, so within the absolute 1e-10 above at any relative error:
+    # the count through the 2^16-point source was 2.3e-4 (p = 2) and 1.1e-4
+    # (p = 3) off, the column steps are within 2e-6
+    dense, dual = (rm_divergence(4, 2, 0.4, p, method) for method in METHODS)
+    assert abs(dense - dual) <= 1e-5 * dual
+
+
+def test_grid_dense_rows_are_the_column_steps_of_each_delta():
+    orders = (2, 3, math.inf)
+    for m in (2, 3, 4):
+        for r in range(m):
+            n, k = reed_muller_dimensions(r, m)
+            H = rm_parity_check(r, m).array
+            pmfs = [DensePmf(FieldSpec(2), n - k, _product_syndrome_rows(delta, H[None])[0])
+                    for delta in DELTAS]
+            want = [[n - k - renyi_entropy(syn, p) for p in orders] for syn in pmfs]
+            assert _rm_divergence_grid(m, r, DELTAS, orders, ("dense",), Caps()) == [want]
+
+
+# RM(1, 4)'s syndrome table has 2^11 entries, so 1 << 10 refuses the dense route;
+# 40000 admits its 16 * 2^11 column steps and the dual sum at p = 2 (22544),
+# and refuses the dual sum at p = 3 (47120)
+@pytest.mark.parametrize("caps", [Caps(dense_pmf_entries=1 << 10), Caps(tuple_products=40000)],
                          ids=["dense", "dual"])
 def test_grid_refuses_as_the_one_delta_calls_before_building_the_code(monkeypatch, caps):
     refusals = []
@@ -194,9 +221,9 @@ def test_cap_exhaustion_reports_nan_row():
 
 @pytest.mark.parametrize("m, method, refusal", [
     (22, DUAL, "dual character sum: estimated cost 197132288 "),  # 2^22 + 23 * 2^23
-    # a source of 2^(2^25) entries, named by its formula: the integer itself
-    # has too many digits to print
-    (25, "dense", "dense pmf: estimated cost 2\\^33554432 "),
+    # a syndrome table of 2^26 entries; the dense route used to be refused
+    # for its 2^(2^25)-entry source
+    (25, "dense", "dense pmf: estimated cost 67108864 "),
 ], ids=["dual-m22", "dense-m25"])
 def test_divergence_refuses_before_building_the_code(monkeypatch, m, method, refusal):
     # m = 22 used to build its parity check (1.5 GiB) before the dual sum was
