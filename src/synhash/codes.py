@@ -22,6 +22,7 @@ from .field import (
     digit_table,  # traced site, see field.digit_table
     image_indices,
     kernel_basis,  # traced sites, with rank and rref: perfbench/tracing.py wraps them here
+    q_powers,
     rank,
     rref,
     _kernel_from_rref,
@@ -220,17 +221,58 @@ def reed_muller_generator(r: int, m: int) -> FqMatrix:
     Rows follow degree-lexicographic monomial order; evaluation points follow
     the little-endian index order of F_2^m.
     """
-    if not 0 <= r <= m:
-        raise ValueError(f"need 0 <= r <= m, got r={r}, m={m}")
+    masks = _rm_monomials(r, m)
     points = np.arange(1 << m, dtype=np.int64)
-    supports = [support for deg in range(r + 1)
-                for support in itertools.combinations(range(m), deg)]
     # one preallocated matrix: thousands of row arrays would fragment the heap
-    G = np.empty((len(supports), 1 << m), dtype=np.int64)
-    for i, support in enumerate(supports):
-        mask = sum(1 << j for j in support)
+    G = np.empty((len(masks), 1 << m), dtype=np.int64)
+    for i, mask in enumerate(masks):
         G[i] = (points & mask) == mask
     return FqMatrix(FieldSpec(2), G)
+
+
+def _rm_monomials(r: int, m: int) -> list[int]:
+    """The degree <= r monomials on F_2^m in degree-lexicographic order, each
+    as the bit mask of its variables: the row order of RM(r, m)'s generator."""
+    if not 0 <= r <= m:
+        raise ValueError(f"need 0 <= r <= m, got r={r}, m={m}")
+    return [sum(1 << j for j in support) for deg in range(r + 1)
+            for support in itertools.combinations(range(m), deg)]
+
+
+def _rm_parity_columns(r: int, m: int) -> np.ndarray:
+    """The little-endian column indices q_powers(2, n - k) @ rm_parity_check(r,
+    m).array of RM(r, m)'s parity check, as an int64 array of length 2^m,
+    without the matrix: row i of the check sets bit i of column x when x
+    covers monomial i.
+    All zero at r = m, where the check has no rows.
+
+    Consecutive rows whose monomials are one prefix times the consecutive
+    variables x_top, x_{top+1}, ... are set together: their bits are the
+    point's own bits top, top + 1, ..., wherever the point covers the prefix.
+    """
+    if not 0 <= r <= m:
+        raise ValueError(f"need 0 <= r <= m, got r={r}, m={m}")
+    masks = _rm_monomials(m - r - 1, m) if r < m else []
+    q_powers(2, len(masks))  # refuses a check of more than 62 rows
+    points = np.arange(1 << m, dtype=np.int64)
+    columns = np.zeros(1 << m, dtype=np.int64)
+    row = 0
+    while row < len(masks):
+        if not masks[row]:  # the constant monomial: every point covers it
+            columns |= 1 << row
+            row += 1
+            continue
+        top = masks[row].bit_length() - 1
+        prefix = masks[row] ^ (1 << top)
+        end = row + 1
+        while end < len(masks) and masks[end] == prefix | (1 << (top + end - row)):
+            end += 1
+        run = (points >> top) & ((1 << (end - row)) - 1)
+        if prefix:
+            run *= (points & prefix) == prefix
+        columns |= run << row
+        row = end
+    return columns
 
 
 def rm_parity_check(r: int, m: int) -> FqMatrix:

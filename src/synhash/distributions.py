@@ -45,6 +45,8 @@ _PMF_SUM_TOL = 1e-12
 _QPMF_MAGIC = b"QPMF"
 # table entries per batch of a stacked computation (512 KiB of int64 or float64)
 _BATCH_ENTRIES = 1 << 16
+# the Walsh-Hadamard stages that pair entries closer than this run transposed
+_SHORT_BLOCK = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,16 +276,30 @@ def _character_transform(values: np.ndarray, q: int, n: int) -> np.ndarray:
         return np.fft.fftn(np.reshape(values, lead + (q,) * n), axes=tuple(range(-n, 0)))
     out = np.array(values, dtype=np.float64).reshape(-1)
     sums = np.empty(out.size // 2)
-    # a pair block never crosses a table, so the stages run over the whole stack
-    half = 1
-    while half < 2 ** n:
-        pairs = out.reshape(-1, 2, half)
+    # a pair block never crosses a table, so the stages run over the whole stack;
+    # the stages that pair entries fewer than _SHORT_BLOCK apart run on the
+    # (block, size / block) transpose, where they pair whole contiguous rows
+    done, block = 0, min(_SHORT_BLOCK, 2 ** n)
+    if out.size > block:
+        width = out.size // block
+        short = out.reshape(width, block).T.copy()
+        done = block.bit_length() - 1
+        _butterfly_stages(short.reshape(-1), sums, range(done), width)
+        out = short.T.reshape(-1)
+    _butterfly_stages(out, sums, range(done, n), 1)
+    return out.reshape(lead + (2,) * n)
+
+
+def _butterfly_stages(flat: np.ndarray, sums: np.ndarray, bits: range, width: int) -> None:
+    """The in-place Walsh-Hadamard stages of coordinates bits of a flat float64
+    array whose coordinate j steps width 2^j entries: each pair (low, high)
+    becomes (low + high, low - high), with sums as scratch."""
+    for bit in bits:
+        pairs = flat.reshape(-1, 2, width << bit)
         low, high = pairs[:, 0], pairs[:, 1]
         total = np.add(low, high, out=sums.reshape(low.shape))
         np.subtract(low, high, out=high)
         low[...] = total
-        half *= 2
-    return out.reshape(lead + (2,) * n)
 
 
 def _convolve_transformed(probs: np.ndarray, transformed: np.ndarray, q: int,
@@ -400,17 +416,28 @@ def pushforward(P: DensePmf, H: FqMatrix, caps: Caps = DEFAULT_CAPS) -> DensePmf
     return DensePmf(P.field, H.rows, _syndrome_rows(P.field.q, P.probs, H.array[None], caps)[0])
 
 
-def _dual_weights(H: np.ndarray) -> np.ndarray:
+def _dual_weights(columns: np.ndarray, nk: int) -> np.ndarray:
     """Hamming weights of a H for every message a, in message-index order, for
-    a binary (n - k, n) parity check H.
+    the binary (nk, n) parity check H whose little-endian column indices
+    q_powers(2, nk) @ H are given.
 
-    With c the histogram of H's column indices, n - 2 wt(a H) is the
+    With c the histogram of the column indices, n - 2 wt(a H) is the
     Walsh-Hadamard transform of c at a (MacWilliams duality).
     """
-    nk, n = H.shape
-    counts = np.bincount(H.T @ q_powers(2, nk), minlength=1 << nk)
+    counts = np.bincount(columns, minlength=1 << nk)
     signed = _character_transform(counts, 2, nk).reshape(-1)
-    return np.rint((n - signed) / 2).astype(np.int64)
+    return np.rint((len(columns) - signed) / 2).astype(np.int64)
+
+
+def _powers_by_weight(base: float, weights: np.ndarray) -> np.ndarray:
+    """_signed_power(base, weights) bit for bit, from one power per distinct
+    weight: each entry is the same power of the same operands, read from a
+    table indexed by weight.  weights is a nonempty int64 array of
+    nonnegative entries."""
+    present = np.flatnonzero(np.bincount(weights))
+    table = np.zeros(present[-1] + 1)
+    table[present] = _signed_power(base, present)
+    return table[weights]
 
 
 def _admit_dual_sum(n: int, nk: int, p: int, caps: Caps) -> int:
@@ -438,21 +465,21 @@ def bernoulli_syndrome_excess(code: LinearCode, delta: float, p: int,
         raise ValueError("dual-character route requires the binary field")
     _integer_order(p)
     _bit_probability(delta)
-    _admit_dual_sum(code.n, code.n - code.k, p, caps)
-    return _syndrome_excesses(code.H.array, (delta,), (p,))[0][0]
+    nk = code.n - code.k
+    _admit_dual_sum(code.n, nk, p, caps)
+    return _syndrome_excesses(q_powers(2, nk) @ code.H.array, nk, (delta,), (p,))[0][0]
 
 
-def _syndrome_excesses(H: np.ndarray, deltas: Sequence[float],
+def _syndrome_excesses(columns: np.ndarray, nk: int, deltas: Sequence[float],
                        orders: Sequence[int]) -> list[list[float]]:
-    """bernoulli_syndrome_excess of the code of a binary (n - k, n) parity
-    check H for every delta (rows) and integer order (columns), from one set
-    of dual weights, equal to the one-item calls.  The callers check the
-    inputs and admit each order's cost."""
-    nk = H.shape[0]
-    weights = _dual_weights(H)
+    """bernoulli_syndrome_excess of the code of the binary (nk, n) parity
+    check with little-endian column indices columns, for every delta (rows)
+    and integer order (columns), from one set of dual weights, equal to the
+    one-item calls.  The callers check the inputs and admit each order's cost."""
+    weights = _dual_weights(columns, nk)
     out = []
     for delta in deltas:
-        g = _signed_power(1.0 - 2.0 * delta, weights)
+        g = _powers_by_weight(1.0 - 2.0 * delta, weights)
         row = []
         for p in orders:
             total = math.comb(p, 2) * float(np.sum(g[1:] ** 2))

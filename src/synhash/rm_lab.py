@@ -20,7 +20,7 @@ from .caps import DEFAULT_CAPS, Caps, CapExceeded
 # reed_muller_code, pushforward and bernoulli_syndrome_excess are the object
 # routes the grid replaces; nothing here calls them, but they stay imported as
 # traced sites: perfbench/tracing.py wraps them here
-from .codes import reed_muller_code, reed_muller_dimensions, rm_parity_check
+from .codes import reed_muller_code, reed_muller_dimensions, rm_parity_check, _rm_parity_columns
 from .distributions import (
     DensePmf,
     bernoulli_syndrome_excess,
@@ -116,11 +116,12 @@ def _rm_divergence_grid(m: int, r: int, deltas: Sequence[float], orders: Sequenc
     """rm_divergence for every method, delta and order, as
     [method][delta][order], from one RM(r, m) parity check, equal to the
     one-item calls bit for bit.  Every input is checked and every cost
-    admitted before the parity check is built; the dense route takes each
-    delta's 2^{n-k} syndrome pmf by the n column steps of
-    distributions._product_syndrome_rows.  The parity check has full
-    rank by construction (tests/test_codes.py checks it), so it is not
-    eliminated again."""
+    admitted before any code is built.  The two routes share no
+    construction: the dense route takes each delta's 2^{n-k} syndrome pmf
+    by the n column steps of distributions._product_syndrome_rows through
+    rm_parity_check's matrix, which has full rank by construction
+    (tests/test_codes.py checks it), so it is not eliminated again; the
+    dual route reads only the column indices of codes._rm_parity_columns."""
     if not 0 <= r <= m:
         raise ValueError(f"need 0 <= r <= m, got r={r}, m={m}")
     for method in methods:
@@ -142,15 +143,16 @@ def _rm_divergence_grid(m: int, r: int, deltas: Sequence[float], orders: Sequenc
         else:
             for p in orders:
                 _admit_dual_sum(n, n - k, int(p), caps)
-    H = rm_parity_check(r, m).array
     out = []
     for method in methods:
         if method == "dense":
+            H = rm_parity_check(r, m).array
             pmfs = [DensePmf(FieldSpec(2), n - k, _product_syndrome_rows(delta, H[None])[0])
                     for delta in deltas]
             out.append([[n - k - renyi_entropy(syn, p) for p in orders] for syn in pmfs])
         else:
-            excess = _syndrome_excesses(H, deltas, [int(p) for p in orders])
+            excess = _syndrome_excesses(_rm_parity_columns(r, m), n - k, deltas,
+                                        [int(p) for p in orders])
             out.append([[math.log1p(x) / ((p - 1.0) * math.log(2.0)) for p, x in zip(orders, row)]
                         for row in excess])
     return out

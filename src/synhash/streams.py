@@ -210,10 +210,13 @@ class TrialStreams:
         (self._hi, self._lo), self._inc = _seeded(seed_state(seed, start, stop))
         self._read = np.zeros(len(self._hi), dtype=np.int64)
 
-    def _draw(self, rows: np.ndarray, q: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    def _draw(self, rows: np.ndarray, q: int,
+              count: int) -> tuple[np.ndarray, np.ndarray | None]:
         """Lemire's digit u q >> 32 of each of the next count words u of each
         trial in rows, and whether the word is accepted: (len(rows), count)
         arrays of the smallest unsigned type that holds a digit, and of bool.
+        At q = 2 the digit is the word's top bit and no word is rejected (the
+        threshold 2^32 mod 2 is 0), so no acceptance array is made: None.
 
         The state has taken ceil(read / 2) steps, so with read odd the high
         half of its own output is the first unread word.  The outputs of the
@@ -232,25 +235,32 @@ class TrialStreams:
         taken = (read + count + 1) // 2 - (read + 1) // 2
         new_hi, new_lo = np.empty_like(read, dtype=np.uint64), np.empty_like(read, dtype=np.uint64)
         digits = np.empty((len(rows), 2 * steps + 2), dtype=np.min_scalar_type(q - 1))
-        keep = np.empty(digits.shape, dtype=bool)
+        keep = None if q == 2 else np.empty(digits.shape, dtype=bool)
         threshold, q = _U64((1 << 32) % q), _U64(q)
         for first in range(0, steps + 1, width):
             if first:
                 hi, lo = _add128(*_mul128(hi, lo, m_hi, m_lo), *shift)
             cols = min(width, steps + 1 - first)
             raw = _output(hi[:, :cols], lo[:, :cols])
-            for half, word in enumerate((raw & _MASK32, raw >> _SHIFT32)):
-                m = word * q
-                at = np.s_[:, 2 * first + half:2 * (first + cols):2]
-                digits[at], keep[at] = m >> _SHIFT32, (m & _MASK32) >= threshold
+            if keep is None:
+                # the little-endian uint32 view lists each output's low word first
+                digits[:, 2 * first:2 * (first + cols)] = raw.astype("<u8").view("<u4") >> 31
+            else:
+                for half, word in enumerate((raw & _MASK32, raw >> _SHIFT32)):
+                    m = word * q
+                    at = np.s_[:, 2 * first + half:2 * (first + cols):2]
+                    digits[at], keep[at] = m >> _SHIFT32, (m & _MASK32) >= threshold
             here = np.flatnonzero((taken >= first) & (taken < first + cols))
             col = taken[here] - first
             new_hi[here], new_lo[here] = hi[here, col], lo[here, col]
         self._hi[rows], self._lo[rows] = new_hi, new_lo
         self._read[rows] = read + count
         odd = (read % 2 == 1)[:, None]
-        return (np.where(odd, digits[:, 1:1 + count], digits[:, 2:2 + count]),
-                np.where(odd, keep[:, 1:1 + count], keep[:, 2:2 + count]))
+
+        def unread(table: np.ndarray) -> np.ndarray:
+            return np.where(odd, table[:, 1:1 + count], table[:, 2:2 + count])
+
+        return unread(digits), None if keep is None else unread(keep)
 
     def integers(self, rows: np.ndarray, q: int, count: int) -> np.ndarray:
         """integers(0, q, size=count, dtype=np.int64) of each trial in rows, as
@@ -263,6 +273,8 @@ class TrialStreams:
         if not 2 <= q < 1 << 32:
             raise ValueError(f"need 2 <= q < 2^32, got q={q}")
         rows = np.asarray(rows, dtype=np.int64)
+        if q == 2:  # no word is rejected, so one draw gives every digit
+            return self._draw(rows, q, count)[0]
         out = np.empty((len(rows), count), dtype=np.min_scalar_type(q - 1))
         got = np.zeros(len(rows), dtype=np.int64)
         while (short := np.flatnonzero(got < count)).size:

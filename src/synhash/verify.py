@@ -618,7 +618,8 @@ def _mc_trials(source: Source, spec: CodeEnsembleSpec, trials: int, statistic,
     (distributions._product_syndrome_rows), trials n 2^m operations in all,
     and is never made dense; a DensePmf is counted through the image tables
     of distributions._syndrome_rows.  Either way the q^m-entry syndrome table
-    is admitted against the dense cap before any code is drawn.
+    is admitted against the dense cap before any code is drawn, and so are a
+    ProductBernoulli's trials n 2^m column steps, against tuple_products.
 
     Codes are sampled a span at a time, by one codes._sample_codes call whose
     draws equal default_rng((spec.seed, t)).integers trial by trial.  A span
@@ -641,6 +642,7 @@ def _mc_trials(source: Source, spec: CodeEnsembleSpec, trials: int, statistic,
     q, m = spec.field.q, spec.n - spec.k
     DensePmf._check_size(q, m, caps)
     if isinstance(source, ProductBernoulli):
+        caps.admit("column steps", (trials * spec.n) << m, "tuple_products")
         push = functools.partial(_product_syndrome_rows, source.delta)
     else:
         push = functools.partial(_syndrome_rows, q, source.probs, caps=caps)

@@ -155,6 +155,17 @@ def test_syndrome_table_is_refused_before_any_code_is_drawn(monkeypatch, capsys)
     assert err == "synhash: refused: dense pmf: estimated cost 2048 exceeds cap 16\n"
 
 
+def test_bernoulli_column_steps_are_refused_before_any_code_is_drawn(monkeypatch, capsys):
+    # 100000 codes of length 64 with 2^20 syndromes: this used to run unrefused
+    # for as long as its 6.7e12 steps took
+    monkeypatch.setattr(verify, "_sample_codes", None)  # a draw would raise TypeError
+    rc, out, err = run("smooth --n 64 --k 44 --source bernoulli:0.2 --trials 100000".split(),
+                       capsys)
+    assert (rc, out) == (2, "")
+    assert err == ("synhash: refused: column steps: estimated cost 6710886400000 "
+                   "exceeds cap 100000000\n")
+
+
 def test_bernoulli_source_past_the_dense_cap_runs(capsys):
     # the 2^12-point source used to be refused under this cap; its table has 4 entries
     rc, out, _ = run(["--dense-cap", "1000", "smooth", "--n", "12", "--k", "10",
@@ -457,6 +468,7 @@ def test_a_refused_cost_too_long_to_print_is_named_by_its_magnitude(capsys):
 def test_rm_reports_a_row_refused_before_its_code_is_built(monkeypatch, capsys):
     # np.arange(2^30) in the Reed-Muller generator used to end in a traceback
     monkeypatch.setattr("synhash.rm_lab.rm_parity_check", _fail)
+    monkeypatch.setattr("synhash.rm_lab._rm_parity_columns", _fail)
     rc, out, err = run(["rm", "--m-range", "30"], capsys)
     assert (rc, err) == (0, "")
     row = json.loads(out)["results"][0]

@@ -21,9 +21,10 @@ from synhash.codes import (
     rm_parity_check,
     sample_uniform_code,
     _ensemble_stacks,
+    _rm_parity_columns,
     _sample_codes,
 )
-from synhash.field import FieldSpec, FqMatrix, kernel_basis, rank, rref, _rref_stack
+from synhash.field import FieldSpec, FqMatrix, kernel_basis, q_powers, rank, rref, _rref_stack
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -307,6 +308,25 @@ def test_reed_muller_generator_is_built_when_read(check_code):
             code = reed_muller_code(r, m)
             assert code.G == reed_muller_generator(r, m)
             check_code(code.G.array, code.H.array, 2)
+
+
+def test_parity_columns_are_the_column_indices_of_the_parity_check():
+    # every order on up to 2^9 points, r = m - 1 (one row) and r = m (none)
+    # included; past 62 rows a column has no int64 index, and both refuse
+    for m in range(10):
+        for r in range(m + 1):
+            H = rm_parity_check(r, m).array
+            if H.shape[0] > 62:
+                for build in (lambda: q_powers(2, H.shape[0]), lambda: _rm_parity_columns(r, m)):
+                    with pytest.raises(ValueError, match="does not fit the index arithmetic"):
+                        build()
+                continue
+            got = _rm_parity_columns(r, m)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, q_powers(2, H.shape[0]) @ H)
+    for r, m in ((-1, 3), (4, 3)):
+        with pytest.raises(ValueError, match="need 0 <= r <= m"):
+            _rm_parity_columns(r, m)
 
 
 def test_generator_shape_is_checked():

@@ -4,12 +4,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from synhash import distributions
 from synhash.caps import DEFAULT_CAPS, Caps, CapExceeded
-from synhash.codes import CodeEnsembleSpec, reed_muller_code, sample_uniform_code
+from synhash.codes import (
+    CodeEnsembleSpec,
+    reed_muller_code,
+    reed_muller_dimensions,
+    sample_uniform_code,
+    _rm_parity_columns,
+)
 from synhash.distributions import (
     DensePmf,
     ProductBernoulli,
@@ -25,6 +31,8 @@ from synhash.distributions import (
     tv_distance,
     _character_transform,
     _convolve_transformed,
+    _dual_weights,
+    _powers_by_weight,
     _product_syndrome_rows,
     _signed_power,
     _syndrome_rows,
@@ -178,12 +186,20 @@ def test_convolve_transform_path_matches_naive():
         assert np.allclose(full.probs, _direct_convolution(a, b, field.q, n), atol=1e-12)
 
 
+# tables = 0 draws one 1-D table, else a (tables, 2^n) stack; below n = 4 a
+# table has fewer than 16 entries, so the transposed block is the whole table
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 14), st.booleans(), st.integers(0, 2 ** 32 - 1))
-def test_walsh_hadamard_butterfly_equals_fftn(n, integer, seed):
+@given(st.integers(0, 16), st.integers(0, 3), st.booleans(), st.integers(0, 2 ** 32 - 1))
+@example(0, 3, False, 0)
+@example(2, 3, True, 1)
+@example(3, 1, False, 2)
+@example(4, 0, False, 3)
+@example(16, 2, False, 4)
+def test_walsh_hadamard_butterfly_equals_fftn(n, tables, integer, seed):
     rng = np.random.default_rng(seed)
-    v = rng.integers(-1000, 1000, 1 << n) if integer else rng.standard_normal(1 << n)
-    want = np.fft.fftn(v.reshape((2,) * n)).real
+    shape = (tables,) * (tables > 0) + (1 << n,)
+    v = rng.integers(-1000, 1000, shape) if integer else rng.standard_normal(shape)
+    want = np.fft.fftn(v.reshape(shape[:-1] + (2,) * n), axes=tuple(range(-n, 0))).real
     got = _character_transform(v, 2, n)
     assert got.shape == want.shape and np.array_equal(got, want)
 
@@ -468,6 +484,28 @@ def test_bernoulli_table_equals_the_per_entry_powers(delta):
         weights = np.array([bin(i).count("1") for i in range(1 << n)])
         want = _signed_power(delta, weights) * _signed_power(1.0 - delta, n - weights)
         assert np.array_equal(ProductBernoulli(delta, n).to_dense().probs, want)
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.25, 0.4, 0.75])
+def test_weight_table_powers_equal_the_per_entry_powers(delta):
+    # the dual sum powers each distinct weight once; the reference powers every
+    # entry.  The cases are the dual weights of every RM(r, m), m <= 12, with
+    # at most 2^16 of them, and every weight to 4096, whose powers of
+    # |1 - 2 delta| >= 0.2 run through the subnormal range to zero
+    base = 1.0 - 2.0 * delta
+    cases = [np.random.default_rng(3).permutation(4097)]
+    for m in range(1, 13):
+        for r in range(m + 1):
+            n, k = reed_muller_dimensions(r, m)
+            if n - k <= 16:
+                cases.append(_dual_weights(_rm_parity_columns(r, m), n - k))
+    for weights in cases:
+        want = _signed_power(base, weights)
+        assert np.array_equal(_powers_by_weight(base, weights).view(np.int64),
+                              want.view(np.int64))
+    want = _signed_power(base, cases[0])
+    assert np.any((want != 0.0) & (np.abs(want) < np.finfo(np.float64).tiny))
+    assert np.any(want == 0.0)
 
 
 def _full_rank_maps(q, n, m, count, seed):

@@ -560,6 +560,22 @@ def test_dense_syndrome_table_is_admitted_before_any_code_is_drawn(monkeypatch):
                                caps=Caps(dense_pmf_entries=16))
 
 
+# 50 codes of length 12 with 2^10 syndromes, and (H_inf = 8.84, m = 5) with 2^5
+@pytest.mark.parametrize("run, cost", [
+    (lambda caps: mc_expected_smoothness(CodeEnsembleSpec(F2, 12, 2, 5),
+                                         ProductBernoulli(0.2, 12), 2, 50, caps=caps),
+     50 * 12 << 10),
+    (lambda caps: mc_bucket_linf(ProductBernoulli(0.4, 12), 0.25, 50, caps=caps), 50 * 12 << 5),
+], ids=["smoothness", "bucket"])
+def test_bernoulli_column_steps_are_admitted_before_any_code_is_drawn(monkeypatch, run, cost):
+    # the steps used to run unadmitted, so a large trial count ran for as long as it took
+    monkeypatch.setattr(verify, "_sample_codes", _refuse_work)
+    with pytest.raises(CapExceeded, match=f"^column steps: estimated cost {cost} exceeds cap "):
+        run(Caps(tuple_products=cost - 1))
+    with pytest.raises(_WorkStarted):  # admitted at the cost itself
+        run(Caps(tuple_products=cost))
+
+
 def test_mc_bucket_linf_derives_output_length():
     flat = DensePmf.flat(F2, 14, 1 << 10)
     res = mc_bucket_linf(flat, 0.25, 50)
