@@ -20,7 +20,7 @@ from .caps import DEFAULT_CAPS, Caps, CapExceeded
 from .codes import DEFAULT_SEED, CodeEnsembleSpec, _code_dimensions, sample_uniform_code
 from .distributions import DensePmf, ProductBernoulli, Source
 from .field import FieldSpec
-from .rm_lab import RmExperimentSpec, rm_convergence_run, rows_to_csv
+from .rm_lab import RmExperimentSpec, rm_convergence_run, rows_to_csv, _csv_cell
 from .suite import expected_failure, run_acceptance
 from . import verify
 
@@ -345,17 +345,10 @@ def _format(command: str, rows: list, config: dict, fmt: str) -> str:
     for row in rows:
         params = json.dumps(_sanitize(row.get("parameters", row.get("inputs", {}))),
                             sort_keys=True, separators=(",", ":"))
-        def cell(key):
-            v = row.get(key)
-            if v is None:
-                return ""
-            if isinstance(v, bool):
-                return str(v).lower()
-            return repr(v) if isinstance(v, float) else str(v)
+        lhs, value, *rest = (_csv_cell(row.get(key)) for key in
+                             ("lhs", "value", "rhs", "slack", "passed", "trials", "seed"))
         lines.append(",".join([
-            row["name"], '"' + params.replace('"', '""') + '"',
-            cell("lhs") or cell("value"), cell("rhs"), cell("slack"),
-            cell("passed"), cell("trials"), cell("seed")]))
+            row["name"], '"' + params.replace('"', '""') + '"', lhs or value, *rest]))
     return "\n".join(lines) + "\n"
 
 

@@ -192,15 +192,15 @@ def _kernel_from_rref(red: np.ndarray, pivots: np.ndarray, q: int) -> np.ndarray
     (T, n - r, n) stack: row i of basis t has 1 at the i-th free column f of
     red[t] and -red[t, :, f] at its pivot columns."""
     count, r, n = red.shape
+    t = np.arange(count)[:, None, None]
     free = np.ones((count, n), dtype=bool)
-    np.put_along_axis(free, pivots, False, axis=1)
-    free = np.nonzero(free)[1].reshape(count, n - r)
+    free[t[:, 0], pivots] = False
+    free = np.nonzero(free)[1].reshape(count, n - r, 1)
+    i = np.arange(n - r)[:, None]
     basis = np.zeros((count, n - r, n), dtype=np.int64)
-    np.put_along_axis(basis, free[:, :, None], 1, axis=2)
+    basis[t, i, free] = 1
     # -red mod q in red's own type (uint8 at q = 2): no int64 copy of red is made
-    at_free = np.take_along_axis(red, free[:, None, :], axis=2)
-    np.put_along_axis(basis, np.broadcast_to(pivots[:, None, :], (count, n - r, r)),
-                      (q - at_free.transpose(0, 2, 1)) % q, axis=2)
+    basis[t, i, pivots[:, None, :]] = (q - red[t, np.arange(r), free]) % q
     return basis
 
 

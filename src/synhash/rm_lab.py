@@ -194,16 +194,22 @@ def intrinsic_gap(row: RmResultRow) -> float:
     return two_point_renyi(row.delta, row.p) - row.extraction_rate
 
 
+def _csv_cell(v) -> str:
+    """One CSV cell: None empty, bools in lower case, floats by repr,
+    everything else by str."""
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return str(v).lower()
+    return repr(v) if isinstance(v, float) else str(v)
+
+
 def rows_to_csv(rows: Sequence[RmResultRow]) -> str:
-    """Render rows as CSV, one line per row under a CSV_COLUMNS header: bools
-    in lower case, floats by repr, everything else as it is."""
-    def cell(v):
-        if isinstance(v, bool):
-            return str(v).lower()
-        return repr(v) if isinstance(v, float) else v
+    """Render rows as CSV, one line per row under a CSV_COLUMNS header, each
+    value by _csv_cell."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in rows:
-        writer.writerow([cell(v) for v in astuple(row)])
+        writer.writerow([_csv_cell(v) for v in astuple(row)])
     return buf.getvalue()

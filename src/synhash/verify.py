@@ -151,22 +151,19 @@ def _tuple_ranks(q: int, n: int, p: int, caps: Caps) -> np.ndarray:
     return _tuple_ranks_cached(q, n, p)
 
 
-def _containment_counts(q: int, H: np.ndarray, p: int) -> np.ndarray:
-    """counts[v_1, ..., v_p] = number of codes of the (codes, n - k, n) parity
-    check stack H that contain every v_j, flattened.  A code holds a vector
-    when its syndrome is 0, so with z[c, v] that indicator the counts are
-    sum_c z[c, v_1] ... z[c, v_p]: z^T times the outer product of the other
-    p - 1, a chunk of codes at a time so no table passes _BATCH_ENTRIES."""
-    size = q ** H.shape[2]
-    counts = np.zeros(size ** p, dtype=np.int64)
-    chunk = max(1, _BATCH_ENTRIES // size ** max(1, p - 1))
-    for first in range(0, len(H), chunk):
-        z = _image_rows(q, H[first:first + chunk]) == 0
-        rest = np.ones((len(z), 1), dtype=bool)
+def _codeword_tuples(q: int, G: np.ndarray, p: int):
+    """The flat index of every codeword p-tuple of each code of a (codes, k, n)
+    generator stack mod q, v_1 in the top digits: one (codes, q^{kp}) array
+    per chunk of codes, from one image table of the chunk's generators.  A
+    chunk holds about a quarter of _BATCH_ENTRIES tuples."""
+    size = q ** G.shape[2]
+    chunk = max(1, _BATCH_ENTRIES // 4 // q ** (G.shape[1] * p))
+    for first in range(0, len(G), chunk):
+        words = _image_rows(q, G[first:first + chunk].transpose(0, 2, 1)).astype(np.int64)
+        tuples = words
         for _ in range(p - 1):
-            rest = (rest[:, :, None] & z[:, None, :]).reshape(len(z), -1)
-        counts += (z.T.astype(np.int64) @ rest).reshape(-1)
-    return counts
+            tuples = (tuples[:, :, None] * size + words[:, None, :]).reshape(len(words), -1)
+        yield tuples
 
 
 def _random_nonneg(shape, seed_key) -> np.ndarray:
@@ -215,16 +212,20 @@ def check_p_balanced(n: int, k: int, q: int, p: int,
 def _balance_census(n: int, k: int, q: int, p: int, codes: int | None,
                     caps: Caps) -> CheckResult:
     """The balance census of the first `codes` [n, k]_q codes in enumeration
-    order, or of every code when codes is None.  Every cost is admitted
-    before the ensemble is built."""
+    order, or of every code when codes is None: counts[v_1, ..., v_p] is the
+    number of codes that hold every v_j.  A code lists each of its codeword
+    p-tuples once (_codeword_tuples), so one bincount a chunk gives exact
+    integer counts.  Every cost is admitted before the ensemble is built."""
     FieldSpec(q)  # refuses a modulus that is not prime
     _tuple_space(n, p)
     _admit_enumeration(q, n, k, caps)
     count = gaussian_binomial(n, k, q) if codes is None else codes
     caps.admit("balance census", count * (q ** n) ** p, "tuple_products")
     ranks = _tuple_ranks(q, n, p, caps)  # its cap refuses before the census runs
-    H = _ensemble_stacks(q, n, k, caps)[1][:count]
-    counts = _containment_counts(q, H, p)
+    G = _ensemble_stacks(q, n, k, caps)[0][:count]
+    counts = np.zeros((q ** n) ** p, dtype=np.int64)
+    for tuples in _codeword_tuples(q, G, p):
+        counts += np.bincount(tuples.ravel(), minlength=counts.size)
     spread = 0
     by_rank: dict[int, list[int]] = {}
     for d in range(min(n, p) + 1):
@@ -234,7 +235,7 @@ def _balance_census(n: int, k: int, q: int, p: int, codes: int | None,
         lo, hi = int(vals.min()), int(vals.max())
         by_rank[d] = [lo, hi]
         spread = max(spread, hi - lo)
-    params = {"n": n, "k": k, "q": q, "p": p, "codes": len(H),
+    params = {"n": n, "k": k, "q": q, "p": p, "codes": len(G),
               "counts_by_rank": by_rank}
     return _identity_result("p-balanced", params, float(spread), 0.0, rel_tol=0.0)
 
@@ -250,17 +251,9 @@ def _tuple_average(n: int, k: int, q: int, p: int, f_key, caps: Caps):
     ranks = _tuple_ranks(q, n, p, caps)
     caps.admit("codeword enumeration", q ** k, "code_enumeration")
     G = _ensemble_stacks(q, n, k, caps)[0]
-    size = q ** n
-    flat = _random_nonneg(size ** p, f_key)
+    flat = _random_nonneg((q ** n) ** p, f_key)
     lhs = 0.0
-    # a chunk of codes at a time: every code's codeword indices from one table,
-    # then the flat index of each codeword p-tuple, v_1 in the top digits
-    chunk = max(1, _BATCH_ENTRIES // q ** (k * p))
-    for first in range(0, len(G), chunk):
-        words = _image_rows(q, G[first:first + chunk].transpose(0, 2, 1)).astype(np.int64)
-        tuples = words
-        for _ in range(p - 1):
-            tuples = (tuples[:, :, None] * size + words[:, None, :]).reshape(len(words), -1)
+    for tuples in _codeword_tuples(q, G, p):
         # one row sum per code, added in code order as one code at a time
         for total in flat[tuples].sum(axis=1).tolist():
             lhs += total
@@ -622,17 +615,17 @@ def _mc_trials(source: Source, spec: CodeEnsembleSpec, trials: int, statistic,
     ProductBernoulli's trials n 2^m column steps, against tuple_products.
 
     Codes are sampled a span at a time, by one codes._sample_codes call whose
-    draws equal default_rng((spec.seed, t)).integers trial by trial.  A span
-    holds whole pushforward chunks, about _SPAN_BATCHES times _BATCH_ENTRIES
-    generator or parity-check entries, whichever are more, and is pushed
-    forward a chunk at a time; a chunk holds
-    about a quarter of _BATCH_ENTRIES generator entries and at most
-    _BATCH_ENTRIES syndrome pmf entries.  The parity checks come from
+    draws equal default_rng((spec.seed, t)).integers trial by trial, and each
+    span is pushed forward whole.  A span holds about _SPAN_BATCHES times
+    _BATCH_ENTRIES generator or parity-check entries, whichever are more, and
+    at most _BATCH_ENTRIES syndrome pmf entries; _syndrome_rows batches its
+    image tables itself.  The parity checks come from
     codes._kernel_from_rref, an identity on the free columns, so they have
     full rank and are pushed forward without a rank check
     (tests/test_codes.py, test_sampled_parity_checks_have_full_rank).
-    tests/test_verify.py checks the
-    values against a per-code loop over per-trial generators
+    Every row is computed on its own, so the values do not depend on the
+    span.  tests/test_verify.py checks them against a per-code loop over
+    per-trial generators
     (test_monte_carlo_chunks_are_contiguous_spans_of_the_code_stream and
     test_batched_monte_carlo_matches_a_per_code_pushforward_loop; for the
     column steps, test_batched_overdraw_control_matches_a_per_code_loop).
@@ -646,17 +639,12 @@ def _mc_trials(source: Source, spec: CodeEnsembleSpec, trials: int, statistic,
         push = functools.partial(_product_syndrome_rows, source.delta)
     else:
         push = functools.partial(_syndrome_rows, q, source.probs, caps=caps)
-    chunk = max(1, min(_BATCH_ENTRIES // 4 // max(1, spec.k * spec.n), _BATCH_ENTRIES // q ** m))
-    # the parity checks of a span stay alive while it is pushed forward
-    per_code = spec.n * max(1, spec.k, m)
-    span = chunk * max(1, _SPAN_BATCHES * _BATCH_ENTRIES // (chunk * per_code))
+    span = max(1, min(_SPAN_BATCHES * _BATCH_ENTRIES // (spec.n * max(1, spec.k, m)),
+                      _BATCH_ENTRIES // q ** m))
     vals = np.empty(trials)
     for first in range(0, trials, span):
         last = min(first + span, trials)
-        maps = _sample_codes(spec, first, last)[1]
-        for start in range(first, last, chunk):
-            stop = min(start + chunk, last)
-            vals[start:stop] = statistic(push(maps[start - first:stop - first]))
+        vals[first:last] = statistic(push(_sample_codes(spec, first, last)[1]))
     return vals
 
 

@@ -104,17 +104,27 @@ def _kron_census(codes, p):
     return counts
 
 
-# c02's four shapes, p = 3 past the suite's size, and q = 3 at p = 2
+def _tuple_census(q, G, p):
+    """counts[v_1, ..., v_p] from the codeword tuples of a generator stack."""
+    counts = np.zeros((q ** G.shape[2]) ** p, dtype=np.int64)
+    for tuples in verify._codeword_tuples(q, G, p):
+        counts += np.bincount(tuples.ravel(), minlength=counts.size)
+    return counts
+
+
+# c02's four shapes, p = 3 past the suite's size, q = 3 at p = 2, and the
+# (6, 3, 2, 2) and (3, 1, 2, 1) census shapes
 @pytest.mark.parametrize("n, k, q, p", [(3, 1, 2, 2), (3, 2, 2, 2), (2, 1, 3, 2), (4, 2, 2, 3),
-                                        (5, 2, 2, 3), (4, 2, 3, 2)])
+                                        (5, 2, 2, 3), (4, 2, 3, 2), (6, 3, 2, 2), (3, 1, 2, 1)])
 def test_stack_census_matches_the_per_code_kron_census(monkeypatch, n, k, q, p):
     codes = list(enumerate_all_codes(FieldSpec(q), n, k))
-    H = verify._ensemble_stacks(q, n, k, DEFAULT_CAPS)[1]
+    G = verify._ensemble_stacks(q, n, k, DEFAULT_CAPS)[0]
     ref = _kron_census(codes, p)
-    assert np.array_equal(verify._containment_counts(q, H, p), ref)
+    assert np.array_equal(_tuple_census(q, G, p), ref)
     # three codes a chunk, so the census also sums over chunks and a short last one
-    monkeypatch.setattr(verify, "_BATCH_ENTRIES", 3 * (q ** n) ** max(1, p - 1))
-    assert np.array_equal(verify._containment_counts(q, H, p), ref)
+    monkeypatch.setattr(verify, "_BATCH_ENTRIES", 4 * 3 * q ** (k * p))
+    assert len(next(verify._codeword_tuples(q, G, p))) == 3
+    assert np.array_equal(_tuple_census(q, G, p), ref)
 
 
 def test_balance_census_memory_stays_within_a_chunk():
@@ -155,7 +165,7 @@ def test_certain_enumeration_refusal_forms_no_code_count(monkeypatch):
 def test_balance_refuses_the_tuple_rank_cap_before_the_census(monkeypatch):
     # the one [3, 3]_2 code: census cost 1 * 8^2 = 64 fits, tuple ranks cost
     # 3 * 8^2 = 192 does not
-    monkeypatch.setattr(verify, "_containment_counts", _refuse_work)
+    monkeypatch.setattr(verify, "_codeword_tuples", _refuse_work)
     with pytest.raises(CapExceeded, match="tuple rank"):
         check_p_balanced(3, 3, 2, 2, caps=Caps(tuple_products=100))
 
@@ -684,12 +694,11 @@ def test_batched_monte_carlo_matches_a_per_code_pushforward_loop(q, n, support, 
 
 def test_monte_carlo_chunks_are_contiguous_spans_of_the_code_stream(monkeypatch,
                                                                      reference_code):
-    # 2^10 entries: pushforward chunks of 8 codes of 4 x 8 generator entries,
-    # sampled a span of 4 chunks (one batch of generator entries) at a time, so
-    # 70 trials take two full spans and a short one that ends in a short chunk
+    # 2^10 entries: spans of 32 codes of 4 x 8 generator entries (one batch),
+    # each pushed forward whole, so 70 trials take two full spans and a short one
     monkeypatch.setattr(verify, "_BATCH_ENTRIES", 1 << 10)
     monkeypatch.setattr(verify, "_SPAN_BATCHES", 1)
-    spans, chunks = [], []
+    spans, pushes = [], []
     sample, push = verify._sample_codes, verify._syndrome_rows
 
     def sampled(spec, start, stop):
@@ -697,7 +706,7 @@ def test_monte_carlo_chunks_are_contiguous_spans_of_the_code_stream(monkeypatch,
         return sample(spec, start, stop)
 
     def pushed(q, probs, maps, caps):
-        chunks.append(len(maps))
+        pushes.append(len(maps))
         return push(q, probs, maps, caps)
 
     monkeypatch.setattr(verify, "_sample_codes", sampled)
@@ -706,7 +715,7 @@ def test_monte_carlo_chunks_are_contiguous_spans_of_the_code_stream(monkeypatch,
     P = _random_pmf(F2, 8, (8,))
     vals = verify._mc_trials(P, spec, 70, _fingerprints, DEFAULT_CAPS)
     assert spans == [(0, 32), (32, 64), (64, 70)]
-    assert chunks == [8] * 8 + [6]
+    assert pushes == [32, 32, 6]
     assert np.array_equal(vals, _per_code_stats(P, spec, 70, _fingerprint, reference_code))
 
 
