@@ -335,18 +335,20 @@ def code_pmf(code: LinearCode, caps: Caps = DEFAULT_CAPS) -> DensePmf:
     return DensePmf(code.field, code.n, probs)
 
 
-def _syndrome_rows(q: int, probs: np.ndarray, maps: np.ndarray, caps: Caps) -> np.ndarray:
-    """Pmf of H z for z ~ P, one row per H in a (T, m, n) stack of full-row-rank
-    maps mod q, as a (T, q^m) array.  probs holds P's q^n probabilities: 1-D
-    for one source that every map pushes forward, or (T, q^n) with row t the
-    source of map t.  Neither the rank nor the length of probs is checked:
-    the callers pass maps that have full rank by construction, and sources
-    on their space.
+def _syndrome_rows(q: int, probs: np.ndarray, columns: np.ndarray, m: int,
+                   caps: Caps) -> np.ndarray:
+    """Pmf of H z for z ~ P, one row per H in a stack of full-row-rank (m, n)
+    maps mod q given by their little-endian column indices
+    q_powers(q, m) @ H, a (T, n) int64 array, as a (T, q^m) array.  probs
+    holds P's q^n probabilities: 1-D for one source that every map pushes
+    forward, or (T, q^n) with row t the source of map t.  Neither the rank
+    nor the length of probs is checked: the callers pass maps that have full
+    rank by construction, and sources on their space.
 
     The syndromes are counted a batch of rows at a time, one bincount over
     row-offset syndrome indices per batch of about _BATCH_ENTRIES index entries.
     """
-    count, m, n = maps.shape
+    count, n = columns.shape
     shared = probs.ndim == 1
     if m == 0:
         return np.ones((count, 1))
@@ -362,7 +364,7 @@ def _syndrome_rows(q: int, probs: np.ndarray, maps: np.ndarray, caps: Caps) -> n
     weights = np.tile(probs[:size], min(batch, count)) if shared else probs[:, :size]
     out = np.empty((count, out_size))
     for first in range(0, count, batch):
-        table = _image_rows(q, maps[first:first + batch, :, :j])
+        table = _image_rows(q, columns[first:first + batch, :j], m)
         rows = min(batch, count - first)
         # int64 bin indices, row t offset by t q^m, from a table of a smaller type
         idx = np.add(table, out_size * np.arange(rows)[:, None], dtype=np.int64)
@@ -372,22 +374,22 @@ def _syndrome_rows(q: int, probs: np.ndarray, maps: np.ndarray, caps: Caps) -> n
     return out
 
 
-def _product_syndrome_rows(delta: float, maps: np.ndarray) -> np.ndarray:
-    """Pmf of H z for z ~ Bernoulli(delta)^n, one row per H in a (T, m, n)
-    stack of binary maps, as a (T, 2^m) array, without the 2^n source.
+def _product_syndrome_rows(delta: float, columns: np.ndarray, m: int) -> np.ndarray:
+    """Pmf of H z for z ~ Bernoulli(delta)^n, one row per H in a stack of
+    binary (m, n) maps given by their little-endian column indices
+    q_powers(2, m) @ H, a (T, n) int64 array, as a (T, 2^m) array, without
+    the 2^n source.
 
     Each bit z_j adds column h_j of H with probability delta, independently,
     so from the point mass at 0 the column steps
-    D <- (1 - delta) D + delta D[s xor h_j], read at the column indices
-    q_powers(2, m) @ H, give the syndrome pmf in n 2^m operations per map.
-    Every entry is computed on its own, so a row equals the one-map call bit
-    for bit.  Neither the rank nor delta is checked: the callers pass
-    sampled full-rank maps and a ProductBernoulli's delta.
+    D <- (1 - delta) D + delta D[s xor h_j] give the syndrome pmf in n 2^m
+    operations per map.  Every entry is computed on its own, so a row equals
+    the one-map call bit for bit.  Neither the rank nor delta is checked: the
+    callers pass sampled full-rank maps and a ProductBernoulli's delta.
     """
-    count, m, n = maps.shape
+    count, n = columns.shape
     if m == 0:
         return np.ones((count, 1))
-    columns = q_powers(2, m) @ maps
     # flat index t 2^m + s of each entry; as h_j < 2^m, xor with h_j moves s alone
     points = np.arange(count << m).reshape(count, 1 << m)
     out = np.zeros((count, 1 << m))
@@ -409,11 +411,13 @@ def pushforward(P: DensePmf, H: FqMatrix, caps: Caps = DEFAULT_CAPS) -> DensePmf
     then the rank, then the input length are checked."""
     if H.field != P.field:
         raise ValueError("pmf and map live over different fields")
-    if _rank_array(H.array, P.field.q) != H.rows:
+    q = P.field.q
+    if _rank_array(H.array, q) != H.rows:
         raise ValueError("map is rank deficient; output space would be oversized")
     if H.cols != P.n:
         raise ValueError(f"map expects length-{H.cols} inputs, pmf is on length {P.n}")
-    return DensePmf(P.field, H.rows, _syndrome_rows(P.field.q, P.probs, H.array[None], caps)[0])
+    columns = (q_powers(q, H.rows) @ H.array)[None]
+    return DensePmf(P.field, H.rows, _syndrome_rows(q, P.probs, columns, H.rows, caps)[0])
 
 
 def _dual_weights(columns: np.ndarray, nk: int) -> np.ndarray:

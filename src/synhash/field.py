@@ -98,9 +98,10 @@ def _rref_stack(a: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
     Returns (red, pivots, ranks): red[t] has its ranks[t] pivot rows first and
     zero rows after them, and pivots[t, :ranks[t]] are their pivot columns
-    (the rest of the row is -1).  The Gauss-Jordan steps run one column at a
-    time for the whole stack: on packed bit rows at q = 2 (_rref_bits), in
-    int64 arithmetic mod q otherwise, so red is uint8 at q = 2 and int64 above.
+    (the rest of the row is -1).  The Gauss-Jordan steps run for the whole
+    stack at once: one row at a time on packed bit rows at q = 2
+    (_rref_bits), one column at a time in int64 arithmetic mod q otherwise,
+    so red is uint8 at q = 2 and int64 above.
     """
     if q == 2:
         return _rref_bits(a)
@@ -131,59 +132,90 @@ def _rref_stack(a: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return a, pivots, ranks
 
 
-# the bit of each column within its uint64 word
-_BIT = np.uint64(1) << np.arange(64, dtype=np.uint64)
+def _reduce_bits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Jordan by rows at q = 2 on a (T, rows, cols) stack, each row
+    packed into uint64 words (bit c % 64 of word c // 64 holds column c).
+
+    Returns (packed, pivots, ranks) with the (T, rows, words) rows reduced in
+    place, not sorted: pivots[t, i] is the pivot column of row i of matrix t,
+    -1 for a zero row.  Row i of every matrix takes as its pivot its lowest
+    set bit, the lowest bit of its first nonzero word, and is XORed into
+    every other row of its matrix that holds that bit.  The rows before it
+    hold no bit below their own pivots, so no XOR moves an earlier pivot, and
+    a row in the span of the rows before it is zero by its turn and stays
+    zero.  The words are kept as (words, T, rows) planes, so that every step
+    runs over whole planes.
+    """
+    a = np.asarray(a)
+    count, rows, cols = a.shape
+    words = max(1, -(-cols // 64))  # no column is one zero word
+    bits = np.zeros((count, rows, 64 * words), dtype=np.uint8)
+    bits[:, :, :cols] = a & 1
+    packed = np.packbits(bits, axis=None, bitorder="little").view("<u8")
+    packed = np.ascontiguousarray(packed.reshape(count, rows, words).transpose(2, 0, 1),
+                                  dtype=np.uint64)
+    lows = np.zeros_like(packed)  # each row's pivot bit, in its word; 0 for a zero row
+    for i in range(rows):
+        row = packed[:, :, i]
+        low = row & np.negative(row)  # the lowest set bit of each word
+        # only the first nonzero word holds the pivot
+        low[1:] *= ~np.logical_or.accumulate(row[:-1] != 0, axis=0)
+        lows[:, :, i] = low
+        hits = (packed & low[:, :, None]).any(axis=0)
+        hits[:, i] = False
+        packed ^= row[:, :, None] * hits
+    held = lows != 0
+    at = held.argmax(axis=0)
+    # a power of two is exact in float64, so frexp reads its bit position
+    bit = np.frexp(np.take_along_axis(lows, at[None], axis=0)[0].astype(np.float64))[1] - 1
+    pivots = np.where(held.any(axis=0), 64 * at + bit, -1)
+    return packed.transpose(1, 2, 0), pivots, np.count_nonzero(pivots >= 0, axis=1)
 
 
 def _rref_bits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_rref_stack at q = 2, with each row packed into uint64 words (bit c % 64
-    of word c // 64 holds column c) and no row moved until the end.
-
-    At column c every matrix of the stack takes as its pivot the first row
-    that has a 1 there and is not a pivot row yet, and XORs it into every
-    other row with a 1 there.  Each matrix carries one extra zero row, which
-    is the pivot of a matrix that has no such row, so its XOR changes
-    nothing and no matrix is picked out of the stack.  A row that never
-    becomes a pivot ends zero, so one sort of the rows by the column at which
-    each became a pivot gives the reduced form.
-    """
-    # uint8, as a uint64 product of a signed type would be float64
-    a = (np.asarray(a) & 1).astype(np.uint8, copy=False)
-    count, rows, cols = a.shape
-    packed = np.zeros((count, rows + 1, -(-cols // 64)), dtype=np.uint64)
-    for w in range(packed.shape[2]):
-        part = a[:, :, 64 * w:64 * (w + 1)]
-        packed[:, :rows, w] = part @ _BIT[:part.shape[2]]
-    flat = packed.reshape(count * (rows + 1), packed.shape[2])
-    free = np.ones((count, rows + 1), dtype=bool)  # rows that are no pivot yet
-    free[:, rows] = False
-    # the column at which each row became a pivot; cols for the rest
-    first = np.full((count, rows + 1), cols)
-    starts = np.arange(count) * (rows + 1)
-    for c in range(cols if rows else 0):
-        ones = (packed[:, :, c // 64] & _BIT[c % 64]).astype(bool)
-        candidates = ones & free
-        candidates[:, rows] = True
-        at = starts + candidates.argmax(axis=1)
-        pivot = flat[at]
-        ones.reshape(-1)[at] = False
-        packed ^= pivot[:, None, :] * ones[:, :, None]
-        free.reshape(-1)[at] = False
-        first.reshape(-1)[at] = c
-        if not free.any():
-            break
-    first = first[:, :rows]
-    order = np.argsort(first, axis=1, kind="stable")
-    pivots = np.take_along_axis(first, order, axis=1)
-    pivots[pivots == cols] = -1
-    packed = np.take_along_axis(packed[:, :rows], order[:, :, None], axis=1)
+    """_rref_stack at q = 2: _reduce_bits, then one sort of the rows by pivot
+    column, the zero rows last, and the words unpacked to uint8 digits."""
+    cols = np.shape(a)[2]
+    packed, pivots, ranks = _reduce_bits(a)
+    order = np.argsort(np.where(pivots < 0, cols, pivots), axis=1, kind="stable")
+    pivots = np.take_along_axis(pivots, order, axis=1)
+    packed = np.take_along_axis(packed, order[:, :, None], axis=1)
     red = np.unpackbits(packed.astype("<u8", copy=False).view(np.uint8), axis=2,
                         count=cols, bitorder="little")
-    return red, pivots, np.count_nonzero(pivots >= 0, axis=1)
+    return red, pivots, ranks
+
+
+def _bit_kernel_columns(packed: np.ndarray, pivots: np.ndarray, n: int) -> np.ndarray:
+    """The little-endian column indices q_powers(2, n - r) @ H of the kernel
+    bases H of _kernel_from_rref, as a (T, n) int64 array, read off a stack
+    of full-rank reduced forms from _reduce_bits: (T, r, words) packed rows
+    and their (T, r) pivot columns, in any row order.
+
+    Free column f_i gets 2^i, and the pivot column of row l gets the bits of
+    row l at the free columns, read in order (at q = 2, -x = x).  The bits
+    are read as (n - r, r, T) planes, so that every step runs over all T.
+    """
+    count, r = pivots.shape
+    powers = q_powers(2, n - r)
+    offsets = n * np.arange(count)[:, None]  # of each code's columns in the flat output
+    free = np.ones(count * n, dtype=bool)
+    free[offsets + pivots] = False
+    free = np.nonzero(free)[0].reshape(count, n - r)
+    columns = np.zeros(count * n, dtype=np.int64)
+    columns[free] = powers
+    free = (free - offsets).T
+    shifts = (free % 64).astype(np.uint64)[:, None, :]
+    bits = np.zeros((n - r, r, count), dtype=np.uint64)
+    for w, plane in enumerate(packed.transpose(2, 1, 0)):
+        bits |= plane >> shifts & (free // 64 == w)[:, None, :]
+    values = powers @ bits.reshape(n - r, r * count).view(np.int64)
+    columns[offsets + pivots] = values.reshape(r, count).T
+    return columns.reshape(count, n)
 
 
 def _rank_array(a: np.ndarray, q: int) -> int:
-    return int(_rref_stack(np.asarray(a)[None], q)[2][0])
+    a = np.asarray(a)[None]
+    return int((_reduce_bits(a) if q == 2 else _rref_stack(a, q))[2][0])
 
 
 def _kernel_from_rref(red: np.ndarray, pivots: np.ndarray, q: int) -> np.ndarray:
@@ -238,28 +270,33 @@ def image_indices(M: FqMatrix) -> np.ndarray:
     the points whose digit j is a are the points below q**j shifted by a M e_j,
     added digit-wise mod q, which at q = 2 is XOR.
     """
-    return _image_rows(M.field.q, M.array[None])[0].astype(np.int64)
+    rows = M.rows
+    return _image_rows(M.field.q, (q_powers(M.field.q, rows) @ M.array)[None], rows)[0] \
+        .astype(np.int64)
 
 
-def _image_rows(q: int, arr: np.ndarray) -> np.ndarray:
-    """image_indices for a (T, rows, n) stack of matrices mod q: a (T, q**n)
-    table, row t that of arr[t], from one pass of the column steps.
+def _image_rows(q: int, columns: np.ndarray, rows: int) -> np.ndarray:
+    """image_indices for a stack of matrices mod q with the given number of
+    rows, each given by its little-endian column indices q_powers(q, rows) @ M
+    as a (T, n) int64 array: a (T, q**n) table, row t that of matrix t, from
+    one pass of the column steps.
 
     The table has the smallest unsigned type that holds 2 q**rows - 1: every
     index, and at q > 2 an index whose digit has stepped past q - 1 before
     it wraps.  At q = 2 and up to 7 rows that is uint8, an eighth of the
     memory traffic of int64 in every column step."""
-    count, rows, n = arr.shape
+    count, n = columns.shape
     powers = q_powers(q, rows)
     dtype = np.min_scalar_type(2 * q ** rows - 1)
     table = np.empty((count, q ** n), dtype=dtype)
     table[:, 0] = 0
     if q == 2:
-        shifts = (powers @ (arr % 2)).astype(dtype)
+        shifts = columns.astype(dtype)
         for j in range(n):
             size = 1 << j
             np.bitwise_xor(table[:, :size], shifts[:, j, None], out=table[:, size:2 * size])
         return table
+    arr = columns[:, None, :] // powers[:, None] % q
     # digits[t, a - 1, :, j] = a M_t e_j
     digits = (np.arange(1, q)[:, None, None] * arr[:, None] % q).astype(dtype)
     powers = powers.astype(dtype)

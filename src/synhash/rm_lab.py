@@ -30,7 +30,7 @@ from .distributions import (
     _product_syndrome_rows,
     _syndrome_excesses,
 )
-from .field import FieldSpec
+from .field import FieldSpec, q_powers
 
 __all__ = [
     "RmExperimentSpec",
@@ -146,8 +146,8 @@ def _rm_divergence_grid(m: int, r: int, deltas: Sequence[float], orders: Sequenc
     out = []
     for method in methods:
         if method == "dense":
-            H = rm_parity_check(r, m).array
-            pmfs = [DensePmf(FieldSpec(2), n - k, _product_syndrome_rows(delta, H[None])[0])
+            columns = (q_powers(2, n - k) @ rm_parity_check(r, m).array)[None]
+            pmfs = [DensePmf(FieldSpec(2), n - k, _product_syndrome_rows(delta, columns, n - k)[0])
                     for delta in deltas]
             out.append([[n - k - renyi_entropy(syn, p) for p in orders] for syn in pmfs])
         else:

@@ -104,9 +104,9 @@ def run_acceptance(seed: int = DEFAULT_SEED, caps: Caps = DEFAULT_CAPS,
     # c04: syndrome norms == smoothed-source norms on random code/pmf pairs;
     # the codes of trials 0 .. pairs-1 and their sources are checked as stacks
     pairs = 10 if quick else 50
-    G, H = _sample_codes(CodeEnsembleSpec(f2, 6, 3, seed), 0, pairs)
+    G, columns = _sample_codes(CodeEnsembleSpec(f2, 6, 3, seed), 0, pairs)
     probs = _random_probs((seed, 31), 0, pairs, 1 << 6)
-    batch = _projection_identities(2, probs, G, _syndrome_rows(2, probs, H, caps),
+    batch = _projection_identities(2, probs, G, _syndrome_rows(2, probs, columns, 3, caps),
                                    (2.0, 3.0, math.inf), caps)
     results.append(_merge("c04-projection-identity", batch))
 

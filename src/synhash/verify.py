@@ -130,7 +130,7 @@ def _tuple_ranks_cached(q: int, n: int, p: int) -> np.ndarray:
     zeros = np.zeros(q ** (n * p), dtype=np.min_scalar_type(len(points)))
     for c in points:
         M = np.kron(c, identity) if s == p else np.kron(identity, c)
-        zeros += _image_rows(q, M[None])[0] == 0
+        zeros += _image_rows(q, (q_powers(q, len(M)) @ M)[None], len(M))[0] == 0
     # |K| = q^e exactly when zeros reads (q^e - 1) / (q - 1)
     rank_of = np.zeros(len(points) + 1, dtype=np.int8)
     for e in range(s + 1):
@@ -156,10 +156,12 @@ def _codeword_tuples(q: int, G: np.ndarray, p: int):
     generator stack mod q, v_1 in the top digits: one (codes, q^{kp}) array
     per chunk of codes, from one image table of the chunk's generators.  A
     chunk holds about a quarter of _BATCH_ENTRIES tuples."""
-    size = q ** G.shape[2]
+    n = G.shape[2]
+    size = q ** n
     chunk = max(1, _BATCH_ENTRIES // 4 // q ** (G.shape[1] * p))
     for first in range(0, len(G), chunk):
-        words = _image_rows(q, G[first:first + chunk].transpose(0, 2, 1)).astype(np.int64)
+        # row j of G is column j of G^T
+        words = _image_rows(q, G[first:first + chunk] @ q_powers(q, n), n).astype(np.int64)
         tuples = words
         for _ in range(p - 1):
             tuples = (tuples[:, :, None] * size + words[:, None, :]).reshape(len(words), -1)
@@ -418,7 +420,7 @@ def check_rearrangement_lemma(n: int, q: int, p: int, d: int,
     identity = np.eye(n, dtype=np.int64)
     for row in coefficients:
         # v_0 holds the most significant digits of a grid index
-        prod *= f[_image_rows(q, np.kron(row[::-1], identity)[None])[0]]
+        prod *= f[_image_rows(q, (q_powers(q, n) @ np.kron(row[::-1], identity))[None], n)[0]]
     lhs = float(prod.mean())
     r = p - d + 1
     rhs = lp_norm(f, 1) ** (d - 1) * lp_norm(f, r) ** r
@@ -488,7 +490,7 @@ def _code_pmfs(q: int, G: np.ndarray) -> np.ndarray:
     array, from one image table of the G^T stack."""
     count, k, n = G.shape
     pmfs = np.zeros((count, q ** n))
-    np.put_along_axis(pmfs, _image_rows(q, G.transpose(0, 2, 1)), 1.0 / q ** k, axis=1)
+    np.put_along_axis(pmfs, _image_rows(q, G @ q_powers(q, n), n), 1.0 / q ** k, axis=1)
     return pmfs
 
 
@@ -510,7 +512,7 @@ def rank_stratified_sum(P: DensePmf, p: int, d: int,
     caps.admit("rank-stratified sum", int(tuples_d.size) * size * p, "tuple_products")
     # sub_index[x, v] = idx(x - v); v holds the low digits of x * size + v
     minus_plus = np.kron([q - 1, 1], np.eye(n, dtype=np.int64))
-    sub_index = _image_rows(q, minus_plus[None])[0].reshape(size, size)
+    sub_index = _image_rows(q, (q_powers(q, n) @ minus_plus)[None], n)[0].reshape(size, size)
     probs = P.probs
     total = 0.0
     for t in tuples_d:
@@ -636,9 +638,9 @@ def _mc_trials(source: Source, spec: CodeEnsembleSpec, trials: int, statistic,
     DensePmf._check_size(q, m, caps)
     if isinstance(source, ProductBernoulli):
         caps.admit("column steps", (trials * spec.n) << m, "tuple_products")
-        push = functools.partial(_product_syndrome_rows, source.delta)
+        push = functools.partial(_product_syndrome_rows, source.delta, m=m)
     else:
-        push = functools.partial(_syndrome_rows, q, source.probs, caps=caps)
+        push = functools.partial(_syndrome_rows, q, source.probs, m=m, caps=caps)
     span = max(1, min(_SPAN_BATCHES * _BATCH_ENTRIES // (spec.n * max(1, spec.k, m)),
                       _BATCH_ENTRIES // q ** m))
     vals = np.empty(trials)

@@ -538,6 +538,14 @@ def test_exact_checks_are_pinned(argv, digest, capsys):
     ("--seed 7 verify clarkson --n 5 --count 200", "5c18df63c755b7de76a98139f87230a847641af6"),
     ("rm --m-range 4:12", "0ad60c6111576f36e1d6b4e8c03e5a888fbbdc60"),
     ("rm --m-range 2:6 --method dense --p inf", "6babdfc3eae0a9377d6a2079751ff6fb80b44f53"),
+    # sampled codes: q = 2 rows of two uint64 words, the dense count of a flat
+    # source, and two q > 2 runs, one of whose draws rejects words
+    ("smooth --n 80 --k 72 --source bernoulli:0.2 --trials 50",
+     "685718d1da3de4f27fb314be378070319cf636b0"),
+    ("bucket --n 14 --eps 0.25 --source flat:10", "5d2b2e6e614360c795baa3f6c1974f1bb3984be6"),
+    ("bucket --n 8 --q 3 --eps 0.25 --source flat:6", "c4a2ce3a13a0f09b3a981861fe60e81d8dc80df2"),
+    ("smooth --n 6 --k 3 --q 3 --source random --trials 500",
+     "613201142a16ccd63efe23bbb9167e722e5fb9a5"),
 ])
 def test_suite_and_draw_checks_are_pinned(argv, digest, capsys):
     rc, out, _ = run(["--stable-output", "--format", "csv", *argv.split()], capsys)

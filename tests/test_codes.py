@@ -21,10 +21,12 @@ from synhash.codes import (
     rm_parity_check,
     sample_uniform_code,
     _ensemble_stacks,
+    _draw_codes,
     _rm_parity_columns,
     _sample_codes,
 )
-from synhash.field import FieldSpec, FqMatrix, kernel_basis, q_powers, rank, rref, _rref_stack
+from synhash.field import (FieldSpec, FqMatrix, kernel_basis, q_powers, rank, rref,
+                           _kernel_from_rref, _rref_stack)
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -187,6 +189,48 @@ def test_sample_stream_is_pinned(spec, digest):
     assert h.hexdigest() == digest
 
 
+def _drawn_kernels(spec, drawn):
+    """The parity checks of a _draw_codes stack: the kernels of its reduced
+    forms, whose packed rows at q = 2 are unpacked first."""
+    G, red, pivots = drawn
+    if spec.field.q == 2:
+        red = np.unpackbits(np.ascontiguousarray(red, dtype="<u8").view(np.uint8), axis=2,
+                            count=spec.n, bitorder="little")
+    return _kernel_from_rref(red, pivots, spec.field.q)
+
+
+def _parity_digits(columns, q, m):
+    """The (T, m, n) parity checks whose little-endian column indices are given."""
+    return columns[:, None, :] // q_powers(q, m)[:, None] % q
+
+
+def _check_sampled_stacks(reference_code, spec, start, cut, stop):
+    """_draw_codes and _sample_codes on trials start .. stop-1 against the
+    per-trial reference, and split at cut."""
+    n, k, q = spec.n, spec.k, spec.field.q
+    drawn = _draw_codes(spec, start, stop)
+    G, H = drawn[0], _drawn_kernels(spec, drawn)
+    assert G.shape == (stop - start, k, n) and H.shape == (stop - start, n - k, n)
+    refs = [reference_code(spec, t) for t in range(start, stop)]
+    for t, (ref_G, ref_H) in enumerate(refs):
+        assert np.array_equal(G[t], ref_G) and np.array_equal(H[t], ref_H)
+    # where a chunk ends does not change the codes
+    head, tail = _draw_codes(spec, start, cut), _draw_codes(spec, cut, stop)
+    assert np.array_equal(np.concatenate([head[0], tail[0]]), G)
+    assert np.array_equal(np.concatenate([_drawn_kernels(spec, head),
+                                          _drawn_kernels(spec, tail)]), H)
+    # the column indices of the same parity checks, wherever q^(n - k) fits int64
+    if q ** (n - k) > 2 ** 62:
+        with pytest.raises(ValueError, match="index arithmetic"):
+            _sample_codes(spec, start, stop)
+        return
+    G, columns = _sample_codes(spec, start, stop)
+    assert columns.shape == (stop - start, n) and columns.dtype == np.int64
+    for t, (ref_G, ref_H) in enumerate(refs):
+        assert np.array_equal(G[t], ref_G)
+        assert np.array_equal(columns[t], q_powers(q, n - k) @ ref_H)
+
+
 @given(st.sampled_from([2, 3, 5]), st.integers(0, 70), st.data())
 def test_sampled_stacks_match_the_per_trial_reference(reference_code, q, n, data):
     k = data.draw(st.integers(0, n))
@@ -194,15 +238,15 @@ def test_sampled_stacks_match_the_per_trial_reference(reference_code, q, n, data
     cut = data.draw(st.integers(start, start + 12))
     stop = data.draw(st.integers(cut, cut + 12))
     spec = CodeEnsembleSpec(FieldSpec(q), n, k, data.draw(st.integers(0, 2 ** 32)))
-    G, H = _sample_codes(spec, start, stop)
-    assert G.shape == (stop - start, k, n) and H.shape == (stop - start, n - k, n)
-    for t in range(start, stop):
-        ref_G, ref_H = reference_code(spec, t)
-        assert np.array_equal(G[t - start], ref_G) and np.array_equal(H[t - start], ref_H)
-    # where a chunk ends does not change the codes
-    head, tail = _sample_codes(spec, start, cut), _sample_codes(spec, cut, stop)
-    assert np.array_equal(np.concatenate([head[0], tail[0]]), G)
-    assert np.array_equal(np.concatenate([head[1], tail[1]]), H)
+    _check_sampled_stacks(reference_code, spec, start, cut, stop)
+
+
+# binary codes around the uint64 word edges, whose packed rows span one to
+# two words; at k = 0 and 1 only n = 63, k = 1 has column indices that fit
+@pytest.mark.parametrize("n, k", [(n, k) for n in (63, 64, 65, 80, 128)
+                                  for k in (0, 1, n - 8, n)])
+def test_sampled_codes_match_the_reference_at_the_word_edges(reference_code, n, k):
+    _check_sampled_stacks(reference_code, CodeEnsembleSpec(F2, n, k, n + k), 3, 6, 10)
 
 
 def test_sampled_code_matches_the_reference_across_a_rejected_word(reference_code):
@@ -215,10 +259,11 @@ def test_sampled_code_matches_the_reference_across_a_rejected_word(reference_cod
     threshold = (1 << 32) % q
     assert [i for i, x in enumerate(leftover) if x < threshold] == [123]
     spec = CodeEnsembleSpec(FieldSpec(q), 12, 11, DEFAULT_SEED)
-    G, H = _sample_codes(spec, trial - 2, trial + 2)
+    G, columns = _sample_codes(spec, trial - 2, trial + 2)
     for t in range(trial - 2, trial + 2):
         ref_G, ref_H = reference_code(spec, t)
-        assert np.array_equal(G[t - trial + 2], ref_G) and np.array_equal(H[t - trial + 2], ref_H)
+        assert np.array_equal(G[t - trial + 2], ref_G)
+        assert np.array_equal(columns[t - trial + 2], q_powers(q, 1) @ ref_H)
 
 
 @pytest.mark.parametrize("q, n, k, start, stop", [
@@ -229,7 +274,8 @@ def test_sampled_code_matches_the_reference_across_a_rejected_word(reference_cod
 ])
 def test_sampled_parity_checks_have_full_rank(q, n, k, start, stop):
     # the Monte Carlo checks push these stacks forward without a rank check
-    H = _sample_codes(CodeEnsembleSpec(FieldSpec(q), n, k, DEFAULT_SEED), start, stop)[1]
+    columns = _sample_codes(CodeEnsembleSpec(FieldSpec(q), n, k, DEFAULT_SEED), start, stop)[1]
+    H = _parity_digits(columns, q, n - k)
     assert H.shape == (stop - start, n - k, n)
     assert (_rref_stack(H, q)[2] == n - k).all()
 
@@ -254,14 +300,15 @@ def test_sampled_codes_are_valid(check_code):
 
 def test_sampling_is_uniform_over_codes():
     # 35000 draws over the 35 [4,2] binary codes; chi-square with 34 dof.
-    # a code is told by its parity check: both routes build H from the reduced
-    # generator, so equal codes have equal H
+    # a code is told by its parity check's column indices: both routes build H
+    # from the reduced generator, so equal codes have equal H
     spec = CodeEnsembleSpec(F2, 4, 2, 0xC0DE)
-    index = {c.H.array.tobytes(): i for i, c in enumerate(enumerate_all_codes(F2, 4, 2))}
+    index = {(q_powers(2, 2) @ c.H.array).tobytes(): i
+             for i, c in enumerate(enumerate_all_codes(F2, 4, 2))}
     counts = np.zeros(35)
     draws = 35000
-    for H in _sample_codes(spec, 0, draws)[1]:
-        counts[index[H.tobytes()]] += 1
+    for columns in _sample_codes(spec, 0, draws)[1]:
+        counts[index[columns.tobytes()]] += 1
     expected = draws / 35
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     assert chi2 < 70.0  # p ~ 3e-4 at 34 dof; deterministic given the seed

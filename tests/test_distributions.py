@@ -533,8 +533,9 @@ def _exact_product_rows(delta, maps):
 @pytest.mark.parametrize("delta", [0.0, 0.2, 0.5])
 def test_product_syndrome_rows_match_exact_and_dense_pmfs(n, k, delta):
     maps = _full_rank_maps(2, n, n - k, 12, 7)
-    rows = _product_syndrome_rows(delta, maps)
-    assert rows.shape == (12, 1 << (n - k))
+    m = n - k
+    rows = _product_syndrome_rows(delta, q_powers(2, m) @ maps, m)
+    assert rows.shape == (12, 1 << m)
     # each column step rounds (1 - delta), two products and a sum of positive terms
     tol = 4 * n * 2.0 ** -53
     for row, exact in zip(rows.tolist(), _exact_product_rows(delta, maps)):
@@ -544,7 +545,8 @@ def test_product_syndrome_rows_match_exact_and_dense_pmfs(n, k, delta):
     for H, row in zip(maps, rows):
         want = pushforward(dense, FqMatrix(F2, H)).probs
         assert np.all(np.abs(row - want) <= 1e-12 * want)
-    one_map = np.concatenate([_product_syndrome_rows(delta, H[None]) for H in maps])
+    one_map = np.concatenate([_product_syndrome_rows(delta, (q_powers(2, m) @ H)[None], m)
+                              for H in maps])
     assert np.array_equal(rows, one_map)
 
 
@@ -580,12 +582,13 @@ def test_pushforward_batches_equal_a_per_code_loop(monkeypatch, q, n, support):
     sizes = []
     image_rows = distributions._image_rows
 
-    def recorded(q, arr):
-        sizes.append(len(arr))
-        return image_rows(q, arr)
+    def recorded(q, columns, rows):
+        sizes.append(len(columns))
+        return image_rows(q, columns, rows)
 
     monkeypatch.setattr(distributions, "_image_rows", recorded)
-    assert np.array_equal(_syndrome_rows(q, P.probs, maps, DEFAULT_CAPS), want)
+    assert np.array_equal(_syndrome_rows(q, P.probs, q_powers(q, 3) @ maps, 3, DEFAULT_CAPS),
+                          want)
     assert sizes == [5, 5, 5, 5, 3]
 
 
@@ -597,7 +600,7 @@ def test_wide_syndrome_tables_push_forward_as_a_point_loop(point_images, q, n, m
     maps = _full_rank_maps(q, n, m, 3, 11)
     probs = np.random.default_rng((q, n, m)).random(q ** n)
     P = DensePmf(field, n, probs / probs.sum())
-    rows = _syndrome_rows(q, P.probs, maps, DEFAULT_CAPS)
+    rows = _syndrome_rows(q, P.probs, q_powers(q, m) @ maps, m, DEFAULT_CAPS)
     for H, row in zip(maps, rows):
         ref = np.zeros(q ** m)
         for x, image in enumerate(point_images(H, q)):

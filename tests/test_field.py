@@ -11,10 +11,12 @@ from synhash.field import (
     q_powers,
     rank,
     rref,
+    _bit_kernel_columns,
     _image_rows,
     _inverse_table,
     _kernel_from_rref,
     _rank_array,
+    _reduce_bits,
     _rref_stack,
 )
 
@@ -134,7 +136,8 @@ def test_image_indices_match_mat_vec(point_images, M):
     assert identity.tolist() == list(range(field.q ** n))
     # a stack gives one row per matrix, each the table of that matrix alone
     flipped = FqMatrix(field, M.array[::-1])
-    stacked = _image_rows(field.q, np.stack([M.array, flipped.array, M.array]))
+    stack = np.stack([M.array, flipped.array, M.array])
+    stacked = _image_rows(field.q, q_powers(field.q, M.rows) @ stack, M.rows)
     assert stacked.shape == (3, field.q ** n)
     assert np.array_equal(stacked, [table, image_indices(flipped), table])
 
@@ -264,9 +267,14 @@ def test_stacked_kernel_matches_the_per_matrix_kernels(reference_kernel, case):
         assert np.array_equal(basis[t], reference_kernel(red[t], pivots[t].tolist(), n, q))
         assert len(_generic_rref(basis[t], q)[1]) == n - r
         assert np.array_equal(kernel_basis(FqMatrix(FieldSpec(q), a[t])).array, basis[t])
-    # at q = 2 the stacked elimination hands over uint8 rows
+    # at q = 2 the stacked elimination hands over uint8 rows, and the column
+    # indices of the bases are read off the packed rows, which stay unsorted
     if q == 2:
         assert np.array_equal(_kernel_from_rref(red.astype(np.uint8), pivots, q), basis)
+        packed, unsorted, ranks = _reduce_bits(a)
+        assert (ranks == r).all()
+        assert np.array_equal(_bit_kernel_columns(packed, unsorted, n),
+                              q_powers(2, n - r) @ basis)
 
 
 @st.composite
@@ -340,7 +348,7 @@ def test_image_rows_are_of_the_smallest_type_that_holds_them(point_images, q, ro
     stack = np.random.default_rng((q, rows, cols)).integers(0, q, size=(4, rows, cols))
     if rows:
         stack[1, -1] = q - 1  # at q > 2 every step of this row wraps past q
-    table = _image_rows(q, stack)
+    table = _image_rows(q, q_powers(q, rows) @ stack, rows)
     assert table.dtype == np.min_scalar_type(2 * q ** rows - 1)
     assert table.dtype == (np.uint8 if 2 * q ** rows <= 256 else np.uint16)
     for M, row in zip(stack, table):
@@ -357,5 +365,5 @@ def test_image_rows_fill_every_digit_block_of_a_column_at_once(point_images, q, 
     stack = np.random.default_rng((q, cols)).integers(0, q, size=(2, 3, cols))
     stack[1, 2] = q - 1  # every step of this row wraps past q
     stack[1, :, 0] = 0  # a zero column copies the low block into every block
-    for M, row in zip(stack, _image_rows(q, stack)):
+    for M, row in zip(stack, _image_rows(q, q_powers(q, 3) @ stack, 3)):
         assert row.tolist() == point_images(M, q)

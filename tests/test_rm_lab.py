@@ -10,7 +10,7 @@ from synhash.caps import Caps, CapExceeded
 from synhash.bounds import two_point_renyi
 from synhash.codes import reed_muller_dimensions, rm_parity_check
 from synhash.distributions import DensePmf, renyi_entropy, _product_syndrome_rows
-from synhash.field import FieldSpec
+from synhash.field import FieldSpec, q_powers
 from synhash.rm_lab import (
     CSV_COLUMNS,
     RmExperimentSpec,
@@ -94,8 +94,8 @@ def test_grid_dense_rows_are_the_column_steps_of_each_delta():
     for m in (2, 3, 4):
         for r in range(m):
             n, k = reed_muller_dimensions(r, m)
-            H = rm_parity_check(r, m).array
-            pmfs = [DensePmf(FieldSpec(2), n - k, _product_syndrome_rows(delta, H[None])[0])
+            columns = (q_powers(2, n - k) @ rm_parity_check(r, m).array)[None]
+            pmfs = [DensePmf(FieldSpec(2), n - k, _product_syndrome_rows(delta, columns, n - k)[0])
                     for delta in DELTAS]
             want = [[n - k - renyi_entropy(syn, p) for p in orders] for syn in pmfs]
             assert _rm_divergence_grid(m, r, DELTAS, orders, ("dense",), Caps()) == [want]

@@ -15,7 +15,7 @@ from synhash.codes import (DEFAULT_SEED, CodeEnsembleSpec, LinearCode, enumerate
 from synhash.distributions import (DensePmf, ProductBernoulli, code_pmf, convolve,
                                    lp_norm, pushforward, renyi_entropy,
                                    _product_syndrome_rows, _syndrome_rows)
-from synhash.field import FieldSpec, FqMatrix, image_indices, rref, _rank_array
+from synhash.field import FieldSpec, FqMatrix, image_indices, q_powers, rref, _rank_array
 from synhash.verify import (
     check_balanced_identity,
     check_balanced_inequality,
@@ -427,9 +427,11 @@ def _per_code_projection_identity(code, P, p_list):
 def test_stacked_projection_identity_equals_a_per_code_loop(q, n, k):
     field = FieldSpec(q)
     p_list = (1.5, 2.0, 3.0, math.inf)
-    G, H = _sample_codes(CodeEnsembleSpec(field, n, k, 6), 0, 9)
+    G, columns = _sample_codes(CodeEnsembleSpec(field, n, k, 6), 0, 9)
+    H = columns[:, None, :] // q_powers(q, n - k)[:, None] % q
     probs = _random_probs((6, q), 0, 9, q ** n)
-    stacked = _projection_identities(q, probs, G, _syndrome_rows(q, probs, H, DEFAULT_CAPS),
+    stacked = _projection_identities(q, probs, G,
+                                     _syndrome_rows(q, probs, columns, n - k, DEFAULT_CAPS),
                                      p_list, DEFAULT_CAPS)
     assert len(stacked) == 9
     for t, res in enumerate(stacked):
@@ -442,7 +444,7 @@ def test_stacked_projection_identity_equals_a_per_code_loop(q, n, k):
         assert one.to_json_dict() == res.to_json_dict()
     # one shared source for every code
     P = DensePmf(field, n, probs[0])
-    syndromes = _syndrome_rows(q, P.probs, H, DEFAULT_CAPS)
+    syndromes = _syndrome_rows(q, P.probs, columns, n - k, DEFAULT_CAPS)
     shared = _projection_identities(q, P.probs, G, syndromes, p_list, DEFAULT_CAPS)
     for t, res in enumerate(shared):
         code = LinearCode(field, n, k, FqMatrix(field, G[t]), FqMatrix(field, H[t]))
@@ -647,7 +649,9 @@ def _per_code_product_stats(delta, spec, trials, statistic, reference_code):
     time, through the column steps of a one-map stack, on codes drawn one
     trial at a time by the reference sampler."""
     maps = [reference_code(spec, t)[1] for t in range(trials)]
-    return np.array([statistic(_product_syndrome_rows(delta, H[None])[0]) for H in maps])
+    return np.array([statistic(_product_syndrome_rows(delta, (q_powers(2, len(H)) @ H)[None],
+                                                      len(H))[0])
+                     for H in maps])
 
 
 def _fingerprint(probs):
@@ -705,9 +709,9 @@ def test_monte_carlo_chunks_are_contiguous_spans_of_the_code_stream(monkeypatch,
         spans.append((start, stop))
         return sample(spec, start, stop)
 
-    def pushed(q, probs, maps, caps):
-        pushes.append(len(maps))
-        return push(q, probs, maps, caps)
+    def pushed(q, probs, columns, m, caps):
+        pushes.append(len(columns))
+        return push(q, probs, columns, m, caps)
 
     monkeypatch.setattr(verify, "_sample_codes", sampled)
     monkeypatch.setattr(verify, "_syndrome_rows", pushed)
