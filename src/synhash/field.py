@@ -143,8 +143,8 @@ def _reduce_bits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     every other row of its matrix that holds that bit.  The rows before it
     hold no bit below their own pivots, so no XOR moves an earlier pivot, and
     a row in the span of the rows before it is zero by its turn and stays
-    zero.  The words are kept as (words, T, rows) planes, so that every step
-    runs over whole planes.
+    zero.  The words are kept as (words, rows, T) planes, so that every step
+    runs along all T matrices at once.
     """
     a = np.asarray(a)
     count, rows, cols = a.shape
@@ -152,24 +152,23 @@ def _reduce_bits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     bits = np.zeros((count, rows, 64 * words), dtype=np.uint8)
     bits[:, :, :cols] = a & 1
     packed = np.packbits(bits, axis=None, bitorder="little").view("<u8")
-    packed = np.ascontiguousarray(packed.reshape(count, rows, words).transpose(2, 0, 1),
-                                  dtype=np.uint64)
+    packed = np.ascontiguousarray(packed.reshape(count, rows, words).T, dtype=np.uint64)
     lows = np.zeros_like(packed)  # each row's pivot bit, in its word; 0 for a zero row
     for i in range(rows):
-        row = packed[:, :, i]
+        row = packed[:, i]
         low = row & np.negative(row)  # the lowest set bit of each word
         # only the first nonzero word holds the pivot
         low[1:] *= ~np.logical_or.accumulate(row[:-1] != 0, axis=0)
-        lows[:, :, i] = low
-        hits = (packed & low[:, :, None]).any(axis=0)
-        hits[:, i] = False
-        packed ^= row[:, :, None] * hits
-    held = lows != 0
-    at = held.argmax(axis=0)
-    # a power of two is exact in float64, so frexp reads its bit position
-    bit = np.frexp(np.take_along_axis(lows, at[None], axis=0)[0].astype(np.float64))[1] - 1
-    pivots = np.where(held.any(axis=0), 64 * at + bit, -1)
-    return packed.transpose(1, 2, 0), pivots, np.count_nonzero(pivots >= 0, axis=1)
+        lows[:, i] = low
+        hits = (packed & low[:, None, :]).any(axis=0)
+        hits[i] = False
+        packed ^= row[:, None, :] * hits
+    # a power of two is exact in float64, so frexp reads its bit position (plus
+    # one; 0 for a zero word)
+    exps = np.frexp(lows.astype(np.float64))[1]
+    at = (64 * np.arange(words))[:, None, None]
+    pivots = np.where(exps > 0, at + exps, 0).max(axis=0).T - 1
+    return packed.T, pivots, np.count_nonzero(pivots >= 0, axis=1)
 
 
 def _rref_bits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

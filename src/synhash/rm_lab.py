@@ -119,9 +119,10 @@ def _rm_divergence_grid(m: int, r: int, deltas: Sequence[float], orders: Sequenc
     admitted before any code is built.  The two routes share no
     construction: the dense route takes each delta's 2^{n-k} syndrome pmf
     by the n column steps of distributions._product_syndrome_rows through
-    rm_parity_check's matrix, which has full rank by construction
-    (tests/test_codes.py checks it), so it is not eliminated again; the
-    dual route reads only the column indices of codes._rm_parity_columns."""
+    the column indices of rm_parity_check's matrix, which has full rank by
+    construction (tests/test_codes.py checks it), so it is not eliminated
+    again; the dual route reads only the column indices that
+    codes._rm_parity_columns builds without the matrix."""
     if not 0 <= r <= m:
         raise ValueError(f"need 0 <= r <= m, got r={r}, m={m}")
     for method in methods:
