@@ -25,11 +25,10 @@ from .field import (
     q_powers,
     rank,
     rref,
-    _bit_kernel_columns,
+    _eliminate,
+    _kernel_columns,
     _kernel_from_rref,
     _rank_array,  # traced site: perfbench/tracing.py wraps it here
-    _reduce_bits,
-    _rref_stack,
 )
 from .streams import TrialStreams
 
@@ -117,57 +116,40 @@ def rank_tuple_count(n: int, p: int, d: int, q: int) -> int:
 def _draw_codes(spec: CodeEnsembleSpec, start: int,
                 stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (T, k, n) generators of the uniform codes of trials start ..
-    stop-1, by rejection on iid generators, with their reduced forms and
-    (T, k) pivot columns: at q = 2 the packed rows of field._reduce_bits, in
-    the order of G, above q = 2 the int64 rows of field._rref_stack.  G holds
-    the smallest unsigned type that holds a residue.
-
-    Trial t draws k x n matrices from its own generator until one has full
-    rank: the draws are those of np.random.default_rng((spec.seed, t))
-    .integers(0, q, size=(k, n), dtype=np.int64), made for every trial at
-    once by streams.TrialStreams.  All trials are drawn first and eliminated
-    as one stack; only the rank-deficient ones draw again.
+    stop-1, of the smallest unsigned type that holds a residue, with their
+    reduced forms and pivots from field._eliminate.  Trial t draws k x n
+    matrices from np.random.default_rng((spec.seed, t)).integers(0, q,
+    size=(k, n), dtype=np.int64) until one has full rank; streams.TrialStreams
+    draws every trial at once, and only the rank-deficient ones draw again.
     """
     n, k, q = spec.n, spec.k, spec.field.q
     count = max(0, stop - start)
     streams = TrialStreams(spec.seed, start, stop)
-    reduce = _reduce_bits if q == 2 else functools.partial(_rref_stack, q=q)
     G = streams.integers(np.arange(count), q, k * n).reshape(count, k, n)
-    red, pivots, ranks = reduce(G)
+    red, pivots, ranks = _eliminate(G, q)
     while (short := np.flatnonzero(ranks < k)).size:
         G[short] = streams.integers(short, q, k * n).reshape(len(short), k, n)
-        red[short], pivots[short], ranks[short] = reduce(G[short])
+        red[short], pivots[short], ranks[short] = _eliminate(G[short], q)
     return G, red, pivots
 
 
 def _sample_codes(spec: CodeEnsembleSpec, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (T, k, n) generators of the uniform codes of trials start ..
-    stop-1 (_draw_codes) and the little-endian column indices
-    q_powers(q, n - k) @ H of their parity checks H, as a (T, n) int64
-    array; refuses when q^(n - k) would overflow them.
-
-    H is the kernel basis of field._kernel_from_rref: an identity on the free
-    columns, so of full rank.  At q = 2 the indices are read off the packed
-    reduced rows (field._bit_kernel_columns) and no H is formed.
-    tests/test_codes.py checks the stacks against per-trial numpy generators
-    (test_sampled_stacks_match_the_per_trial_reference, its word-edge cases
-    and a bounded-draw rejection) and pins their digest
-    (test_sample_stream_is_pinned).
-    """
-    n, k, q = spec.n, spec.k, spec.field.q
-    q_powers(q, n - k)  # refuses before any draw
+    """The generators of _draw_codes and the (T, n) column indices
+    q_powers(q, n - k) @ H of their parity checks H, the kernel bases of
+    field._kernel_from_rref (full rank: an identity on the free columns).
+    tests/test_codes.py checks both against per-trial numpy generators and
+    pins the stream (test_sample_stream_is_pinned)."""
+    q_powers(spec.field.q, spec.n - spec.k)  # refuses indices past int64 before any draw
     G, red, pivots = _draw_codes(spec, start, stop)
-    if q == 2:
-        return G, _bit_kernel_columns(red, pivots, n)
-    return G, q_powers(q, n - k) @ _kernel_from_rref(red, pivots, q)
+    return G, _kernel_columns(red, pivots, spec.n, spec.field.q)
 
 
 def sample_uniform_code(spec: CodeEnsembleSpec, trial: int) -> LinearCode:
     """Uniform [n, k]_q code via rejection on iid generator matrices.
 
     Deterministic per (spec.seed, trial); distinct trials use independent
-    generator streams.  H is the kernel basis of G's reduced form, the one
-    whose column indices _sample_codes gives.
+    generator streams.  H is the kernel basis of G, whose column indices
+    _sample_codes gives; unlike them it is formed at any n - k.
     """
     G = FqMatrix(spec.field, _draw_codes(spec, trial, trial + 1)[0][0])
     return LinearCode(spec.field, spec.n, spec.k, G, kernel_basis(G))

@@ -337,13 +337,12 @@ def code_pmf(code: LinearCode, caps: Caps = DEFAULT_CAPS) -> DensePmf:
 
 def _syndrome_rows(q: int, probs: np.ndarray, columns: np.ndarray, m: int,
                    caps: Caps) -> np.ndarray:
-    """Pmf of H z for z ~ P, one row per H in a stack of full-row-rank (m, n)
-    maps mod q given by their little-endian column indices
-    q_powers(q, m) @ H, a (T, n) int64 array, as a (T, q^m) array.  probs
-    holds P's q^n probabilities: 1-D for one source that every map pushes
-    forward, or (T, q^n) with row t the source of map t.  Neither the rank
-    nor the length of probs is checked: the callers pass maps that have full
-    rank by construction, and sources on their space.
+    """Pmf of H z for z ~ P, one row per full-row-rank (m, n) map H mod q, as
+    a (T, q^m) array; the maps are their (T, n) column indices q_powers(q, m) @ H.
+    probs holds P's q^n probabilities: 1-D for one source that every map
+    pushes forward, or (T, q^n) with row t the source of map t.  Neither the
+    rank nor the length of probs is checked: the callers pass maps that have
+    full rank by construction, and sources on their space.
 
     The syndromes are counted a batch of rows at a time, one bincount over
     row-offset syndrome indices per batch of about _BATCH_ENTRIES index entries.
@@ -375,10 +374,9 @@ def _syndrome_rows(q: int, probs: np.ndarray, columns: np.ndarray, m: int,
 
 
 def _product_syndrome_rows(delta: float, columns: np.ndarray, m: int) -> np.ndarray:
-    """Pmf of H z for z ~ Bernoulli(delta)^n, one row per H in a stack of
-    binary (m, n) maps given by their little-endian column indices
-    q_powers(2, m) @ H, a (T, n) int64 array, as a (T, 2^m) array, without
-    the 2^n source.
+    """Pmf of H z for z ~ Bernoulli(delta)^n, one row per binary (m, n) map H,
+    as a (T, 2^m) array, without the 2^n source; the maps are their (T, n)
+    column indices q_powers(2, m) @ H.
 
     Each bit z_j adds column h_j of H with probability delta, independently,
     so from the point mass at 0 the column steps
@@ -411,13 +409,13 @@ def pushforward(P: DensePmf, H: FqMatrix, caps: Caps = DEFAULT_CAPS) -> DensePmf
     then the rank, then the input length are checked."""
     if H.field != P.field:
         raise ValueError("pmf and map live over different fields")
-    q = P.field.q
-    if _rank_array(H.array, q) != H.rows:
+    q, m = P.field.q, H.rows
+    if _rank_array(H.array, q) != m:
         raise ValueError("map is rank deficient; output space would be oversized")
     if H.cols != P.n:
         raise ValueError(f"map expects length-{H.cols} inputs, pmf is on length {P.n}")
-    columns = (q_powers(q, H.rows) @ H.array)[None]
-    return DensePmf(P.field, H.rows, _syndrome_rows(q, P.probs, columns, H.rows, caps)[0])
+    return DensePmf(P.field, m, _syndrome_rows(q, P.probs, (q_powers(q, m) @ H.array)[None],
+                                               m, caps)[0])
 
 
 def _dual_weights(columns: np.ndarray, nk: int) -> np.ndarray:

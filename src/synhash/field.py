@@ -133,22 +133,16 @@ def _rref_stack(a: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def _reduce_bits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gauss-Jordan by rows at q = 2 on a (T, rows, cols) stack, each row
-    packed into uint64 words (bit c % 64 of word c // 64 holds column c).
-
-    Returns (packed, pivots, ranks) with the (T, rows, words) rows reduced in
-    place, not sorted: pivots[t, i] is the pivot column of row i of matrix t,
-    -1 for a zero row.  Row i of every matrix takes as its pivot its lowest
-    set bit, the lowest bit of its first nonzero word, and is XORed into
-    every other row of its matrix that holds that bit.  The rows before it
-    hold no bit below their own pivots, so no XOR moves an earlier pivot, and
-    a row in the span of the rows before it is zero by its turn and stays
-    zero.  The words are kept as (words, rows, T) planes, so that every step
-    runs along all T matrices at once.
-    """
+    """_eliminate at q = 2: Gauss-Jordan by rows on rows packed into uint64
+    words (bit c % 64 of word c // 64 holds column c), kept as (words, rows,
+    T) planes so that every step runs along the whole stack.  Row i takes its
+    lowest set bit as its pivot and is XORed into every other row holding it.
+    The rows before it hold no bit below their own pivots, so no XOR moves
+    an earlier pivot, and a row in their span is zero by its turn and stays
+    zero."""
     a = np.asarray(a)
     count, rows, cols = a.shape
-    words = max(1, -(-cols // 64))  # no column is one zero word
+    words = max(1, -(-cols // 64))  # a matrix of no columns gets one zero word
     bits = np.zeros((count, rows, 64 * words), dtype=np.uint8)
     bits[:, :, :cols] = a & 1
     packed = np.packbits(bits, axis=None, bitorder="little").view("<u8")
@@ -166,8 +160,7 @@ def _reduce_bits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # a power of two is exact in float64, so frexp reads its bit position (plus
     # one; 0 for a zero word)
     exps = np.frexp(lows.astype(np.float64))[1]
-    at = (64 * np.arange(words))[:, None, None]
-    pivots = np.where(exps > 0, at + exps, 0).max(axis=0).T - 1
+    pivots = np.where(exps > 0, exps + 64 * np.arange(words)[:, None, None], 0).max(axis=0).T - 1
     return packed.T, pivots, np.count_nonzero(pivots >= 0, axis=1)
 
 
@@ -184,18 +177,23 @@ def _rref_bits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return red, pivots, ranks
 
 
-def _bit_kernel_columns(packed: np.ndarray, pivots: np.ndarray, n: int) -> np.ndarray:
-    """The little-endian column indices q_powers(2, n - r) @ H of the kernel
-    bases H of _kernel_from_rref, as a (T, n) int64 array, read off a stack
-    of full-rank reduced forms from _reduce_bits: (T, r, words) packed rows
-    and their (T, r) pivot columns, in any row order.
+def _eliminate(a: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_rref_stack's (red, pivots, ranks) with the rows of red in any order
+    (pivots[t, i] is that of row i, -1 for a zero row): at q = 2 packed
+    (T, rows, words) and unsorted (_reduce_bits), so no sort is made."""
+    return _reduce_bits(a) if q == 2 else _rref_stack(a, q)
 
-    Free column f_i gets 2^i, and the pivot column of row l gets the bits of
-    row l at the free columns, read in order (at q = 2, -x = x).  The bits
-    are read as (n - r, r, T) planes, so that every step runs over all T.
+
+def _kernel_columns(red: np.ndarray, pivots: np.ndarray, n: int, q: int) -> np.ndarray:
+    """The (T, n) int64 column indices q_powers(q, n - r) @ H of the kernel
+    bases H of _kernel_from_rref, from _eliminate's full-rank forms and (T, r)
+    pivots.  At q = 2 no H is formed: free column f_i gets 2^i, and the pivot
+    column of row l the bits of row l at the free columns, in order (-x = x).
     """
     count, r = pivots.shape
-    powers = q_powers(2, n - r)
+    powers = q_powers(q, n - r)
+    if q != 2:
+        return powers @ _kernel_from_rref(red, pivots, q)
     offsets = n * np.arange(count)[:, None]  # of each code's columns in the flat output
     free = np.ones(count * n, dtype=bool)
     free[offsets + pivots] = False
@@ -205,7 +203,7 @@ def _bit_kernel_columns(packed: np.ndarray, pivots: np.ndarray, n: int) -> np.nd
     free = (free - offsets).T
     shifts = (free % 64).astype(np.uint64)[:, None, :]
     bits = np.zeros((n - r, r, count), dtype=np.uint64)
-    for w, plane in enumerate(packed.transpose(2, 1, 0)):
+    for w, plane in enumerate(red.transpose(2, 1, 0)):
         bits |= plane >> shifts & (free // 64 == w)[:, None, :]
     values = powers @ bits.reshape(n - r, r * count).view(np.int64)
     columns[offsets + pivots] = values.reshape(r, count).T
@@ -213,8 +211,7 @@ def _bit_kernel_columns(packed: np.ndarray, pivots: np.ndarray, n: int) -> np.nd
 
 
 def _rank_array(a: np.ndarray, q: int) -> int:
-    a = np.asarray(a)[None]
-    return int((_reduce_bits(a) if q == 2 else _rref_stack(a, q))[2][0])
+    return int(_eliminate(np.asarray(a)[None], q)[2][0])
 
 
 def _kernel_from_rref(red: np.ndarray, pivots: np.ndarray, q: int) -> np.ndarray:
@@ -269,16 +266,14 @@ def image_indices(M: FqMatrix) -> np.ndarray:
     the points whose digit j is a are the points below q**j shifted by a M e_j,
     added digit-wise mod q, which at q = 2 is XOR.
     """
-    rows = M.rows
-    return _image_rows(M.field.q, (q_powers(M.field.q, rows) @ M.array)[None], rows)[0] \
-        .astype(np.int64)
+    q, rows = M.field.q, M.rows
+    return _image_rows(q, (q_powers(q, rows) @ M.array)[None], rows)[0].astype(np.int64)
 
 
 def _image_rows(q: int, columns: np.ndarray, rows: int) -> np.ndarray:
-    """image_indices for a stack of matrices mod q with the given number of
-    rows, each given by its little-endian column indices q_powers(q, rows) @ M
-    as a (T, n) int64 array: a (T, q**n) table, row t that of matrix t, from
-    one pass of the column steps.
+    """image_indices for a stack of matrices M mod q with the given number of
+    rows, given by their (T, n) column indices q_powers(q, rows) @ M: a
+    (T, q**n) table, row t that of matrix t, from one pass of the column steps.
 
     The table has the smallest unsigned type that holds 2 q**rows - 1: every
     index, and at q > 2 an index whose digit has stepped past q - 1 before

@@ -618,15 +618,13 @@ def _mc_trials(source: Source, spec: CodeEnsembleSpec, trials: int, statistic,
 
     Codes are sampled a span at a time, by one codes._sample_codes call whose
     draws equal default_rng((spec.seed, t)).integers trial by trial, and each
-    span is pushed forward whole: the sampler's (T, n) column indices of the
-    parity checks go straight to the kernel, with no parity-check matrix
-    formed.  A span holds about _SPAN_BATCHES times _BATCH_ENTRIES generator
-    or parity-check entries, whichever are more, and at most _BATCH_ENTRIES
-    syndrome pmf entries; _syndrome_rows batches its image tables itself.
-    The parity checks are the kernel bases of the reduced generators, an
-    identity on the free columns, so they have full rank and are pushed
-    forward without a rank check (tests/test_codes.py,
-    test_sampled_parity_checks_have_full_rank).
+    span's parity-check column indices go to the kernel whole, with no
+    parity-check matrix formed.  A span holds about _SPAN_BATCHES times
+    _BATCH_ENTRIES generator or parity-check entries, whichever are more, and
+    at most _BATCH_ENTRIES syndrome pmf entries; _syndrome_rows batches its
+    image tables itself.  The parity checks are kernel bases, an identity on
+    the free columns, so they have full rank and are pushed forward without
+    a rank check (tests/test_codes.py, test_sampled_parity_checks_have_full_rank).
     Every row is computed on its own, so the values do not depend on the
     span.  tests/test_verify.py checks them against a per-code loop over
     per-trial generators

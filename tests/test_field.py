@@ -11,12 +11,12 @@ from synhash.field import (
     q_powers,
     rank,
     rref,
-    _bit_kernel_columns,
+    _eliminate,
     _image_rows,
     _inverse_table,
+    _kernel_columns,
     _kernel_from_rref,
     _rank_array,
-    _reduce_bits,
     _rref_stack,
 )
 
@@ -267,14 +267,14 @@ def test_stacked_kernel_matches_the_per_matrix_kernels(reference_kernel, case):
         assert np.array_equal(basis[t], reference_kernel(red[t], pivots[t].tolist(), n, q))
         assert len(_generic_rref(basis[t], q)[1]) == n - r
         assert np.array_equal(kernel_basis(FqMatrix(FieldSpec(q), a[t])).array, basis[t])
-    # at q = 2 the stacked elimination hands over uint8 rows, and the column
-    # indices of the bases are read off the packed rows, which stay unsorted
+    # the column indices of the bases, from the forms of _eliminate: at q = 2
+    # packed rows in their own order
+    reduced, unsorted, ranks = _eliminate(a, q)
+    assert (ranks == r).all()
+    assert np.array_equal(_kernel_columns(reduced, unsorted, n, q), q_powers(q, n - r) @ basis)
+    # at q = 2 the stacked elimination hands over uint8 rows
     if q == 2:
         assert np.array_equal(_kernel_from_rref(red.astype(np.uint8), pivots, q), basis)
-        packed, unsorted, ranks = _reduce_bits(a)
-        assert (ranks == r).all()
-        assert np.array_equal(_bit_kernel_columns(packed, unsorted, n),
-                              q_powers(2, n - r) @ basis)
 
 
 @st.composite
