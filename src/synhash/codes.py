@@ -26,6 +26,7 @@ from .field import (
     rank,
     rref,
     _eliminate,
+    _eliminated_kernels,
     _kernel_columns,
     _kernel_from_rref,
     _rank_array,  # traced site: perfbench/tracing.py wraps it here
@@ -148,11 +149,13 @@ def sample_uniform_code(spec: CodeEnsembleSpec, trial: int) -> LinearCode:
     """Uniform [n, k]_q code via rejection on iid generator matrices.
 
     Deterministic per (spec.seed, trial); distinct trials use independent
-    generator streams.  H is the kernel basis of G, whose column indices
+    generator streams.  H is the kernel basis whose column indices
     _sample_codes gives; unlike them it is formed at any n - k.
     """
-    G = FqMatrix(spec.field, _draw_codes(spec, trial, trial + 1)[0][0])
-    return LinearCode(spec.field, spec.n, spec.k, G, kernel_basis(G))
+    G, red, pivots = _draw_codes(spec, trial, trial + 1)
+    H = _eliminated_kernels(red, pivots, spec.n, spec.field.q)
+    return LinearCode(spec.field, spec.n, spec.k, FqMatrix(spec.field, G[0]),
+                      FqMatrix(spec.field, H[0]))
 
 
 def enumerate_all_codes(field: FieldSpec, n: int, k: int,

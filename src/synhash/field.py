@@ -171,10 +171,13 @@ def _rref_bits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     packed, pivots, ranks = _reduce_bits(a)
     order = np.argsort(np.where(pivots < 0, cols, pivots), axis=1, kind="stable")
     pivots = np.take_along_axis(pivots, order, axis=1)
-    packed = np.take_along_axis(packed, order[:, :, None], axis=1)
-    red = np.unpackbits(packed.astype("<u8", copy=False).view(np.uint8), axis=2,
-                        count=cols, bitorder="little")
-    return red, pivots, ranks
+    return _unpack_bits(np.take_along_axis(packed, order[:, :, None], axis=1), cols), pivots, ranks
+
+
+def _unpack_bits(packed: np.ndarray, cols: int) -> np.ndarray:
+    """The (T, rows, cols) uint8 digits of (T, rows, words) packed rows."""
+    packed = np.ascontiguousarray(packed, dtype="<u8")
+    return np.unpackbits(packed.view(np.uint8), axis=2, count=cols, bitorder="little")
 
 
 def _eliminate(a: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -208,6 +211,12 @@ def _kernel_columns(red: np.ndarray, pivots: np.ndarray, n: int, q: int) -> np.n
     values = powers @ bits.reshape(n - r, r * count).view(np.int64)
     columns[offsets + pivots] = values.reshape(r, count).T
     return columns.reshape(count, n)
+
+
+def _eliminated_kernels(red: np.ndarray, pivots: np.ndarray, n: int, q: int) -> np.ndarray:
+    """_kernel_from_rref of _eliminate's full-rank forms, which at q = 2 are
+    unpacked first; the row order does not change the bases."""
+    return _kernel_from_rref(_unpack_bits(red, n) if q == 2 else red, pivots, q)
 
 
 def _rank_array(a: np.ndarray, q: int) -> int:

@@ -26,7 +26,7 @@ from synhash.codes import (
     _sample_codes,
 )
 from synhash.field import (FieldSpec, FqMatrix, kernel_basis, q_powers, rank, rref,
-                           _kernel_from_rref, _rref_stack)
+                           _eliminated_kernels, _rref_stack)
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -190,13 +190,8 @@ def test_sample_stream_is_pinned(spec, digest):
 
 
 def _drawn_kernels(spec, drawn):
-    """The parity checks of a _draw_codes stack: the kernels of its reduced
-    forms, whose packed rows at q = 2 are unpacked first."""
-    G, red, pivots = drawn
-    if spec.field.q == 2:
-        red = np.unpackbits(np.ascontiguousarray(red, dtype="<u8").view(np.uint8), axis=2,
-                            count=spec.n, bitorder="little")
-    return _kernel_from_rref(red, pivots, spec.field.q)
+    """The parity checks of a _draw_codes stack: the kernels of its reduced forms."""
+    return _eliminated_kernels(drawn[1], drawn[2], spec.n, spec.field.q)
 
 
 def _parity_digits(columns, q, m):
