@@ -24,6 +24,7 @@ from .field import (
     q_powers,
     _image_rows,
     _rank_array,
+    _span_basis_columns,
 )
 
 __all__ = [
@@ -345,7 +346,17 @@ def _syndrome_rows(q: int, probs: np.ndarray, columns: np.ndarray, m: int,
     full rank by construction, and sources on their space.
 
     The syndromes are counted a batch of rows at a time, one bincount over
-    row-offset syndrome indices per batch of about _BATCH_ENTRIES index entries.
+    row-offset syndrome indices per batch of about _BATCH_ENTRIES index
+    entries, through an image table of the first q^j points, those up to the
+    last one with mass.  At q = 2, one source uniform on those 2^j > 2^m
+    points (flat:j, or uniform at j = n) is uniform on the span S of the
+    first j coordinates, and H z is uniform on H(S).  So is the image of the
+    uniform pmf on F_2^m through an m-column basis of H(S)
+    (field._span_basis_columns), whose table has 2^m entries, not 2^j.  The
+    rows are the same bit for bit: with r = rank H_S, every bin of H(S) adds
+    2^(j-r) copies of 2^-j on the one route and 2^(m-r) copies of 2^-m on
+    the other, and each partial sum is exact.  Above q = 2 the sums of
+    fl(q^-j) round, so the table route counts them.
     """
     count, n = columns.shape
     shared = probs.ndim == 1
@@ -358,6 +369,9 @@ def _syndrome_rows(q: int, probs: np.ndarray, columns: np.ndarray, m: int,
     while j and not probs[..., q ** (j - 1):].any():
         j -= 1
     size = q ** j
+    if q == 2 and shared and j > m and (probs[:size] == 1.0 / size).all():
+        columns, probs = _span_basis_columns(columns[:, :j], m), np.full(out_size, 1.0 / out_size)
+        j, size = m, out_size
     batch = max(1, _BATCH_ENTRIES // size)
     # one weight row per row of a batch: the one source, repeated, or the row's own
     weights = np.tile(probs[:size], min(batch, count)) if shared else probs[:, :size]
@@ -373,10 +387,12 @@ def _syndrome_rows(q: int, probs: np.ndarray, columns: np.ndarray, m: int,
     return out
 
 
-def _product_syndrome_rows(delta: float, columns: np.ndarray, m: int) -> np.ndarray:
+def _product_syndrome_rows(delta: float | np.ndarray, columns: np.ndarray,
+                           m: int) -> np.ndarray:
     """Pmf of H z for z ~ Bernoulli(delta)^n, one row per binary (m, n) map H,
     as a (T, 2^m) array, without the 2^n source; the maps are their (T, n)
-    column indices q_powers(2, m) @ H.
+    column indices q_powers(2, m) @ H, and delta is one bit probability for
+    every map or a (T, 1) column of them, one per map.
 
     Each bit z_j adds column h_j of H with probability delta, independently,
     so from the point mass at 0 the column steps

@@ -219,6 +219,21 @@ def _eliminated_kernels(red: np.ndarray, pivots: np.ndarray, n: int, q: int) -> 
     return _kernel_from_rref(_unpack_bits(red, n) if q == 2 else red, pivots, q)
 
 
+def _span_basis_columns(columns: np.ndarray, rows: int) -> np.ndarray:
+    """A basis of the span of each row's binary columns, as (T, rows) column
+    indices with the basis first and zero columns after it, from the (T, n)
+    column indices q_powers(2, rows) @ M of a stack of binary matrices M.
+    Each step takes the largest remaining index as a basis vector and XORs it
+    into every index that holds its top bit, which is exactly the indices it
+    lowers; so the top bit falls at every step, and rows steps leave none."""
+    vals = np.ascontiguousarray(columns.T)  # (n, T): each step runs along the stack
+    basis = np.empty((rows, len(columns)), dtype=np.int64)
+    for i in range(rows):
+        basis[i] = top = vals.max(axis=0)
+        np.minimum(vals, vals ^ top, out=vals)
+    return basis.T
+
+
 def _rank_array(a: np.ndarray, q: int) -> int:
     return int(_eliminate(np.asarray(a)[None], q)[2][0])
 

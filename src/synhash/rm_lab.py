@@ -15,6 +15,8 @@ import time
 from dataclasses import astuple, dataclass, fields
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .bounds import _bit_probability, _order, rm_threshold, two_point_renyi
 from .caps import DEFAULT_CAPS, Caps, CapExceeded
 # reed_muller_code, pushforward and bernoulli_syndrome_excess are the object
@@ -147,9 +149,11 @@ def _rm_divergence_grid(m: int, r: int, deltas: Sequence[float], orders: Sequenc
     out = []
     for method in methods:
         if method == "dense":
-            columns = (q_powers(2, n - k) @ rm_parity_check(r, m).array)[None]
-            pmfs = [DensePmf(FieldSpec(2), n - k, _product_syndrome_rows(delta, columns, n - k)[0])
-                    for delta in deltas]
+            # every delta in one call: row i steps its own copy of the columns by delta i
+            columns = q_powers(2, n - k) @ rm_parity_check(r, m).array
+            rows = _product_syndrome_rows(np.array(deltas, dtype=float)[:, None],
+                                          np.tile(columns, (len(deltas), 1)), n - k)
+            pmfs = [DensePmf(FieldSpec(2), n - k, row) for row in rows]
             out.append([[n - k - renyi_entropy(syn, p) for p in orders] for syn in pmfs])
         else:
             excess = _syndrome_excesses(_rm_parity_columns(r, m), n - k, deltas,

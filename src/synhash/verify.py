@@ -50,7 +50,7 @@ from .distributions import (
     renyi_entropy,
 )
 # digit_table and _rank_array are only traced sites: perfbench/tracing.py wraps them here
-from .field import FieldSpec, digit_table, q_powers, _image_rows, _rank_array, _rref_stack
+from .field import FieldSpec, digit_table, q_powers, _eliminate, _image_rows, _rank_array
 from .streams import raw_outputs
 
 __all__ = [
@@ -345,7 +345,7 @@ def _tuple_probabilities(n: int, k: int, q: int, tuples: Sequence[Sequence[int]]
         syndromes = (part.reshape(len(part) * (n - k), n) @ vectors % q).reshape(
             len(part), n - k, len(idx), width)
         held += len(part) - np.count_nonzero(syndromes.any(axis=(1, 3)), axis=0)
-    keys = list(zip(held.tolist(), _rref_stack(U, q)[2].tolist()))
+    keys = list(zip(held.tolist(), _eliminate(U, q)[2].tolist()))
     # the exact fractions depend on a tuple through (contained, rank) alone
     verdicts = {}
     for contained, d in set(keys):
@@ -612,7 +612,9 @@ def _mc_trials(source: Source, spec: CodeEnsembleSpec, trials: int, statistic,
     through each parity check column by column
     (distributions._product_syndrome_rows), trials n 2^m operations in all,
     and is never made dense; a DensePmf is counted through the image tables
-    of distributions._syndrome_rows.  Either way the q^m-entry syndrome table
+    of distributions._syndrome_rows, which at q = 2 push a flat or uniform
+    source of 2^j > 2^m points through a basis of each code's image of its
+    span, a 2^m-entry table per code.  Either way the q^m-entry syndrome table
     is admitted against the dense cap before any code is drawn, and so are a
     ProductBernoulli's trials n 2^m column steps, against tuple_products.
 
@@ -730,7 +732,8 @@ def _tightest_claim(name: str, q: int, n: int, count: int, orders: Sequence[floa
                     seed: int, caps: Caps, tables: int, claims) -> CheckResult:
     """The first claim (label, lhs, rhs) of least slack rhs - lhs, never a NaN one,
     that claims(orders, chunk) yields after q, count, the orders (as floats) and the
-    dense cap on q^n are checked; chunk draws hold `tables` q^n tables in _BATCH_ENTRIES."""
+    dense cap on q^n are checked; chunk draws hold `tables` q^n tables in _BATCH_ENTRIES.
+    A label is a (template, p, index) triple, and only the tightest is formatted."""
     FieldSpec(q)  # refuses a modulus that is not prime
     if count < 1:
         raise ValueError(f"need at least one random sample, got count={count}")
@@ -739,11 +742,13 @@ def _tightest_claim(name: str, q: int, n: int, count: int, orders: Sequence[floa
     if bad:
         raise ValueError(f"orders must be finite and exceed 1, got {bad[0]}")
     size = DensePmf._check_size(q, n, caps)
-    worst = (math.inf, math.nan, math.nan, "")
+    worst = (math.inf, math.nan, math.nan, ("", None, None))
     for label, lhs, rhs in claims(orders, max(1, _BATCH_ENTRIES // (tables * size))):
         if rhs - lhs < worst[0]:
             worst = (rhs - lhs, lhs, rhs, label)
-    params = {"q": q, "n": n, "count": count, "orders": orders, "tightest_claim": worst[3]}
+    template, p, index = worst[3]
+    params = {"q": q, "n": n, "count": count, "orders": orders,
+              "tightest_claim": template.format(p=p, index=index)}
     return _inequality_result(name, params, worst[1], worst[2], seed=seed)
 
 
@@ -776,15 +781,17 @@ def check_proximity_conversions(q: int, n: int, count: int,
                 for p, (norm, divs, dists) in zip(orders, measures):
                     delta, div, dist = norm[row] - 1.0, divs[row], dists[row]
                     pp = p / (p - 1.0)
-                    at = f" (p={p}, pmf {first + row})"
-                    yield "smooth-to-divergence" + at, div, pp * math.log1p(delta) / lnq
-                    yield "divergence-to-smooth" + at, delta, q ** (div / pp) - 1.0
-                    yield "smooth-to-distance" + at, dist, phi(p, delta)
-                    yield "distance-to-smooth" + at, delta, dist
+                    i = first + row
+                    yield (("smooth-to-divergence (p={p}, pmf {index})", p, i),
+                           div, pp * math.log1p(delta) / lnq)
+                    yield (("divergence-to-smooth (p={p}, pmf {index})", p, i),
+                           delta, q ** (div / pp) - 1.0)
+                    yield ("smooth-to-distance (p={p}, pmf {index})", p, i), dist, phi(p, delta)
+                    yield ("distance-to-smooth (p={p}, pmf {index})", p, i), delta, dist
                     if p == int(p) and p >= 2:
                         d1, d2 = corollary_bounds(delta, int(p), q)
-                        yield "corollary-divergence" + at, div, d1
-                        yield "corollary-distance" + at, dist, d2
+                        yield ("corollary-divergence (p={p}, pmf {index})", p, i), div, d1
+                        yield ("corollary-distance (p={p}, pmf {index})", p, i), dist, d2
     return _tightest_claim("proximity-conversions", q, n, count, orders, seed, caps, 1, claims)
 
 
@@ -810,11 +817,11 @@ def check_clarkson(q: int, n: int, count: int,
                 for p, (half_sum, half_diff, norm_f, norm_g) in zip(orders, norms):
                     if p < 2:
                         pp = p / (p - 1.0)
-                        yield (f"two-sided branch p={p}, pair {first + row}",
+                        yield (("two-sided branch p={p}, pair {index}", p, first + row),
                                half_sum[row] ** pp + half_diff[row] ** pp,
                                (0.5 * norm_f[row] ** p + 0.5 * norm_g[row] ** p) ** (pp / p))
                     else:
-                        yield (f"power branch p={p}, pair {first + row}",
+                        yield (("power branch p={p}, pair {index}", p, first + row),
                                half_sum[row] ** p + half_diff[row] ** p,
                                0.5 * (norm_f[row] ** p + norm_g[row] ** p))
     return _tightest_claim("clarkson", q, n, count, orders, seed, caps, 2, claims)

@@ -546,6 +546,14 @@ def test_exact_checks_are_pinned(argv, digest, capsys):
     ("bucket --n 8 --q 3 --eps 0.25 --source flat:6", "c4a2ce3a13a0f09b3a981861fe60e81d8dc80df2"),
     ("smooth --n 6 --k 3 --q 3 --source random --trials 500",
      "613201142a16ccd63efe23bbb9167e722e5fb9a5"),
+    # flat and uniform sources past the output length, recorded while they
+    # still went through the 2^d image table, not a basis of their span
+    ("smooth --n 12 --k 6 --source flat:8 --trials 300",
+     "4d561822acbfdda6073c66e42d2082c61fe3b75e"),
+    ("smooth --n 14 --k 4 --source flat:12 --trials 200 --p 3",
+     "46a6c4b2913bb74dbdd4d259f9cbbbe96e14834d"),
+    ("smooth --n 10 --k 4 --source uniform --trials 50",
+     "f8884deb2001525bb000c7d2453a66ede40207a9"),
 ])
 def test_suite_and_draw_checks_are_pinned(argv, digest, capsys):
     rc, out, _ = run(["--stable-output", "--format", "csv", *argv.split()], capsys)

@@ -37,7 +37,7 @@ from synhash.distributions import (
     _signed_power,
     _syndrome_rows,
 )
-from synhash.field import FieldSpec, FqMatrix, q_powers, rank
+from synhash.field import FieldSpec, FqMatrix, image_indices, q_powers, rank
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -590,6 +590,53 @@ def test_pushforward_batches_equal_a_per_code_loop(monkeypatch, q, n, support):
     assert np.array_equal(_syndrome_rows(q, P.probs, q_powers(q, 3) @ maps, 3, DEFAULT_CAPS),
                           want)
     assert sizes == [5, 5, 5, 5, 3]
+
+
+# (n, m, support, maps): a flat source of 2^d points with d > m goes through a
+# basis of H's first d columns, of full rank or not; d <= m, d = 0 and a
+# support that is no subspace go through the 2^j table
+@pytest.mark.parametrize("n, m, support, deficient, basis", [
+    (12, 4, 1 << 9, False, True),
+    (12, 6, 1 << 12, False, True),  # uniform: d = n
+    (12, 6, 1 << 6, False, False),  # d = m
+    (12, 6, 1 << 3, False, False),
+    (12, 6, 1, False, False),  # d = 0: a point mass
+    (12, 5, 1 << 8, True, True),  # rank H_S = 2 < m
+    (10, 4, 1000, False, False),  # uniform on 1000 points, which span no subspace
+    (10, 0, 1 << 7, False, False),
+])
+def test_flat_sources_push_forward_as_a_per_code_bincount(monkeypatch, n, m, support, deficient,
+                                                            basis):
+    P = DensePmf.flat(F2, n, support)
+    if deficient:
+        # full rank through an identity on the last m columns, while the
+        # first d = 8 columns span only the first two coordinates
+        maps = np.random.default_rng((n, m)).integers(0, 2, (37, m, n))
+        maps[:, 2:, :8] = 0
+        maps[:, :, n - m:] = np.eye(m, dtype=np.int64)
+        assert all(rank(FqMatrix(F2, H[:, :8])) == 2 for H in maps)
+    elif m:
+        maps = _full_rank_maps(2, n, m, 37, n * m + support)
+    else:
+        maps = np.zeros((37, 0, n), dtype=np.int64)
+    want = np.array([np.bincount(image_indices(FqMatrix(F2, H)), weights=P.probs,
+                                 minlength=1 << m) for H in maps])
+    widths = []
+    image_rows = distributions._image_rows
+
+    def recorded(q, columns, rows):
+        widths.append(columns.shape[1])
+        return image_rows(q, columns, rows)
+
+    monkeypatch.setattr(distributions, "_image_rows", recorded)
+    rows = _syndrome_rows(2, P.probs, q_powers(2, m) @ maps, m, DEFAULT_CAPS)
+    assert np.array_equal(rows, want)
+    if m:
+        # the table of a batch has 2^m entries on the basis route, 2^j on the other
+        j = int(np.flatnonzero(P.probs)[-1]).bit_length()
+        assert set(widths) == {m if basis else j}
+        one_map = [pushforward(P, FqMatrix(F2, H)).probs for H in maps[:3]]
+        assert np.array_equal(np.array(one_map), want[:3])
 
 
 @pytest.mark.parametrize("q, n, m", [(2, 9, 8), (3, 6, 5)])

@@ -339,7 +339,7 @@ def test_stacked_tuple_probabilities_refuse_as_the_one_tuple_calls(monkeypatch, 
     want = _first_refusal(lambda t=t: check_tuple_probability(4, 2, 2, t, caps=caps)
                           for t in tuples)
     monkeypatch.setattr(verify, "_ensemble_stacks", _refuse_work)
-    monkeypatch.setattr(verify, "_rref_stack", _refuse_work)
+    monkeypatch.setattr(verify, "_eliminate", _refuse_work)
     with pytest.raises(CapExceeded) as err:
         _tuple_probabilities(4, 2, 2, tuples, caps)
     assert str(err.value) == want
