@@ -122,6 +122,10 @@ def _draw_codes(spec: CodeEnsembleSpec, start: int,
     matrices from np.random.default_rng((spec.seed, t)).integers(0, q,
     size=(k, n), dtype=np.int64) until one has full rank; streams.TrialStreams
     draws every trial at once, and only the rank-deficient ones draw again.
+    Every ensemble of one seed reads the same trial streams, so at q = 2 the
+    first generator of trial t is a prefix of the first k' n' >= k n digits
+    an earlier ensemble of the seed drew for t.  TrialStreams keeps the last
+    first draw of a span, up to 256 KiB, and serves such a prefix from it.
     """
     n, k, q = spec.n, spec.k, spec.field.q
     count = max(0, stop - start)

@@ -352,10 +352,11 @@ def _syndrome_rows(q: int, probs: np.ndarray, columns: np.ndarray, m: int,
     points (flat:j, or uniform at j = n) is uniform on the span S of the
     first j coordinates, and H z is uniform on H(S).  So is the image of the
     uniform pmf on F_2^m through an m-column basis of H(S)
-    (field._span_basis_columns), whose table has 2^m entries, not 2^j.  The
+    (field._span_basis_columns), whose table has 2^m entries, not 2^j; its
+    points are counted unweighted and each count c scaled to c 2^-m.  The
     rows are the same bit for bit: with r = rank H_S, every bin of H(S) adds
-    2^(j-r) copies of 2^-j on the one route and 2^(m-r) copies of 2^-m on
-    the other, and each partial sum is exact.  Above q = 2 the sums of
+    2^(j-r) copies of 2^-j on the one route and is 2^(m-r) 2^-m on the
+    other, and each is exact.  Above q = 2 the sums of
     fl(q^-j) round, so the table route counts them.
     """
     count, n = columns.shape
@@ -369,21 +370,25 @@ def _syndrome_rows(q: int, probs: np.ndarray, columns: np.ndarray, m: int,
     while j and not probs[..., q ** (j - 1):].any():
         j -= 1
     size = q ** j
-    if q == 2 and shared and j > m and (probs[:size] == 1.0 / size).all():
-        columns, probs = _span_basis_columns(columns[:, :j], m), np.full(out_size, 1.0 / out_size)
-        j, size = m, out_size
+    basis = q == 2 and shared and j > m and (probs[:size] == 1.0 / size).all()
+    if basis:
+        columns, j, size = _span_basis_columns(columns[:, :j], m), m, out_size
     batch = max(1, _BATCH_ENTRIES // size)
-    # one weight row per row of a batch: the one source, repeated, or the row's own
-    weights = np.tile(probs[:size], min(batch, count)) if shared else probs[:, :size]
+    # one weight row per row of a batch: the one source, repeated, or the row's
+    # own; the basis route scales its counts instead
+    weights = (None if basis else np.tile(probs[:size], min(batch, count)) if shared
+               else probs[:, :size])
+    scale = 1.0 / out_size if basis else 1.0
     out = np.empty((count, out_size))
     for first in range(0, count, batch):
         table = _image_rows(q, columns[first:first + batch, :j], m)
         rows = min(batch, count - first)
         # int64 bin indices, row t offset by t q^m, from a table of a smaller type
         idx = np.add(table, out_size * np.arange(rows)[:, None], dtype=np.int64)
-        rows_weights = weights[:idx.size] if shared else weights[first:first + rows].reshape(-1)
-        out[first:first + rows] = np.bincount(idx.reshape(-1), weights=rows_weights,
-                                              minlength=rows * out_size).reshape(rows, out_size)
+        rows_weights = (None if basis else weights[:idx.size] if shared
+                        else weights[first:first + rows].reshape(-1))
+        counts = np.bincount(idx.reshape(-1), weights=rows_weights, minlength=rows * out_size)
+        np.multiply(counts.reshape(rows, out_size), scale, out=out[first:first + rows])
     return out
 
 

@@ -32,6 +32,9 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MOD128 = (1 << 128) - 1
 # PCG64 states made at once per block of a draw: 8192 uint64 words per temporary
 _BLOCK_STATES = 1 << 13
+# the most digits TrialStreams keeps of a draw, 256 KiB of uint8: one Monte
+# Carlo span of verify._mc_trials, _SPAN_BATCHES * _BATCH_ENTRIES entries
+_KEEP_DIGITS = 1 << 18
 
 
 def _int_words(value: int) -> list[int]:
@@ -97,31 +100,43 @@ def _pool_state(entropy: np.ndarray) -> np.ndarray:
     return words[:, 0::2] | words[:, 1::2] << _SHIFT32
 
 
+def _check_trials(start: int, stop: int) -> None:
+    """Trials start .. stop-1 are held as int64: refuse any outside 0 .. 2^63-1."""
+    if start < 0:
+        raise ValueError("seeds and trial indices must be nonnegative")
+    if stop > 1 << 63:
+        raise ValueError("trial indices must be below 2^63")
+
+
 def seed_state(key, start: int, stop: int) -> np.ndarray:
     """SeedSequence((*key, t)).generate_state(4, np.uint64) for t in
     start .. stop-1, as a (T, 4) uint64 array.  key is a tuple of
-    nonnegative ints, such as (seed, 31); an int seed is the key (seed,).
+    nonnegative ints, such as (seed, 31); an int seed is the key (seed,)."""
+    _check_trials(start, stop)
+    return _seed_states(key, np.arange(start, max(start, stop), dtype=np.int64))
+
+
+def _seed_states(key, trials: np.ndarray) -> np.ndarray:
+    """seed_state of each trial of a nonnegative int64 array.
 
     The entropy of (*key, t) is the words of each key entry and then those
-    of t.  Only t's low word changes within a run of 2^32 trials, so the
-    trials are mixed a run at a time, with the other words constant.
+    of t: its low word, and its high word if t >= 2^32.  The trials of each
+    length are mixed together.
     """
     key = (key,) if isinstance(key, (int, np.integer)) else tuple(key)
-    if start < 0 or any(entry < 0 for entry in key):
+    if any(entry < 0 for entry in key):
         raise ValueError("seeds and trial indices must be nonnegative")
     key_words = [word for entry in key for word in _int_words(int(entry))]
-    out = np.empty((max(0, stop - start), 4), dtype=np.uint64)
-    t = start
-    while t < stop:
-        high = t >> 32
-        end = min(stop, (high + 1) << 32)
-        high_words = _int_words(high) if high else []
-        entropy = np.empty((end - t, len(key_words) + 1 + len(high_words)), dtype=np.uint64)
+    out = np.empty((len(trials), 4), dtype=np.uint64)
+    wide = trials >> 32 != 0
+    for at, words in [(~wide, 1), (wide, 2)] if wide.any() else [(np.s_[:], 1)]:
+        group = trials[at]
+        entropy = np.empty((len(group), len(key_words) + words), dtype=np.uint64)
         entropy[:, :len(key_words)] = key_words
-        entropy[:, len(key_words)] = np.arange(t - (high << 32), end - (high << 32))
-        entropy[:, len(key_words) + 1:] = high_words
-        out[t - start:end - start] = _pool_state(entropy)
-        t = end
+        entropy[:, len(key_words)] = group & 0xFFFFFFFF
+        if words == 2:
+            entropy[:, -1] = group >> 32
+        out[at] = _pool_state(entropy)
     return out
 
 
@@ -142,6 +157,19 @@ def _jumps(count: int) -> tuple[np.ndarray, ...]:
     for row in rows:
         row.flags.writeable = False
     return tuple(rows)
+
+
+@functools.lru_cache(maxsize=16)
+def _jump(steps: int) -> tuple[np.uint64, ...]:
+    """(M^steps, S_steps) of _jumps as (hi, lo, hi, lo) uint64 scalars, by
+    doubling: j steps and then k take s to M^(j+k) s + (S_j M^k + S_k) inc."""
+    mul, add, bit_mul, bit_add = 1, 0, _PCG_MULT, 1  # bit_*: the jump of 2^i steps
+    while steps:
+        if steps & 1:
+            mul, add = mul * bit_mul & _MOD128, (add * bit_mul + bit_add) & _MOD128
+        bit_mul, bit_add = bit_mul * bit_mul & _MOD128, (bit_add * bit_mul + bit_add) & _MOD128
+        steps >>= 1
+    return tuple(_U64(half) for value in (mul, add) for half in _split(value))
 
 
 def _mul64(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -201,14 +229,70 @@ def raw_outputs(key, start: int, stop: int, count: int) -> np.ndarray:
 class TrialStreams:
     """The generators default_rng((seed, t)) of trials t = start .. stop-1, read together.
 
-    Each trial keeps its PCG64 state and how many 32-bit words it has read.
-    A 64-bit output gives two words, low half first; a half left over by one
-    draw opens the next draw of the same trial, as numpy's buffer does.
+    Each trial keeps how many 32-bit words it has read and its PCG64 state,
+    which is seeded on the trial's first draw.  A 64-bit output gives two
+    words, low half first; a half left over by one draw opens the next draw
+    of the same trial, as numpy's buffer does.
+
+    Every ensemble of one seed reads trial t from the same generator, so at
+    q = 2, where a digit is one word's top bit, the first k n digits of
+    trial t in one ensemble are a prefix of its first k' n' >= k n digits in
+    another: the checks of one seed share those prefixes and are not
+    independent samples of each other.  The class keeps the digits of the
+    last q = 2 draw made at read position 0 of all the trials of an
+    instance, if they are at most _KEEP_DIGITS (256 KiB of uint8), read-only,
+    with the seed and trial range.  A later q = 2 draw at read position 0 of
+    the same seed, whose trials lie in that range and whose count is at most
+    its width, is served a copy of them; each of its trials reads on from
+    there, its state seeded and moved on ceil(count / 2) steps when it next
+    draws.  A served draw is not kept in turn.  The digits are numpy's
+    either way.
     """
 
+    # (seed, first trial, read-only (trials, width) digits) of the kept draw
+    _kept: tuple | None = None
+
     def __init__(self, seed: int, start: int, stop: int) -> None:
-        (self._hi, self._lo), self._inc = _seeded(seed_state(seed, start, stop))
-        self._read = np.zeros(len(self._hi), dtype=np.int64)
+        _check_trials(start, stop)
+        self._seed, self._start = seed, start
+        self._read = np.zeros(max(0, stop - start), dtype=np.int64)
+        # each trial's PCG64 state and increment, made on its first draw
+        self._hi, self._lo, self._inc_hi, self._inc_lo = np.zeros((4, len(self._read)),
+                                                                 dtype=np.uint64)
+        self._seeded = np.zeros(len(self._read), dtype=bool)
+
+    def _seed_rows(self, rows: np.ndarray) -> None:
+        """Seed the rows that have no state yet, each moved on by the
+        ceil(read / 2) steps of the words a served draw gave it."""
+        fresh = rows[~self._seeded[rows]]
+        if not fresh.size:
+            return
+        state, inc = _seeded(_seed_states(self._seed, self._start + fresh))
+        self._hi[fresh], self._lo[fresh] = state
+        self._inc_hi[fresh], self._inc_lo[fresh] = inc
+        self._seeded[fresh] = True
+        steps = (self._read[fresh] + 1) // 2
+        for step in set(steps[steps > 0].tolist()):
+            at = fresh[steps == step]
+            m_hi, m_lo, s_hi, s_lo = _jump(step)
+            self._hi[at], self._lo[at] = _add128(
+                *_mul128(self._hi[at], self._lo[at], m_hi, m_lo),
+                *_mul128(self._inc_hi[at], self._inc_lo[at], s_hi, s_lo))
+
+    def _served(self, rows: np.ndarray, count: int) -> np.ndarray | None:
+        """A copy of the first count kept digits of each row, none of which
+        has drawn yet, or None if the kept table lacks them.  Each row reads
+        on from count, its state made on its next draw (_seed_rows)."""
+        kept = TrialStreams._kept
+        if kept is None or not rows.size:
+            return None
+        seed, first, table = kept
+        at = rows + (self._start - first)
+        if (seed != self._seed or count > table.shape[1]
+                or at.min() < 0 or at.max() >= len(table)):
+            return None
+        self._read[rows] = count
+        return table[at, :count]
 
     def _draw(self, rows: np.ndarray, q: int,
               count: int) -> tuple[np.ndarray, np.ndarray | None]:
@@ -224,12 +308,13 @@ class TrialStreams:
         a time, each block the one before it moved on by its width, so the
         temporaries stay small.
         """
+        self._seed_rows(rows)
         read = self._read[rows]
         steps = (count + 1) // 2
         width = max(1, min(steps + 1, _BLOCK_STATES // max(1, len(rows))))
-        inc = (self._inc[0][rows], self._inc[1][rows])
+        inc = (self._inc_hi[rows], self._inc_lo[rows])
         hi, lo = _advance((self._hi[rows], self._lo[rows]), inc, width - 1)
-        m_hi, m_lo, s_hi, s_lo = (row[width] for row in _jumps(width))
+        m_hi, m_lo, s_hi, s_lo = _jump(width)
         shift = _mul128(inc[0][:, None], inc[1][:, None], s_hi, s_lo)
         # every row ends ceil((read + count) / 2) - ceil(read / 2) steps on
         taken = (read + count + 1) // 2 - (read + 1) // 2
@@ -272,9 +357,20 @@ class TrialStreams:
         """
         if not 2 <= q < 1 << 32:
             raise ValueError(f"need 2 <= q < 2^32, got q={q}")
-        rows = np.asarray(rows, dtype=np.int64)
+        # nonnegative row indices: row r holds trial start + r
+        rows = np.arange(len(self._read))[np.asarray(rows, dtype=np.int64)]
         if q == 2:  # no word is rejected, so one draw gives every digit
-            return self._draw(rows, q, count)[0]
+            # no row has drawn or been served: all are at read position 0
+            first = not (self._read[rows].any() or self._seeded[rows].any())
+            if first and (served := self._served(rows, count)) is not None:
+                return served
+            digits = self._draw(rows, q, count)[0]
+            if (first and 0 < digits.size <= _KEEP_DIGITS
+                    and np.array_equal(rows, np.arange(len(self._read)))):
+                kept = digits.copy()
+                kept.flags.writeable = False
+                TrialStreams._kept = (self._seed, self._start, kept)
+            return digits
         out = np.empty((len(rows), count), dtype=np.min_scalar_type(q - 1))
         got = np.zeros(len(rows), dtype=np.int64)
         while (short := np.flatnonzero(got < count)).size:

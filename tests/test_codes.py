@@ -26,7 +26,8 @@ from synhash.codes import (
     _sample_codes,
 )
 from synhash.field import (FieldSpec, FqMatrix, kernel_basis, q_powers, rank, rref,
-                           _eliminated_kernels, _rref_stack)
+                           _eliminate, _eliminated_kernels, _rref_stack)
+from synhash.streams import TrialStreams
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -187,6 +188,32 @@ def test_sample_stream_is_pinned(spec, digest):
         h.update(code.G.array.astype("<i8").tobytes())
         h.update(code.H.array.astype("<i8").tobytes())
     assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 7])
+def test_sampled_codes_do_not_depend_on_an_earlier_ensemble_of_the_seed(monkeypatch, seed):
+    # the suite's order: c06's (12, 10) span is kept, then c08's two (14, 8)
+    # spans and c10's (8, 1) draws are served from it
+    later = [(CodeEnsembleSpec(F2, 14, 8, seed), 0, 1024),
+             (CodeEnsembleSpec(F2, 14, 8, seed), 1024, 2000),
+             (CodeEnsembleSpec(F2, 8, 1, seed), 0, 300)]
+    alone = []
+    for args in later:
+        monkeypatch.setattr(TrialStreams, "_kept", None)
+        alone.append(_sample_codes(*args))
+    monkeypatch.setattr(TrialStreams, "_kept", None)
+    _sample_codes(CodeEnsembleSpec(F2, 12, 10, seed), 0, 2000)
+    kept = TrialStreams._kept
+    assert kept[2].shape == (2000, 120)
+    for args, (G, columns) in zip(later, alone):
+        served = _sample_codes(*args)
+        assert np.array_equal(served[0], G) and np.array_equal(served[1], columns)
+    assert TrialStreams._kept is kept  # each later draw was served, and none kept
+    # each (14, 8) span has a trial whose first generator is rank-deficient,
+    # so a served trial draws again
+    for spec, start, stop in later[:2]:
+        first = kept[2][start:stop, :112].reshape(-1, 8, 14)
+        assert (_eliminate(first, 2)[2] < 8).any()
 
 
 def _drawn_kernels(spec, drawn):
