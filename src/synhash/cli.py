@@ -213,7 +213,9 @@ def _bound(a, caps: Caps) -> tuple[list[dict], bool]:
 
 
 def _smooth(a, caps: Caps) -> tuple[list[dict], bool]:
-    # a dimension error is a usage error, before the source is admitted against --dense-cap
+    # a trial count or dimension error is a usage error, before the source is
+    # admitted against --dense-cap
+    verify._error_bar(a.trials)
     spec = CodeEnsembleSpec(FieldSpec(a.q), a.n, a.k, a.seed)
     source = parse_source(a.source, spec.field, a.n, a.seed, caps)
     res = verify.mc_expected_smoothness(spec, source, a.p, a.trials, collision=a.collision,
@@ -222,6 +224,7 @@ def _smooth(a, caps: Caps) -> tuple[list[dict], bool]:
 
 
 def _bucket(a, caps: Caps) -> tuple[list[dict], bool]:
+    verify._error_bar(a.trials)
     source = parse_source(a.source, FieldSpec(a.q), a.n, a.seed, caps)
     res = verify.mc_bucket_linf(source, a.eps, a.trials, seed=a.seed, caps=caps)
     return [res.to_json_dict()], res.passed

@@ -25,8 +25,8 @@ from .field import (
     q_powers,
     rank,
     rref,
+    _digits,
     _eliminate,
-    _eliminated_kernels,
     _kernel_columns,
     _kernel_from_rref,
     _rank_array,  # traced site: perfbench/tracing.py wraps it here
@@ -157,7 +157,7 @@ def sample_uniform_code(spec: CodeEnsembleSpec, trial: int) -> LinearCode:
     _sample_codes gives; unlike them it is formed at any n - k.
     """
     G, red, pivots = _draw_codes(spec, trial, trial + 1)
-    H = _eliminated_kernels(red, pivots, spec.n, spec.field.q)
+    H = _kernel_from_rref(_digits(red, spec.n, spec.field.q), pivots, spec.field.q)
     return LinearCode(spec.field, spec.n, spec.k, FqMatrix(spec.field, G[0]),
                       FqMatrix(spec.field, H[0]))
 

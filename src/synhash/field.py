@@ -93,45 +93,6 @@ class FqMatrix:
 
 # -- elimination kernels ----------------------------------------------------
 
-def _rref_stack(a: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reduced row echelon form mod q of every matrix in a (T, rows, cols) stack.
-
-    Returns (red, pivots, ranks): red[t] has its ranks[t] pivot rows first and
-    zero rows after them, and pivots[t, :ranks[t]] are their pivot columns
-    (the rest of the row is -1).  The Gauss-Jordan steps run for the whole
-    stack at once: one row at a time on packed bit rows at q = 2
-    (_rref_bits), one column at a time in int64 arithmetic mod q otherwise,
-    so red is uint8 at q = 2 and int64 above.
-    """
-    if q == 2:
-        return _rref_bits(a)
-    inv = _inverse_table(q)
-    a = (np.asarray(a) % q).astype(np.int64, copy=False)
-    count, rows, cols = a.shape
-    ranks = np.zeros(count, dtype=np.int64)
-    pivots = np.full((count, rows), -1, dtype=np.int64)
-    row_ids = np.arange(rows)
-    for c in range(cols):
-        # the first row at or below each matrix's next pivot row with a nonzero in c
-        below = (a[:, :, c] != 0) & (row_ids >= ranks[:, None])
-        t = np.flatnonzero(below.any(axis=1))
-        if t.size == 0:
-            if (ranks == rows).all():
-                break
-            continue
-        every = slice(None) if t.size == count else t
-        top, src = ranks[t], below[t].argmax(axis=1)
-        pivot = a[t, src]
-        a[t, src] = a[t, top]
-        pivot = pivot * inv[pivot[:, c], None] % q
-        # clearing column c from every row clears the pivot row too; it is put back
-        a[every] = (a[every] - a[every, :, c, None] * pivot[:, None, :]) % q
-        a[t, top] = pivot
-        pivots[t, top] = c
-        ranks[t] += 1
-    return a, pivots, ranks
-
-
 def _reduce_bits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """_eliminate at q = 2: Gauss-Jordan by rows on rows packed into uint64
     words (bit c % 64 of word c // 64 holds column c), kept as (words, rows,
@@ -164,27 +125,43 @@ def _reduce_bits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return packed.T, pivots, np.count_nonzero(pivots >= 0, axis=1)
 
 
-def _rref_bits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_rref_stack at q = 2: _reduce_bits, then one sort of the rows by pivot
-    column, the zero rows last, and the words unpacked to uint8 digits."""
-    cols = np.shape(a)[2]
-    packed, pivots, ranks = _reduce_bits(a)
-    order = np.argsort(np.where(pivots < 0, cols, pivots), axis=1, kind="stable")
-    pivots = np.take_along_axis(pivots, order, axis=1)
-    return _unpack_bits(np.take_along_axis(packed, order[:, :, None], axis=1), cols), pivots, ranks
-
-
-def _unpack_bits(packed: np.ndarray, cols: int) -> np.ndarray:
-    """The (T, rows, cols) uint8 digits of (T, rows, words) packed rows."""
-    packed = np.ascontiguousarray(packed, dtype="<u8")
-    return np.unpackbits(packed.view(np.uint8), axis=2, count=cols, bitorder="little")
-
-
 def _eliminate(a: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_rref_stack's (red, pivots, ranks) with the rows of red in any order
-    (pivots[t, i] is that of row i, -1 for a zero row): at q = 2 packed
-    (T, rows, words) and unsorted (_reduce_bits), so no sort is made."""
-    return _reduce_bits(a) if q == 2 else _rref_stack(a, q)
+    """Gauss-Jordan by rows mod q of every matrix in a (T, rows, cols) stack,
+    as (red, pivots, ranks): the rows of red stay in their own order, and
+    pivots[t, i] is the pivot column of row i, -1 for a zero row.  Row i takes
+    its first nonzero column as its pivot, is scaled to 1 there, and its
+    multiples clear that column from every other row; a zero row is scaled
+    by inv[0] = 0, so it stays zero and in its place.  At q = 2 red is packed
+    (T, rows, words) uint64 (_reduce_bits), above it is int64; _digits reads
+    the digits of either, and _echelon sorts them into the reduced form."""
+    if q == 2:
+        return _reduce_bits(a)
+    inv = _inverse_table(q)
+    a = (np.asarray(a) % q).astype(np.int64)
+    count, rows, cols = a.shape
+    pivots = np.full((count, rows), -1, dtype=np.int64)
+    t = np.arange(count)
+    for i in range(rows if cols else 0):  # a matrix of no columns has only zero rows
+        row = a[:, i]
+        nonzero = row != 0
+        pivot = nonzero.argmax(axis=1)  # column 0 for a zero row, whose scale is 0
+        pivots[:, i] = np.where(nonzero.any(axis=1), pivot, -1)
+        row *= inv[row[t, pivot], None]
+        row %= q
+        others = a[t, :, pivot]
+        others[:, i] = 0
+        a -= others[:, :, None] * row[:, None, :]
+        a %= q
+    return a, pivots, np.count_nonzero(pivots >= 0, axis=1)
+
+
+def _digits(red: np.ndarray, cols: int, q: int) -> np.ndarray:
+    """The (T, rows, cols) digits of _eliminate's red: at q = 2 unpacked from
+    its words to uint8, above it red itself."""
+    if q != 2:
+        return red
+    packed = np.ascontiguousarray(red, dtype="<u8")
+    return np.unpackbits(packed.view(np.uint8), axis=2, count=cols, bitorder="little")
 
 
 def _kernel_columns(red: np.ndarray, pivots: np.ndarray, n: int, q: int) -> np.ndarray:
@@ -211,12 +188,6 @@ def _kernel_columns(red: np.ndarray, pivots: np.ndarray, n: int, q: int) -> np.n
     values = powers @ bits.reshape(n - r, r * count).view(np.int64)
     columns[offsets + pivots] = values.reshape(r, count).T
     return columns.reshape(count, n)
-
-
-def _eliminated_kernels(red: np.ndarray, pivots: np.ndarray, n: int, q: int) -> np.ndarray:
-    """_kernel_from_rref of _eliminate's full-rank forms, which at q = 2 are
-    unpacked first; the row order does not change the bases."""
-    return _kernel_from_rref(_unpack_bits(red, n) if q == 2 else red, pivots, q)
 
 
 def _span_basis_columns(columns: np.ndarray, rows: int) -> np.ndarray:
@@ -263,17 +234,26 @@ def rank(M: FqMatrix) -> int:
     return _rank_array(M.array, M.field.q)
 
 
+def _echelon(M: FqMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The reduced row echelon form of M as digits (r, cols) and its r pivot
+    columns: _eliminate's rows with the zero rows dropped and the rest sorted
+    by pivot.  It is the only place that sorts them."""
+    red, pivots, _ = _eliminate(M.array[None], M.field.q)
+    held = np.flatnonzero(pivots[0] >= 0)
+    order = held[np.argsort(pivots[0, held])]
+    return _digits(red, M.cols, M.field.q)[0, order], pivots[0, order]
+
+
 def rref(M: FqMatrix) -> tuple[FqMatrix, list[int]]:
     """Canonical reduced row echelon form (unit pivots, zero rows removed)."""
-    red, pivots, ranks = _rref_stack(M.array[None], M.field.q)
-    return FqMatrix(M.field, red[0, :ranks[0]]), pivots[0, :ranks[0]].tolist()
+    red, pivots = _echelon(M)
+    return FqMatrix(M.field, red), pivots.tolist()
 
 
 def kernel_basis(M: FqMatrix) -> FqMatrix:
     """Matrix whose rows span {x : M x = 0}; has cols(M) - rank(M) rows."""
-    red, pivots, ranks = _rref_stack(M.array[None], M.field.q)
-    basis = _kernel_from_rref(red[:, :ranks[0]], pivots[:, :ranks[0]], M.field.q)
-    return FqMatrix(M.field, basis[0])
+    red, pivots = _echelon(M)
+    return FqMatrix(M.field, _kernel_from_rref(red[None], pivots[None], M.field.q)[0])
 
 
 def q_powers(q: int, n: int) -> np.ndarray:

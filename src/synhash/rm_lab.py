@@ -110,57 +110,47 @@ def rm_divergence(m: int, r: int, delta: float, p: float, method: str,
     and needs an integer order >= 2, but scales to much larger m.  The
     one-item call of _rm_divergence_grid.
     """
-    return _rm_divergence_grid(m, r, (delta,), (p,), (method,), caps)[0][0][0]
+    return _rm_divergence_grid(m, r, (delta,), (p,), method, caps)[0][0]
 
 
 def _rm_divergence_grid(m: int, r: int, deltas: Sequence[float], orders: Sequence[float],
-                        methods: Sequence[str], caps: Caps) -> list[list[list[float]]]:
-    """rm_divergence for every method, delta and order, as
-    [method][delta][order], from one RM(r, m) parity check, equal to the
-    one-item calls bit for bit.  Every input is checked and every cost
-    admitted before any code is built.  The two routes share no
-    construction: the dense route takes each delta's 2^{n-k} syndrome pmf
-    by the n column steps of distributions._product_syndrome_rows through
+                        method: str, caps: Caps) -> list[list[float]]:
+    """rm_divergence by one method for every delta and order, as
+    [delta][order], from one RM(r, m) parity check, equal to the one-item
+    calls bit for bit.  Every input is checked and every cost admitted before
+    the code is built.  The dense route takes each delta's 2^{n-k} syndrome
+    pmf by the n column steps of distributions._product_syndrome_rows through
     the column indices of rm_parity_check's matrix, which has full rank by
     construction (tests/test_codes.py checks it), so it is not eliminated
     again; the dual route reads only the column indices that
     codes._rm_parity_columns builds without the matrix."""
     if not 0 <= r <= m:
         raise ValueError(f"need 0 <= r <= m, got r={r}, m={m}")
-    for method in methods:
-        if method not in ("dense", "dual-character"):
-            raise ValueError(f"unknown method {method!r}")
+    if method not in ("dense", "dual-character"):
+        raise ValueError(f"unknown method {method!r}")
     orders = [_order(p) for p in orders]
-    if "dual-character" in methods and any(math.isinf(p) or p != int(p) or p < 2
-                                           for p in orders):
+    if method != "dense" and any(math.isinf(p) or p != int(p) or p < 2 for p in orders):
         raise ValueError("dual-character method needs an integer order >= 2")
     for delta in deltas:
         _bit_probability(delta)
     n, k = reed_muller_dimensions(r, m)
     if n == k:
-        return [[[0.0] * len(orders) for _ in deltas] for _ in methods]
-    for method in methods:
-        if method == "dense":
-            size = DensePmf._check_size(2, n - k, caps)
-            caps.admit("column steps", n * size, "tuple_products")
-        else:
-            for p in orders:
-                _admit_dual_sum(n, n - k, int(p), caps)
-    out = []
-    for method in methods:
-        if method == "dense":
-            # every delta in one call: row i steps its own copy of the columns by delta i
-            columns = q_powers(2, n - k) @ rm_parity_check(r, m).array
-            rows = _product_syndrome_rows(np.array(deltas, dtype=float)[:, None],
-                                          np.tile(columns, (len(deltas), 1)), n - k)
-            pmfs = [DensePmf(FieldSpec(2), n - k, row) for row in rows]
-            out.append([[n - k - renyi_entropy(syn, p) for p in orders] for syn in pmfs])
-        else:
-            excess = _syndrome_excesses(_rm_parity_columns(r, m), n - k, deltas,
-                                        [int(p) for p in orders])
-            out.append([[math.log1p(x) / ((p - 1.0) * math.log(2.0)) for p, x in zip(orders, row)]
-                        for row in excess])
-    return out
+        return [[0.0] * len(orders) for _ in deltas]
+    if method == "dense":
+        size = DensePmf._check_size(2, n - k, caps)
+        caps.admit("column steps", n * size, "tuple_products")
+        # every delta in one call: row i steps its own copy of the columns by delta i
+        columns = q_powers(2, n - k) @ rm_parity_check(r, m).array
+        rows = _product_syndrome_rows(np.array(deltas, dtype=float)[:, None],
+                                      np.tile(columns, (len(deltas), 1)), n - k)
+        pmfs = [DensePmf(FieldSpec(2), n - k, row) for row in rows]
+        return [[n - k - renyi_entropy(syn, p) for p in orders] for syn in pmfs]
+    for p in orders:
+        _admit_dual_sum(n, n - k, int(p), caps)
+    excess = _syndrome_excesses(_rm_parity_columns(r, m), n - k, deltas,
+                                [int(p) for p in orders])
+    return [[math.log1p(x) / ((p - 1.0) * math.log(2.0)) for p, x in zip(orders, row)]
+            for row in excess]
 
 
 def rm_convergence_run(spec: RmExperimentSpec,

@@ -149,9 +149,9 @@ def run_acceptance(seed: int = DEFAULT_SEED, caps: Caps = DEFAULT_CAPS,
         # c09 together; tests/test_rm_lab.py checks it instead
         r_lo = 1 if m >= 4 else 0
         for r in range(r_lo, m + 1):
-            # one parity check for both routes and every delta and order
-            dense, dual = _rm_divergence_grid(m, r, deltas, (2, 3),
-                                              ("dense", "dual-character"), caps)
+            # each route takes every delta and order in one call
+            dense, dual = (_rm_divergence_grid(m, r, deltas, (2, 3), method, caps)
+                           for method in ("dense", "dual-character"))
             for delta, dense_row, dual_row in zip(deltas, dense, dual):
                 for p, a, b in zip((2, 3), dense_row, dual_row):
                     params = {"m": m, "r": r, "delta": delta, "p": p}

@@ -652,13 +652,18 @@ def _mc_trials(source: Source, spec: CodeEnsembleSpec, trials: int, statistic,
     return vals
 
 
+def _error_bar(trials: int) -> None:
+    """The usage error of a Monte Carlo claim, which needs no source or code:
+    one sample has no error bar."""
+    if trials < 2:
+        raise ValueError(f"an error bar needs at least two Monte Carlo trials, got {trials}")
+
+
 def _mc_result(name: str, params: dict, vals: np.ndarray, rhs: float,
                seed: int) -> CheckResult:
     """The Monte Carlo claim that the sample mean of vals, less three standard
-    errors, is at most rhs, with the mean and error added to params; one
-    sample has no error bar."""
-    if vals.size < 2:
-        raise ValueError(f"an error bar needs at least two Monte Carlo trials, got {vals.size}")
+    errors, is at most rhs, with the mean and error added to params; _error_bar
+    has checked that there are at least two."""
     mean, stderr = float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(vals.size))
     return _inequality_result(name, {**params, "mean": mean, "stderr": stderr},
                               mean - 3.0 * stderr, rhs, seed=seed, trials=vals.size)
@@ -687,6 +692,7 @@ def mc_expected_smoothness(spec: CodeEnsembleSpec, source: Source, p: int,
     With collision=True (p = 2 only) the sharper squared-norm excess bound
     q^{m - H_2} is tested instead of the generic q^{m - H_p + p}.
     """
+    _error_bar(trials)
     if collision and p != 2:
         raise ValueError("the collision refinement is a p = 2 statement")
     entropy = renyi_entropy(source, p)  # rejects a bad order before any code is drawn
@@ -712,6 +718,7 @@ def mc_bucket_linf(source: Source, eps: float, trials: int,
     bucket stays near its fair share.  The source is not made dense:
     _mc_trials picks its route.
     """
+    _error_bar(trials)
     q, n = source.field.q, source.n
     rhs = linf_bucket_bound(n, eps, q)  # refuses an eps m cannot be derived from
     h_inf = renyi_entropy(source, math.inf)

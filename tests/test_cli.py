@@ -403,6 +403,12 @@ def test_impossible_dimensions_are_usage_errors(argv, capsys):
      "need 0 <= d <= min(n, p), got d=5"),
     ("--dense-cap 1 verify rank-stratified --n 3 --p 0 --d 0 --source uniform",
      "need n >= 0 and p >= 1, got n=3, p=0"),
+    # one trial has no error bar; it used to be refused after every code was
+    # drawn, and under a cap by the cap first
+    ("--tuple-cap 1 smooth --n 12 --k 10 --source bernoulli:0.2 --trials 1",
+     "an error bar needs at least two Monte Carlo trials, got 1"),
+    ("--dense-cap 1 bucket --n 14 --eps 0.25 --source flat:10 --trials 1",
+     "an error bar needs at least two Monte Carlo trials, got 1"),
 ])
 def test_usage_errors_come_before_refusals(argv, message, capsys):
     # these were refused by the cap (exit 2); without a cap the exact-smoothing
@@ -554,6 +560,12 @@ def test_exact_checks_are_pinned(argv, digest, capsys):
      "46a6c4b2913bb74dbdd4d259f9cbbbe96e14834d"),
     ("smooth --n 10 --k 4 --source uniform --trials 50",
      "f8884deb2001525bb000c7d2453a66ede40207a9"),
+    # q = 5 codes: an ensemble's parity-check columns and one code's kernel
+    # basis (sample_uniform_code), recorded while the elimination above q = 2
+    # still ran by columns with row swaps
+    ("smooth --n 8 --k 4 --q 5 --source random --trials 300",
+     "e729ced0d630ece68e382e33b1e431a4c5470477"),
+    ("verify projection-identity --n 5 --k 2 --q 5", "61dd7b9ee3bef5ab8ebf14c4030e84a1ea5d8da9"),
 ])
 def test_suite_and_draw_checks_are_pinned(argv, digest, capsys):
     rc, out, _ = run(["--stable-output", "--format", "csv", *argv.split()], capsys)

@@ -26,7 +26,7 @@ from synhash.codes import (
     _sample_codes,
 )
 from synhash.field import (FieldSpec, FqMatrix, kernel_basis, q_powers, rank, rref,
-                           _eliminate, _eliminated_kernels, _rref_stack)
+                           _digits, _eliminate, _kernel_from_rref)
 from synhash.streams import TrialStreams
 
 F2 = FieldSpec(2)
@@ -218,7 +218,7 @@ def test_sampled_codes_do_not_depend_on_an_earlier_ensemble_of_the_seed(monkeypa
 
 def _drawn_kernels(spec, drawn):
     """The parity checks of a _draw_codes stack: the kernels of its reduced forms."""
-    return _eliminated_kernels(drawn[1], drawn[2], spec.n, spec.field.q)
+    return _kernel_from_rref(_digits(drawn[1], spec.n, spec.field.q), drawn[2], spec.field.q)
 
 
 def _parity_digits(columns, q, m):
@@ -299,7 +299,7 @@ def test_sampled_parity_checks_have_full_rank(q, n, k, start, stop):
     columns = _sample_codes(CodeEnsembleSpec(FieldSpec(q), n, k, DEFAULT_SEED), start, stop)[1]
     H = _parity_digits(columns, q, n - k)
     assert H.shape == (stop - start, n - k, n)
-    assert (_rref_stack(H, q)[2] == n - k).all()
+    assert (_eliminate(H, q)[2] == n - k).all()
 
 
 def test_sampling_is_deterministic_per_seed_and_trial():

@@ -11,13 +11,13 @@ from synhash.field import (
     q_powers,
     rank,
     rref,
+    _digits,
     _eliminate,
     _image_rows,
     _inverse_table,
     _kernel_columns,
     _kernel_from_rref,
     _rank_array,
-    _rref_stack,
 )
 
 F2 = FieldSpec(2)
@@ -226,17 +226,42 @@ def stacks(draw):
     return q, (left @ right) % q
 
 
-@given(stacks())
-def test_stack_elimination_matches_the_generic_loop(case):
-    q, a = case
-    red, pivots, ranks = _rref_stack(a, q)
-    assert red.shape == a.shape and pivots.shape == a.shape[:2] and ranks.shape == a.shape[:1]
-    for t in range(a.shape[0]):
+def _check_elimination(a, q):
+    """_eliminate on a (T, rows, cols) stack against _generic_rref, one matrix
+    at a time.  Its rows come in their own order: sorted by pivot here, the
+    nonzero ones are the reference's reduced form.  Unsorted, each nonzero row
+    holds 1 at its pivot, every other row holds 0 there, and the zero rows are
+    exactly those whose pivot is -1."""
+    red, pivots, ranks = _eliminate(a, q)
+    count, rows, cols = a.shape
+    digits = _digits(red, cols, q)
+    assert digits.shape == a.shape
+    assert pivots.dtype == np.int64 and pivots.shape == (count, rows) and ranks.shape == (count,)
+    for t in range(count):
         ref, ref_pivots = _generic_rref(a[t], q)
         r = len(ref_pivots)
-        assert ranks[t] == r and pivots[t, :r].tolist() == ref_pivots
-        assert (pivots[t, r:] == -1).all()
-        assert np.array_equal(red[t, :r], ref) and not red[t, r:].any()
+        held = pivots[t] >= 0
+        assert ranks[t] == r == np.count_nonzero(held)
+        order = np.argsort(np.where(held, pivots[t], cols), kind="stable")[:r]
+        assert pivots[t, order].tolist() == ref_pivots
+        assert np.array_equal(digits[t, order], ref)
+        assert not digits[t, ~held].any()
+        for i in np.flatnonzero(held):
+            column = digits[t, :, pivots[t, i]]
+            assert column[i] == 1 and np.count_nonzero(column) == 1
+    return red
+
+
+@given(stacks())
+@example((3, np.array([[[1, 2, 0], [0, 0, 0], [0, 1, 1]]])))  # a zero row between nonzero rows
+@example((3, np.zeros((2, 3, 0), dtype=np.int64)))  # no column
+@example((3, np.zeros((2, 0, 4), dtype=np.int64)))  # no row
+@example((3, np.full((1, 4, 5), 2)))  # rank 1, every entry q - 1: the pivot row is scaled
+def test_stack_elimination_matches_the_generic_loop(case):
+    q, a = case
+    red = _check_elimination(a, q)
+    if q != 2:
+        assert red.dtype == np.int64 and red.shape == a.shape
 
 
 @st.composite
@@ -326,17 +351,10 @@ def gf2_stacks(draw):
 @example(np.eye(130, dtype=np.int64)[None, ::-1])  # one matrix, pivots in three words
 def test_packed_gf2_elimination_matches_a_per_matrix_loop(a):
     # the swap-free elimination on packed words against a row-swapping loop,
-    # one matrix at a time
-    red, pivots, ranks = _rref_stack(a, 2)
-    assert red.dtype == np.uint8 and red.shape == a.shape
-    assert pivots.dtype == np.int64 and pivots.shape == a.shape[:2]
-    assert ranks.shape == a.shape[:1]
-    for t in range(a.shape[0]):
-        ref, ref_pivots = _generic_rref(a[t], 2)
-        r = len(ref_pivots)
-        assert ranks[t] == r and pivots[t, :r].tolist() == ref_pivots
-        assert (pivots[t, r:] == -1).all()
-        assert np.array_equal(red[t, :r], ref) and not red[t, r:].any()
+    # one matrix at a time; its digits are unpacked to uint8
+    red = _check_elimination(a, 2)
+    assert red.dtype == np.uint64 and red.shape == (*a.shape[:2], max(1, -(-a.shape[2] // 64)))
+    assert _digits(red, a.shape[2], 2).dtype == np.uint8
 
 
 @pytest.mark.parametrize("q, rows, cols", [(2, 3, 6), (2, 0, 3), (2, 7, 4), (2, 8, 3),

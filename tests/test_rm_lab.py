@@ -63,7 +63,7 @@ def test_divergences_of_several_orders_equal_the_one_order_calls(method):
         for r in range(m + 1):
             for delta in (0.1, 0.25, 0.4):
                 want = [rm_divergence(m, r, delta, p, method) for p in (2, 3)]
-                assert _rm_divergence_grid(m, r, (delta,), (2, 3), (method,), Caps()) == [[want]]
+                assert _rm_divergence_grid(m, r, (delta,), (2, 3), method, Caps()) == [want]
 
 
 METHODS = ("dense", DUAL)
@@ -72,12 +72,12 @@ DELTAS = (0.1, 0.25, 0.4)
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_grid_equals_the_one_delta_calls(m):
-    # one parity check for both routes, the column steps of each delta on the
-    # dense route, one set of dual weights on the dual route
+    # one parity check per route: the column steps of each delta on the dense
+    # route, one set of dual weights on the dual route
     for r in range(m + 1):
-        want = [[[rm_divergence(m, r, delta, p, method) for p in (2, 3)] for delta in DELTAS]
-                for method in METHODS]
-        assert _rm_divergence_grid(m, r, DELTAS, (2, 3), METHODS, Caps()) == want
+        for method in METHODS:
+            want = [[rm_divergence(m, r, delta, p, method) for p in (2, 3)] for delta in DELTAS]
+            assert _rm_divergence_grid(m, r, DELTAS, (2, 3), method, Caps()) == want
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -98,23 +98,23 @@ def test_grid_dense_rows_are_the_column_steps_of_each_delta():
             pmfs = [DensePmf(FieldSpec(2), n - k, _product_syndrome_rows(delta, columns, n - k)[0])
                     for delta in DELTAS]
             want = [[n - k - renyi_entropy(syn, p) for p in orders] for syn in pmfs]
-            assert _rm_divergence_grid(m, r, DELTAS, orders, ("dense",), Caps()) == [want]
+            assert _rm_divergence_grid(m, r, DELTAS, orders, "dense", Caps()) == want
 
 
 # RM(1, 4)'s syndrome table has 2^11 entries, so 1 << 10 refuses the dense route;
-# 40000 admits its 16 * 2^11 column steps and the dual sum at p = 2 (22544),
-# and refuses the dual sum at p = 3 (47120)
-@pytest.mark.parametrize("caps", [Caps(dense_pmf_entries=1 << 10), Caps(tuple_products=40000)],
+# 40000 admits the dual sum at p = 2 (22544) and refuses it at p = 3 (47120)
+@pytest.mark.parametrize("caps, method", [(Caps(dense_pmf_entries=1 << 10), "dense"),
+                                          (Caps(tuple_products=40000), DUAL)],
                          ids=["dense", "dual"])
-def test_grid_refuses_as_the_one_delta_calls_before_building_the_code(monkeypatch, caps):
+def test_grid_refuses_as_the_one_delta_calls_before_building_the_code(monkeypatch, caps,
+                                                                      method):
     refusals = []
     for delta in DELTAS:
-        for method in METHODS:
-            for p in (2, 3):
-                try:
-                    rm_divergence(4, 1, delta, p, method, caps)
-                except CapExceeded as exc:
-                    refusals.append(str(exc))
+        for p in (2, 3):
+            try:
+                rm_divergence(4, 1, delta, p, method, caps)
+            except CapExceeded as exc:
+                refusals.append(str(exc))
 
     def fail(*args, **kwargs):
         raise AssertionError("the refused code was built")
@@ -122,7 +122,7 @@ def test_grid_refuses_as_the_one_delta_calls_before_building_the_code(monkeypatc
     monkeypatch.setattr(rm_lab, "rm_parity_check", fail)
     monkeypatch.setattr(rm_lab, "_rm_parity_columns", fail)
     with pytest.raises(CapExceeded) as err:
-        _rm_divergence_grid(4, 1, DELTAS, (2, 3), METHODS, caps)
+        _rm_divergence_grid(4, 1, DELTAS, (2, 3), method, caps)
     assert str(err.value) == refusals[0]
 
 

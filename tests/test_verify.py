@@ -629,6 +629,19 @@ def test_one_trial_has_no_error_bar():
     assert negative_control_overdraw(trials=1).trials == 1  # reads only the mean
 
 
+def test_one_trial_is_refused_before_any_code_is_drawn(monkeypatch):
+    # a single trial used to be refused only after every code was drawn, and
+    # under a cap it was refused by the cap (CapExceeded) first
+    monkeypatch.setattr(verify, "_sample_codes", _refuse_work)
+    spec = CodeEnsembleSpec(F2, 12, 10, 5)
+    capped = Caps(dense_pmf_entries=1, tuple_products=1)
+    for caps in (DEFAULT_CAPS, capped):
+        with pytest.raises(ValueError, match="two Monte Carlo trials, got 1"):
+            mc_expected_smoothness(spec, ProductBernoulli(0.2, 12), 2, 1, caps=caps)
+        with pytest.raises(ValueError, match="two Monte Carlo trials, got 1"):
+            mc_bucket_linf(DensePmf.flat(F2, 14, 1 << 10), 0.25, 1, caps=caps)
+
+
 @pytest.mark.parametrize("count", [0, -2])
 def test_random_sample_checks_need_a_sample(count):
     with pytest.raises(ValueError, match="count"):
