@@ -49,7 +49,6 @@ from .distributions import (
     pushforward,
     renyi_divergence,
     renyi_entropy,
-    tv_distance,
 )
 from .field import (
     FieldSpec,
@@ -63,7 +62,6 @@ from .field import (
 from .rm_lab import (
     RmExperimentSpec,
     RmResultRow,
-    intrinsic_gap,
     parse_r_rule,
     rm_convergence_run,
     rm_divergence,

@@ -115,9 +115,11 @@ def _exact_smoothing(a, caps: Caps) -> verify.CheckResult:
 
 
 def _projection_identity(a, caps: Caps) -> verify.CheckResult:
+    verify._projection_orders(a.orders)
+    _code_dimensions(a.n, a.k)
+    source = _dense_source(a, caps)  # admitted before the code is sampled
     code = sample_uniform_code(CodeEnsembleSpec(FieldSpec(a.q), a.n, a.k, a.seed), 0)
-    return verify.check_projection_identity(code, _dense_source(a, caps), a.orders,
-                                            caps=caps)
+    return verify.check_projection_identity(code, source, a.orders, caps=caps)
 
 
 # flag -> add_argument keywords, shared by the command tables below
@@ -213,9 +215,7 @@ def _bound(a, caps: Caps) -> tuple[list[dict], bool]:
 
 
 def _smooth(a, caps: Caps) -> tuple[list[dict], bool]:
-    # a trial count or dimension error is a usage error, before the source is
-    # admitted against --dense-cap
-    verify._error_bar(a.trials)
+    verify._smoothness_usage(a.trials, a.p, a.collision)
     spec = CodeEnsembleSpec(FieldSpec(a.q), a.n, a.k, a.seed)
     source = parse_source(a.source, spec.field, a.n, a.seed, caps)
     res = verify.mc_expected_smoothness(spec, source, a.p, a.trials, collision=a.collision,
@@ -224,8 +224,9 @@ def _smooth(a, caps: Caps) -> tuple[list[dict], bool]:
 
 
 def _bucket(a, caps: Caps) -> tuple[list[dict], bool]:
-    verify._error_bar(a.trials)
-    source = parse_source(a.source, FieldSpec(a.q), a.n, a.seed, caps)
+    field = FieldSpec(a.q)
+    verify._bucket_usage(a.trials, a.n, a.eps, a.q)
+    source = parse_source(a.source, field, a.n, a.seed, caps)
     res = verify.mc_bucket_linf(source, a.eps, a.trials, seed=a.seed, caps=caps)
     return [res.to_json_dict()], res.passed
 

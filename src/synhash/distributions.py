@@ -35,7 +35,6 @@ __all__ = [
     "renyi_entropy",
     "renyi_divergence",
     "lp_smoothness",
-    "tv_distance",
     "convolve",
     "code_pmf",
     "pushforward",
@@ -81,25 +80,21 @@ class DensePmf:
         return self
 
     @classmethod
-    def _check_size(cls, q: int, n: int, caps: Caps) -> int:
+    def _check_size(cls, q: int, n: int, caps: Caps, what: str = "dense pmf") -> int:
         # q^n >= 2^n exceeds the cap once n passes its bit length; past 64 bits as
         # well, the cost is named by its formula, as the integer may be too big to form
         if n > max(64, caps.dense_pmf_entries.bit_length()):
-            raise CapExceeded("dense pmf", f"{q}^{n}", caps.dense_pmf_entries)
-        return caps.admit("dense pmf", q ** n, "dense_pmf_entries")
+            raise CapExceeded(what, f"{q}^{n}", caps.dense_pmf_entries)
+        return caps.admit(what, q ** n, "dense_pmf_entries")
 
     @classmethod
     def uniform(cls, field: FieldSpec, n: int, caps: Caps = DEFAULT_CAPS) -> "DensePmf":
-        size = cls._check_size(field.q, n, caps)
-        return cls(field, n, np.full(size, 1.0 / size))
+        return cls.flat(field, n, cls._check_size(field.q, n, caps), caps)
 
     @classmethod
     def point_mass(cls, field: FieldSpec, n: int, caps: Caps = DEFAULT_CAPS) -> "DensePmf":
         """All mass on the zero vector."""
-        size = cls._check_size(field.q, n, caps)
-        probs = np.zeros(size)
-        probs[0] = 1.0
-        return cls(field, n, probs)
+        return cls.flat(field, n, 1, caps)
 
     @classmethod
     def flat(cls, field: FieldSpec, n: int, support_size: int,
@@ -112,12 +107,16 @@ class DensePmf:
         probs[:support_size] = 1.0 / support_size
         return cls(field, n, probs)
 
-    def to_qpmf_bytes(self) -> bytes:
-        header = struct.pack("<4sII", _QPMF_MAGIC, self.field.q, self.n)
-        return header + self.probs.astype("<f8").tobytes()
+    def write_qpmf(self, path) -> None:
+        """b"QPMF", then uint32 q and n and the q^n float64 probabilities, little-endian."""
+        with open(path, "wb") as fh:
+            fh.write(struct.pack("<4sII", _QPMF_MAGIC, self.field.q, self.n))
+            fh.write(self.probs.astype("<f8").tobytes())
 
     @classmethod
-    def from_qpmf_bytes(cls, blob: bytes) -> "DensePmf":
+    def read_qpmf(cls, path) -> "DensePmf":
+        with open(path, "rb") as fh:
+            blob = fh.read()
         if len(blob) < 12 or blob[:4] != _QPMF_MAGIC:
             raise ValueError("not a QPMF blob")
         _, q, n = struct.unpack("<4sII", blob[:12])
@@ -127,15 +126,6 @@ class DensePmf:
         if n > entries.bit_length() or q ** n != entries:
             raise ValueError(f"QPMF payload has {entries} entries, expected {q}**{n}")
         return cls(FieldSpec(q), n, payload.astype(np.float64))
-
-    def write_qpmf(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self.to_qpmf_bytes())
-
-    @classmethod
-    def read_qpmf(cls, path) -> "DensePmf":
-        with open(path, "rb") as fh:
-            return cls.from_qpmf_bytes(fh.read())
 
 
 @dataclass(frozen=True)
@@ -201,8 +191,6 @@ def lp_norms(rows: np.ndarray, order: float) -> np.ndarray:
     if math.isinf(p):
         return arr.max(axis=1)
     # a row sum over the row count is what np.mean computes, without its overhead
-    if p == 1.0:
-        return arr.sum(axis=1) / arr.shape[1]
     return np.array([m ** (1.0 / p) for m in (arr ** p).sum(axis=1) / arr.shape[1]])
 
 
@@ -252,13 +240,6 @@ def lp_smoothness(P: DensePmf, order: float) -> float:
     if _order(order) <= 1.0:
         raise ValueError("smoothness needs p > 1 (it is identically 0 at p = 1)")
     return lp_norm(P.size * P.probs, order) - 1.0
-
-
-def tv_distance(P: DensePmf, Q: DensePmf) -> float:
-    """Total variation distance (1/2) sum |P - Q|."""
-    if P.field != Q.field or P.n != Q.n:
-        raise ValueError("distance needs two pmfs on the same space")
-    return float(0.5 * np.abs(P.probs - Q.probs).sum())
 
 
 def _character_transform(values: np.ndarray, q: int, n: int) -> np.ndarray:

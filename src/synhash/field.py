@@ -7,7 +7,6 @@ base q: coordinate 0 is the least significant digit.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,17 +44,22 @@ class FieldSpec:
     q: int
 
     def __post_init__(self) -> None:
+        # int64 indices and elimination products (below q^2) are exact for q < 2^31
+        if isinstance(self.q, int) and self.q >= 1 << 31:
+            raise ValueError(f"field modulus must be a prime integer below 2^31, got {self.q!r}")
         if not isinstance(self.q, int) or not _is_prime(self.q):
             raise ValueError(f"field modulus must be a prime integer, got {self.q!r}")
 
 
-@functools.lru_cache(maxsize=64)
-def _inverse_table(q: int) -> np.ndarray:
-    """inv[a] = a**-1 mod q for a in [1, q); entry 0 is unused.  One read-only
-    table per q."""
-    inv = np.array([0] + [pow(a, q - 2, q) for a in range(1, q)], dtype=np.int64)
-    inv.flags.writeable = False
-    return inv
+def _inverses(a: np.ndarray, q: int) -> np.ndarray:
+    """a^(q-2) mod q of each entry of an int64 array of residues mod a prime q > 2,
+    by squaring in int64: a nonzero residue's inverse (Fermat), and 0 for 0."""
+    out, base = np.ones_like(a), a
+    for bit in reversed(bin(q - 2)[2:]):  # the low bit first
+        if bit == "1":
+            out = out * base % q
+        base = base * base % q
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,12 +135,11 @@ def _eliminate(a: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     pivots[t, i] is the pivot column of row i, -1 for a zero row.  Row i takes
     its first nonzero column as its pivot, is scaled to 1 there, and its
     multiples clear that column from every other row; a zero row is scaled
-    by inv[0] = 0, so it stays zero and in its place.  At q = 2 red is packed
+    by 0 (_inverses), so it stays zero and in its place.  At q = 2 red is packed
     (T, rows, words) uint64 (_reduce_bits), above it is int64; _digits reads
     the digits of either, and _echelon sorts them into the reduced form."""
     if q == 2:
         return _reduce_bits(a)
-    inv = _inverse_table(q)
     a = (np.asarray(a) % q).astype(np.int64)
     count, rows, cols = a.shape
     pivots = np.full((count, rows), -1, dtype=np.int64)
@@ -146,7 +149,7 @@ def _eliminate(a: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
         nonzero = row != 0
         pivot = nonzero.argmax(axis=1)  # column 0 for a zero row, whose scale is 0
         pivots[:, i] = np.where(nonzero.any(axis=1), pivot, -1)
-        row *= inv[row[t, pivot], None]
+        row *= _inverses(row[t, pivot], q)[:, None]
         row %= q
         others = a[t, :, pivot]
         others[:, i] = 0

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bounds import _bit_probability, _order, rm_threshold, two_point_renyi
+from .bounds import _bit_probability, _order, rm_threshold
 from .caps import DEFAULT_CAPS, Caps, CapExceeded
 # reed_muller_code, pushforward and bernoulli_syndrome_excess are the object
 # routes the grid replaces; nothing here calls them, but they stay imported as
@@ -41,7 +41,6 @@ __all__ = [
     "rm_divergence",
     "rm_convergence_run",
     "rows_to_csv",
-    "intrinsic_gap",
     "CSV_COLUMNS",
 ]
 
@@ -182,11 +181,6 @@ def rm_convergence_run(spec: RmExperimentSpec,
             threshold=threshold, above_threshold=rate > threshold,
             method=spec.method, seconds=seconds))
     return rows
-
-
-def intrinsic_gap(row: RmResultRow) -> float:
-    """Per-symbol entropy of the noise minus the fraction actually extracted."""
-    return two_point_renyi(row.delta, row.p) - row.extraction_rate
 
 
 def _csv_cell(v) -> str:

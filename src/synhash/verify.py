@@ -17,7 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import _integer_order, corollary_bounds, linf_bucket_bound, phi, smoothing_bound_rhs
+from .bounds import (_integer_order, _order, corollary_bounds, linf_bucket_bound, phi,
+                     smoothing_bound_rhs)
 from .caps import DEFAULT_CAPS, Caps
 from .codes import (
     DEFAULT_SEED,
@@ -148,6 +149,7 @@ def _tuple_space(n: int, p: int) -> None:
 def _tuple_ranks(q: int, n: int, p: int, caps: Caps) -> np.ndarray:
     _tuple_space(n, p)
     caps.admit("tuple rank stratification", (q ** n) ** p * max(n, 1), "tuple_products")
+    DensePmf._check_size(q, n * p, caps, "tuple table")  # and each table built after it
     return _tuple_ranks_cached(q, n, p)
 
 
@@ -406,6 +408,7 @@ def check_rearrangement_lemma(n: int, q: int, p: int, d: int,
     size = q ** n
     grid = size ** d
     caps.admit("rearrangement grid", grid * (p + n), "tuple_products")
+    DensePmf._check_size(q, n * d, caps, "rearrangement grid")
     rng = np.random.default_rng((seed, 19, n, q, p, d))
     coefficients = []  # p - d nonzero rows of length d
     while len(coefficients) < p - d:
@@ -437,12 +440,21 @@ def check_projection_identity(code: LinearCode, P: DensePmf,
     """Syndrome-side norms equal smoothed-source norms at every order.
 
     ||q^{n-k} P_{HZ}||_p computed by pushforward must match
-    ||q^n P_{X_C + Z}||_p computed by code convolution.  The one-code call of
-    _projection_identities.
+    ||q^n P_{X_C + Z}||_p computed by code convolution.  The orders are
+    checked first.  The one-code call of _projection_identities.
     """
+    _projection_orders(p_list)
     syndromes = pushforward(P, code.H, caps).probs[None]
     return _projection_identities(P.field.q, P.probs, code.G.array[None], syndromes,
                                   p_list, caps)[0]
+
+
+def _projection_orders(p_list: Sequence[float]) -> None:
+    """Refuse an empty order list, then any order that is not positive."""
+    if not p_list:
+        raise ValueError("need at least one order, got none")
+    for p in p_list:
+        _order(p)
 
 
 def _projection_identities(q: int, probs: np.ndarray, G: np.ndarray, syndromes: np.ndarray,
@@ -510,6 +522,7 @@ def rank_stratified_sum(P: DensePmf, p: int, d: int,
     ranks = _tuple_ranks(q, n, p, caps)
     tuples_d = np.nonzero(ranks == d)[0]
     caps.admit("rank-stratified sum", int(tuples_d.size) * size * p, "tuple_products")
+    DensePmf._check_size(q, 2 * n, caps, "subtraction table")
     # sub_index[x, v] = idx(x - v); v holds the low digits of x * size + v
     minus_plus = np.kron([q - 1, 1], np.eye(n, dtype=np.int64))
     sub_index = _image_rows(q, (q_powers(q, n) @ minus_plus)[None], n)[0].reshape(size, size)
@@ -652,18 +665,30 @@ def _mc_trials(source: Source, spec: CodeEnsembleSpec, trials: int, statistic,
     return vals
 
 
-def _error_bar(trials: int) -> None:
-    """The usage error of a Monte Carlo claim, which needs no source or code:
-    one sample has no error bar."""
+def _smoothness_usage(trials: int, p: int, collision: bool) -> None:
+    """The usage errors of a Monte Carlo smoothness claim, which need no source:
+    the trial count, the collision order, then an integer order p >= 2."""
     if trials < 2:
         raise ValueError(f"an error bar needs at least two Monte Carlo trials, got {trials}")
+    if collision and p != 2:
+        raise ValueError("the collision refinement is a p = 2 statement")
+    _order(p)
+    _integer_order(p)  # at p = 1 every ||q^m P||_1 is 1, and nothing would be tested
+
+
+def _bucket_usage(trials: int, n: int, eps: float, q: int) -> float:
+    """The usage errors of a Monte Carlo bucket claim, which need no source: the
+    trial count, then linf_bucket_bound's checks of q and eps; else the bound."""
+    if trials < 2:
+        raise ValueError(f"an error bar needs at least two Monte Carlo trials, got {trials}")
+    return linf_bucket_bound(n, eps, q)
 
 
 def _mc_result(name: str, params: dict, vals: np.ndarray, rhs: float,
                seed: int) -> CheckResult:
     """The Monte Carlo claim that the sample mean of vals, less three standard
-    errors, is at most rhs, with the mean and error added to params; _error_bar
-    has checked that there are at least two."""
+    errors, is at most rhs, with the mean and error added to params; the
+    usage checks have seen that there are at least two."""
     mean, stderr = float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(vals.size))
     return _inequality_result(name, {**params, "mean": mean, "stderr": stderr},
                               mean - 3.0 * stderr, rhs, seed=seed, trials=vals.size)
@@ -692,12 +717,8 @@ def mc_expected_smoothness(spec: CodeEnsembleSpec, source: Source, p: int,
     With collision=True (p = 2 only) the sharper squared-norm excess bound
     q^{m - H_2} is tested instead of the generic q^{m - H_p + p}.
     """
-    _error_bar(trials)
-    if collision and p != 2:
-        raise ValueError("the collision refinement is a p = 2 statement")
-    entropy = renyi_entropy(source, p)  # rejects a bad order before any code is drawn
-    # at p = 1 every ||q^m P||_1 is 1, so the check would pass with nothing tested
-    _integer_order(p)
+    _smoothness_usage(trials, p, collision)
+    entropy = renyi_entropy(source, p)
     norms = _mc_norms(source, spec, p, trials, caps)
     q, m = spec.field.q, spec.n - spec.k
     power = 2 if collision else 1
@@ -718,9 +739,8 @@ def mc_bucket_linf(source: Source, eps: float, trials: int,
     bucket stays near its fair share.  The source is not made dense:
     _mc_trials picks its route.
     """
-    _error_bar(trials)
     q, n = source.field.q, source.n
-    rhs = linf_bucket_bound(n, eps, q)  # refuses an eps m cannot be derived from
+    rhs = _bucket_usage(trials, n, eps, q)
     h_inf = renyi_entropy(source, math.inf)
     m = math.floor(h_inf - n * eps)
     if not 1 <= m <= n:
@@ -745,6 +765,8 @@ def _tightest_claim(name: str, q: int, n: int, count: int, orders: Sequence[floa
     if count < 1:
         raise ValueError(f"need at least one random sample, got count={count}")
     orders = [float(p) for p in orders]
+    if not orders:
+        raise ValueError("need at least one order, got none")
     bad = [p for p in orders if not 1.0 < p < math.inf]
     if bad:
         raise ValueError(f"orders must be finite and exceed 1, got {bad[0]}")

@@ -2,12 +2,13 @@ import argparse
 import hashlib
 import json
 import math
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
-from synhash import bounds, verify
+from synhash import bounds, cli, verify
 from synhash.cli import BOUNDS, VERIFY_CHECKS, _order, _sanitize, build_parser, main, parse_source
 from synhash.caps import DEFAULT_CAPS
 from synhash.codes import CodeEnsembleSpec, sample_uniform_code
@@ -409,6 +410,16 @@ def test_impossible_dimensions_are_usage_errors(argv, capsys):
      "an error bar needs at least two Monte Carlo trials, got 1"),
     ("--dense-cap 1 bucket --n 14 --eps 0.25 --source flat:10 --trials 1",
      "an error bar needs at least two Monte Carlo trials, got 1"),
+    # an order, collision or eps error used to come after the source was
+    # refused by the cap
+    ("--dense-cap 16 smooth --n 12 --k 10 --source uniform --p 1",
+     "integer order p >= 2 required, got 1"),
+    ("--dense-cap 16 smooth --n 12 --k 10 --source uniform --p 3 --collision",
+     "the collision refinement is a p = 2 statement"),
+    ("--dense-cap 16 bucket --n 14 --eps 0 --source flat:10",
+     "eps must be finite and positive, got 0.0"),
+    ("--dense-cap 16 verify projection-identity --n 6 --k 3 --orders 0,2 --source uniform",
+     "order must be positive, got 0.0"),
 ])
 def test_usage_errors_come_before_refusals(argv, message, capsys):
     # these were refused by the cap (exit 2); without a cap the exact-smoothing
@@ -429,6 +440,54 @@ def test_conversion_checks_refuse_orders_outside_the_finite_range(argv, capsys):
     rc, out, err = run(argv.split(), capsys)
     assert rc == 1 and out == ""
     assert err.startswith("synhash: error: orders must be finite and exceed 1, got ")
+
+
+@pytest.mark.parametrize("argv", [
+    "verify projection-identity --n 6 --k 3 --orders ,",
+    "verify proximity --n 4 --count 3 --orders ,",
+    "verify clarkson --n 4 --count 3 --orders ,",
+])
+def test_an_empty_order_list_is_a_usage_error(argv, capsys):
+    # projection-identity used to end in an IndexError traceback, and the
+    # conversion checks in a nan row that tested nothing
+    rc, out, err = run(argv.split(), capsys)
+    assert (rc, out, err) == (1, "", "synhash: error: need at least one order, got none\n")
+
+
+@pytest.mark.parametrize("argv, what, entries", [
+    ("verify norm-bound --n 1 --q 2 --p 26 --d 1", "tuple table", 2 ** 26),
+    ("verify rank-stratified --n 13 --q 2 --p 1 --d 1 --source uniform",
+     "subtraction table", 2 ** 26),
+    ("verify rearrangement --n 1 --q 30000001 --p 1 --d 1", "rearrangement grid", 30000001),
+])
+def test_tuple_tables_are_refused_by_the_dense_cap_before_they_are_built(argv, what, entries,
+                                                                         capsys):
+    # each was admitted as an operation count alone, and built its table:
+    # 1190, 160 and 1181 MiB at peak
+    tracemalloc.start()
+    try:
+        rc, out, err = run(argv.split(), capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rc, out) == (2, "")
+    assert err == f"synhash: refused: {what}: estimated cost {entries} exceeds cap {1 << 24}\n"
+    assert peak < 4 << 20  # each table takes at least 30 MB
+
+
+def test_projection_identity_admits_its_source_before_sampling_a_code(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a code was sampled")
+    monkeypatch.setattr(cli, "sample_uniform_code", refuse)
+    rc, out, err = run("--dense-cap 16 verify projection-identity --n 6 --k 3 "
+                       "--source uniform".split(), capsys)
+    assert (rc, out) == (2, "")
+    assert err == "synhash: refused: dense pmf: estimated cost 64 exceeds cap 16\n"
+    # at q = 2^31 - 1 the sampled code's elimination used to run first
+    rc, out, err = run("verify projection-identity --n 2 --k 1 --q 2147483647 "
+                       "--source point".split(), capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith("synhash: refused: dense pmf: estimated cost 4611686014132420609 ")
 
 
 def test_tuple_probability_enumerates_no_iid_parity_checks(capsys):

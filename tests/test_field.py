@@ -14,7 +14,7 @@ from synhash.field import (
     _digits,
     _eliminate,
     _image_rows,
-    _inverse_table,
+    _inverses,
     _kernel_columns,
     _kernel_from_rref,
     _rank_array,
@@ -32,16 +32,22 @@ def test_field_requires_prime():
     FieldSpec(7919)  # large prime accepted
 
 
+def test_field_modulus_is_below_two_to_the_31():
+    FieldSpec(2 ** 31 - 1)  # a Mersenne prime, the largest admitted
+    # refused before the trial division, which at 2^61 - 1 took longer than 25 s
+    for q in (2 ** 31, 2 ** 61 - 1):
+        message = r"^field modulus must be a prime integer below 2\^31,"
+        with pytest.raises(ValueError, match=message):
+            FieldSpec(q)
+
+
 def test_inverses_table():
-    inv = _inverse_table(5)
-    for a in range(1, 5):
-        assert (a * inv[a]) % 5 == 1
-
-
-def test_inverse_table_is_built_once_per_modulus():
-    # q modular powers per table: a second call must not rebuild it
-    assert _inverse_table(9973) is _inverse_table(9973)
-    assert not _inverse_table(9973).flags.writeable
+    # Fermat by squaring in int64, up to the largest admitted modulus
+    for q in (3, 5, 9973, 2 ** 31 - 1):
+        a = np.array(sorted({0, q - 2, q - 1} | set(range(1, min(q, 200)))), dtype=np.int64)
+        inv = _inverses(a, q)
+        assert inv.dtype == np.int64 and inv[0] == 0
+        assert [x * y % q for x, y in zip(a[1:].tolist(), inv[1:].tolist())] == [1] * (a.size - 1)
 
 
 def test_matrix_normalizes_and_compares():
@@ -262,6 +268,27 @@ def test_stack_elimination_matches_the_generic_loop(case):
     red = _check_elimination(a, q)
     if q != 2:
         assert red.dtype == np.int64 and red.shape == a.shape
+
+
+def test_elimination_at_a_prime_just_below_two_to_the_31():
+    # entries q - D for a small positive D of rank r, so products of the
+    # elimination come near 2^62
+    q = 2 ** 31 - 1
+    rng = np.random.default_rng(31)
+    for rows, cols, r in [(4, 6, 4), (5, 5, 3), (6, 4, 2), (3, 7, 1), (2, 3, 0)]:
+        small = rng.integers(1, 4, size=(rows, r)) @ rng.integers(1, 4, size=(r, cols))
+        a = -small % q
+        _check_elimination(a[None], q)
+        ref, ref_pivots = _generic_rref(a, q)
+        assert len(ref_pivots) == r
+        M = FqMatrix(FieldSpec(q), a)
+        R, pivots = rref(M)
+        assert rank(M) == r and pivots == ref_pivots and np.array_equal(R.array, ref)
+        basis = kernel_basis(M).array
+        assert basis.shape == (cols - r, cols)
+        assert not (a.astype(object) @ basis.T.astype(object) % q).any()
+        ref_basis = _kernel_from_rref(ref[None], np.array([ref_pivots], dtype=np.int64), q)[0]
+        assert np.array_equal(basis, ref_basis)
 
 
 @st.composite

@@ -7,14 +7,12 @@ import pytest
 
 from synhash import rm_lab
 from synhash.caps import Caps, CapExceeded
-from synhash.bounds import two_point_renyi
 from synhash.codes import reed_muller_dimensions, rm_parity_check
 from synhash.distributions import DensePmf, renyi_entropy, _product_syndrome_rows
 from synhash.field import FieldSpec, q_powers
 from synhash.rm_lab import (
     CSV_COLUMNS,
     RmExperimentSpec,
-    intrinsic_gap,
     parse_r_rule,
     rm_convergence_run,
     rm_divergence,
@@ -252,14 +250,6 @@ def test_csv_rendering():
     raw = rows_to_csv(rows).strip().split("\n")
     assert raw[0] == lines[0]
     assert [line.rsplit(",", 1)[1] for line in raw[1:]] == [repr(row.seconds) for row in rows]
-
-
-def test_intrinsic_gap():
-    spec = RmExperimentSpec(m_values=(4,), r_rule="m-2", delta=0.25, p=2)
-    row = rm_convergence_run(spec)[0]
-    assert intrinsic_gap(row) == pytest.approx(
-        two_point_renyi(0.25, 2) - row.extraction_rate, rel=1e-12)
-    assert intrinsic_gap(row) > 0  # extraction below the iid entropy rate
 
 
 def test_experiment_spec_validation():

@@ -642,6 +642,55 @@ def test_one_trial_is_refused_before_any_code_is_drawn(monkeypatch):
             mc_bucket_linf(DensePmf.flat(F2, 14, 1 << 10), 0.25, 1, caps=caps)
 
 
+def test_empty_order_lists_are_refused_before_any_work(monkeypatch):
+    code = sample_uniform_code(CodeEnsembleSpec(F2, 4, 2), 0)
+    P = DensePmf.uniform(F2, 4)
+    monkeypatch.setattr(verify, "pushforward", _refuse_work)
+    monkeypatch.setattr(verify, "_random_probs", _refuse_work)
+    for orders in ([], ()):
+        with pytest.raises(ValueError, match="^need at least one order, got none$"):
+            check_projection_identity(code, P, orders)
+        with pytest.raises(ValueError, match="^need at least one order, got none$"):
+            check_proximity_conversions(2, 3, 5, orders)
+        with pytest.raises(ValueError, match="^need at least one order, got none$"):
+            check_clarkson(2, 3, 5, orders)
+    for orders in ([0.0, 2.0], [2.0, -1.0]):
+        with pytest.raises(ValueError, match="^order must be positive"):
+            check_projection_identity(code, P, orders)
+
+
+@pytest.mark.parametrize("what, entries, call", [
+    ("tuple table", 2 ** 6, lambda caps: check_norm_bound_lemma(2, 2, 3, 1, caps=caps)),
+    ("subtraction table", 2 ** 6,
+     lambda caps: rank_stratified_sum(DensePmf.uniform(F2, 3), 1, 1, caps=caps)),
+    ("rearrangement grid", 2 ** 4, lambda caps: check_rearrangement_lemma(2, 2, 3, 2, caps=caps)),
+])
+def test_a_tuple_table_of_the_dense_cap_is_admitted_and_one_past_it_refused(what, entries,
+                                                                             call):
+    call(Caps(dense_pmf_entries=entries))
+    with pytest.raises(CapExceeded,
+                       match=f"^{what}: estimated cost {entries} exceeds cap {entries - 1}$"):
+        call(Caps(dense_pmf_entries=entries - 1))
+
+
+def test_tuple_tables_of_two_to_the_24_entries_are_admitted(monkeypatch):
+    # the default dense cap: (2^1)^24 and (2^2)^12 rank tables reach their
+    # builder, and (2^1)^25 is refused before it
+    built = []
+    monkeypatch.setattr(verify, "_tuple_ranks_cached", lambda *key: built.append(key))
+    verify._tuple_ranks(2, 1, 24, DEFAULT_CAPS)
+    verify._tuple_ranks(2, 2, 12, DEFAULT_CAPS)
+    with pytest.raises(CapExceeded, match="^tuple table: estimated cost 33554432 "):
+        verify._tuple_ranks(2, 1, 25, DEFAULT_CAPS)
+    assert built == [(2, 1, 24), (2, 2, 12)]
+    monkeypatch.undo()
+    # a 2^24-entry subtraction table is built: sum_x (1 - P(x)) / 2^12
+    assert rank_stratified_sum(DensePmf.uniform(F2, 12), 1, 1) == 1.0 - 2.0 ** -12
+    # past 64 bits the cost is named by its formula
+    with pytest.raises(CapExceeded, match=r"^tuple table: estimated cost 2\^80 "):
+        check_norm_bound_lemma(40, 2, 2, 1, caps=Caps(tuple_products=10 ** 40))
+
+
 @pytest.mark.parametrize("count", [0, -2])
 def test_random_sample_checks_need_a_sample(count):
     with pytest.raises(ValueError, match="count"):
