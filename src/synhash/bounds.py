@@ -46,9 +46,10 @@ def _logq(x: float, q: int) -> float:
     return math.log(x) / math.log(q)
 
 
-def _qpow(q: int, e: float) -> float:
+def _or_inf(f, *args) -> float:
+    """f(*args), or inf where the value leaves float64's range."""
     try:
-        return math.exp(e * math.log(q))
+        return f(*args)
     except OverflowError:
         return math.inf
 
@@ -94,7 +95,7 @@ def _entropy(h: float) -> None:
 
 
 def phi(p: float, eps: float) -> float:
-    """Distance conversion from smoothness eps; two branches split at p = 2."""
+    """Distance conversion from smoothness eps, split at p = 2; inf where a power overflows."""
     if not p > 1.0:
         raise ValueError(f"order p must exceed 1.0, got {p}")
     if not math.isfinite(p):
@@ -103,8 +104,9 @@ def phi(p: float, eps: float) -> float:
         raise ValueError(f"eps must be finite and nonnegative, got {eps}")
     if p < 2:
         pp = p / (p - 1.0)
-        return 2.0 * ((((1.0 + eps) ** p + 1.0) / 2.0) ** (pp / p) - 1.0) ** (1.0 / pp)
-    return 2.0 * (((1.0 + eps) ** p - 1.0) / 2.0) ** (1.0 / p)
+        power = _or_inf(pow, (_or_inf(pow, 1.0 + eps, p) + 1.0) / 2.0, pp / p)
+        return 2.0 * (power - 1.0) ** (1.0 / pp)
+    return 2.0 * ((_or_inf(pow, 1.0 + eps, p) - 1.0) / 2.0) ** (1.0 / p)
 
 
 def smoothing_bound_rhs(n: int, k: int, q: int, p: int, entropy_p: float) -> float:
@@ -116,7 +118,7 @@ def smoothing_bound_rhs(n: int, k: int, q: int, p: int, entropy_p: float) -> flo
     lnq = math.log(q)
     logs = [math.log(math.comb(p, d)) + (p - d) * (d + n - k - entropy_p) * lnq
             for d in range(p + 1)]
-    return math.exp(_logsumexp(logs))
+    return _or_inf(math.exp, _logsumexp(logs))
 
 
 @functools.cache
@@ -145,7 +147,7 @@ def nonlinear_bound_rhs(n: int, k: int, q: int, p: int, entropy_p: float) -> flo
         if s == 0:
             continue
         logs.append(math.log(s) + (p - d) * (n - k - entropy_p) * lnq)
-    value = math.exp(_logsumexp(logs))
+    value = _or_inf(math.exp, _logsumexp(logs))
     linear = smoothing_bound_rhs(n, k, q, p, entropy_p)
     if value > linear * (1.0 + 1e-12):
         raise AssertionError(
@@ -163,7 +165,7 @@ def main_guarantee(m: int, entropy_p: float, p: int, q: int,
     _field_size(q)
     _integer_order(p)
     _entropy(entropy_p)
-    value = _qpow(q, m - entropy_p + p)
+    value = _or_inf(math.exp, (m - entropy_p + p) * math.log(q))
     inputs = {"m": m, "entropy_p": entropy_p, "p": p, "q": q}
     satisfied = None
     if eps is not None:
@@ -180,7 +182,7 @@ def max_output_length(entropy_p: float, p: int, q: int, eps: float) -> int:
     _entropy(entropy_p)
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be finite and positive, got {eps}")
-    return math.floor(entropy_p - p - _logq(1.0 / eps, q))
+    return math.floor(entropy_p - p + _logq(eps, q))
 
 
 def generic_loss(eps: float, p: int, q: int) -> float:
@@ -188,7 +190,7 @@ def generic_loss(eps: float, p: int, q: int) -> float:
     _field_size(q)
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be finite and positive, got {eps}")
-    return p + _logq(1.0 / eps, q)
+    return p - _logq(eps, q)
 
 
 def corollary_bounds(eps: float, p: int, q: int) -> tuple[float, float]:
@@ -199,7 +201,7 @@ def corollary_bounds(eps: float, p: int, q: int) -> tuple[float, float]:
     if not 0.0 <= eps < math.inf:
         raise ValueError(f"eps must be finite and nonnegative, got {eps}")
     d_bound = p * eps / ((p - 1) * math.log(q))
-    dist_bound = 2.0 ** (1.0 - 1.0 / p) * ((1.0 + eps) ** p - 1.0) ** (1.0 / p)
+    dist_bound = 2.0 ** (1.0 - 1.0 / p) * (_or_inf(pow, 1.0 + eps, p) - 1.0) ** (1.0 / p)
     return d_bound, dist_bound
 
 
@@ -207,7 +209,7 @@ def collision_bound(m: int, entropy_2: float, q: int) -> float:
     """Collision-order refinement: expected squared norm is at most 1 + q^{m - H_2}."""
     _field_size(q)
     _entropy(entropy_2)
-    return 1.0 + _qpow(q, m - entropy_2)
+    return 1.0 + _or_inf(math.exp, (m - entropy_2) * math.log(q))
 
 
 def collision_loss(eps: float, q: int) -> float:
@@ -236,7 +238,8 @@ def linf_bucket_bound(n: int, eps: float, q: int) -> float:
     _field_size(q)
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be finite and positive, got {eps}")
-    return _qpow(q, 2.0 / eps) * (1.0 + _qpow(q, -eps * n / 2.0))
+    lnq = math.log(q)
+    return _or_inf(math.exp, 2.0 / eps * lnq) * (1.0 + _or_inf(math.exp, -eps * n / 2.0 * lnq))
 
 
 def two_point_renyi(delta: float, p: float) -> float:

@@ -459,11 +459,10 @@ def bernoulli_syndrome_excess(code: LinearCode, delta: float, p: int,
     the source densely.
 
     The syndrome has character values g(a) = (1 - 2 delta)^{wt(a H)}, so
-    q^{n-k} P_{HZ} = 1 + e with e the transform of g off a = 0, and the excess
-    is sum_{j >= 2} C(p, j) mean(e^j).  The j = 2 term is sum_{a != 0} g(a)^2
-    (Parseval).  No term is cancelled against 1, so the result stays accurate
-    down to subnormal magnitudes.  Binary field, integer p >= 2.  The
-    one-delta, one-order call of _syndrome_excesses.
+    q^{n-k} P_{HZ} = 1 + e with e the transform of g off a = 0, whose excess
+    _deviation_excesses takes (at p = 2 by Parseval, sum_{a != 0} g(a)^2),
+    accurate down to subnormal magnitudes.  Binary field, integer p >= 2.
+    The one-delta, one-order call of _syndrome_excesses.
     """
     if code.field.q != 2:
         raise ValueError("dual-character route requires the binary field")
@@ -484,17 +483,35 @@ def _syndrome_excesses(columns: np.ndarray, nk: int, deltas: Sequence[float],
     out = []
     for delta in deltas:
         g = _powers_by_weight(1.0 - 2.0 * delta, weights)
-        row = []
-        for p in orders:
-            total = math.comb(p, 2) * float(np.sum(g[1:] ** 2))
-            if p > 2:
-                h = g.copy()
-                h[0] = 0.0
-                e = _character_transform(h, 2, nk)
-                power = e * e
-                for j in range(3, p + 1):
-                    power *= e
-                    total += math.comb(p, j) * float(power.mean())
-            row.append(total)
-        out.append(row)
+        second = float(np.sum(g[1:] ** 2))  # mean(e^2) by Parseval, with no transform
+        if max(orders) > 2:  # e = 2^{nk} P_{HZ} - 1, the transform of g off a = 0
+            e = _character_transform(np.concatenate(([0.0], g[1:])), 2, nk).reshape(1, -1)
+        out.append([second if p == 2 else float(_deviation_excesses(e, p, second)[0])
+                    for p in orders])
+    return out
+
+
+def _deviation_excesses(e: np.ndarray, p: float, second=None) -> np.ndarray:
+    """The excess mean((1 + e)^p) - 1 of each row, on its own, of a (T, size) table of
+    deviations e = size P - 1, first-order term p mean(e) = 0 dropped: at integer p >= 2
+    sum_{j >= 2} C(p, j) mean(e^j) (mean(e^2) is `second` if given), past p = 4 only where
+    p max|e| <= 1, as its terms cancel elsewhere; max e at p = inf; at p = 1 mean((1 + e)
+    log1p(e) - e) (0 log 0 = 0); else mean(expm1(p log1p(e)) - p e).  Floor: P's rounding."""
+    if math.isinf(p):
+        return e.max(axis=1)
+    near = p == int(p) and p >= 2 and (p <= 4 or p * np.abs(e).max(axis=1) <= 1.0)
+    if np.all(near):  # past j = 24, p max|e| <= 1 keeps each term below the sum's rounding
+        power = e * e
+        total = math.comb(int(p), 2) * (power.mean(axis=1) if second is None else second)
+        for j in range(3, min(int(p), 24) + 1):
+            power *= e
+            total = total + math.comb(int(p), j) * power.mean(axis=1)
+        return total
+    positive = e > -1.0  # log1p(-1) = -inf where P is 0, and 0 log 0 = 0
+    log = np.log1p(e, out=np.full_like(e, -np.inf), where=positive)
+    if p == 1.0:
+        return (np.multiply(1.0 + e, log, out=np.zeros_like(e), where=positive) - e).mean(axis=1)
+    out = (np.expm1(p * log) - p * e).mean(axis=1)
+    if np.any(near):  # integer p > 4: the moment sum where it does not cancel
+        out[near] = _deviation_excesses(e[near], p, second)
     return out

@@ -27,12 +27,12 @@ from .distributions import (
     DensePmf,
     bernoulli_syndrome_excess,
     pushforward,
-    renyi_entropy,
     _admit_dual_sum,
+    _deviation_excesses,
     _product_syndrome_rows,
     _syndrome_excesses,
 )
-from .field import FieldSpec, q_powers
+from .field import q_powers
 
 __all__ = [
     "RmExperimentSpec",
@@ -118,11 +118,11 @@ def _rm_divergence_grid(m: int, r: int, deltas: Sequence[float], orders: Sequenc
     [delta][order], from one RM(r, m) parity check, equal to the one-item
     calls bit for bit.  Every input is checked and every cost admitted before
     the code is built.  The dense route takes each delta's 2^{n-k} syndrome
-    pmf by the n column steps of distributions._product_syndrome_rows through
+    pmf P by the n column steps of distributions._product_syndrome_rows through
     the column indices of rm_parity_check's matrix, which has full rank by
     construction (tests/test_codes.py checks it), so it is not eliminated
-    again; the dual route reads only the column indices that
-    codes._rm_parity_columns builds without the matrix."""
+    again, and scores 2^{n-k} P - 1 by distributions._deviation_excesses, as the
+    dual route does; that route reads only the column indices of codes._rm_parity_columns."""
     if not 0 <= r <= m:
         raise ValueError(f"need 0 <= r <= m, got r={r}, m={m}")
     if method not in ("dense", "dual-character"):
@@ -140,16 +140,18 @@ def _rm_divergence_grid(m: int, r: int, deltas: Sequence[float], orders: Sequenc
         caps.admit("column steps", n * size, "tuple_products")
         # every delta in one call: row i steps its own copy of the columns by delta i
         columns = q_powers(2, n - k) @ rm_parity_check(r, m).array
-        rows = _product_syndrome_rows(np.array(deltas, dtype=float)[:, None],
-                                      np.tile(columns, (len(deltas), 1)), n - k)
-        pmfs = [DensePmf(FieldSpec(2), n - k, row) for row in rows]
-        return [[n - k - renyi_entropy(syn, p) for p in orders] for syn in pmfs]
-    for p in orders:
-        _admit_dual_sum(n, n - k, int(p), caps)
-    excess = _syndrome_excesses(_rm_parity_columns(r, m), n - k, deltas,
-                                [int(p) for p in orders])
-    return [[math.log1p(x) / ((p - 1.0) * math.log(2.0)) for p, x in zip(orders, row)]
-            for row in excess]
+        e = size * _product_syndrome_rows(np.array(deltas, dtype=float)[:, None],
+                                          np.tile(columns, (len(deltas), 1)), n - k) - 1.0
+        excess = np.transpose([_deviation_excesses(e, p) for p in orders]).tolist()
+    else:
+        for p in orders:
+            _admit_dual_sum(n, n - k, int(p), caps)
+        excess = _syndrome_excesses(_rm_parity_columns(r, m), n - k, deltas,
+                                    [int(p) for p in orders])
+    # bits: log1p(x) / (p - 1); x itself (nats) at p = 1 and log1p(max e) at p = inf
+    return [[x / math.log(2.0) if p == 1.0 else
+             math.log1p(x) / ((1.0 if math.isinf(p) else p - 1.0) * math.log(2.0))
+             for p, x in zip(orders, row)] for row in excess]
 
 
 def rm_convergence_run(spec: RmExperimentSpec,

@@ -45,6 +45,7 @@ from .distributions import (
     _PMF_SUM_TOL,
     _character_transform,
     _convolve_transformed,
+    _deviation_excesses,
     pushforward,
     _product_syndrome_rows,
     _syndrome_rows,
@@ -625,9 +626,7 @@ def _mc_trials(source: Source, spec: CodeEnsembleSpec, trials: int, statistic,
     through each parity check column by column
     (distributions._product_syndrome_rows), trials n 2^m operations in all,
     and is never made dense; a DensePmf is counted through the image tables
-    of distributions._syndrome_rows, which at q = 2 push a flat or uniform
-    source of 2^j > 2^m points through a basis of each code's image of its
-    span, a 2^m-entry table per code.  Either way the q^m-entry syndrome table
+    of distributions._syndrome_rows.  Either way the q^m-entry syndrome table
     is admitted against the dense cap before any code is drawn, and so are a
     ProductBernoulli's trials n 2^m column steps, against tuple_products.
 
@@ -641,10 +640,9 @@ def _mc_trials(source: Source, spec: CodeEnsembleSpec, trials: int, statistic,
     the free columns, so they have full rank and are pushed forward without
     a rank check (tests/test_codes.py, test_sampled_parity_checks_have_full_rank).
     Every row is computed on its own, so the values do not depend on the
-    span.  tests/test_verify.py checks them against a per-code loop over
-    per-trial generators
-    (test_monte_carlo_chunks_are_contiguous_spans_of_the_code_stream and
-    test_batched_monte_carlo_matches_a_per_code_pushforward_loop; for the
+    span; tests/test_verify.py checks them against per-code loops over
+    per-trial generators (test_monte_carlo_chunks_are_contiguous_spans_of_the_code_stream,
+    test_batched_monte_carlo_matches_a_per_code_pushforward_loop and, for the
     column steps, test_batched_overdraw_control_matches_a_per_code_loop).
     """
     if trials < 1:
@@ -656,7 +654,7 @@ def _mc_trials(source: Source, spec: CodeEnsembleSpec, trials: int, statistic,
         push = functools.partial(_product_syndrome_rows, source.delta, m=m)
     else:
         push = functools.partial(_syndrome_rows, q, source.probs, m=m, caps=caps)
-    span = max(1, min(_SPAN_BATCHES * _BATCH_ENTRIES // (spec.n * max(1, spec.k, m)),
+    span = max(1, min(_SPAN_BATCHES * _BATCH_ENTRIES // max(1, spec.n * max(spec.k, m)),
                       _BATCH_ENTRIES // q ** m))
     vals = np.empty(trials)
     for first in range(0, trials, span):
@@ -695,18 +693,19 @@ def _mc_result(name: str, params: dict, vals: np.ndarray, rhs: float,
 
 
 @functools.lru_cache(maxsize=1)
-def _mc_norms(source: Source, spec: CodeEnsembleSpec, p: int, trials: int,
-              caps: Caps) -> np.ndarray:
-    """||q^m P_{HZ}||_p for the codes 0 .. trials-1 of spec, kept for the last
-    key: the main and collision checks of one run read the same sample.  A
-    DensePmf key is its identity, which is safe as its probs are read-only.
-    The source is not made dense: _mc_trials picks its route."""
+def _mc_excesses(source: Source, spec: CodeEnsembleSpec, p: int, trials: int,
+                 caps: Caps) -> np.ndarray:
+    """||q^m P_{HZ}||_p^p - 1 from q^m P_{HZ} - 1 for the codes 0 .. trials-1 of
+    spec, kept for the last key: the main and collision checks of one run read
+    the same sample.  A DensePmf key is its identity, which is safe as its probs
+    are read-only.  The source is not made dense: _mc_trials picks its route."""
     if source.n != spec.n or source.field != spec.field:
         raise ValueError("source and ensemble live on different spaces")
     scale = float(spec.field.q) ** (spec.n - spec.k)
-    norms = _mc_trials(source, spec, trials, lambda rows: lp_norms(scale * rows, p), caps)
-    norms.flags.writeable = False
-    return norms
+    x = _mc_trials(source, spec, trials, lambda rows: _deviation_excesses(scale * rows - 1.0, p),
+                   caps)
+    x.flags.writeable = False
+    return x
 
 
 def mc_expected_smoothness(spec: CodeEnsembleSpec, source: Source, p: int,
@@ -714,16 +713,15 @@ def mc_expected_smoothness(spec: CodeEnsembleSpec, source: Source, p: int,
                            caps: Caps = DEFAULT_CAPS) -> CheckResult:
     """Sampled mean smoothness of syndromes against the output-length guarantee.
 
-    With collision=True (p = 2 only) the sharper squared-norm excess bound
-    q^{m - H_2} is tested instead of the generic q^{m - H_p + p}.
+    A code of excess x scores ||q^m P_{HZ}||_p - 1 as expm1(log1p(x) / p).
+    With collision=True (p = 2 only) it scores x, and the sharper squared-norm
+    excess bound q^{m - H_2} is tested instead of the generic q^{m - H_p + p}.
     """
     _smoothness_usage(trials, p, collision)
     entropy = renyi_entropy(source, p)
-    norms = _mc_norms(source, spec, p, trials, caps)
+    x = _mc_excesses(source, spec, p, trials, caps)
     q, m = spec.field.q, spec.n - spec.k
-    power = 2 if collision else 1
-    # Python float powers, as a per-code statistic takes them
-    vals = np.array([v ** power - 1.0 for v in norms.tolist()])
+    vals = x if collision else np.expm1(np.log1p(x) / p)
     rhs = float(q) ** (m - entropy) if collision else float(q) ** (m - entropy + p)
     params = {"n": spec.n, "k": spec.k, "q": q, "p": p, "m": m,
               "entropy_p": entropy, "collision": collision}
@@ -878,8 +876,8 @@ def negative_control_overdraw(trials: int = 300, seed: int = DEFAULT_SEED,
     source = ProductBernoulli(delta, n)
     m = 7
     spec = CodeEnsembleSpec(FieldSpec(2), n, n - m, seed)
-    # the plain mean, so a single trial is enough
-    mean = float((_mc_norms(source, spec, p, trials, caps) - 1.0).mean())
+    # the plain mean of mc_expected_smoothness's scores, so a single trial is enough
+    mean = float(np.expm1(np.log1p(_mc_excesses(source, spec, p, trials, caps)) / p).mean())
     params = {"n": n, "delta": delta, "p": p, "m": m,
               "entropy_p": renyi_entropy(source, p),
               "claimed_bound": 0.5, "expected_failure": True}

@@ -317,6 +317,38 @@ def test_projection_identity_reports_the_first_order_when_every_order_passes(cap
     assert result["parameters"]["worst_order"] == "2.0"
 
 
+@pytest.mark.parametrize("source", ["uniform", "bernoulli:0.2", "point"])
+def test_monte_carlo_runs_at_length_zero(source, capsys):
+    # the span of sampled codes used to divide by n max(1, k, m), 0 at n = 0
+    rc, out, err = run(["smooth", "--n", "0", "--k", "0", "--source", source,
+                        "--trials", "2"], capsys)
+    assert rc == 0 and err == ""
+    params = json.loads(out)["results"][0]["parameters"]
+    assert (params["m"], params["mean"], params["stderr"]) == (0, 0.0, 0.0)
+
+
+# each used to end in an OverflowError traceback, and generic-loss printed inf,
+# as 1 / 1e-320 overflows
+@pytest.mark.parametrize("argv, name, want", [
+    ("smoothing-rhs --n 4000 --k 2 --q 2 --p 40 --Hp 1", "smoothing-rhs", math.inf),
+    ("nonlinear-rhs --n 4000 --k 2 --q 2 --p 40 --Hp 1", "nonlinear-rhs", math.inf),
+    # a power past float64's range makes a distance bound vacuous: (1 + eps)^p here,
+    # and ((3.1^1.001 + 1) / 2)^1000 in the p < 2 branch
+    ("phi --p 3 --eps 1e200", "phi", math.inf),
+    ("phi --p 1.001 --eps 2.1", "phi", math.inf),
+    ("corollary --eps 1e200 --p 3 --q 2", "corollary-distance", math.inf),
+    ("max-output --Hp 10 --p 2 --q 2 --eps 1e-320", "max-output",
+     math.floor(10 - 2 + math.log2(1e-320))),
+    ("generic-loss --eps 1e-320 --p 2 --q 2", "generic-loss", 2 - math.log2(1e-320)),
+])
+def test_bounds_past_the_float_range_read_their_value(argv, name, want, capsys):
+    rc, out, err = run(["bound", *argv.split()], capsys)
+    assert rc == 0 and err == ""
+    # JSON spells an infinite value "inf"
+    value = {row["name"]: float(row["value"]) for row in json.loads(out)["results"]}[name]
+    assert value == pytest.approx(want, rel=1e-15)
+
+
 def test_parser_rejects_flags_after_subcommand_values():
     parser = build_parser()
     args = parser.parse_args(["--seed", "5", "--format", "csv", "suite", "--quick"])
@@ -591,39 +623,45 @@ def test_exact_checks_are_pinned(argv, digest, capsys):
 # The full suite digests and the dense rm digest were recorded again when
 # the dense RM route took the column steps: c09a's worst row moved, and
 # the m = 5 and 6 rows of the dense rm run, refused for their 2^n source
-# before, read numbers
+# before, read numbers.  The four suite digests, the dense rm digest and the
+# smooth digests were recorded again when every syndrome pmf was scored from
+# its deviations q^m P - 1 (distributions._deviation_excesses), which moves
+# each Monte Carlo mean and dense divergence in its last digits (the Bernoulli
+# run at [80, 72], whose excess is near float64's epsilon, in its third)
 @pytest.mark.parametrize("argv, digest", [
-    ("suite", "50f7efdd34165d4482f6b0a1cb31b28ff40791fe"),
-    ("suite --quick", "a081248bebe4f0adf829169c2757c9493b28f68f"),
-    ("--seed 7 suite", "84cb1be75c3ad65d5bd22a6c0e2f3d164b70531e"),
-    ("--seed 7 suite --quick", "d2eeeb2065507ee77bc7c616af36a9d3bf101dc2"),
+    ("suite", "e0e50b30774592f184ef795f25eaa48cb1a69388"),
+    ("suite --quick", "74bf7f5c560c140d62a0d3c7e4f79c365d00343f"),
+    ("--seed 7 suite", "b3c9dfc19cc783fe64627d1769c33bf3a043eae1"),
+    ("--seed 7 suite --quick", "3d3fad6d0acc17aab895312a95ecd22ee862d466"),
     ("verify proximity --n 5 --count 200", "594394214695cc8b31e92b023aa50186919286ef"),
     ("verify clarkson --n 5 --count 200", "db461440accb602c5e66bf6ffa617a00848aa3e1"),
     ("--seed 7 verify proximity --n 5 --count 200", "eb22bbe8c75dff1eb744cb80c80eb28bbcced277"),
     ("--seed 7 verify clarkson --n 5 --count 200", "5c18df63c755b7de76a98139f87230a847641af6"),
     ("rm --m-range 4:12", "0ad60c6111576f36e1d6b4e8c03e5a888fbbdc60"),
-    ("rm --m-range 2:6 --method dense --p inf", "6babdfc3eae0a9377d6a2079751ff6fb80b44f53"),
+    ("rm --m-range 2:6 --method dense --p inf", "e4af0593fdbc0f33a8e4b31c4c931f1af5b2d3de"),
     # sampled codes: q = 2 rows of two uint64 words, the dense count of a flat
     # source, and two q > 2 runs, one of whose draws rejects words
     ("smooth --n 80 --k 72 --source bernoulli:0.2 --trials 50",
-     "685718d1da3de4f27fb314be378070319cf636b0"),
+     "874ed3db815d81235076544d49d200b4f7de488a"),
     ("bucket --n 14 --eps 0.25 --source flat:10", "5d2b2e6e614360c795baa3f6c1974f1bb3984be6"),
     ("bucket --n 8 --q 3 --eps 0.25 --source flat:6", "c4a2ce3a13a0f09b3a981861fe60e81d8dc80df2"),
     ("smooth --n 6 --k 3 --q 3 --source random --trials 500",
-     "613201142a16ccd63efe23bbb9167e722e5fb9a5"),
+     "bfd7e0e2ec8b34e9c46b9026225fb58fa1385e22"),
     # flat and uniform sources past the output length, recorded while they
-    # still went through the 2^d image table, not a basis of their span
+    # still went through the 2^d image table, not a basis of their span (the
+    # flat runs again when the deviation scores moved their means)
     ("smooth --n 12 --k 6 --source flat:8 --trials 300",
-     "4d561822acbfdda6073c66e42d2082c61fe3b75e"),
+     "5f0d6bc78470afe62b157e2a801b95d286326ee8"),
     ("smooth --n 14 --k 4 --source flat:12 --trials 200 --p 3",
-     "46a6c4b2913bb74dbdd4d259f9cbbbe96e14834d"),
+     "7f78d9562764fc63f28d4679fe1eeccaecf53386"),
     ("smooth --n 10 --k 4 --source uniform --trials 50",
      "f8884deb2001525bb000c7d2453a66ede40207a9"),
     # q = 5 codes: an ensemble's parity-check columns and one code's kernel
     # basis (sample_uniform_code), recorded while the elimination above q = 2
-    # still ran by columns with row swaps
+    # still ran by columns with row swaps (the smooth run again with the
+    # deviation scores)
     ("smooth --n 8 --k 4 --q 5 --source random --trials 300",
-     "e729ced0d630ece68e382e33b1e431a4c5470477"),
+     "e91faa1927498c34bfe8f634238e0190bd6f5bef"),
     ("verify projection-identity --n 5 --k 2 --q 5", "61dd7b9ee3bef5ab8ebf14c4030e84a1ea5d8da9"),
 ])
 def test_suite_and_draw_checks_are_pinned(argv, digest, capsys):

@@ -1,15 +1,18 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
+import numpy as np
 import pytest
 
 from synhash import rm_lab
 from synhash.caps import Caps, CapExceeded
 from synhash.codes import reed_muller_dimensions, rm_parity_check
-from synhash.distributions import DensePmf, renyi_entropy, _product_syndrome_rows
-from synhash.field import FieldSpec, q_powers
+from synhash.distributions import _deviation_excesses, _product_syndrome_rows
+from synhash.field import q_powers
 from synhash.rm_lab import (
     CSV_COLUMNS,
     RmExperimentSpec,
@@ -87,15 +90,24 @@ def test_dense_route_is_relatively_close_to_the_dual_route(p):
     assert abs(dense - dual) <= 1e-5 * dual
 
 
+def _bits(x, p):
+    """The order-p divergence in bits of a pmf of excess x: log1p(x) / (p - 1),
+    at p = 1 x itself (nats), at p = inf log1p(max e)."""
+    if p == 1:
+        return x / math.log(2.0)
+    return math.log1p(x) / ((1.0 if math.isinf(p) else p - 1.0) * math.log(2.0))
+
+
 def test_grid_dense_rows_are_the_column_steps_of_each_delta():
-    orders = (2, 3, math.inf)
+    orders = (1, 1.5, 2, 3, math.inf)
     for m in (2, 3, 4):
         for r in range(m):
             n, k = reed_muller_dimensions(r, m)
             columns = (q_powers(2, n - k) @ rm_parity_check(r, m).array)[None]
-            pmfs = [DensePmf(FieldSpec(2), n - k, _product_syndrome_rows(delta, columns, n - k)[0])
-                    for delta in DELTAS]
-            want = [[n - k - renyi_entropy(syn, p) for p in orders] for syn in pmfs]
+            deviations = [2.0 ** (n - k) * _product_syndrome_rows(delta, columns, n - k) - 1.0
+                          for delta in DELTAS]
+            want = [[_bits(float(_deviation_excesses(e, p)[0]), p) for p in orders]
+                    for e in deviations]
             assert _rm_divergence_grid(m, r, DELTAS, orders, "dense", Caps()) == want
 
 
@@ -124,12 +136,137 @@ def test_grid_refuses_as_the_one_delta_calls_before_building_the_code(monkeypatc
     assert str(err.value) == refusals[0]
 
 
+def _rm1_deviations(m, delta):
+    """The three values of e = 2^{m+1} P_{HZ} - 1, P_{HZ} the RM(m - 2, m)
+    syndrome pmf of Bernoulli(delta) noise, as Decimal (value, count) pairs in
+    the current context.  Its dual RM(1, m) holds the zero word, the all-ones
+    word and 2^{m+1} - 2 words of weight 2^{m-1}, so with lambda = 1 - 2 delta,
+    mu = lambda^{2^m} and nu = lambda^{2^{m-1}} the character sum takes
+    mu + 2 nu (2^m - 1) once, mu - 2 nu 2^m - 1 times and -mu 2^m times.
+    Decimal(delta) is the float's exact value."""
+    lam = 1 - 2 * Decimal(delta)
+    mu, nu, half = lam ** (2 ** m), lam ** (2 ** (m - 1)), 2 ** m
+    return [(mu + 2 * nu * (half - 1), 1), (mu - 2 * nu, half - 1), (-mu, half)]
+
+
+def _rm1_excess(m, delta, p, digits):
+    """mean((1 + e)^p) - 1 of _rm1_deviations to `digits` digits, at p = 1
+    mean((1 + e) ln(1 + e)) and at p = inf max e, as a Decimal."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        deviations = _rm1_deviations(m, delta)
+        if math.isinf(p):
+            return deviations[0][0]
+        if p == 1:
+            terms = [count * (1 + e) * (1 + e).ln() for e, count in deviations]
+        else:
+            terms = [count * (1 + e) ** Decimal(repr(p)) for e, count in deviations]
+        return sum(terms) / (2 ** (m + 1)) - (p != 1)
+
+
+ALL_ORDERS = (1, 1.5, 2, 2.5, 3, 4, math.inf)
+
+
+def _rm1_divergence(m, delta, p):
+    """rm_divergence(m, m - 2, delta, p) from a 60-digit _rm1_excess."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x = _rm1_excess(m, delta, p, 60)
+        ln2 = Decimal(2).ln()
+        if p == 1:
+            return float(x / ln2)
+        return float((1 + x).ln() / ((1 if math.isinf(p) else Decimal(repr(p)) - 1) * ln2))
+
+
 def test_dense_covers_orders_dual_cannot():
-    assert rm_divergence(3, 1, 0.25, math.inf, "dense") > 0
-    assert rm_divergence(3, 1, 0.25, 1.0, "dense") >= 0
+    # every order, against the closed form: the dense rows read n - k -
+    # renyi_entropy, which was 1.8e2 relative off at delta = 0.25, m = 6 and
+    # 9.2e5 at delta = 0.4, m = 5; the bounds are the rounding of the column
+    # steps' P, about 1e-16 over the smallest deviation
+    for delta, ms, rel in ((0.1, range(3, 7), 1e-7), (0.25, range(3, 7), 1e-7),
+                           (0.4, range(3, 6), 1e-5)):
+        for m in ms:
+            got = _rm_divergence_grid(m, m - 2, (delta,), ALL_ORDERS, "dense", Caps())[0]
+            for p, value in zip(ALL_ORDERS, got):
+                assert value == pytest.approx(_rm1_divergence(m, delta, p), rel=rel, abs=0.0)
     for p in (math.inf, 1.0, 2.5):
         with pytest.raises(ValueError):
             rm_divergence(3, 1, 0.25, p, DUAL)
+
+
+def test_dense_route_scores_a_syndrome_pmf_with_zeros():
+    # at delta = 1e-300 every syndrome but 0 has probability 0, so P is a point
+    # mass and the divergence is n - k = 4 bits at every order: the kernel
+    # takes log1p(-1) = -inf there and 0 log 0 = 0, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _rm_divergence_grid(3, 1, (1e-300,), ALL_ORDERS, "dense", Caps())[0]
+    assert got == pytest.approx([4.0] * len(ALL_ORDERS), rel=1e-15)
+
+
+def test_dense_route_agrees_with_the_dual_route_below_float_epsilon():
+    # the dense route read 0.0 from m = 6, where the divergence is 9.85e-18
+    for m in range(2, 7):
+        dense, dual = (_rm_divergence_grid(m, m - 2, (0.25,), (2, 3, 4), method, Caps())[0]
+                       for method in METHODS)
+        assert all(d > 0 for d in dense)
+        assert dense == pytest.approx(dual, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("delta", DELTAS)
+def test_excess_kernel_matches_the_closed_form(delta):
+    # the deviations of the RM(m - 2, m) syndrome pmf in closed form, rounded
+    # once, scored by the kernel the dense and dual routes share, against a
+    # 400-digit _rm1_excess; at p = 1 and non-integer p, mean((1 + e) log1p(e)
+    # - e) and mean(expm1(p log1p(e)) - p e) cancel to about 1e-16 / |e|
+    limits = {0.1: 7, 0.25: 6, 0.4: 4}
+    for m in range(2, 9):
+        e = np.concatenate([np.full(count, float(dev))
+                            for dev, count in _rm1_deviations(m, delta)])
+        for p in ALL_ORDERS:
+            integer = p == 2 or p == 3 or p == 4 or math.isinf(p)
+            if not integer and m > limits[delta]:
+                continue
+            want = float(_rm1_excess(m, delta, p, 400))
+            assert float(_deviation_excesses(e[None], float(p))[0]) == pytest.approx(
+                want, rel=1e-13 if integer else 1e-8, abs=0.0)
+
+
+def test_excess_kernel_at_large_integer_orders():
+    # a far-from-uniform row (an empty bin and a half-empty one) and the same row
+    # scaled by 2^-20, each summing to 0 exactly, against the exact mean((1 + e)^p)
+    # - 1: the moment sum's C(p, j) terms read 1e59 at p = 200 on the first row and
+    # C(2000, j) overflowed float64, so the first row takes the expm1 form past p = 4
+    # and the second the moment sum to j = 24
+    far = np.array([-1.0, -0.5] + [0.25] * 6)
+    e = np.stack([far, far * 2.0 ** -20])
+    for p in (5, 50, 200, 2000):
+        with localcontext() as ctx:
+            ctx.prec = 80
+            want = [float(sum((1 + Decimal(x)) ** p for x in row) / len(row) - 1) for row in e]
+        assert _deviation_excesses(e, float(p)).tolist() == pytest.approx(want, rel=1e-12, abs=0)
+        for row, value in zip(e, want):  # each row on its own
+            assert float(_deviation_excesses(row[None], float(p))[0]) == pytest.approx(
+                value, rel=1e-12, abs=0)
+
+
+def test_routes_reach_large_integer_orders():
+    # at p = 2000 the dual route's moment sum ended in an OverflowError from
+    # C(2000, j), and the dense route's renyi_entropy took log(0.0)
+    for m in (5, 6):
+        want = _rm1_divergence(m, 0.25, 2000)
+        for method in METHODS:
+            got = _rm_divergence_grid(m, m - 2, (0.25,), (2000,), method, Caps())[0][0]
+            assert got == pytest.approx(want, rel=1e-10 if method == "dense" else 1e-12, abs=0)
+
+
+@pytest.mark.parametrize("delta", DELTAS)
+def test_dual_route_matches_the_closed_form(delta):
+    for m in range(3, 9):
+        got = _rm_divergence_grid(m, m - 2, (delta,), (2, 3, 4), DUAL, Caps())[0]
+        for p, value in zip((2, 3, 4), got):
+            want = math.log1p(float(_rm1_excess(m, delta, p, 400))) / ((p - 1) * math.log(2.0))
+            assert value == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_dual_divergence_never_builds_the_generator():

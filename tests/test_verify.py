@@ -13,8 +13,8 @@ from synhash.codes import (DEFAULT_SEED, CodeEnsembleSpec, LinearCode, enumerate
                            gaussian_binomial, rank_tuple_count, sample_uniform_code,
                            _sample_codes)
 from synhash.distributions import (DensePmf, ProductBernoulli, code_pmf, convolve,
-                                   lp_norm, pushforward, renyi_entropy,
-                                   _product_syndrome_rows, _syndrome_rows)
+                                   lp_norm, pushforward, renyi_entropy, _deviation_excesses,
+                                   _product_syndrome_rows, _syndrome_excesses, _syndrome_rows)
 from synhash.field import FieldSpec, FqMatrix, image_indices, q_powers, rref, _rank_array
 from synhash.verify import (
     check_balanced_identity,
@@ -730,6 +730,16 @@ def _mean_stderr(vals):
     return vals.mean(), vals.std(ddof=1) / math.sqrt(vals.size)
 
 
+def _score(scale, p, collision=False):
+    """The Monte Carlo score of one syndrome pmf: its excess x, by the kernel on
+    its one-row table of deviations scale P - 1, for the collision row, else
+    the norm overshoot expm1(log1p(x) / p)."""
+    def score(probs):
+        x = _deviation_excesses(scale * probs[None] - 1.0, p)
+        return float(x[0] if collision else np.expm1(np.log1p(x) / p)[0])
+    return score
+
+
 # (q, n, support digits of the flat source): q^n = 1024, 729 and 625 points give
 # batches of several codes; 2^17 points is over the batch budget, one code a batch
 @pytest.mark.parametrize("q, n, support", [(2, 10, 8), (3, 6, 4), (5, 4, 3), (2, 17, 12)])
@@ -743,11 +753,9 @@ def test_batched_monte_carlo_matches_a_per_code_pushforward_loop(q, n, support, 
     assert np.array_equal(vals, _per_code_stats(P, spec, trials, _fingerprint, reference_code))
 
     m = n - spec.k
-    for collision, power in ((False, 1), (True, 2)):
+    for collision in (False, True):
         res = mc_expected_smoothness(spec, P, 2, trials, collision=collision)
-        ref = _per_code_stats(P, spec, trials,
-                              lambda probs: lp_norm(q ** m * probs, 2) ** power - 1.0,
-                              reference_code)
+        ref = _per_code_stats(P, spec, trials, _score(q ** m, 2, collision), reference_code)
         assert (res.parameters["mean"], res.parameters["stderr"]) == _mean_stderr(ref)
 
     flat = DensePmf.flat(field, n, q ** support)
@@ -793,11 +801,7 @@ def test_shared_smoothness_sample_follows_its_key(reference_code):
     for seed, collision in ((21, False), (22, False), (21, True)):
         spec = CodeEnsembleSpec(F2, 8, 6, seed)
         res = mc_expected_smoothness(spec, src, 2, 40, collision=collision)
-        power = 2 if collision else 1
-
-        def statistic(probs):
-            return lp_norm(4.0 * probs, 2) ** power - 1.0
-
+        statistic = _score(4.0, 2, collision)
         got = (res.parameters["mean"], res.parameters["stderr"])
         assert got == _mean_stderr(_per_code_product_stats(0.2, spec, 40, statistic,
                                                            reference_code))
@@ -832,16 +836,27 @@ def test_exact_smoothing_chunks_equal_a_per_code_loop(monkeypatch, q, n, k, p):
 def test_batched_overdraw_control_matches_a_per_code_loop(reference_code):
     # the 300 codes are pushed through their column steps as one stack
     spec = CodeEnsembleSpec(F2, 8, 1, 5)
-
-    def statistic(probs):
-        return lp_norm(2.0 ** 7 * probs, 2) - 1.0
-
+    statistic = _score(2.0 ** 7, 2)
     lhs = negative_control_overdraw(trials=300, seed=5).lhs
     ref = _per_code_product_stats(0.2, spec, 300, statistic, reference_code)
     assert lhs == float(ref.mean())
     dense = _per_code_stats(ProductBernoulli(0.2, 8).to_dense(), spec, 300, statistic,
                             reference_code)
     assert lhs == pytest.approx(float(dense.mean()), rel=1e-12)
+
+
+def test_monte_carlo_scores_match_the_dual_route_below_float_epsilon():
+    # at [96, 84] each excess is about 1e-17, where the norm minus 1 read 0.0
+    source = ProductBernoulli(0.25, 96)
+    spec = CodeEnsembleSpec(F2, 96, 84, DEFAULT_SEED)
+    got = verify._mc_excesses(source, spec, 2, 50, DEFAULT_CAPS)
+    want = np.array([_syndrome_excesses(columns, 12, (0.25,), (2,))[0][0]
+                     for columns in _sample_codes(spec, 0, 50)[1]])
+    assert (want > 0).all()
+    assert got == pytest.approx(want, rel=1e-6, abs=0.0)
+    for collision, scores in ((True, want), (False, np.expm1(np.log1p(want) / 2))):
+        res = mc_expected_smoothness(spec, source, 2, 50, collision=collision)
+        assert res.parameters["mean"] == pytest.approx(scores.mean(), rel=1e-6, abs=0.0)
 
 
 def test_proximity_conversions_pass():
