@@ -45,7 +45,6 @@ from .distributions import (
     code_pmf,
     convolve,
     lp_norm,
-    lp_smoothness,
     pushforward,
     renyi_divergence,
     renyi_entropy,

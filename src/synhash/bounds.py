@@ -95,18 +95,28 @@ def _entropy(h: float) -> None:
 
 
 def phi(p: float, eps: float) -> float:
-    """Distance conversion from smoothness eps, split at p = 2; inf where a power overflows."""
+    """Distance conversion from smoothness eps, split at p = 2; where a power
+    overflows, a factored form of the same value."""
     if not p > 1.0:
         raise ValueError(f"order p must exceed 1.0, got {p}")
     if not math.isfinite(p):
         raise ValueError("phi is defined for finite p only")
     if not 0.0 <= eps < math.inf:
         raise ValueError(f"eps must be finite and nonnegative, got {eps}")
-    if p < 2:
-        pp = p / (p - 1.0)
-        power = _or_inf(pow, (_or_inf(pow, 1.0 + eps, p) + 1.0) / 2.0, pp / p)
-        return 2.0 * (power - 1.0) ** (1.0 / pp)
-    return 2.0 * ((_or_inf(pow, 1.0 + eps, p) - 1.0) / 2.0) ** (1.0 / p)
+    pp = p / (p - 1.0)
+    try:
+        if p >= 2:
+            return 2.0 * (((1.0 + eps) ** p - 1.0) / 2.0) ** (1.0 / p)
+        return 2.0 * ((((1.0 + eps) ** p + 1.0) / 2.0) ** (pp / p) - 1.0) ** (1.0 / pp)
+    except OverflowError:  # past a power's range: a factored form
+        log_power = p * math.log1p(eps)  # log (1+eps)^p
+    if p >= 2:  # 2^{1-1/p} (1+eps) (1 - (1+eps)^{-p})^{1/p}
+        return 2.0 ** (1.0 - 1.0 / p) * (1.0 + eps) * (-math.expm1(-log_power)) ** (1.0 / p)
+    # 2 exp(L/p) (-expm1(-L/(p-1)))^{1/pp} with L = log(((1+eps)^p + 1) / 2) = log_power +
+    # rest (logaddexp), where exp(L/p) = exp(rest/p) (1+eps) keeps a large eps's digits
+    rest = math.log1p(math.exp(-log_power)) - math.log(2.0)
+    return (2.0 * math.exp(rest / p) * (1.0 + eps)
+            * (-math.expm1(-(log_power + rest) / (p - 1.0))) ** (1.0 / pp))
 
 
 def smoothing_bound_rhs(n: int, k: int, q: int, p: int, entropy_p: float) -> float:
@@ -201,7 +211,10 @@ def corollary_bounds(eps: float, p: int, q: int) -> tuple[float, float]:
     if not 0.0 <= eps < math.inf:
         raise ValueError(f"eps must be finite and nonnegative, got {eps}")
     d_bound = p * eps / ((p - 1) * math.log(q))
-    dist_bound = 2.0 ** (1.0 - 1.0 / p) * (_or_inf(pow, 1.0 + eps, p) - 1.0) ** (1.0 / p)
+    try:
+        dist_bound = 2.0 ** (1.0 - 1.0 / p) * ((1.0 + eps) ** p - 1.0) ** (1.0 / p)
+    except OverflowError:  # phi's factored form of the same value
+        dist_bound = phi(p, eps)
     return d_bound, dist_bound
 
 

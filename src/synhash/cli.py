@@ -11,7 +11,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, is_dataclass, replace
+from dataclasses import asdict, dataclass, is_dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -58,32 +59,47 @@ def _m_values(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
 
 
-def parse_source(text: str, field: FieldSpec, n: int, seed: int,
-                 caps: Caps) -> Source:
-    """uniform | point | random | bernoulli:<delta> | flat:<dims> | file:<path>"""
-    if text == "uniform":
-        return DensePmf.uniform(field, n, caps)
-    if text == "point":
-        return DensePmf.point_mass(field, n, caps=caps)
-    if text == "random":
-        DensePmf._check_size(field.q, n, caps)  # before q^n values are drawn
-        return verify._random_pmf(field, n, (seed, 41, field.q, n))
+@dataclass(frozen=True)
+class _Deferred:
+    """A dense source its check builds and admits by to_dense(caps), after its usage errors."""
+
+    field: FieldSpec
+    n: int
+    make: Callable[[Caps], DensePmf]
+
+    def to_dense(self, caps: Caps = DEFAULT_CAPS) -> DensePmf:
+        return self.make(caps)
+
+
+def parse_source(text: str, field: FieldSpec, n: int, seed: int) -> Source | _Deferred:
+    """uniform | point | random | bernoulli:<delta> | flat:<dims> | file:<path>;
+    every source but bernoulli is returned unbuilt, as a _Deferred."""
     if text.startswith("bernoulli:"):
         if field.q != 2:
             raise ValueError("bernoulli sources need q = 2")
         return ProductBernoulli(float(text.partition(":")[2]), n)
-    if text.startswith("flat:"):
-        dims = int(text.partition(":")[2])
-        if not 0 <= dims <= n:
-            raise ValueError(f"flat source needs 0 <= dims <= {n}")
-        return DensePmf.flat(field, n, field.q ** dims, caps)
-    if text.startswith("file:"):
-        P = DensePmf.read_qpmf(text.partition(":")[2])
-        if P.field != field or P.n != n:
-            raise ValueError(
-                f"file holds a pmf on F_{P.field.q}^{P.n}, expected F_{field.q}^{n}")
-        return P
-    raise ValueError(f"unknown source {text!r}")
+    if text in ("uniform", "point") or text.startswith("flat:"):
+        dims = n if text == "uniform" else 0 if text == "point" else int(text.partition(":")[2])
+
+        def make(caps: Caps) -> DensePmf:
+            if not 0 <= dims <= n:
+                raise ValueError(f"flat source needs 0 <= dims <= {n}")
+            DensePmf._check_size(field.q, n, caps)  # before q^dims is formed
+            return DensePmf.flat(field, n, field.q ** dims, caps)
+    elif text == "random":
+        def make(caps: Caps) -> DensePmf:
+            DensePmf._check_size(field.q, n, caps)  # before q^n values are drawn
+            return verify._random_pmf(field, n, (seed, 41, field.q, n))
+    elif text.startswith("file:"):
+        def make(caps: Caps) -> DensePmf:
+            P = DensePmf.read_qpmf(text.partition(":")[2], caps)
+            if P.field != field or P.n != n:
+                raise ValueError(
+                    f"file holds a pmf on F_{P.field.q}^{P.n}, expected F_{field.q}^{n}")
+            return P
+    else:
+        raise ValueError(f"unknown source {text!r}")
+    return _Deferred(field, n, make)
 
 
 def _nonneg_int(text: str) -> int:
@@ -96,28 +112,14 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
-def _dense_source(a, caps: Caps) -> DensePmf:
-    return parse_source(a.source, FieldSpec(a.q), a.n, a.seed, caps).to_dense(caps)
-
-
-# the usage errors that need no source come before the source is built and
-# admitted against --dense-cap, a refusal (exit 2)
-def _rank_stratified(a, caps: Caps) -> verify.CheckResult:
-    verify._stratum(a.n, a.p, a.d)
-    return verify.check_rank_stratified(_dense_source(a, caps), a.p, a.d, caps=caps)
-
-
-def _exact_smoothing(a, caps: Caps) -> verify.CheckResult:
-    bounds._integer_order(a.p)
-    _code_dimensions(a.n, a.k)
-    return verify.exact_expected_smoothness(a.n, a.k, a.q, a.p, _dense_source(a, caps),
-                                            caps=caps)
+def _source(a) -> Source | _Deferred:
+    return parse_source(a.source, FieldSpec(a.q), a.n, a.seed)
 
 
 def _projection_identity(a, caps: Caps) -> verify.CheckResult:
     verify._projection_orders(a.orders)
     _code_dimensions(a.n, a.k)
-    source = _dense_source(a, caps)  # admitted before the code is sampled
+    source = _source(a).to_dense(caps)  # admitted before the code is sampled
     code = sample_uniform_code(CodeEnsembleSpec(FieldSpec(a.q), a.n, a.k, a.seed), 0)
     return verify.check_projection_identity(code, source, a.orders, caps=caps)
 
@@ -156,8 +158,10 @@ VERIFY_CHECKS = {
          "--orders": {"type": _ORDERS, "default": [2.0, 3.0, math.inf]},
          "--source": _SOURCE},
         _projection_identity),
-    "rank-stratified": ({**_NQPD, "--source": _SOURCE}, _rank_stratified),
-    "exact-smoothing": ({**_NKQP, "--source": _SOURCE}, _exact_smoothing),
+    "rank-stratified": ({**_NQPD, "--source": _SOURCE}, lambda a, caps: (
+        verify.check_rank_stratified(_source(a), a.p, a.d, caps=caps))),
+    "exact-smoothing": ({**_NKQP, "--source": _SOURCE}, lambda a, caps: (
+        verify.exact_expected_smoothness(a.n, a.k, a.q, a.p, _source(a), caps=caps))),
     "proximity": (_NQ_COUNT, lambda a, caps: verify.check_proximity_conversions(
         a.q, a.n, a.count, a.orders, seed=a.seed, caps=caps)),
     "clarkson": (_NQ_COUNT, lambda a, caps: verify.check_clarkson(
@@ -215,19 +219,14 @@ def _bound(a, caps: Caps) -> tuple[list[dict], bool]:
 
 
 def _smooth(a, caps: Caps) -> tuple[list[dict], bool]:
-    verify._smoothness_usage(a.trials, a.p, a.collision)
     spec = CodeEnsembleSpec(FieldSpec(a.q), a.n, a.k, a.seed)
-    source = parse_source(a.source, spec.field, a.n, a.seed, caps)
-    res = verify.mc_expected_smoothness(spec, source, a.p, a.trials, collision=a.collision,
-                                        caps=caps)
+    res = verify.mc_expected_smoothness(spec, _source(a), a.p, a.trials,
+                                        collision=a.collision, caps=caps)
     return [res.to_json_dict()], res.passed
 
 
 def _bucket(a, caps: Caps) -> tuple[list[dict], bool]:
-    field = FieldSpec(a.q)
-    verify._bucket_usage(a.trials, a.n, a.eps, a.q)
-    source = parse_source(a.source, field, a.n, a.seed, caps)
-    res = verify.mc_bucket_linf(source, a.eps, a.trials, seed=a.seed, caps=caps)
+    res = verify.mc_bucket_linf(_source(a), a.eps, a.trials, seed=a.seed, caps=caps)
     return [res.to_json_dict()], res.passed
 
 

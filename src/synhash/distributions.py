@@ -8,6 +8,8 @@ pmf P.  Entropies and divergences are reported in base-q symbols.
 from __future__ import annotations
 
 import math
+import os
+import stat
 import struct
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -34,7 +36,6 @@ __all__ = [
     "lp_norms",
     "renyi_entropy",
     "renyi_divergence",
-    "lp_smoothness",
     "convolve",
     "code_pmf",
     "pushforward",
@@ -92,11 +93,6 @@ class DensePmf:
         return cls.flat(field, n, cls._check_size(field.q, n, caps), caps)
 
     @classmethod
-    def point_mass(cls, field: FieldSpec, n: int, caps: Caps = DEFAULT_CAPS) -> "DensePmf":
-        """All mass on the zero vector."""
-        return cls.flat(field, n, 1, caps)
-
-    @classmethod
     def flat(cls, field: FieldSpec, n: int, support_size: int,
              caps: Caps = DEFAULT_CAPS) -> "DensePmf":
         """Uniform on the first support_size indices."""
@@ -114,17 +110,22 @@ class DensePmf:
             fh.write(self.probs.astype("<f8").tobytes())
 
     @classmethod
-    def read_qpmf(cls, path) -> "DensePmf":
+    def read_qpmf(cls, path, caps: Caps = DEFAULT_CAPS) -> "DensePmf":
+        """The pmf write_qpmf wrote, its header checked and q^n admitted before the payload."""
         with open(path, "rb") as fh:
-            blob = fh.read()
-        if len(blob) < 12 or blob[:4] != _QPMF_MAGIC:
-            raise ValueError("not a QPMF blob")
-        _, q, n = struct.unpack("<4sII", blob[:12])
-        payload = np.frombuffer(blob, dtype="<f8", offset=12)
-        entries = payload.shape[0]
-        # untrusted header: n > bit_length(entries) implies q**n > entries, refused unformed
-        if n > entries.bit_length() or q ** n != entries:
-            raise ValueError(f"QPMF payload has {entries} entries, expected {q}**{n}")
+            head = fh.read(12)
+            if len(head) < 12 or head[:4] != _QPMF_MAGIC:
+                raise ValueError("not a QPMF blob")
+            _, q, n = struct.unpack("<4sII", head)
+            info = os.fstat(fh.fileno())
+            # only a regular file's size counts its entries; any other (a pipe) is read first
+            rest = None if stat.S_ISREG(info.st_mode) else fh.read()
+            entries = (info.st_size - 12 if rest is None else len(rest)) // 8
+            # untrusted header: n > bit_length(entries) implies q**n > entries, refused unformed
+            if n > entries.bit_length() or q ** n != entries:
+                raise ValueError(f"QPMF payload has {entries} entries, expected {q}**{n}")
+            cls._check_size(q, n, caps)
+            payload = np.frombuffer(fh.read() if rest is None else rest, dtype="<f8")
         return cls(FieldSpec(q), n, payload.astype(np.float64))
 
 
@@ -230,16 +231,6 @@ def renyi_divergence(P: DensePmf, Q: DensePmf, order: float) -> float:
     if math.isinf(p):
         return float(np.log(np.max(ps / qs)) / lnq)
     return float(np.log(np.sum(ps ** p * qs ** (1.0 - p))) / ((p - 1.0) * lnq))
-
-
-def lp_smoothness(P: DensePmf, order: float) -> float:
-    """Distance of P from uniform as a norm overshoot: ||q^n P||_p - 1.
-
-    Identically zero at p = 1, so that order is rejected.
-    """
-    if _order(order) <= 1.0:
-        raise ValueError("smoothness needs p > 1 (it is identically 0 at p = 1)")
-    return lp_norm(P.size * P.probs, order) - 1.0
 
 
 def _character_transform(values: np.ndarray, q: int, n: int) -> np.ndarray:

@@ -22,7 +22,7 @@ from .caps import DEFAULT_CAPS, Caps, CapExceeded
 # reed_muller_code, pushforward and bernoulli_syndrome_excess are the object
 # routes the grid replaces; nothing here calls them, but they stay imported as
 # traced sites: perfbench/tracing.py wraps them here
-from .codes import reed_muller_code, reed_muller_dimensions, rm_parity_check, _rm_parity_columns
+from .codes import reed_muller_code, reed_muller_dimensions, _rm_parity_columns
 from .distributions import (
     DensePmf,
     bernoulli_syndrome_excess,
@@ -32,7 +32,6 @@ from .distributions import (
     _product_syndrome_rows,
     _syndrome_excesses,
 )
-from .field import q_powers
 
 __all__ = [
     "RmExperimentSpec",
@@ -119,10 +118,10 @@ def _rm_divergence_grid(m: int, r: int, deltas: Sequence[float], orders: Sequenc
     calls bit for bit.  Every input is checked and every cost admitted before
     the code is built.  The dense route takes each delta's 2^{n-k} syndrome
     pmf P by the n column steps of distributions._product_syndrome_rows through
-    the column indices of rm_parity_check's matrix, which has full rank by
-    construction (tests/test_codes.py checks it), so it is not eliminated
-    again, and scores 2^{n-k} P - 1 by distributions._deviation_excesses, as the
-    dual route does; that route reads only the column indices of codes._rm_parity_columns."""
+    codes._rm_parity_columns, the column indices of a parity check of full rank
+    by construction (tests/test_codes.py checks it), so it is not eliminated
+    again, and scores 2^{n-k} P - 1 by distributions._deviation_excesses; the
+    dual route reads the same columns."""
     if not 0 <= r <= m:
         raise ValueError(f"need 0 <= r <= m, got r={r}, m={m}")
     if method not in ("dense", "dual-character"):
@@ -139,7 +138,7 @@ def _rm_divergence_grid(m: int, r: int, deltas: Sequence[float], orders: Sequenc
         size = DensePmf._check_size(2, n - k, caps)
         caps.admit("column steps", n * size, "tuple_products")
         # every delta in one call: row i steps its own copy of the columns by delta i
-        columns = q_powers(2, n - k) @ rm_parity_check(r, m).array
+        columns = _rm_parity_columns(r, m)
         e = size * _product_syndrome_rows(np.array(deltas, dtype=float)[:, None],
                                           np.tile(columns, (len(deltas), 1)), n - k) - 1.0
         excess = np.transpose([_deviation_excesses(e, p) for p in orders]).tolist()

@@ -30,6 +30,7 @@ from .codes import (
     rank_tuple_count,
     sample_uniform_code,  # traced site: perfbench/tracing.py wraps it here
     _admit_enumeration,
+    _code_dimensions,
     _ensemble_stacks,
     _sample_codes,
 )
@@ -548,9 +549,12 @@ def _stratum(n: int, p: int, d: int) -> None:
     _tuple_space(n, p)
 
 
-def check_rank_stratified(P: DensePmf, p: int, d: int,
+def check_rank_stratified(P: Source, p: int, d: int,
                           caps: Caps = DEFAULT_CAPS) -> CheckResult:
-    """Each rank stratum obeys g(d) <= C(p,d) q^{(p-d)(d - H_p)}."""
+    """Each rank stratum obeys g(d) <= C(p,d) q^{(p-d)(d - H_p)}; the stratum is
+    checked before P.to_dense(caps)."""
+    _stratum(P.n, p, d)
+    P = P.to_dense(caps)
     lhs = rank_stratified_sum(P, p, d, caps)
     entropy = renyi_entropy(P, p)
     rhs = math.comb(p, d) * float(P.field.q) ** ((p - d) * (d - entropy))
@@ -558,22 +562,24 @@ def check_rank_stratified(P: DensePmf, p: int, d: int,
     return _inequality_result("rank-stratified", params, lhs, rhs)
 
 
-def exact_expected_smoothness(n: int, k: int, q: int, p: int, P: DensePmf,
+def exact_expected_smoothness(n: int, k: int, q: int, p: int, P: Source,
                               caps: Caps = DEFAULT_CAPS) -> CheckResult:
     """Average of ||q^n P_{X_C+Z}||_p^p over every [n, k]_q code stays under
-    the closed-form ensemble budget.  The order and every cost are checked
-    before the ensemble is built.  The one-source, one-order call of
-    _exact_smoothnesses."""
+    the closed-form ensemble budget.  The order and dimensions are checked
+    before P.to_dense(caps), and every cost before the ensemble is built.
+    The one-source, one-order call of _exact_smoothnesses."""
     return _exact_smoothnesses(n, k, q, (p,), [P], caps)[0][0]
 
 
 def _exact_smoothnesses(n: int, k: int, q: int, orders: Sequence[int],
-                        sources: Sequence[DensePmf], caps: Caps) -> list[list[CheckResult]]:
+                        sources: Sequence[Source], caps: Caps) -> list[list[CheckResult]]:
     """exact_expected_smoothness of every source (rows) at every order
     (columns), from one ensemble and one convolution of each chunk of code
     pmfs with every source, equal to the one-item calls bit for bit."""
     for p in orders:
         _integer_order(p)
+    _code_dimensions(n, k)
+    sources = [P.to_dense(caps) for P in sources]
     for P in sources:
         if (P.field, P.n) != (FieldSpec(q), n):
             raise ValueError("convolution needs two pmfs on the same space")
@@ -663,25 +669,6 @@ def _mc_trials(source: Source, spec: CodeEnsembleSpec, trials: int, statistic,
     return vals
 
 
-def _smoothness_usage(trials: int, p: int, collision: bool) -> None:
-    """The usage errors of a Monte Carlo smoothness claim, which need no source:
-    the trial count, the collision order, then an integer order p >= 2."""
-    if trials < 2:
-        raise ValueError(f"an error bar needs at least two Monte Carlo trials, got {trials}")
-    if collision and p != 2:
-        raise ValueError("the collision refinement is a p = 2 statement")
-    _order(p)
-    _integer_order(p)  # at p = 1 every ||q^m P||_1 is 1, and nothing would be tested
-
-
-def _bucket_usage(trials: int, n: int, eps: float, q: int) -> float:
-    """The usage errors of a Monte Carlo bucket claim, which need no source: the
-    trial count, then linf_bucket_bound's checks of q and eps; else the bound."""
-    if trials < 2:
-        raise ValueError(f"an error bar needs at least two Monte Carlo trials, got {trials}")
-    return linf_bucket_bound(n, eps, q)
-
-
 def _mc_result(name: str, params: dict, vals: np.ndarray, rhs: float,
                seed: int) -> CheckResult:
     """The Monte Carlo claim that the sample mean of vals, less three standard
@@ -716,8 +703,15 @@ def mc_expected_smoothness(spec: CodeEnsembleSpec, source: Source, p: int,
     A code of excess x scores ||q^m P_{HZ}||_p - 1 as expm1(log1p(x) / p).
     With collision=True (p = 2 only) it scores x, and the sharper squared-norm
     excess bound q^{m - H_2} is tested instead of the generic q^{m - H_p + p}.
+    The usage errors come before source.to_dense(caps), which a ProductBernoulli skips.
     """
-    _smoothness_usage(trials, p, collision)
+    if trials < 2:
+        raise ValueError(f"an error bar needs at least two Monte Carlo trials, got {trials}")
+    if collision and p != 2:
+        raise ValueError("the collision refinement is a p = 2 statement")
+    _order(p)
+    _integer_order(p)  # at p = 1 every ||q^m P||_1 is 1, and nothing would be tested
+    source = source if isinstance(source, ProductBernoulli) else source.to_dense(caps)
     entropy = renyi_entropy(source, p)
     x = _mc_excesses(source, spec, p, trials, caps)
     q, m = spec.field.q, spec.n - spec.k
@@ -734,11 +728,15 @@ def mc_bucket_linf(source: Source, eps: float, trials: int,
     """Sampled mean of the max bucket load against q^{2/eps}(1 + q^{-eps n/2}).
 
     The output length is m = floor(H_inf - n eps), the regime where every
-    bucket stays near its fair share.  The source is not made dense:
-    _mc_trials picks its route.
+    bucket stays near its fair share.  The usage errors come before
+    source.to_dense(caps), which a ProductBernoulli skips: _mc_trials picks
+    its route.
     """
     q, n = source.field.q, source.n
-    rhs = _bucket_usage(trials, n, eps, q)
+    if trials < 2:
+        raise ValueError(f"an error bar needs at least two Monte Carlo trials, got {trials}")
+    rhs = linf_bucket_bound(n, eps, q)
+    source = source if isinstance(source, ProductBernoulli) else source.to_dense(caps)
     h_inf = renyi_entropy(source, math.inf)
     m = math.floor(h_inf - n * eps)
     if not 1 <= m <= n:
@@ -788,9 +786,9 @@ def check_proximity_conversions(q: int, n: int, count: int,
 
     For integer orders the divergence and distance conversions of the
     extraction corollary are included.  The pmfs are scored a table of rows
-    at a time; every measure of a row equals lp_smoothness, renyi_divergence
-    against uniform and lp_norm of that pmf alone, bit for bit, and the claims
-    are then evaluated in Python floats, pmf by pmf and order by order.
+    at a time; every measure of a row (lp_norm(q^n P) - 1, renyi_divergence
+    against uniform, lp_norm(q^n P - 1)) equals that of the pmf alone, bit for
+    bit, and the claims are then evaluated in Python floats, pmf by pmf and order by order.
     """
     def claims(orders, chunk):
         size = q ** n

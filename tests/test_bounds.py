@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,27 @@ def test_phi_frozen_values():
     assert phi(1.5, 0.5) == pytest.approx(2.008172330056086, rel=1e-14)
     assert phi(2.0, 1.0) == pytest.approx(2.449489742783178, rel=1e-14)
     assert phi(3.0, 0.2) == pytest.approx(1.4280073963843112, rel=1e-14)
+
+
+def _phi_decimal(p: float, eps: float) -> float:
+    """phi's two branches in 50-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        p, one_eps = Decimal(p), 1 + Decimal(eps)
+        if p >= 2:
+            return float(2 * ((one_eps ** p - 1) / 2) ** (1 / p))
+        pp = p / (p - 1)
+        return float(2 * (((one_eps ** p + 1) / 2) ** (pp / p) - 1) ** (1 / pp))
+
+
+@pytest.mark.parametrize("p, eps", [(3.0, 1e200), (50.0, 1e10), (1.001, 2.1), (1.0001, 0.2),
+                                    (1.5, 1e300), (1.2, 1e250)])
+def test_phi_matches_decimal_where_a_power_overflows(p, eps):
+    # each power, (1 + eps)^p or ((1 + eps)^p + 1) / 2 to the 1 / (p - 1), leaves
+    # float64's range; phi used to read inf
+    assert phi(p, eps) == pytest.approx(_phi_decimal(p, eps), rel=1e-15)
+    if p >= 2:
+        assert corollary_bounds(eps, int(p), 2)[1] == pytest.approx(phi(p, eps), rel=1e-15)
 
 
 def test_phi_vanishes_with_eps():

@@ -10,7 +10,7 @@ import pytest
 
 from synhash import bounds, cli, verify
 from synhash.cli import BOUNDS, VERIFY_CHECKS, _order, _sanitize, build_parser, main, parse_source
-from synhash.caps import DEFAULT_CAPS
+from synhash.caps import DEFAULT_CAPS, CapExceeded
 from synhash.codes import CodeEnsembleSpec, sample_uniform_code
 from synhash.distributions import DensePmf, ProductBernoulli
 from synhash.field import FieldSpec
@@ -290,19 +290,34 @@ def test_file_source_roundtrip(tmp_path, capsys):
     assert "expected" in err
 
 
+def test_file_source_obeys_the_dense_cap(tmp_path, capsys):
+    # a file source used to be read whole and run past --dense-cap
+    path = tmp_path / "wide.qpmf"
+    DensePmf.flat(F2, 16, 1 << 16).write_qpmf(path)
+    rc, out, err = run(["--dense-cap", "16", "smooth", "--n", "16", "--k", "14",
+                        "--source", f"file:{path}", "--trials", "5"], capsys)
+    assert (rc, out) == (2, "")
+    assert err == "synhash: refused: dense pmf: estimated cost 65536 exceeds cap 16\n"
+
+
 def test_source_grammar(capsys):
     caps = DEFAULT_CAPS
-    assert isinstance(parse_source("uniform", F2, 3, 0, caps), DensePmf)
-    assert isinstance(parse_source("bernoulli:0.3", F2, 3, 0, caps),
-                      ProductBernoulli)
-    flat = parse_source("flat:2", F2, 3, 0, caps)
+    assert isinstance(parse_source("uniform", F2, 3, 0).to_dense(caps), DensePmf)
+    assert isinstance(parse_source("bernoulli:0.3", F2, 3, 0), ProductBernoulli)
+    flat = parse_source("flat:2", F2, 3, 0).to_dense(caps)
     assert np.count_nonzero(flat.probs) == 4
-    point = parse_source("point", F2, 3, 0, caps)
+    point = parse_source("point", F2, 3, 0).to_dense(caps)
     assert point.probs[0] == 1.0
+    # a dense source is built and admitted by to_dense, not by parse_source
+    for text in ("uniform", "point", "random", "flat:3"):
+        source = parse_source(text, F2, 1 << 20, 0)
+        assert (source.field, source.n) == (F2, 1 << 20)
+        with pytest.raises(CapExceeded, match="dense pmf"):
+            source.to_dense(caps)
     with pytest.raises(ValueError, match="q = 2"):
-        parse_source("bernoulli:0.3", FieldSpec(3), 2, 0, caps)
+        parse_source("bernoulli:0.3", FieldSpec(3), 2, 0)
     with pytest.raises(ValueError, match="unknown source"):
-        parse_source("gaussian", F2, 3, 0, caps)
+        parse_source("gaussian", F2, 3, 0)
     rc, _, err = run(["verify", "projection-identity", "--n", "4", "--k", "2",
                       "--q", "3", "--source", "bernoulli:0.2"], capsys)
     assert rc == 1
@@ -332,11 +347,13 @@ def test_monte_carlo_runs_at_length_zero(source, capsys):
 @pytest.mark.parametrize("argv, name, want", [
     ("smoothing-rhs --n 4000 --k 2 --q 2 --p 40 --Hp 1", "smoothing-rhs", math.inf),
     ("nonlinear-rhs --n 4000 --k 2 --q 2 --p 40 --Hp 1", "nonlinear-rhs", math.inf),
-    # a power past float64's range makes a distance bound vacuous: (1 + eps)^p here,
-    # and ((3.1^1.001 + 1) / 2)^1000 in the p < 2 branch
-    ("phi --p 3 --eps 1e200", "phi", math.inf),
-    ("phi --p 1.001 --eps 2.1", "phi", math.inf),
-    ("corollary --eps 1e200 --p 3 --q 2", "corollary-distance", math.inf),
+    # a distance bound past a power's range, (1 + eps)^p or, in the p < 2 branch,
+    # ((3.1^1.001 + 1) / 2)^1000, used to print inf; each value is the float nearest
+    # its 50-digit decimal evaluation
+    ("phi --p 3 --eps 1e200", "phi", 1.5874010519681996e200),
+    ("phi --p 1.001 --eps 2.1", "phi", 4.100564161917209),
+    ("phi --p 1.5 --eps 1e300", "phi", 1.2599210498948732e300),
+    ("corollary --eps 1e200 --p 3 --q 2", "corollary-distance", 1.5874010519681996e200),
     ("max-output --Hp 10 --p 2 --q 2 --eps 1e-320", "max-output",
      math.floor(10 - 2 + math.log2(1e-320))),
     ("generic-loss --eps 1e-320 --p 2 --q 2", "generic-loss", 2 - math.log2(1e-320)),
@@ -564,7 +581,6 @@ def test_a_refused_cost_too_long_to_print_is_named_by_its_magnitude(capsys):
 
 def test_rm_reports_a_row_refused_before_its_code_is_built(monkeypatch, capsys):
     # np.arange(2^30) in the Reed-Muller generator used to end in a traceback
-    monkeypatch.setattr("synhash.rm_lab.rm_parity_check", _fail)
     monkeypatch.setattr("synhash.rm_lab._rm_parity_columns", _fail)
     rc, out, err = run(["rm", "--m-range", "30"], capsys)
     assert (rc, err) == (0, "")
@@ -691,7 +707,7 @@ CLI_CASES = {
         "--n 4 --k 2 --orders 1.5,inf",
         lambda: verify.check_projection_identity(
             sample_uniform_code(CodeEnsembleSpec(F2, 4, 2, SEED), 0),
-            parse_source("random", F2, 4, SEED, DEFAULT_CAPS), [1.5, math.inf])),
+            parse_source("random", F2, 4, SEED).to_dense(), [1.5, math.inf])),
     ("verify", "rank-stratified"): (
         "--n 3 --p 2 --d 2 --source bernoulli:0.2",
         lambda: verify.check_rank_stratified(ProductBernoulli(0.2, 3).to_dense(), 2, 2)),
@@ -738,7 +754,7 @@ CLI_CASES = {
         "--n 6 --k 4 --q 3 --p 3 --source random --trials 20",
         lambda: verify.mc_expected_smoothness(
             CodeEnsembleSpec(FieldSpec(3), 6, 4, SEED),
-            parse_source("random", FieldSpec(3), 6, SEED, DEFAULT_CAPS), 3, 20)),
+            parse_source("random", FieldSpec(3), 6, SEED), 3, 20)),
     ("bucket",): (
         "--n 10 --eps 0.25 --source flat:8 --trials 20",
         lambda: verify.mc_bucket_linf(DensePmf.flat(F2, 10, 1 << 8), 0.25, 20, seed=SEED)),

@@ -1,4 +1,5 @@
 import math
+import os
 import struct
 from fractions import Fraction
 
@@ -24,7 +25,6 @@ from synhash.distributions import (
     convolve,
     lp_norm,
     lp_norms,
-    lp_smoothness,
     pushforward,
     renyi_divergence,
     renyi_entropy,
@@ -103,7 +103,7 @@ def test_entropy_examples():
     flat = DensePmf.flat(F2, 3, 4)
     for p in (1, 2, 3.5, math.inf):
         assert renyi_entropy(flat, p) == pytest.approx(2.0, abs=1e-12)
-    point = DensePmf.point_mass(F2, 3)
+    point = DensePmf.flat(F2, 3, 1)
     for p in (1, 2, math.inf):
         assert renyi_entropy(point, p) == pytest.approx(0.0, abs=1e-12)
     # base-q units: uniform on F_3^2 has entropy 2
@@ -134,16 +134,9 @@ def test_divergence_support_violation():
         renyi_divergence(P, Q, 2)
 
 
-def test_smoothness_rejects_order_one():
-    P = DensePmf.uniform(F2, 2)
-    with pytest.raises(ValueError):
-        lp_smoothness(P, 1)
-    assert lp_smoothness(P, 2) == pytest.approx(0.0, abs=1e-12)
-
-
 def test_convolve_point_mass_is_identity():
     P = pmf(F3, 2, np.arange(1, 10) / 45)
-    E = DensePmf.point_mass(F3, 2)
+    E = DensePmf.flat(F3, 2, 1)
     out = convolve(P, E)
     assert np.allclose(out.probs, P.probs, atol=1e-12)
 
@@ -294,6 +287,18 @@ def test_qpmf_header_is_checked_against_the_payload_first(tmp_path):
         DensePmf.read_qpmf(path)
 
 
+def test_qpmf_is_admitted_before_its_payload_is_read(tmp_path):
+    path = tmp_path / "wide.qpmf"
+    DensePmf.flat(F2, 10, 8).write_qpmf(path)
+    with pytest.raises(CapExceeded, match="dense pmf: estimated cost 1024 exceeds cap 16"):
+        DensePmf.read_qpmf(path, Caps(dense_pmf_entries=16))
+    # a pipe has no size to count entries by, so it is read first
+    read_end, write_end = os.pipe()
+    os.write(write_end, path.read_bytes())
+    os.close(write_end)
+    assert np.array_equal(DensePmf.read_qpmf(read_end).probs, DensePmf.flat(F2, 10, 8).probs)
+
+
 def test_syndrome_norm_degenerate_cases():
     code = reed_muller_code(1, 3)
     # delta = 1/2 gives a perfectly uniform syndrome
@@ -379,14 +384,6 @@ def test_divergence_is_entropy_deficit(P, p):
     U = DensePmf.uniform(P.field, P.n)
     assert renyi_divergence(P, U, p) == pytest.approx(
         P.n - renyi_entropy(P, p), abs=1e-9)
-
-
-@given(random_pmfs(), st.sampled_from([1.5, 2.0, 3.0]))
-def test_smoothness_divergence_identity(P, p):
-    delta = lp_smoothness(P, p)
-    div = renyi_divergence(P, DensePmf.uniform(P.field, P.n), p)
-    assert delta == pytest.approx(
-        P.field.q ** (div * (p - 1) / p) - 1.0, abs=1e-9)
 
 
 @given(random_pmfs())

@@ -129,7 +129,6 @@ def test_grid_refuses_as_the_one_delta_calls_before_building_the_code(monkeypatc
     def fail(*args, **kwargs):
         raise AssertionError("the refused code was built")
 
-    monkeypatch.setattr(rm_lab, "rm_parity_check", fail)
     monkeypatch.setattr(rm_lab, "_rm_parity_columns", fail)
     with pytest.raises(CapExceeded) as err:
         _rm_divergence_grid(4, 1, DELTAS, (2, 3), method, caps)
@@ -367,7 +366,6 @@ def test_divergence_refuses_before_building_the_code(monkeypatch, m, method, ref
     def fail(*args, **kwargs):
         raise AssertionError("the refused code was built")
 
-    monkeypatch.setattr(rm_lab, "rm_parity_check", fail)
     monkeypatch.setattr(rm_lab, "_rm_parity_columns", fail)
     with pytest.raises(CapExceeded, match=f"^{refusal}exceeds cap "):
         rm_divergence(m, m - 2, 0.25, 2, method)

@@ -532,7 +532,7 @@ def test_stacked_smoothness_equals_the_one_source_calls(n, k, q, count):
 @pytest.mark.parametrize("caps", [Caps(code_enumeration=10), Caps(dense_pmf_entries=8)],
                          ids=["codes", "dense"])
 def test_stacked_smoothness_refuses_as_the_one_source_calls(monkeypatch, caps):
-    sources = [DensePmf.uniform(F2, 4), DensePmf.point_mass(F2, 4)]
+    sources = [DensePmf.uniform(F2, 4), DensePmf.flat(F2, 4, 1)]
     want = _first_refusal(lambda P=P, p=p: exact_expected_smoothness(4, 2, 2, p, P, caps=caps)
                           for P in sources for p in (2, 3))
     monkeypatch.setattr(verify, "_ensemble_stacks", _refuse_work)
