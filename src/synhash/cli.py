@@ -92,11 +92,7 @@ def parse_source(text: str, field: FieldSpec, n: int, seed: int) -> Source | _De
             return verify._random_pmf(field, n, (seed, 41, field.q, n))
     elif text.startswith("file:"):
         def make(caps: Caps) -> DensePmf:
-            P = DensePmf.read_qpmf(text.partition(":")[2], caps)
-            if P.field != field or P.n != n:
-                raise ValueError(
-                    f"file holds a pmf on F_{P.field.q}^{P.n}, expected F_{field.q}^{n}")
-            return P
+            return DensePmf.read_qpmf(text.partition(":")[2], caps, (field.q, n))
     else:
         raise ValueError(f"unknown source {text!r}")
     return _Deferred(field, n, make)

@@ -110,8 +110,10 @@ class DensePmf:
             fh.write(self.probs.astype("<f8").tobytes())
 
     @classmethod
-    def read_qpmf(cls, path, caps: Caps = DEFAULT_CAPS) -> "DensePmf":
-        """The pmf write_qpmf wrote, its header checked and q^n admitted before the payload."""
+    def read_qpmf(cls, path, caps: Caps = DEFAULT_CAPS,
+                  space: tuple[int, int] | None = None) -> "DensePmf":
+        """The pmf write_qpmf wrote, its header checked (against the expected
+        (q, n) space, if given) and q^n admitted before the payload."""
         with open(path, "rb") as fh:
             head = fh.read(12)
             if len(head) < 12 or head[:4] != _QPMF_MAGIC:
@@ -124,6 +126,9 @@ class DensePmf:
             # untrusted header: n > bit_length(entries) implies q**n > entries, refused unformed
             if n > entries.bit_length() or q ** n != entries:
                 raise ValueError(f"QPMF payload has {entries} entries, expected {q}**{n}")
+            if space not in (None, (q, n)):
+                raise ValueError(f"file holds a pmf on F_{q}^{n}, "
+                                 f"expected F_{space[0]}^{space[1]}")
             cls._check_size(q, n, caps)
             payload = np.frombuffer(fh.read() if rest is None else rest, dtype="<f8")
         return cls(FieldSpec(q), n, payload.astype(np.float64))

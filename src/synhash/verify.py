@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import (_integer_order, _order, corollary_bounds, linf_bucket_bound, phi,
-                     smoothing_bound_rhs)
+from .bounds import (_integer_order, _or_inf, _order, corollary_bounds, linf_bucket_bound,
+                     phi, smoothing_bound_rhs)
 from .caps import DEFAULT_CAPS, Caps
 from .codes import (
     DEFAULT_SEED,
@@ -564,57 +564,51 @@ def check_rank_stratified(P: Source, p: int, d: int,
 
 def exact_expected_smoothness(n: int, k: int, q: int, p: int, P: Source,
                               caps: Caps = DEFAULT_CAPS) -> CheckResult:
-    """Average of ||q^n P_{X_C+Z}||_p^p over every [n, k]_q code stays under
-    the closed-form ensemble budget.  The order and dimensions are checked
-    before P.to_dense(caps), and every cost before the ensemble is built.
-    The one-source, one-order call of _exact_smoothnesses."""
+    """Average of ||q^{n-k} P_{HZ}||_p^p (= ||q^n P_{X_C+Z}||_p^p) over every
+    [n, k]_q code stays under the closed-form ensemble budget.  The order and
+    dimensions are checked before P.to_dense(caps), and every cost before the
+    ensemble is built.  The one-source, one-order call of _exact_smoothnesses."""
     return _exact_smoothnesses(n, k, q, (p,), [P], caps)[0][0]
 
 
 def _exact_smoothnesses(n: int, k: int, q: int, orders: Sequence[int],
                         sources: Sequence[Source], caps: Caps) -> list[list[CheckResult]]:
     """exact_expected_smoothness of every source (rows) at every order
-    (columns), from one ensemble and one convolution of each chunk of code
-    pmfs with every source, equal to the one-item calls bit for bit."""
+    (columns), from one ensemble, equal to the one-item calls bit for bit.
+    Each code's syndrome pmf is counted (distributions._syndrome_rows) and
+    scored from its deviations q^m P_{HZ} - 1, as _mc_excesses scores a
+    sampled code: the mean is 1 plus the mean excess over the codes."""
     for p in orders:
         _integer_order(p)
     _code_dimensions(n, k)
     sources = [P.to_dense(caps) for P in sources]
     for P in sources:
         if (P.field, P.n) != (FieldSpec(q), n):
-            raise ValueError("convolution needs two pmfs on the same space")
+            raise ValueError("source and ensemble live on different spaces")
     _admit_enumeration(q, n, k, caps)
     size = DensePmf._check_size(q, n, caps)
-    caps.admit("codeword enumeration", q ** k, "code_enumeration")
-    G = _ensemble_stacks(q, n, k, caps)[0]
-    transformed = _character_transform(np.array([P.probs for P in sources]), q, n)
-    totals = [[0.0] * len(orders) for _ in sources]
-    # a chunk of codes at a time: their pmfs, convolved with every source, and
-    # the norms.  About eight tables of a chunk's size are alive at once, on
-    # top of the enumerated ensembles, so a chunk takes a sixteenth of the
-    # batch budget
-    chunk = max(1, _BATCH_ENTRIES // 16 // (size * len(sources)))
-    for first in range(0, len(G), chunk):
-        # (codes, sources, q^n)
-        mixed = _convolve_transformed(_code_pmfs(q, G[first:first + chunk])[:, None],
-                                      transformed, q, n)
-        rows = mixed.reshape(-1, size)
-        _check_sums(rows)
-        scaled = float(q) ** n * rows
+    H = _ensemble_stacks(q, n, k, caps)[1]
+    m = n - k
+    probs, powers, scale = np.array([P.probs for P in sources]), q_powers(q, m), float(q) ** m
+    x = np.empty((len(orders), len(sources), len(H)))  # (orders, sources, codes)
+    # a chunk of codes at a time, every source's syndrome rows counted in one
+    # call: row s chunk + t is source s through code t
+    chunk = max(1, _BATCH_ENTRIES // (size * len(sources)))
+    for first in range(0, len(H), chunk):
+        columns = powers @ H[first:first + chunk]
+        count = len(columns)
+        e = scale * _syndrome_rows(q, np.repeat(probs, count, axis=0),
+                                   np.tile(columns, (len(sources), 1)), m, caps) - 1.0
         for j, p in enumerate(orders):
-            norms = lp_norms(scaled, p).reshape(mixed.shape[:2])
-            for s, column in enumerate(norms.T.tolist()):
-                total = totals[s][j]
-                for norm in column:  # a sequential float sum, as one code at a time
-                    total += norm ** p
-                totals[s][j] = total
+            x[j, :, first:first + count] = _deviation_excesses(e, p).reshape(len(sources), count)
+    lhs = (1.0 + x.mean(axis=2)).T.tolist()
     results = []
-    for P, sums in zip(sources, totals):
+    for P, means in zip(sources, lhs):
         row = []
-        for p, total in zip(orders, sums):
+        for p, mean in zip(orders, means):
             rhs = smoothing_bound_rhs(n, k, q, p, renyi_entropy(P, p))
-            params = {"n": n, "k": k, "q": q, "p": p, "codes": len(G)}
-            row.append(_inequality_result("exact-smoothing", params, total / len(G), rhs))
+            params = {"n": n, "k": k, "q": q, "p": p, "codes": len(H)}
+            row.append(_inequality_result("exact-smoothing", params, mean, rhs))
         results.append(row)
     return results
 
@@ -716,7 +710,7 @@ def mc_expected_smoothness(spec: CodeEnsembleSpec, source: Source, p: int,
     x = _mc_excesses(source, spec, p, trials, caps)
     q, m = spec.field.q, spec.n - spec.k
     vals = x if collision else np.expm1(np.log1p(x) / p)
-    rhs = float(q) ** (m - entropy) if collision else float(q) ** (m - entropy + p)
+    rhs = _or_inf(pow, float(q), m - entropy if collision else m - entropy + p)
     params = {"n": spec.n, "k": spec.k, "q": q, "p": p, "m": m,
               "entropy_p": entropy, "collision": collision}
     return _mc_result("mc-collision-smoothness" if collision else "mc-smoothness",

@@ -300,6 +300,17 @@ def test_file_source_obeys_the_dense_cap(tmp_path, capsys):
     assert err == "synhash: refused: dense pmf: estimated cost 65536 exceeds cap 16\n"
 
 
+def test_file_source_on_the_wrong_space_is_a_usage_error_before_its_refusal(tmp_path, capsys):
+    # a 2^16-entry file against F_2^5 was refused for its size (exit 2) before
+    # its space was compared
+    path = tmp_path / "wide.qpmf"
+    DensePmf.flat(F2, 16, 1 << 16).write_qpmf(path)
+    rc, out, err = run(["--dense-cap", "16", "smooth", "--n", "5", "--k", "2",
+                        "--source", f"file:{path}", "--trials", "5"], capsys)
+    assert (rc, out) == (1, "")
+    assert err == "synhash: error: file holds a pmf on F_2^16, expected F_2^5\n"
+
+
 def test_source_grammar(capsys):
     caps = DEFAULT_CAPS
     assert isinstance(parse_source("uniform", F2, 3, 0).to_dense(caps), DensePmf)
@@ -364,6 +375,17 @@ def test_bounds_past_the_float_range_read_their_value(argv, name, want, capsys):
     # JSON spells an infinite value "inf"
     value = {row["name"]: float(row["value"]) for row in json.loads(out)["results"]}[name]
     assert value == pytest.approx(want, rel=1e-15)
+
+
+def test_monte_carlo_guarantee_past_the_float_range_reads_inf(capsys):
+    # q^{m - H_p + p} at p = 1100 passes float64's range; it used to end in an
+    # OverflowError traceback, though every excess is finite
+    rc, out, err = run(["smooth", "--n", "96", "--k", "84", "--source", "bernoulli:0.25",
+                        "--p", "1100", "--trials", "5"], capsys)
+    assert rc == 0 and err == ""
+    result = json.loads(out)["results"][0]
+    assert result["passed"] and float(result["rhs"]) == math.inf
+    assert math.isfinite(result["parameters"]["mean"])
 
 
 def test_parser_rejects_flags_after_subcommand_values():
@@ -603,9 +625,11 @@ def test_code_cap_bounds_the_enumerated_ensemble(check, capsys):
 
 
 # sha1 of the --format csv stdout, recorded before tuple ranks and containment
-# were read from index tables (the exact-smoothing rows: before the codes of
-# an ensemble were convolved as one stack; the tuple-probability rows: while
-# the iid parity checks were still counted over all q^{(n-k)n} matrices)
+# were read from index tables (the exact-smoothing rows: when each
+# code's syndromes were counted and scored from their deviations, as the Monte
+# Carlo checks score a code, which moves lhs and slack in their last digits;
+# the tuple-probability rows: while the iid parity checks were still counted
+# over all q^{(n-k)n} matrices)
 @pytest.mark.parametrize("argv, digest", [
     ("verify p-balanced --n 4 --k 2 --p 3", "58dd4d871c8f6f17df9c3572fbd044f283fdd7a2"),
     ("verify p-balanced --n 5 --k 2 --p 3", "17ef38272a16157f1d07fc63777c5de295ff371b"),
@@ -615,9 +639,9 @@ def test_code_cap_bounds_the_enumerated_ensemble(check, capsys):
     ("verify norm-bound --n 3 --p 3 --d 2", "fb3baad2983cebde66a087ec14459489ca429bc7"),
     ("verify rank-stratified --n 2 --q 3 --p 3 --d 2",
      "7d72062f03a47ad518e1742d8f3ea711ae567dbe"),
-    ("verify exact-smoothing --n 4 --k 2 --p 3", "fa6bd95242a25c30d257e64963accbae1c8d57ba"),
+    ("verify exact-smoothing --n 4 --k 2 --p 3", "654b56cdaa1d6def21df332a1fff9ee6c5fa9814"),
     ("verify exact-smoothing --n 3 --k 1 --q 3 --p 2",
-     "0111b631f8ad6085f1a940dcb5b17ac061b3ac72"),
+     "9cfbfca97c466ac19ace8be2696fe04bb07b31bc"),
     ("--code-cap 14348907 verify tuple-probability --n 5 --k 2 --q 3 --tuple 1,2,7",
      "e374f5a33bb918962d06f7019216a6b0b274a7b8"),
     ("verify tuple-probability --n 4 --k 1 --tuple 0,0", "ad5d97beb140754b233366eec0fb68520db1eb68"),
@@ -643,9 +667,11 @@ def test_exact_checks_are_pinned(argv, digest, capsys):
 # smooth digests were recorded again when every syndrome pmf was scored from
 # its deviations q^m P - 1 (distributions._deviation_excesses), which moves
 # each Monte Carlo mean and dense divergence in its last digits (the Bernoulli
-# run at [80, 72], whose excess is near float64's epsilon, in its third)
+# run at [80, 72], whose excess is near float64's epsilon, in its third).  The
+# full suite digest was recorded again when c05 took the same scores over the
+# enumerated ensemble: its lhs moves in the 16th digit
 @pytest.mark.parametrize("argv, digest", [
-    ("suite", "e0e50b30774592f184ef795f25eaa48cb1a69388"),
+    ("suite", "d70377d232c33b3ed813dd9a2751fdc43aa82fb3"),
     ("suite --quick", "74bf7f5c560c140d62a0d3c7e4f79c365d00343f"),
     ("--seed 7 suite", "b3c9dfc19cc783fe64627d1769c33bf3a043eae1"),
     ("--seed 7 suite --quick", "3d3fad6d0acc17aab895312a95ecd22ee862d466"),

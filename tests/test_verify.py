@@ -9,6 +9,7 @@ import pytest
 
 from synhash import distributions, verify
 from synhash.caps import DEFAULT_CAPS, Caps, CapExceeded
+from synhash.cli import parse_source
 from synhash.codes import (DEFAULT_SEED, CodeEnsembleSpec, LinearCode, enumerate_all_codes,
                            gaussian_binomial, rank_tuple_count, sample_uniform_code,
                            _sample_codes)
@@ -188,15 +189,21 @@ def test_balance_refuses_the_tuple_rank_cap_before_the_census(monkeypatch):
      Caps(code_enumeration=10), "code enumeration"),
     (lambda caps: exact_expected_smoothness(4, 2, 2, 2, DensePmf.uniform(F2, 4), caps=caps),
      Caps(dense_pmf_entries=8), "dense pmf"),
-    (lambda caps: exact_expected_smoothness(4, 4, 2, 2, DensePmf.uniform(F2, 4), caps=caps),
-     Caps(code_enumeration=15), "codeword enumeration"),
 ], ids=["balanced-codes", "balanced-census", "balanced-ranks", "identity-ranks",
-        "inequality-codewords", "smoothing-codes", "smoothing-dense", "smoothing-codewords"])
+        "inequality-codewords", "smoothing-codes", "smoothing-dense"])
 def test_exhaustive_checks_admit_every_cost_before_building_the_ensemble(
         monkeypatch, run, caps, refusal):
     monkeypatch.setattr(verify, "_ensemble_stacks", _refuse_work)
     with pytest.raises(CapExceeded, match=f"^{refusal}: "):
         run(caps)
+
+
+def test_exact_smoothing_admits_no_codeword_count():
+    # the one [4, 4]_2 code has 16 codewords, but its syndromes are counted,
+    # not its codewords, so a cap of one code admits it
+    res = exact_expected_smoothness(4, 4, 2, 2, DensePmf.uniform(F2, 4),
+                                    caps=Caps(code_enumeration=1))
+    assert res.lhs == 1.0
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -510,7 +517,7 @@ def test_exact_expected_smoothness_grid():
 
 def test_exact_smoothing_checks_the_space_before_admitting_codes():
     # a pmf on F_2^3 against [4, 2]_2 codes is a usage error, not a refusal
-    with pytest.raises(ValueError, match="same space"):
+    with pytest.raises(ValueError, match="^source and ensemble live on different spaces$"):
         exact_expected_smoothness(4, 2, 2, 2, DensePmf.uniform(F2, 3),
                                   caps=Caps(code_enumeration=1))
 
@@ -812,25 +819,59 @@ def test_shared_smoothness_sample_follows_its_key(reference_code):
 
 @pytest.mark.parametrize("q, n, k, p", [(2, 4, 2, 3), (3, 3, 1, 2)])
 def test_exact_smoothing_chunks_equal_a_per_code_loop(monkeypatch, q, n, k, p):
-    # 3 code pmfs a chunk: 35 and 13 codes end in a short chunk
+    # 3 codes a chunk: 35 and 13 codes end in a short chunk
     field = FieldSpec(q)
     P = _random_pmf(field, n, (41, q, n))
-    total = 0.0
     codes = list(enumerate_all_codes(field, n, k))
+    # the public pushforward of each code, scored as the Monte Carlo checks score it
+    excesses = np.array([_deviation_excesses(
+        float(q) ** (n - k) * pushforward(P, code.H).probs[None] - 1.0, p)[0] for code in codes])
+    # the convolution route, an independent oracle: ||q^n P_{X_C + Z}||_p^p, code by code
+    total = 0.0
     for code in codes:
         total += lp_norm(float(q) ** n * convolve(code_pmf(code), P).probs, p) ** p
-    monkeypatch.setattr(verify, "_BATCH_ENTRIES", 16 * 3 * q ** n)
+    monkeypatch.setattr(verify, "_BATCH_ENTRIES", 3 * q ** n)
     sizes = []
-    convolve_stack = verify._convolve_transformed
+    count_rows = verify._syndrome_rows
 
-    def recorded(probs, *args):
-        sizes.append(len(probs))
-        return convolve_stack(probs, *args)
+    def recorded(q, probs, columns, m, caps):
+        sizes.append(len(columns))
+        return count_rows(q, probs, columns, m, caps)
 
-    monkeypatch.setattr(verify, "_convolve_transformed", recorded)
+    monkeypatch.setattr(verify, "_syndrome_rows", recorded)
     res = exact_expected_smoothness(n, k, q, p, P)
     assert sizes == [3] * (len(codes) // 3) + [len(codes) % 3]
-    assert res.lhs == total / len(codes)
+    assert res.lhs == 1.0 + excesses.mean()
+    assert res.lhs == pytest.approx(total / len(codes), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("source, n, k, q, p", [
+    ("random", 4, 2, 2, 3), ("bernoulli:0.2", 4, 2, 2, 2), ("bernoulli:0.2", 5, 2, 2, 3),
+    ("random", 3, 1, 3, 2), ("flat:2", 4, 1, 2, 4), ("random", 5, 3, 2, 2)])
+def test_exact_smoothing_matches_exact_rationals(point_images, source, n, k, q, p):
+    # the mean of ||q^m P_{HZ}||_p^p over every code, in exact rationals from the
+    # float pmf's exact values: each syndrome bin is an exact sum of them
+    field = FieldSpec(q)
+    P = parse_source(source, field, n, DEFAULT_SEED).to_dense()
+    probs = [Fraction(v) for v in P.probs.tolist()]
+    codes = list(enumerate_all_codes(field, n, k))
+    total = Fraction(0)
+    for code in codes:
+        bins = [Fraction(0)] * q ** (n - k)
+        for z, s in enumerate(point_images(code.H.array, q)):
+            bins[s] += probs[z]
+        total += sum((q ** (n - k) * b) ** p for b in bins) / q ** (n - k)
+    exact = total / len(codes)
+    lhs = exact_expected_smoothness(n, k, q, p, P).lhs
+    assert abs(Fraction(lhs) - exact) <= Fraction(4.5e-16) * exact
+
+
+@pytest.mark.parametrize("source", ["random", "point", "bernoulli:0.3"])
+@pytest.mark.parametrize("n, p", [(4, 2), (3, 5)])
+def test_exact_smoothing_of_the_whole_space_is_one(source, n, p):
+    # k = n: the one code has no syndrome, so every ||q^0 P_{HZ}||_p^p is 1
+    P = parse_source(source, F2, n, DEFAULT_SEED).to_dense()
+    assert exact_expected_smoothness(n, n, 2, p, P).lhs == 1.0
 
 
 def test_batched_overdraw_control_matches_a_per_code_loop(reference_code):
